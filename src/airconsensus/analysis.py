@@ -134,14 +134,10 @@ def disturbance_vector(r: ChannelRealization, x: Sequence[float]) -> np.ndarray:
     n = r.topology.n
     if x.shape != (n,):
         raise ValueError(f"state vector must have length {n}, got shape {x.shape}")
-    degrees = np.array([r.topology.in_degree(i) for i in range(1, n + 1)], dtype=float)
-    sums = r.gains.sum(axis=1)
+    rows, cols = r.topology.arc_rows, r.topology.arc_cols
+    sums = r.gains.sum(axis=1)[rows]
     nu = np.zeros((n, n))
-    mask = r.gains > 0.0
-    rows, cols = np.nonzero(mask)
-    nu[rows, cols] = (
-        x[cols] * (degrees[rows] * r.gains[rows, cols] - sums[rows]) / sums[rows]
-    )
+    nu[rows, cols] = x[cols] * (r.topology.in_degrees[rows] * r.values - sums) / sums
     return nu.reshape(n * n)
 
 
@@ -152,15 +148,14 @@ def decomposition_matrices(
     if not 0.0 < mixing < 1.0:
         raise ValueError(f"mixing must lie in (0, 1), got {mixing}")
     n = topology.n
-    degrees = np.array([topology.in_degree(i) for i in range(1, n + 1)], dtype=float)
-    if (degrees == 0).any():
+    if (topology.in_degrees == 0).any():
         raise ValueError("every node needs at least one in-neighbor")
+    rows, cols = topology.arc_rows, topology.arc_cols
+    share = mixing / topology.in_degrees[rows]
     A = np.zeros((n, n))
     B = np.zeros((n, n * n))
-    for j, i in topology.arc_order:
-        share = mixing / degrees[i - 1]
-        A[i - 1, j - 1] = share
-        B[i - 1, (i - 1) * n + (j - 1)] = share
+    A[rows, cols] = share
+    B[rows, rows * n + cols] = share
     np.fill_diagonal(A, 1.0 - mixing)
     return DisturbanceDecomposition(state_matrix=A, input_matrix=B)
 

@@ -4,11 +4,15 @@ Sampling is counter-based: the coefficients for step ``k`` are a pure
 function of ``(seed, mode, k)``, so any step can be reproduced without
 replaying earlier ones and independent Monte Carlo workers stay
 deterministic.
+A realization holds one coefficient per arc, so sampling costs O(|E|);
+the dense n x n gain matrix is built only when an analysis reads it.
 """
 
 from __future__ import annotations
 
+from bisect import bisect_left
 from dataclasses import dataclass
+from functools import cached_property
 from types import MappingProxyType
 from typing import Mapping, Union
 
@@ -82,27 +86,35 @@ class ChannelModel:
 class ChannelRealization:
     """Coefficients drawn for one step.
 
-    ``gains[i-1, j-1]`` is the coefficient from transmitter ``j`` to
-    receiver ``i``; entries off the arc set are exactly zero.
+    ``values[e]`` is the (read-only) coefficient of the ``e``-th arc of
+    ``topology.arc_order``.
     """
 
     step: int
     topology: WeightedDigraph
-    gains: np.ndarray
+    values: np.ndarray
 
     def __post_init__(self):
-        self.gains.setflags(write=False)
+        self.values.setflags(write=False)
+
+    @cached_property
+    def gains(self) -> np.ndarray:
+        """Read-only dense form, built on first use: ``gains[i-1, j-1]`` is
+        the coefficient from transmitter ``j`` to receiver ``i``; entries
+        off the arc set are exactly zero."""
+        g = np.zeros((self.topology.n, self.topology.n))
+        g[self.topology.arc_rows, self.topology.arc_cols] = self.values
+        g.setflags(write=False)
+        return g
 
     def coefficient(self, j: int, i: int) -> float:
         if not self.topology.has_arc(j, i):
             raise ValueError(f"no arc ({j}, {i}) in topology")
-        return float(self.gains[i - 1, j - 1])
+        return float(self.values[bisect_left(self.topology.arc_order, (j, i))])
 
     @property
     def coefficients(self) -> Mapping[Arc, float]:
-        return MappingProxyType(
-            {(j, i): float(self.gains[i - 1, j - 1]) for (j, i) in self.topology.arc_order}
-        )
+        return MappingProxyType(dict(zip(self.topology.arc_order, self.values.tolist())))
 
 
 def sample(model: ChannelModel, k: int) -> ChannelRealization:
@@ -118,12 +130,8 @@ def sample(model: ChannelModel, k: int) -> ChannelRealization:
     rng = np.random.default_rng(
         np.random.SeedSequence(entropy=model.seed, spawn_key=(_CHANNEL_STREAM, counter))
     )
-    order = model.topology.arc_order
-    values = model.law.draw(rng, len(order))
-    gains = np.zeros((model.topology.n, model.topology.n))
-    for (j, i), value in zip(order, values):
-        gains[i - 1, j - 1] = value
-    return ChannelRealization(step=k, topology=model.topology, gains=gains)
+    values = model.law.draw(rng, len(model.topology.arc_order))
+    return ChannelRealization(step=k, topology=model.topology, values=values)
 
 
 def superpose(r: ChannelRealization, x: np.ndarray, i: int) -> tuple[float, float]:
@@ -134,8 +142,9 @@ def superpose(r: ChannelRealization, x: np.ndarray, i: int) -> tuple[float, floa
         raise ValueError(f"state vector must have length {r.topology.n}, got {x.shape}")
     if r.topology.in_degree(i) == 0:
         raise ValueError(f"node {i} has no in-neighbors; received signal is undefined")
-    row = r.gains[i - 1]
-    return float(row @ x), float(row.sum())
+    into = r.topology.arc_rows == i - 1
+    h = r.values[into]
+    return float(h @ x[r.topology.arc_cols[into]]), float(h.sum())
 
 
 def derive_seed(base: int, *key: int) -> int:

@@ -182,11 +182,12 @@ def _run_montecarlo(cfg: ScenarioConfig, runs: int, out_dir: Path, quiet: bool) 
 
 
 def _write_trace(path: Path, trace) -> None:
-    lines = ["step,agent,x"]
+    agents = [f",{agent}," for agent in range(1, trace.initial.size + 1)]
+    rows = ["step,agent,x\n"]
     for state in trace.states:
-        for agent, value in enumerate(state.x, start=1):
-            lines.append(f"{state.step},{agent},{value:.17g}")
-    path.write_text("\n".join(lines) + "\n")
+        step = str(state.step)
+        rows += [f"{step}{agent}{value:.17g}\n" for agent, value in zip(agents, state.x.tolist())]
+    path.write_text("".join(rows))
 
 
 def _summary_dict(summary) -> dict:

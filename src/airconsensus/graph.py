@@ -3,6 +3,7 @@
 from __future__ import annotations
 
 from dataclasses import dataclass
+from itertools import chain
 from types import MappingProxyType
 from typing import Iterable, Mapping
 
@@ -22,6 +23,10 @@ class WeightedDigraph:
     its weight is looked up with ``weight(j, i)``. Self-loops are
     rejected. Instances are immutable after construction and safe to
     share between concurrent readers.
+
+    Read-only arrays built once: ``arc_rows`` / ``arc_cols`` hold the
+    0-based receiver / transmitter of each arc in ``arc_order``, and
+    ``in_degrees`` the number of in-arcs of each node.
     """
 
     n: int
@@ -41,13 +46,14 @@ class WeightedDigraph:
                 raise ValueError(f"arc ({j}, {i}) must have a positive weight, got {w}")
             frozen[(int(j), int(i))] = float(w)
         object.__setattr__(self, "weights", MappingProxyType(frozen))
-        incoming: dict[int, list[int]] = {i: [] for i in range(1, self.n + 1)}
-        for j, i in frozen:
-            incoming[i].append(j)
-        object.__setattr__(
-            self, "_incoming", {i: tuple(sorted(js)) for i, js in incoming.items()}
-        )
-        object.__setattr__(self, "_arc_order", tuple(sorted(frozen)))
+        order = tuple(sorted(frozen))
+        object.__setattr__(self, "_arc_order", order)
+        ends = np.fromiter(chain.from_iterable(order), np.intp, 2 * len(order)).reshape(-1, 2)
+        cols, rows = np.ascontiguousarray(ends.T) - 1
+        degrees = np.bincount(rows, minlength=self.n)
+        for name, array in (("arc_rows", rows), ("arc_cols", cols), ("in_degrees", degrees)):
+            array.setflags(write=False)
+            object.__setattr__(self, name, array)
 
     @property
     def arcs(self) -> frozenset[Arc]:
@@ -61,11 +67,11 @@ class WeightedDigraph:
     def in_neighbors(self, i: int) -> frozenset[int]:
         """Nodes with an arc into ``i``; never contains ``i`` itself."""
         self._check_node(i)
-        return frozenset(self._incoming[i])
+        return frozenset((self.arc_cols[self.arc_rows == i - 1] + 1).tolist())
 
     def in_degree(self, i: int) -> int:
         self._check_node(i)
-        return len(self._incoming[i])
+        return int(self.in_degrees[i - 1])
 
     def weight(self, j: int, i: int) -> float:
         """Weight of the arc from transmitter ``j`` to receiver ``i``."""
@@ -147,8 +153,7 @@ def laplacian(g: WeightedDigraph) -> np.ndarray:
     as the exact negation of the off-diagonal row sum.
     """
     L = np.zeros((g.n, g.n))
-    for (j, i), w in g.weights.items():
-        L[i - 1, j - 1] = -w
+    L[g.arc_rows, g.arc_cols] = [-g.weights[arc] for arc in g.arc_order]
     diag = -L.sum(axis=1)
     L[np.diag_indices(g.n)] = diag
     return L

@@ -1,9 +1,10 @@
-"""Dense small-matrix kernel: stochasticity and primitivity predicates,
-Perron matrices, and dominant eigen-structure.
+"""Dense matrix kernel of the analysis paths: stochasticity and
+primitivity predicates, Perron matrices, and dominant eigen-structure.
 
-Everything here targets small dense matrices (n up to ~50); tolerances
-default to the table below and every predicate takes an explicit ``tol``
-where a tolerance is meaningful.
+Inputs are dense n x n matrices, practical up to a few hundred nodes;
+the simulation steps work on arc lists and reach sparse n in the
+thousands. Tolerances default to the table below and every predicate
+takes an explicit ``tol`` where a tolerance is meaningful.
 """
 
 from __future__ import annotations

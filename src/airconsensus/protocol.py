@@ -12,6 +12,8 @@ Three update laws over a shared run loop:
 * ``naive`` -- plain averaging of the raw superposed signal. Its update
   matrix is not row-stochastic for general coefficients, so it fails;
   kept as the baseline that motivates the two-signal scheme.
+The superposition and naive steps cost O(|E|); ``effective_matrix`` and
+``naive_matrix`` are their dense forms for the analysis and eigen paths.
 """
 
 from __future__ import annotations
@@ -116,8 +118,14 @@ class Trace:
         return arr.max(axis=1) - arr.min(axis=1)
 
 
+def _received(r: ChannelRealization, x: np.ndarray) -> np.ndarray:
+    """Superposed signal at every receiver: sum of h_ij * x_j over its in-arcs."""
+    t = r.topology
+    return np.bincount(t.arc_rows, weights=r.values * x[t.arc_cols], minlength=t.n)
+
+
 def _positive_row_sums(r: ChannelRealization) -> np.ndarray:
-    sums = r.gains.sum(axis=1)
+    sums = np.bincount(r.topology.arc_rows, weights=r.values, minlength=r.topology.n)
     if (sums <= 0.0).any():
         bad = int(np.argmax(sums <= 0.0)) + 1
         raise ValueError(f"node {bad} has no in-neighbors; received signal is undefined")
@@ -133,7 +141,7 @@ def step_superposition(x: np.ndarray, r: ChannelRealization, mixing: Mixing) -> 
     x = np.asarray(x, dtype=float)
     m = resolve_mixing(mixing, r.topology.n)
     sums = _positive_row_sums(r)
-    return (1.0 - m) * x + m * ((r.gains @ x) / sums)
+    return (1.0 - m) * x + m * (_received(r, x) / sums)
 
 
 def effective_matrix(r: ChannelRealization, mixing: Mixing) -> np.ndarray:
@@ -173,19 +181,16 @@ def step_classical(x: np.ndarray, g: WeightedDigraph, step_size: float) -> np.nd
 def naive_matrix(r: ChannelRealization) -> np.ndarray:
     """Update matrix of the naive scheme: average self with the raw received
     signal. Not row-stochastic for general coefficients."""
-    n = r.topology.n
-    degrees = np.array([r.topology.in_degree(i) for i in range(1, n + 1)], dtype=float)
-    D = r.gains / (degrees + 1.0)[:, None]
-    np.fill_diagonal(D, 1.0 / (degrees + 1.0))
+    shares = r.topology.in_degrees + 1.0
+    D = r.gains / shares[:, None]
+    np.fill_diagonal(D, 1.0 / shares)
     return D
 
 
 def step_naive(x: np.ndarray, r: ChannelRealization) -> np.ndarray:
     """One naive update: x+_i = (x_i + received signal) / (in-degree + 1)."""
     x = np.asarray(x, dtype=float)
-    n = r.topology.n
-    degrees = np.array([r.topology.in_degree(i) for i in range(1, n + 1)], dtype=float)
-    return (x + r.gains @ x) / (degrees + 1.0)
+    return (x + _received(r, x)) / (r.topology.in_degrees + 1.0)
 
 
 def run(

@@ -8,6 +8,7 @@ stay independent of the library code they check.
 from __future__ import annotations
 
 import numpy as np
+from hypothesis import strategies as st
 
 from airconsensus.graph import WeightedDigraph
 
@@ -24,6 +25,19 @@ def random_strongly_connected(rng, n, extra_prob=0.35, w_lo=0.5, w_hi=10.0):
             if j != i and (j, i) not in weights and rng.random() < extra_prob:
                 weights[(j, i)] = float(rng.uniform(w_lo, w_hi))
     return WeightedDigraph(n, weights)
+
+
+@st.composite
+def strongly_connected_digraphs(draw, max_n=10):
+    """Hypothesis strategy: a spanning cycle in random node order plus any
+    subset of the remaining arcs, with weights in [0.5, 10]."""
+    n = draw(st.integers(2, max_n))
+    cycle = draw(st.permutations(range(1, n + 1)))
+    arcs = {(cycle[t], cycle[(t + 1) % n]) for t in range(n)}
+    pairs = [(j, i) for j in range(1, n + 1) for i in range(1, n + 1) if j != i]
+    arcs |= set(draw(st.lists(st.sampled_from(pairs), max_size=len(pairs))))
+    weights = draw(st.lists(st.floats(0.5, 10.0), min_size=len(arcs), max_size=len(arcs)))
+    return WeightedDigraph(n, dict(zip(sorted(arcs), weights)))
 
 
 def random_digraph(rng, n, arc_prob=0.3, w_lo=0.5, w_hi=10.0):

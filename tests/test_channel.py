@@ -1,8 +1,12 @@
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from airconsensus.channel import (
+    _CHANNEL_STREAM,
     IID_PER_STEP,
+    MODES,
     TIME_INVARIANT,
     ChannelModel,
     ConstantLaw,
@@ -12,10 +16,25 @@ from airconsensus.channel import (
     superpose,
 )
 from airconsensus.graph import complete_graph, graph_from_arcs
+from support import strongly_connected_digraphs
 
 
 def u010_model(topology, mode=IID_PER_STEP, seed=42):
     return ChannelModel(topology=topology, law=UniformLaw(0.0, 10.0), mode=mode, seed=seed)
+
+
+def arc_loop_gains(model, k):
+    """Reference dense realization: the channel stream drawn in arc order and
+    scattered one arc at a time."""
+    counter = 0 if model.mode == TIME_INVARIANT else k
+    rng = np.random.default_rng(
+        np.random.SeedSequence(entropy=model.seed, spawn_key=(_CHANNEL_STREAM, counter))
+    )
+    order = model.topology.arc_order
+    gains = np.zeros((model.topology.n, model.topology.n))
+    for (j, i), value in zip(order, model.law.draw(rng, len(order))):
+        gains[i - 1, j - 1] = value
+    return gains
 
 
 class TestLaws:
@@ -88,6 +107,18 @@ class TestSampling:
         r = sample(u010_model(complete_graph(3)), 0)
         with pytest.raises(ValueError):
             r.gains[0, 1] = 5.0
+        with pytest.raises(ValueError):
+            r.values[0] = 5.0
+
+    @settings(max_examples=60, deadline=None)
+    @given(g=strongly_connected_digraphs(), seed=st.integers(0, 2**63 - 1))
+    def test_gains_match_arc_loop_bit_for_bit(self, g, seed):
+        for mode in MODES:
+            model = u010_model(g, mode=mode, seed=seed)
+            for k in (0, 1, 7):
+                gains = sample(model, k).gains
+                assert gains.dtype == np.float64
+                assert gains.tobytes() == arc_loop_gains(model, k).tobytes()
 
     def test_coefficients_mapping_matches_gains(self):
         r = sample(u010_model(complete_graph(3)), 2)

@@ -1,8 +1,12 @@
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
+from airconsensus import protocol
 from airconsensus.channel import (
     IID_PER_STEP,
+    MODES,
     TIME_INVARIANT,
     ChannelModel,
     ConstantLaw,
@@ -24,7 +28,7 @@ from airconsensus.protocol import (
     step_naive,
     step_superposition,
 )
-from support import random_strongly_connected
+from support import random_strongly_connected, strongly_connected_digraphs
 
 
 def ideal_channel(topology, value=1.0):
@@ -183,7 +187,48 @@ class TestStepNaive:
             np.testing.assert_allclose(step_naive(x, r), naive_matrix(r) @ x, atol=1e-13)
 
 
+@settings(max_examples=60, deadline=None)
+@given(
+    g=strongly_connected_digraphs(),
+    seed=st.integers(0, 2**63 - 1),
+    k=st.integers(0, 1000),
+    data=st.data(),
+)
+def test_arc_list_steps_match_dense_matrices(g, seed, k, data):
+    r = sample(u010_channel(g, seed=seed), k)
+    x = np.array(data.draw(st.lists(st.floats(0.0, 2 * np.pi), min_size=g.n, max_size=g.n)))
+    mixing = np.array(data.draw(st.lists(st.floats(0.05, 0.95), min_size=g.n, max_size=g.n)))
+    superposed = step_superposition(x, r, mixing)
+    assert np.max(np.abs(superposed - effective_matrix(r, mixing) @ x)) <= 1e-13
+    assert np.max(np.abs(step_naive(x, r) - naive_matrix(r) @ x)) <= 1e-13
+
+
 class TestRun:
+    def test_large_sparse_run_never_builds_dense_gains(self, monkeypatch):
+        n = 2000
+        rng = np.random.default_rng(113)
+        weights = {(v, v % n + 1): 1.0 for v in range(1, n + 1)}
+        for i in range(1, n + 1):
+            for j in rng.choice(np.arange(1, n + 1), 3, replace=False).tolist():
+                if j != i:
+                    weights[(j, i)] = 1.0
+        g = WeightedDigraph(n, weights)
+        drawn = []
+
+        def recording_sample(model, k):
+            drawn.append(sample(model, k))
+            return drawn[-1]
+
+        monkeypatch.setattr(protocol, "sample", recording_sample)
+        x0 = rng.uniform(0, 2 * np.pi, n)
+        for mode in MODES:
+            for cfg in (ProtocolConfig("superposition", mixing=0.5), ProtocolConfig("naive")):
+                trace = run(g, u010_channel(g, mode=mode), cfg, x0, max_steps=20)
+                assert trace.steps == 20
+                assert np.isfinite(trace.final).all()
+        assert len(drawn) == 2 * (1 + 20)
+        assert all("gains" not in r.__dict__ for r in drawn)
+
     def test_superposition_converges(self):
         rng = np.random.default_rng(97)
         g = random_strongly_connected(rng, 6)
