@@ -9,22 +9,25 @@ Monte Carlo statistics over channel realizations.
 from __future__ import annotations
 
 import math
-from dataclasses import dataclass, replace
+from dataclasses import dataclass
 from typing import Optional, Sequence
 
 import numpy as np
 
-from .channel import ChannelModel, ChannelRealization, derive_seed
+from .channel import TIME_INVARIANT, ChannelModel, ChannelRealization, ChannelStreams, derive_seeds
 from .graph import WeightedDigraph
 from .linalg import dominant_left_eigenvector
 from .protocol import (
+    CLASSICAL,
     CONVERGED,
     DEFAULT_MAX_STEPS,
     DEFAULT_SPREAD_TOL,
+    BlockUpdate,
     ProtocolConfig,
     Trace,
+    advance,
     effective_matrix,
-    run,
+    validated_state,
 )
 
 #: Tolerance of the built-in fixed-point verification in predicted_consensus.
@@ -32,6 +35,9 @@ FIXED_POINT_TOL = 1e-10
 
 #: Fraction of the fitting window dropped at each end by measure_rate.
 RATE_FIT_TRIM = 0.10
+
+#: Most states or channel coefficients (floats) one Monte Carlo block holds.
+MC_BLOCK_ELEMENTS = 1 << 15
 
 
 @dataclass(frozen=True)
@@ -260,28 +266,36 @@ def monte_carlo(
     The initial state is held fixed. Non-converged runs are counted in
     ``non_converged`` and still reported, never dropped.
 
+    Replicates advance together, in blocks whose states and coefficients
+    hold at most ``MC_BLOCK_ELEMENTS`` floats each. Every replicate's
+    consensus value, step count and outcome equal, bit for bit, those of
+    one ``run`` with its channel seed.
+
     Sums are accumulated with exact (compensated) summation so the
     statistics do not depend on aggregation order.
     """
     if runs < 2:
         raise ValueError(f"need at least 2 runs, got {runs}")
-    base = channel.seed if (base_seed is None and channel is not None) else base_seed
+    x = validated_state(topology, channel, protocol, x0, tol, max_steps)
+    if channel is not None and vary_channel:
+        seeds = derive_seeds(channel.seed if base_seed is None else base_seed, runs)
+    else:
+        seeds = [channel.seed if channel is not None else 0] * runs
+    block = max(1, MC_BLOCK_ELEMENTS // max(len(topology.arc_order), topology.n))
+    update = BlockUpdate(topology, protocol, rows=min(block, runs))
+    time_invariant = channel is not None and channel.mode == TIME_INVARIANT
     values: list[float] = []
     steps: list[int] = []
-    seeds: list[int] = []
     converged: list[bool] = []
-    for idx in range(runs):
-        if channel is not None and vary_channel:
-            seed = derive_seed(base if base is not None else 0, idx)
-            model = replace(channel, seed=seed)
-        else:
-            model = channel
-            seed = channel.seed if channel is not None else 0
-        trace = run(topology, model, protocol, x0, tol=tol, max_steps=max_steps)
-        converged.append(trace.reason == CONVERGED)
-        values.append(float(np.mean(trace.final)))
-        steps.append(trace.steps)
-        seeds.append(seed)
+    for start in range(0, runs, block):
+        block_seeds = seeds[start : start + block]
+        draw = ChannelStreams(channel, block_seeds).draw if protocol.variant != CLASSICAL else None
+        result = advance(
+            update, np.tile(x, (len(block_seeds), 1)), draw, time_invariant, tol, max_steps
+        )
+        values += result.final.mean(axis=1).tolist()
+        steps += result.steps.tolist()
+        converged += result.converged.tolist()
     mean = math.fsum(values) / runs
     var = math.fsum((v - mean) ** 2 for v in values) / (runs - 1)
     return MonteCarloResult(

@@ -1,6 +1,6 @@
 """Consensus state machines.
 
-Three update laws over a shared run loop:
+Three update laws over one block update and one run loop:
 
 * ``superposition`` -- each agent mixes its own state with the ratio of
   the two superposed signals it receives, which is a weighted average of
@@ -14,12 +14,14 @@ Three update laws over a shared run loop:
   kept as the baseline that motivates the two-signal scheme.
 The superposition and naive steps cost O(|E|); ``effective_matrix`` and
 ``naive_matrix`` are their dense forms for the analysis and eigen paths.
+``advance`` steps a block of R independent states held as one (R, n)
+array; ``run`` is a block of one and Monte Carlo uses blocks of many.
 """
 
 from __future__ import annotations
 
 from dataclasses import dataclass
-from typing import Optional, Sequence, Union
+from typing import Callable, Optional, Sequence, Union
 
 import numpy as np
 
@@ -118,18 +120,117 @@ class Trace:
         return arr.max(axis=1) - arr.min(axis=1)
 
 
-def _received(r: ChannelRealization, x: np.ndarray) -> np.ndarray:
-    """Superposed signal at every receiver: sum of h_ij * x_j over its in-arcs."""
-    t = r.topology
-    return np.bincount(t.arc_rows, weights=r.values * x[t.arc_cols], minlength=t.n)
+def _positive(sums: np.ndarray) -> np.ndarray:
+    bad = sums <= 0.0
+    if bad.any():
+        node = int(np.nonzero(bad)[-1][0]) + 1
+        raise ValueError(f"node {node} has no in-neighbors; received signal is undefined")
+    return sums
 
 
 def _positive_row_sums(r: ChannelRealization) -> np.ndarray:
-    sums = np.bincount(r.topology.arc_rows, weights=r.values, minlength=r.topology.n)
-    if (sums <= 0.0).any():
-        bad = int(np.argmax(sums <= 0.0)) + 1
-        raise ValueError(f"node {bad} has no in-neighbors; received signal is undefined")
-    return sums
+    return _positive(np.bincount(r.topology.arc_rows, weights=r.values, minlength=r.topology.n))
+
+
+class BlockUpdate:
+    """One update of a protocol applied to each row of an ``(R, n)`` block
+    of states, for blocks of up to ``rows`` rows.
+
+    Row ``b`` of a block has coefficients in row ``b`` of an ``(R, |E|)``
+    array. Receiver sums come from one ``np.bincount`` over the flat index
+    ``b * n + arc_rows``, which visits each row's arcs in arc order, so
+    every row gets the same result, bit for bit, as a block of one.
+    """
+
+    def __init__(self, topology: WeightedDigraph, protocol: ProtocolConfig, rows: int = 1):
+        self.topology = topology
+        self.variant = protocol.variant
+        self._index = (np.arange(rows)[:, None] * topology.n + topology.arc_rows).ravel()
+        if self.variant == SUPERPOSITION:
+            self._mixing = resolve_mixing(protocol.mixing, topology.n)
+        elif self.variant == CLASSICAL:
+            self._matrix = perron_matrix(topology, protocol.step_size)
+        else:
+            self._shares = topology.in_degrees + 1.0
+
+    def arc_sums(self, weights: np.ndarray) -> np.ndarray:
+        """``(R, n)`` per-receiver sums of an ``(R, |E|)`` array of arc weights."""
+        rows, n = len(weights), self.topology.n
+        sums = np.bincount(self._index[: weights.size], weights=weights.ravel(), minlength=rows * n)
+        return sums.reshape(rows, n)
+
+    def coefficients(self, values: np.ndarray) -> tuple[np.ndarray, ...]:
+        """Per-step arguments of the update for an ``(R, |E|)`` coefficient
+        array: the coefficients, plus their checked row sums for superposition."""
+        if self.variant == SUPERPOSITION:
+            return values, _positive(self.arc_sums(values))
+        return (values,)
+
+    def __call__(self, x: np.ndarray, *coefficients: np.ndarray) -> np.ndarray:
+        if self.variant == CLASSICAL:
+            return np.matmul(self._matrix, x[..., None])[..., 0]
+        weighted = np.take(x, self.topology.arc_cols, axis=1)
+        weighted *= coefficients[0]
+        received = self.arc_sums(weighted)
+        if self.variant == SUPERPOSITION:
+            return (1.0 - self._mixing) * x + self._mixing * (received / coefficients[1])
+        return (x + received) / self._shares
+
+
+@dataclass(frozen=True)
+class BlockResult:
+    """Outcome of every row of a block: final states, steps taken, convergence."""
+
+    final: np.ndarray
+    steps: np.ndarray
+    converged: np.ndarray
+
+
+def advance(
+    update: BlockUpdate,
+    x0: np.ndarray,
+    draw: Optional[Callable[[int, np.ndarray], np.ndarray]],
+    time_invariant: bool,
+    tol: float,
+    max_steps: int,
+    record: Optional[Callable[[np.ndarray], None]] = None,
+) -> BlockResult:
+    """Iterate ``update`` on each row of the ``(R, n)`` block ``x0`` until
+    its spread falls below ``tol``, or ``max_steps`` steps.
+
+    ``draw(k, rows)`` gives the ``(len(rows), |E|)`` channel coefficients
+    of step ``k`` for the still active rows (``None`` for the classical
+    protocol); a time-invariant channel is drawn and summed once. A row
+    leaves the block at the step its spread falls below ``tol``.
+    ``record`` sees the states after every step.
+    """
+    x = np.array(x0, dtype=float)
+    rows = np.arange(len(x))
+    final = np.empty_like(x)
+    steps = np.full(len(x), max_steps)
+    converged = np.zeros(len(x), dtype=bool)
+    frozen = update.coefficients(draw(0, rows)) if draw is not None and time_invariant else None
+    for k in range(max_steps):
+        done = x.max(axis=1) - x.min(axis=1) < tol
+        if done.any():
+            finished, keep = rows[done], ~done
+            final[finished], steps[finished], converged[finished] = x[done], k, True
+            rows, x = rows[keep], x[keep]
+            if frozen is not None:
+                frozen = tuple(a[keep] for a in frozen)
+            if not len(rows):
+                break
+        if frozen is not None:
+            args = frozen
+        else:
+            args = update.coefficients(draw(k, rows)) if draw is not None else ()
+        x = update(x, *args)
+        if record is not None:
+            record(x)
+    else:
+        final[rows] = x
+        converged[rows] = x.max(axis=1) - x.min(axis=1) < tol
+    return BlockResult(final=final, steps=steps, converged=converged)
 
 
 def step_superposition(x: np.ndarray, r: ChannelRealization, mixing: Mixing) -> np.ndarray:
@@ -138,10 +239,8 @@ def step_superposition(x: np.ndarray, r: ChannelRealization, mixing: Mixing) -> 
     The ratio of the two received signals is a convex combination of the
     neighbors' states, so the update never leaves the hull of x.
     """
-    x = np.asarray(x, dtype=float)
-    m = resolve_mixing(mixing, r.topology.n)
-    sums = _positive_row_sums(r)
-    return (1.0 - m) * x + m * (_received(r, x) / sums)
+    update = BlockUpdate(r.topology, ProtocolConfig(SUPERPOSITION, mixing=mixing))
+    return update(np.asarray(x, dtype=float)[None], *update.coefficients(r.values[None]))[0]
 
 
 def effective_matrix(r: ChannelRealization, mixing: Mixing) -> np.ndarray:
@@ -174,8 +273,8 @@ def perron_matched_mixing(r: ChannelRealization, step_size: float) -> np.ndarray
 
 def step_classical(x: np.ndarray, g: WeightedDigraph, step_size: float) -> np.ndarray:
     """One Laplacian-protocol update x+ = (I - step_size * L) x."""
-    x = np.asarray(x, dtype=float)
-    return perron_matrix(g, step_size) @ x
+    update = BlockUpdate(g, ProtocolConfig(CLASSICAL, step_size=step_size))
+    return update(np.asarray(x, dtype=float)[None])[0]
 
 
 def naive_matrix(r: ChannelRealization) -> np.ndarray:
@@ -189,8 +288,29 @@ def naive_matrix(r: ChannelRealization) -> np.ndarray:
 
 def step_naive(x: np.ndarray, r: ChannelRealization) -> np.ndarray:
     """One naive update: x+_i = (x_i + received signal) / (in-degree + 1)."""
-    x = np.asarray(x, dtype=float)
-    return (x + _received(r, x)) / (r.topology.in_degrees + 1.0)
+    update = BlockUpdate(r.topology, ProtocolConfig(NAIVE))
+    return update(np.asarray(x, dtype=float)[None], *update.coefficients(r.values[None]))[0]
+
+
+def validated_state(
+    topology: WeightedDigraph,
+    channel: Optional[ChannelModel],
+    protocol: ProtocolConfig,
+    x0: Sequence[float],
+    tol: float,
+    max_steps: int,
+) -> np.ndarray:
+    """``x0`` as a float array, after checking the arguments of a run."""
+    x = np.array(x0, dtype=float)
+    if x.shape != (topology.n,):
+        raise ValueError(f"x0 must have length {topology.n}, got shape {x.shape}")
+    if not tol > 0.0:
+        raise ValueError(f"tol must be positive, got {tol}")
+    if max_steps < 0:
+        raise ValueError(f"max_steps must be nonnegative, got {max_steps}")
+    if protocol.variant in (SUPERPOSITION, NAIVE) and channel is None:
+        raise ValueError(f"{protocol.variant} variant requires a channel model")
+    return x
 
 
 def run(
@@ -205,56 +325,38 @@ def run(
     """Iterate the selected variant until spread(x) < tol or max_steps.
 
     Deterministic for a fixed (channel seed, config); non-convergence is a
-    recorded outcome, not an error.
+    recorded outcome, not an error. This is ``advance`` on a block of one.
     """
-    x = np.array(x0, dtype=float)
-    if x.shape != (topology.n,):
-        raise ValueError(f"x0 must have length {topology.n}, got shape {x.shape}")
-    if not tol > 0.0:
-        raise ValueError(f"tol must be positive, got {tol}")
-    if max_steps < 0:
-        raise ValueError(f"max_steps must be nonnegative, got {max_steps}")
-    if protocol.variant in (SUPERPOSITION, NAIVE) and channel is None:
-        raise ValueError(f"{protocol.variant} variant requires a channel model")
-
-    mixing = None
-    if protocol.variant == SUPERPOSITION:
-        mixing = resolve_mixing(protocol.mixing, topology.n)
-    classical_matrix = None
-    if protocol.variant == CLASSICAL:
-        classical_matrix = perron_matrix(topology, protocol.step_size)
-    frozen_realization = None
-    if channel is not None and channel.mode == TIME_INVARIANT:
-        frozen_realization = sample(channel, 0)
-
+    x = validated_state(topology, channel, protocol, x0, tol, max_steps)
     states = [NetworkState(0, x.copy())]
-    matrices: list[np.ndarray] = []
-    reason = MAX_STEPS
-    for k in range(max_steps):
-        if spread(x) < tol:
-            reason = CONVERGED
-            break
-        if protocol.variant == CLASSICAL:
-            x = classical_matrix @ x
-            if record_matrices:
-                matrices.append(classical_matrix)
-        else:
-            r = frozen_realization if frozen_realization is not None else sample(channel, k)
-            if protocol.variant == SUPERPOSITION:
-                if record_matrices:
-                    matrices.append(effective_matrix(r, mixing))
-                x = step_superposition(x, r, mixing)
-            else:
-                if record_matrices:
-                    matrices.append(naive_matrix(r))
-                x = step_naive(x, r)
-        states.append(NetworkState(k + 1, x.copy()))
-    else:
-        if spread(x) < tol:
-            reason = CONVERGED
 
+    def draw(k, rows):
+        return sample(channel, k).values[None]
+
+    def record(block):
+        states.append(NetworkState(len(states), block[0].copy()))
+
+    result = advance(
+        BlockUpdate(topology, protocol),
+        x[None],
+        None if protocol.variant == CLASSICAL else draw,
+        channel is not None and channel.mode == TIME_INVARIANT,
+        tol,
+        max_steps,
+        record,
+    )
+    matrices = None
+    if record_matrices:
+        # Sampling is a pure function of the step, so each step's matrix is rebuilt.
+        taken = range(len(states) - 1)
+        if protocol.variant == CLASSICAL:
+            matrices = (perron_matrix(topology, protocol.step_size),) * len(taken)
+        elif protocol.variant == SUPERPOSITION:
+            matrices = tuple(effective_matrix(sample(channel, k), protocol.mixing) for k in taken)
+        else:
+            matrices = tuple(naive_matrix(sample(channel, k)) for k in taken)
     return Trace(
         states=tuple(states),
-        reason=reason,
-        matrices=tuple(matrices) if record_matrices else None,
+        reason=CONVERGED if result.converged[0] else MAX_STEPS,
+        matrices=matrices,
     )

@@ -1,8 +1,10 @@
 import math
+from dataclasses import replace
 
 import numpy as np
 import pytest
 
+from airconsensus import analysis
 from airconsensus.analysis import (
     decomposition_deviation,
     decomposition_matrices,
@@ -20,11 +22,13 @@ from airconsensus.channel import (
     ChannelModel,
     ConstantLaw,
     UniformLaw,
+    derive_seed,
     sample,
 )
-from airconsensus.graph import complete_graph, graph_from_arcs
+from airconsensus.config import PRESET_NAMES, parse_config, preset
+from airconsensus.graph import complete_graph, graph_from_arcs, ring_graph, step_size_bound
 from airconsensus.linalg import dominant_left_eigenvector
-from airconsensus.protocol import ProtocolConfig, effective_matrix, run
+from airconsensus.protocol import CONVERGED, ProtocolConfig, effective_matrix, run
 from support import random_strongly_connected
 
 
@@ -304,3 +308,97 @@ class TestMonteCarlo:
                 g, u010_channel(g), ProtocolConfig("superposition", mixing=0.5),
                 np.zeros(3), runs=1,
             )
+
+
+def serial_monte_carlo(topology, channel, protocol, x0, runs, vary_channel=True, **kwargs):
+    """Reference: one ``run`` per replicate, seeded as monte_carlo documents."""
+    values, steps, seeds, converged = [], [], [], []
+    for idx in range(runs):
+        model, seed = channel, (channel.seed if channel is not None else 0)
+        if channel is not None and vary_channel:
+            seed = derive_seed(channel.seed, idx)
+            model = replace(channel, seed=seed)
+        trace = run(topology, model, protocol, x0, **kwargs)
+        values.append(float(np.mean(trace.final)))
+        steps.append(trace.steps)
+        seeds.append(seed)
+        converged.append(trace.reason == CONVERGED)
+    return tuple(values), tuple(steps), tuple(seeds), tuple(converged)
+
+
+def assert_matches_serial(topology, channel, protocol, x0, runs, vary_channel=True, **kwargs):
+    result = monte_carlo(topology, channel, protocol, x0, runs, vary_channel=vary_channel, **kwargs)
+    values, steps, seeds, converged = serial_monte_carlo(
+        topology, channel, protocol, x0, runs, vary_channel=vary_channel, **kwargs
+    )
+    assert np.array(result.consensus_values).tobytes() == np.array(values).tobytes()
+    assert result.steps == steps
+    assert result.seeds == seeds
+    assert result.converged == converged
+    return result
+
+
+class TestBatchedMonteCarloMatchesSerialRuns:
+    @pytest.fixture(autouse=True)
+    def small_blocks(self, monkeypatch):
+        # Blocks of 7 replicates on the complete 4-node graph (12 arcs), and
+        # of a few replicates on the presets: runs span several blocks and
+        # the last block is partial.
+        monkeypatch.setattr(analysis, "MC_BLOCK_ELEMENTS", 7 * 12)
+
+    @pytest.mark.parametrize("name", PRESET_NAMES)
+    def test_every_preset(self, name):
+        cfg = parse_config(preset(name))
+        assert_matches_serial(cfg.topology, cfg.channel, cfg.protocol, cfg.x0, 23, tol=cfg.tol, max_steps=cfg.max_steps)
+
+    @pytest.mark.parametrize("mode", [IID_PER_STEP, TIME_INVARIANT])
+    def test_cut_off_by_max_steps(self, mode):
+        g = complete_graph(4)
+        x0 = np.random.default_rng(61).uniform(0, 2 * np.pi, 4)
+        result = assert_matches_serial(
+            g, u010_channel(g, seed=3, mode=mode), ProtocolConfig("superposition", mixing=0.3), x0, 20,
+            max_steps=6,
+        )
+        assert result.non_converged == 20
+        assert set(result.steps) == {6}
+
+    def test_rows_leave_the_block_at_different_steps(self):
+        g = complete_graph(4)
+        x0 = np.random.default_rng(62).uniform(0, 2 * np.pi, 4)
+        result = assert_matches_serial(
+            g, u010_channel(g, seed=4), ProtocolConfig("superposition", mixing=[0.2, 0.5, 0.7, 0.9]), x0, 30,
+            tol=1e-6, max_steps=24,
+        )
+        assert len(set(result.steps)) > 1
+        assert 0 < result.non_converged < 30
+
+    def test_naive_variant(self):
+        g = complete_graph(4)
+        x0 = np.random.default_rng(63).uniform(0, 2 * np.pi, 4)
+        assert_matches_serial(g, u010_channel(g, seed=5), ProtocolConfig("naive"), x0, 17, max_steps=25)
+
+    def test_classical_variant(self):
+        g = ring_graph(4)
+        x0 = np.random.default_rng(64).uniform(0, 2 * np.pi, 4)
+        config = ProtocolConfig("classical", step_size=0.5 * step_size_bound(g))
+        assert_matches_serial(g, None, config, x0, 9)
+
+    @pytest.mark.parametrize("mode", [IID_PER_STEP, TIME_INVARIANT])
+    def test_fixed_channel_seed(self, mode):
+        g = complete_graph(4)
+        x0 = np.random.default_rng(65).uniform(0, 2 * np.pi, 4)
+        for seed in (8, 2**64 + 8):
+            result = assert_matches_serial(
+                g, u010_channel(g, seed=seed, mode=mode), ProtocolConfig("superposition", mixing=0.6), x0, 10,
+                vary_channel=False,
+            )
+            assert len(set(result.consensus_values)) == 1
+
+    def test_zero_max_steps(self):
+        g = complete_graph(4)
+        x0 = np.array([1.0, 1.0, 1.0, 1.0 + 1e-12])
+        for tol in (1e-9, 1e-15):
+            result = assert_matches_serial(
+                g, u010_channel(g), ProtocolConfig("superposition", mixing=0.5), x0, 9, tol=tol, max_steps=0
+            )
+            assert set(result.steps) == {0}

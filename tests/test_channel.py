@@ -1,3 +1,5 @@
+from dataclasses import replace
+
 import numpy as np
 import pytest
 from hypothesis import given, settings
@@ -9,9 +11,11 @@ from airconsensus.channel import (
     MODES,
     TIME_INVARIANT,
     ChannelModel,
+    ChannelStreams,
     ConstantLaw,
     UniformLaw,
     derive_seed,
+    derive_seeds,
     sample,
     superpose,
 )
@@ -47,6 +51,16 @@ class TestLaws:
     def test_constant_must_be_positive(self):
         with pytest.raises(ValueError, match="positive"):
             ConstantLaw(0.0)
+
+    @pytest.mark.parametrize("lo, hi", [(0.0, 1e400), (0.0, float("inf")), (0.0, float("nan")), (float("nan"), 1.0)])
+    def test_uniform_bounds_must_be_finite(self, lo, hi):
+        with pytest.raises(ValueError, match="uniform law"):
+            UniformLaw(lo, hi)
+
+    @pytest.mark.parametrize("value", [1e400, float("inf"), float("nan")])
+    def test_constant_must_be_finite(self, value):
+        with pytest.raises(ValueError, match="positive and finite"):
+            ConstantLaw(value)
 
     def test_unknown_mode_rejected(self):
         with pytest.raises(ValueError, match="mode"):
@@ -165,3 +179,43 @@ def test_derive_seed_is_deterministic_and_spread_out():
     assert len(seeds) == 100
     assert derive_seed(42, 7) == derive_seed(42, 7)
     assert derive_seed(42, 7) != derive_seed(43, 7)
+
+
+def test_derive_seeds_match_derive_seed():
+    for base in (0, 42, 2**32, 2**64 - 1, 2**64, 2**130 + 3):
+        assert derive_seeds(base, 40) == [derive_seed(base, i) for i in range(40)]
+
+
+EDGE_SEEDS = [0, 1, 2**32 - 1, 2**32, 2**64 - 1, 2**64, 2**96 + 5, 2**128, 2**200 + 11]
+
+
+@settings(max_examples=40, deadline=None)
+@given(
+    seeds=st.lists(
+        st.one_of(st.sampled_from(EDGE_SEEDS), st.integers(0, 2**64 - 1), st.integers(0, 2**140)),
+        min_size=1,
+        max_size=6,
+    ),
+    k=st.one_of(st.sampled_from([0, 1, 2**32]), st.integers(0, 2**70)),
+    mode=st.sampled_from(MODES),
+)
+def test_channel_streams_match_seed_sequence_and_sample(seeds, k, mode):
+    model = ChannelModel(complete_graph(4), UniformLaw(0.0, 10.0), mode, 5)
+    streams = ChannelStreams(model, seeds)
+    states = streams.states(k)
+    draws = streams.draw(k)
+    for i, seed in enumerate(seeds):
+        expected = np.random.SeedSequence(entropy=seed, spawn_key=(_CHANNEL_STREAM, k)).generate_state(4, np.uint64)
+        assert states[i].tolist() == expected.tolist()
+        assert draws[i].tobytes() == sample(replace(model, seed=seed), k).values.tobytes()
+
+
+def test_channel_streams_draw_selected_rows_and_redraw_zeros():
+    # On (0, 5e-324] about half the draws round to exactly zero and are redrawn.
+    model = ChannelModel(complete_graph(5), UniformLaw(0.0, 5e-324), IID_PER_STEP, 0)
+    seeds = [derive_seed(9, i) for i in range(7)]
+    rows = np.array([6, 2, 3])
+    got = ChannelStreams(model, seeds).draw(3, rows)
+    assert (got > 0.0).all()
+    for out, row in zip(got, rows):
+        assert out.tobytes() == sample(replace(model, seed=seeds[row]), 3).values.tobytes()

@@ -1,5 +1,6 @@
 import json
 import math
+from pathlib import Path
 
 import numpy as np
 import pytest
@@ -108,6 +109,25 @@ class TestParseConfig:
         with pytest.raises(ConfigError, match="naive variant takes no"):
             parse_config(doc)
 
+    @pytest.mark.parametrize(
+        "law, fragment",
+        [
+            ({"kind": "uniform", "lo": 0.0, "hi": 1e400}, "finite bounds"),
+            ({"kind": "uniform", "lo": 0.0, "hi": float("inf")}, "finite bounds"),
+            ({"kind": "uniform", "lo": 0.0, "hi": float("nan")}, "lo < hi"),
+            ({"kind": "constant", "value": float("inf")}, "positive and finite"),
+            ({"kind": "constant", "value": float("nan")}, "positive and finite"),
+        ],
+    )
+    def test_non_finite_law_reported_with_other_problems(self, law, fragment):
+        doc = minimal_doc()
+        doc["channel"]["law"] = law
+        doc["protocol"]["mixing"] = 7
+        with pytest.raises(ConfigError) as err:
+            parse_config(doc)
+        assert len(err.value.problems) == 2
+        assert any(p.startswith("channel.law:") and fragment in p for p in err.value.problems)
+
     def test_presets_all_parse(self):
         for name in PRESET_NAMES:
             cfg = parse_config(preset(name))
@@ -168,6 +188,13 @@ class TestCli:
         path.write_text(json.dumps(doc))
         assert main(["--config", str(path), "--out-dir", str(tmp_path)]) == 1
         assert "open interval (0, 1)" in capsys.readouterr().err
+
+    def test_overflowing_law_bound_exits_one_in_montecarlo(self, tmp_path, capsys):
+        path = tmp_path / "overflow.json"
+        path.write_text(json.dumps(minimal_doc()).replace('"hi": 10.0', '"hi": 1e400'))
+        assert main(["--config", str(path), "--runs", "2", "--out-dir", str(tmp_path)]) == 1
+        assert "channel.law: uniform law needs finite bounds" in capsys.readouterr().err
+        assert not (tmp_path / "samples.csv").exists()
 
     def test_missing_file_exits_one(self, tmp_path, capsys):
         assert main(["--config", str(tmp_path / "nope.json")]) == 1
@@ -234,3 +261,15 @@ def test_write_failure_reported_with_path(tmp_path, capsys):
     code = main(["--preset", "ti-sigma02", "--out-dir", str(target), "--quiet"])
     assert code == 1
     assert "cannot write" in capsys.readouterr().err
+
+
+GOLDEN = Path(__file__).parent / "data" / "golden_tv_complete_n30_sigma08_runs100"
+
+
+def test_montecarlo_outputs_match_golden_files(tmp_path):
+    # Written by the serial one-run-per-replicate engine; any change to the
+    # random stream or the update arithmetic shows up here.
+    code = main(["--preset", "tv-complete-n30-sigma08", "--runs", "100", "--out-dir", str(tmp_path), "--quiet"])
+    assert code == 0
+    for name in ("samples.csv", "summary.json"):
+        assert (tmp_path / name).read_bytes() == (GOLDEN / name).read_bytes(), name
