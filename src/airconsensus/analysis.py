@@ -205,7 +205,11 @@ def measure_rate(trace: Trace) -> float:
     with fewer than 10 usable steps or no decay to fit (already at
     consensus).
     """
-    spreads = trace.spreads()
+    return _fit_rate(trace.spreads())
+
+
+def _fit_rate(spreads: np.ndarray) -> float:
+    """``measure_rate`` of a trace with these per-step spreads."""
     positive = np.nonzero(spreads > 0.0)[0]
     if len(positive) < 10:
         raise ValueError(
@@ -232,7 +236,7 @@ def summarize_run(
     arr = trace.state_array()
     hull_violated = bool((arr < lo - 1e-12).any() or (arr > hi + 1e-12).any())
     try:
-        rate_measured: Optional[float] = measure_rate(trace)
+        rate_measured: Optional[float] = _fit_rate(arr.max(axis=1) - arr.min(axis=1))
     except ValueError:
         rate_measured = None
     return RunSummary(

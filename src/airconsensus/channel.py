@@ -8,7 +8,11 @@ A realization holds one coefficient per arc, so sampling costs O(|E|);
 the dense n x n gain matrix is built only when an analysis reads it.
 ``ChannelStreams`` draws the same coefficients for a whole block of run
 seeds, deriving every seed's generator state with numpy array arithmetic
-instead of one ``SeedSequence`` per run and step.
+instead of one ``SeedSequence`` per run and step. Each row of the block
+is one standard-uniform fill from a reused PCG64; the block is then
+scaled to the law's bounds in one pass, and checked for exact zeros (a
+row holding one is redrawn as ``sample`` would) only when ``lo == 0``,
+since a positive lower bound cannot round to zero.
 """
 
 from __future__ import annotations
@@ -47,12 +51,22 @@ class UniformLaw:
             raise ValueError(f"uniform law needs finite bounds, got ({self.lo}, {self.hi})")
 
     def draw(self, rng: np.random.Generator, size: int) -> np.ndarray:
-        values = rng.uniform(self.lo, self.hi, size)
+        values = self.scale(rng.random(size))
+        if self.lo > 0.0:
+            # lo + width * u >= lo, so only lo == 0 can give an exact zero.
+            return values
         while True:
             zero = values <= 0.0
             if not zero.any():
                 return values
             values[zero] = rng.uniform(self.lo, self.hi, int(zero.sum()))
+
+    def scale(self, uniforms: np.ndarray) -> np.ndarray:
+        """Standard uniforms mapped onto the law in place: ``lo + (hi - lo) * u``,
+        bit for bit what ``Generator.uniform(lo, hi)`` makes of the same ``u``."""
+        uniforms *= self.hi - self.lo
+        uniforms += self.lo
+        return uniforms
 
 
 @dataclass(frozen=True)
@@ -173,8 +187,10 @@ class ChannelStreams:
 
     Row ``i`` of ``draw(k)`` equals ``sample(replace(model, seed=seeds[i]),
     k).values`` bit for bit: the generator states ``SeedSequence`` would
-    make are computed for all seeds at once, and each row is drawn by
-    ``model.law`` from one reused PCG64 set to its seed's state.
+    make are computed for all seeds at once, each row is filled with
+    standard uniforms from one reused PCG64 set to its seed's state, and
+    the whole block is scaled to the law's bounds as ``UniformLaw.draw``
+    scales one row.
     """
 
     def __init__(self, model: ChannelModel, seeds: Sequence[int]):
@@ -187,6 +203,8 @@ class ChannelStreams:
         ]
         self._bits = np.random.PCG64()
         self._rng = np.random.Generator(self._bits)
+        self._pcg = {"state": 0, "inc": 0}
+        self._state = {"bit_generator": "PCG64", "state": self._pcg, "has_uint32": 0, "uinteger": 0}
 
     def states(self, k: int) -> np.ndarray:
         """``(runs, 4)`` uint64: ``SeedSequence(entropy=seed, spawn_key=(stream,
@@ -199,22 +217,33 @@ class ChannelStreams:
 
     def draw(self, k: int, rows: Union[slice, np.ndarray] = slice(None)) -> np.ndarray:
         """``(len(rows), |E|)`` coefficients for step ``k`` of the selected runs."""
-        counter = 0 if self.model.mode == TIME_INVARIANT else k
+        law = self.model.law
         arcs = len(self.model.topology.arc_order)
+        if isinstance(law, ConstantLaw):
+            return np.full((np.arange(self.runs)[rows].size, arcs), law.value)
+        counter = 0 if self.model.mode == TIME_INVARIANT else k
         states = self.states(counter)[rows].tolist()
         out = np.empty((len(states), arcs))
-        for values, (seed_hi, seed_lo, inc_hi, inc_lo) in zip(out, states):
-            # pcg64_set_seed: state 0, one step, add the seed, one more step.
-            inc = ((inc_hi << 64 | inc_lo) << 1 | 1) & _MASK128
-            state = ((inc + (seed_hi << 64 | seed_lo)) * _PCG_MULT + inc) & _MASK128
-            self._bits.state = {
-                "bit_generator": "PCG64",
-                "state": {"state": state, "inc": inc},
-                "has_uint32": 0,
-                "uinteger": 0,
-            }
-            values[:] = self.model.law.draw(self._rng, arcs)
+        for values, words in zip(out, states):
+            self._seat(words)
+            self._rng.random(out=values)
+        law.scale(out)
+        if law.lo == 0.0:
+            # Checked after scaling: a subnormal width rounds nonzero uniforms to 0.
+            for row in np.flatnonzero(out.min(axis=1) <= 0.0).tolist():
+                self._seat(states[row])
+                out[row] = law.draw(self._rng, arcs)
         return out
+
+    def _seat(self, words: list[int]) -> None:
+        """Set the PCG64 to the start state that four ``SeedSequence`` words
+        give it (pcg64_set_seed: state 0, one step, add the seed, one more
+        step)."""
+        seed_hi, seed_lo, inc_hi, inc_lo = words
+        inc = ((inc_hi << 64 | inc_lo) << 1 | 1) & _MASK128
+        self._pcg["state"] = ((inc + (seed_hi << 64 | seed_lo)) * _PCG_MULT + inc) & _MASK128
+        self._pcg["inc"] = inc
+        self._bits.state = self._state
 
 
 # numpy's SeedSequence (numpy/random/bit_generator.pyx), replayed with uint32

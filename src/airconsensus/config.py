@@ -157,7 +157,7 @@ def _parse_topology(section, problems):
             echo = {"kind": "custom", "n": n, "arcs": [[j, i, g.weights[(j, i)]] for j, i in g.arc_order]}
         else:
             raise ValueError(f"topology.kind must be 'complete', 'ring' or 'custom', got {kind!r}")
-    except (ValueError, TypeError, KeyError) as exc:
+    except (ValueError, TypeError, KeyError, OverflowError) as exc:
         problems.append(f"topology: {exc}")
         return None, None
     return g, echo
@@ -184,7 +184,7 @@ def _parse_channel(section, topology, variant, seed, problems):
                 law = ConstantLaw(float(law_spec["value"]))
             else:
                 raise ValueError(f"kind must be 'uniform' or 'constant', got {kind!r}")
-        except (ValueError, TypeError, KeyError) as exc:
+        except (ValueError, TypeError, KeyError, OverflowError) as exc:
             problems.append(f"channel.law: {exc}")
     mode = section.get("mode")
     if mode not in MODES:
@@ -230,8 +230,8 @@ def _parse_protocol(section, topology, problems):
     if variant == CLASSICAL:
         if mixing is not None:
             problems.append("protocol.mixing: only the superposition variant takes a mixing weight")
-        if not isinstance(step_size, (int, float)):
-            problems.append("protocol.step_size: required number for the classical variant")
+        if not isinstance(step_size, (int, float)) or not _is_finite(step_size):
+            problems.append("protocol.step_size: required finite number for the classical variant")
             return None
         step_size = float(step_size)
         if topology is not None:
@@ -255,7 +255,7 @@ def _parse_protocol(section, topology, problems):
 
 def _validate_mixing(mixing, topology, problems):
     if isinstance(mixing, (int, float)) and not isinstance(mixing, bool):
-        if not (0.0 < float(mixing) < 1.0):
+        if not (0.0 < mixing < 1.0):
             problems.append(
                 f"protocol.mixing: must lie in the open interval (0, 1), got {mixing}"
             )
@@ -267,7 +267,7 @@ def _validate_mixing(mixing, topology, problems):
                 f"protocol.mixing: per-agent list must have length {topology.n}, got {len(mixing)}"
             )
             return None
-        if not all(0.0 < float(v) < 1.0 for v in mixing):
+        if not all(0.0 < v < 1.0 for v in mixing):
             problems.append(
                 "protocol.mixing: every per-agent weight must lie in the open interval (0, 1)"
             )
@@ -296,6 +296,9 @@ def _parse_initial_state(section, topology, seed, problems):
         if not isinstance(values, list) or not all(isinstance(v, (int, float)) for v in values):
             problems.append("initial_state.values: must be a list of numbers")
             return None, None
+        if not all(_is_finite(v) for v in values):
+            problems.append("initial_state.values: every value must be finite")
+            return None, None
         if topology is not None and len(values) != topology.n:
             problems.append(
                 f"initial_state.values: must have length {topology.n}, got {len(values)}"
@@ -307,11 +310,14 @@ def _parse_initial_state(section, topology, seed, problems):
         try:
             lo = float(section.get("lo", 0.0))
             hi = float(section.get("hi", math.tau))
-        except (TypeError, ValueError):
-            problems.append("initial_state: lo and hi must be numbers")
+        except (TypeError, ValueError, OverflowError):
+            problems.append("initial_state: lo and hi must be finite numbers")
             return None, None
         if not lo < hi:
             problems.append(f"initial_state: needs lo < hi, got ({lo}, {hi})")
+            return None, None
+        if not math.isfinite(hi - lo):
+            problems.append(f"initial_state: needs a finite width hi - lo, got ({lo}, {hi})")
             return None, None
         state_seed = section.get("seed")
         if state_seed is None:
@@ -341,8 +347,8 @@ def _parse_run(section, problems):
         return DEFAULT_SPREAD_TOL, DEFAULT_MAX_STEPS
     tol = section.get("tol", DEFAULT_SPREAD_TOL)
     max_steps = section.get("max_steps", DEFAULT_MAX_STEPS)
-    if not isinstance(tol, (int, float)) or not tol > 0:
-        problems.append(f"run.tol: must be a positive number, got {tol!r}")
+    if not isinstance(tol, (int, float)) or not _is_finite(tol) or not tol > 0:
+        problems.append(f"run.tol: must be a positive finite number, got {tol!r}")
         tol = DEFAULT_SPREAD_TOL
     if not isinstance(max_steps, int) or max_steps < 0:
         problems.append(f"run.max_steps: must be a nonnegative integer, got {max_steps!r}")
@@ -365,6 +371,14 @@ def _parse_outputs(section, problems):
             value = default
         names.append(value)
     return tuple(names)
+
+
+def _is_finite(number) -> bool:
+    """Whether a JSON number is a finite float; ints beyond float range are not."""
+    try:
+        return math.isfinite(number)
+    except OverflowError:
+        return False
 
 
 def _require_int(section, key, label, minimum):

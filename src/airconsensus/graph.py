@@ -2,6 +2,7 @@
 
 from __future__ import annotations
 
+import math
 from dataclasses import dataclass
 from itertools import chain
 from types import MappingProxyType
@@ -44,6 +45,8 @@ class WeightedDigraph:
                 raise ValueError(f"arc ({j}, {i}) outside node range 1..{self.n}")
             if not w > 0.0:
                 raise ValueError(f"arc ({j}, {i}) must have a positive weight, got {w}")
+            if not math.isfinite(w):
+                raise ValueError(f"arc ({j}, {i}) must have a finite weight, got {w}")
             frozen[(int(j), int(i))] = float(w)
         object.__setattr__(self, "weights", MappingProxyType(frozen))
         order = tuple(sorted(frozen))

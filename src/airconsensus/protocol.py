@@ -20,6 +20,7 @@ array; ``run`` is a block of one and Monte Carlo uses blocks of many.
 
 from __future__ import annotations
 
+import math
 from dataclasses import dataclass
 from typing import Callable, Optional, Sequence, Union
 
@@ -304,8 +305,10 @@ def validated_state(
     x = np.array(x0, dtype=float)
     if x.shape != (topology.n,):
         raise ValueError(f"x0 must have length {topology.n}, got shape {x.shape}")
-    if not tol > 0.0:
-        raise ValueError(f"tol must be positive, got {tol}")
+    if not np.isfinite(x).all():
+        raise ValueError(f"x0 must be finite, got {np.count_nonzero(~np.isfinite(x))} non-finite values")
+    if not 0.0 < tol < math.inf:
+        raise ValueError(f"tol must be positive and finite, got {tol}")
     if max_steps < 0:
         raise ValueError(f"max_steps must be nonnegative, got {max_steps}")
     if protocol.variant in (SUPERPOSITION, NAIVE) and channel is None:

@@ -196,6 +196,7 @@ class TestMeasureRate:
         )
         rate = math.exp(measure_rate(trace))
         assert 0.45 <= rate <= 0.55
+        assert summarize_run(trace).rate_measured == measure_rate(trace)
 
     def test_faster_for_larger_mixing(self):
         g = random_strongly_connected(np.random.default_rng(23), 5)

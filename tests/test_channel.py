@@ -1,8 +1,9 @@
+import math
 from dataclasses import replace
 
 import numpy as np
 import pytest
-from hypothesis import given, settings
+from hypothesis import assume, given, settings
 from hypothesis import strategies as st
 
 from airconsensus.channel import (
@@ -41,6 +42,30 @@ def arc_loop_gains(model, k):
     return gains
 
 
+def generator_uniform_draw(law, rng, size):
+    """Reference uniform draw: ``Generator.uniform`` on the law's bounds,
+    exact zeros redrawn the same way."""
+    values = rng.uniform(law.lo, law.hi, size)
+    while True:
+        zero = values <= 0.0
+        if not zero.any():
+            return values
+        values[zero] = rng.uniform(law.lo, law.hi, int(zero.sum()))
+
+
+@st.composite
+def uniform_laws(draw):
+    """Uniform laws with lo == 0 or lo > 0, widths from subnormal (5e-324,
+    where about half the draws round to zero) to huge (1e300)."""
+    lo = draw(st.one_of(st.just(0.0), st.sampled_from([5e-324, 1e-300, 2.5, 1e300]), st.floats(0.0, 1e300)))
+    width = draw(st.one_of(st.sampled_from([5e-324, 1e-300, 10.0, 1e300]), st.floats(5e-324, 1e300)))
+    assume(lo < lo + width < math.inf)
+    return UniformLaw(lo, lo + width)
+
+
+LAWS = st.one_of(uniform_laws(), st.sampled_from([ConstantLaw(1.0), ConstantLaw(0.25), ConstantLaw(7e300)]))
+
+
 class TestLaws:
     def test_uniform_bounds_validated(self):
         with pytest.raises(ValueError, match="lo < hi"):
@@ -61,6 +86,13 @@ class TestLaws:
     def test_constant_must_be_finite(self, value):
         with pytest.raises(ValueError, match="positive and finite"):
             ConstantLaw(value)
+
+    @settings(max_examples=200, deadline=None)
+    @given(law=uniform_laws(), seed=st.integers(0, 2**64 - 1), size=st.integers(0, 300))
+    def test_uniform_draw_matches_generator_uniform(self, law, seed, size):
+        got = law.draw(np.random.default_rng(seed), size)
+        assert got.tobytes() == generator_uniform_draw(law, np.random.default_rng(seed), size).tobytes()
+        assert (got > 0.0).all()
 
     def test_unknown_mode_rejected(self):
         with pytest.raises(ValueError, match="mode"):
@@ -189,7 +221,7 @@ def test_derive_seeds_match_derive_seed():
 EDGE_SEEDS = [0, 1, 2**32 - 1, 2**32, 2**64 - 1, 2**64, 2**96 + 5, 2**128, 2**200 + 11]
 
 
-@settings(max_examples=40, deadline=None)
+@settings(max_examples=150, deadline=None)
 @given(
     seeds=st.lists(
         st.one_of(st.sampled_from(EDGE_SEEDS), st.integers(0, 2**64 - 1), st.integers(0, 2**140)),
@@ -198,16 +230,27 @@ EDGE_SEEDS = [0, 1, 2**32 - 1, 2**32, 2**64 - 1, 2**64, 2**96 + 5, 2**128, 2**20
     ),
     k=st.one_of(st.sampled_from([0, 1, 2**32]), st.integers(0, 2**70)),
     mode=st.sampled_from(MODES),
+    law=LAWS,
+    data=st.data(),
 )
-def test_channel_streams_match_seed_sequence_and_sample(seeds, k, mode):
-    model = ChannelModel(complete_graph(4), UniformLaw(0.0, 10.0), mode, 5)
+def test_channel_streams_match_seed_sequence_and_sample(seeds, k, mode, law, data):
+    model = ChannelModel(complete_graph(4), law, mode, 5)
     streams = ChannelStreams(model, seeds)
     states = streams.states(k)
-    draws = streams.draw(k)
     for i, seed in enumerate(seeds):
         expected = np.random.SeedSequence(entropy=seed, spawn_key=(_CHANNEL_STREAM, k)).generate_state(4, np.uint64)
         assert states[i].tolist() == expected.tolist()
-        assert draws[i].tobytes() == sample(replace(model, seed=seed), k).values.tobytes()
+    rows = data.draw(
+        st.one_of(
+            st.just(slice(None)),
+            st.lists(st.integers(0, len(seeds) - 1), unique=True).map(lambda r: np.array(r, dtype=np.intp)),
+        )
+    )
+    selected = np.arange(len(seeds))[rows].tolist()
+    draws = streams.draw(k, rows)
+    assert draws.shape == (len(selected), 12)
+    for out, i in zip(draws, selected):
+        assert out.tobytes() == sample(replace(model, seed=seeds[i]), k).values.tobytes()
 
 
 def test_channel_streams_draw_selected_rows_and_redraw_zeros():

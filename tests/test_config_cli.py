@@ -1,5 +1,6 @@
 import json
 import math
+import warnings
 from pathlib import Path
 
 import numpy as np
@@ -18,6 +19,38 @@ def minimal_doc(**overrides):
     }
     doc.update(overrides)
     return doc
+
+
+# Numbers beyond float range, written into the JSON text literally: "X"
+# becomes 1e400 (read as inf) and "N" a 401-digit integer.
+NON_FINITE_PROBES = {
+    "initial_state": (
+        {"initial_state": {"kind": "explicit", "values": [0.5, "X", 1.0, 2.0, 3.0]}},
+        "initial_state.values: every value must be finite",
+    ),
+    "tol": ({"run": {"tol": "X"}}, "run.tol: must be a positive finite number"),
+    "arc weight": (
+        {"topology": {"kind": "custom", "n": 3, "arcs": [[1, 2, "X"], [2, 3, 1.0], [3, 1, 1.0]]}},
+        "topology: arc (1, 2) must have a finite weight",
+    ),
+    "initial_state width": (
+        {"initial_state": {"kind": "uniform", "lo": -1.0, "hi": "X", "seed": 3}},
+        "initial_state: needs a finite width",
+    ),
+    "integer tol": ({"run": {"tol": "N"}}, "run.tol: must be a positive finite number"),
+    "integer mixing": (
+        {"protocol": {"variant": "superposition", "mixing": "N"}},
+        "protocol.mixing: must lie in the open interval (0, 1)",
+    ),
+    "integer step size": (
+        {"protocol": {"variant": "classical", "step_size": "N"}},
+        "protocol.step_size: required finite number",
+    ),
+}
+
+
+def probe_text(overrides):
+    return json.dumps(minimal_doc(**overrides)).replace('"X"', "1e400").replace('"N"', "1" + "0" * 400)
 
 
 class TestParseConfig:
@@ -128,6 +161,16 @@ class TestParseConfig:
         assert len(err.value.problems) == 2
         assert any(p.startswith("channel.law:") and fragment in p for p in err.value.problems)
 
+    @pytest.mark.parametrize("probe", sorted(NON_FINITE_PROBES))
+    def test_non_finite_number_reported_with_other_problems(self, probe):
+        overrides, message = NON_FINITE_PROBES[probe]
+        doc = json.loads(probe_text(overrides))
+        doc["bogus"] = {}
+        with pytest.raises(ConfigError) as err:
+            parse_config(doc)
+        assert len(err.value.problems) == 2
+        assert any(p.startswith(message) for p in err.value.problems)
+
     def test_presets_all_parse(self):
         for name in PRESET_NAMES:
             cfg = parse_config(preset(name))
@@ -195,6 +238,17 @@ class TestCli:
         assert main(["--config", str(path), "--runs", "2", "--out-dir", str(tmp_path)]) == 1
         assert "channel.law: uniform law needs finite bounds" in capsys.readouterr().err
         assert not (tmp_path / "samples.csv").exists()
+
+    @pytest.mark.parametrize("probe", sorted(NON_FINITE_PROBES))
+    def test_non_finite_number_exits_one(self, tmp_path, capsys, probe):
+        overrides, message = NON_FINITE_PROBES[probe]
+        path = tmp_path / "probe.json"
+        path.write_text(probe_text(overrides))
+        with warnings.catch_warnings():
+            warnings.simplefilter("error")
+            assert main(["--config", str(path), "--out-dir", str(tmp_path)]) == 1
+        assert message in capsys.readouterr().err
+        assert not (tmp_path / "summary.json").exists()
 
     def test_missing_file_exits_one(self, tmp_path, capsys):
         assert main(["--config", str(tmp_path / "nope.json")]) == 1

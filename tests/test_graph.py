@@ -34,6 +34,12 @@ class TestConstruction:
         with pytest.raises(ValueError, match="positive weight"):
             WeightedDigraph(2, {(1, 2): -3.0})
 
+    def test_rejects_non_finite_weight(self):
+        with pytest.raises(ValueError, match="finite weight"):
+            WeightedDigraph(2, {(1, 2): float("inf")})
+        with pytest.raises(ValueError, match="positive weight"):
+            WeightedDigraph(2, {(1, 2): float("nan")})
+
     def test_rejects_out_of_range_endpoint(self):
         with pytest.raises(ValueError, match="outside node range"):
             WeightedDigraph(2, {(1, 3): 1.0})

@@ -338,6 +338,16 @@ class TestRun:
         with pytest.raises(ValueError, match="length 3"):
             run(g, channel, cfg, np.zeros(4))
 
+    @pytest.mark.parametrize("bad", [float("inf"), -float("inf"), float("nan")])
+    def test_run_rejects_non_finite_state_and_tol(self, bad):
+        g = complete_graph(3)
+        channel = ideal_channel(g)
+        cfg = ProtocolConfig("superposition", mixing=0.5)
+        with pytest.raises(ValueError, match="x0 must be finite"):
+            run(g, channel, cfg, [0.0, bad, 1.0])
+        with pytest.raises(ValueError, match="tol must be positive and finite"):
+            run(g, channel, cfg, np.zeros(3), tol=bad)
+
     def test_classical_converges_on_balanced_graph_to_mean(self):
         from airconsensus.graph import step_size_bound
         from support import random_balanced
