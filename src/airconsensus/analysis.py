@@ -27,6 +27,7 @@ from .protocol import (
     Trace,
     advance,
     effective_matrix,
+    row_spreads,
     validated_state,
 )
 
@@ -236,7 +237,7 @@ def summarize_run(
     arr = trace.state_array()
     hull_violated = bool((arr < lo - 1e-12).any() or (arr > hi + 1e-12).any())
     try:
-        rate_measured: Optional[float] = _fit_rate(arr.max(axis=1) - arr.min(axis=1))
+        rate_measured: Optional[float] = _fit_rate(row_spreads(arr))
     except ValueError:
         rate_measured = None
     return RunSummary(

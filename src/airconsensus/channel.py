@@ -10,9 +10,8 @@ the dense n x n gain matrix is built only when an analysis reads it.
 seeds, deriving every seed's generator state with numpy array arithmetic
 instead of one ``SeedSequence`` per run and step. Each row of the block
 is one standard-uniform fill from a reused PCG64; the block is then
-scaled to the law's bounds in one pass, and checked for exact zeros (a
-row holding one is redrawn as ``sample`` would) only when ``lo == 0``,
-since a positive lower bound cannot round to zero.
+scaled to the law's bounds in one pass and checked for exact zeros in
+one pass; a row holding one is redrawn as ``sample`` would redraw it.
 """
 
 from __future__ import annotations
@@ -52,9 +51,6 @@ class UniformLaw:
 
     def draw(self, rng: np.random.Generator, size: int) -> np.ndarray:
         values = self.scale(rng.random(size))
-        if self.lo > 0.0:
-            # lo + width * u >= lo, so only lo == 0 can give an exact zero.
-            return values
         while True:
             zero = values <= 0.0
             if not zero.any():
@@ -228,11 +224,10 @@ class ChannelStreams:
             self._seat(words)
             self._rng.random(out=values)
         law.scale(out)
-        if law.lo == 0.0:
-            # Checked after scaling: a subnormal width rounds nonzero uniforms to 0.
-            for row in np.flatnonzero(out.min(axis=1) <= 0.0).tolist():
-                self._seat(states[row])
-                out[row] = law.draw(self._rng, arcs)
+        # Checked after scaling: a subnormal width rounds nonzero uniforms to 0.
+        for row in np.flatnonzero(out.min(axis=1, initial=np.inf) <= 0.0).tolist():
+            self._seat(states[row])
+            out[row] = law.draw(self._rng, arcs)
         return out
 
     def _seat(self, words: list[int]) -> None:

@@ -49,6 +49,11 @@ def spread(x: np.ndarray) -> float:
     return float(np.max(x) - np.min(x))
 
 
+def row_spreads(x: np.ndarray) -> np.ndarray:
+    """``spread`` of every row of a 2-D array of states."""
+    return x.max(axis=1) - x.min(axis=1)
+
+
 def resolve_mixing(mixing: Mixing, n: int) -> np.ndarray:
     """Broadcast a scalar mixing weight to all agents and validate (0, 1)."""
     m = np.asarray(mixing, dtype=float)
@@ -117,8 +122,7 @@ class Trace:
         return np.stack([s.x for s in self.states])
 
     def spreads(self) -> np.ndarray:
-        arr = self.state_array()
-        return arr.max(axis=1) - arr.min(axis=1)
+        return row_spreads(self.state_array())
 
 
 def _positive(sums: np.ndarray) -> np.ndarray:
@@ -212,7 +216,7 @@ def advance(
     converged = np.zeros(len(x), dtype=bool)
     frozen = update.coefficients(draw(0, rows)) if draw is not None and time_invariant else None
     for k in range(max_steps):
-        done = x.max(axis=1) - x.min(axis=1) < tol
+        done = row_spreads(x) < tol
         if done.any():
             finished, keep = rows[done], ~done
             final[finished], steps[finished], converged[finished] = x[done], k, True
@@ -230,7 +234,7 @@ def advance(
             record(x)
     else:
         final[rows] = x
-        converged[rows] = x.max(axis=1) - x.min(axis=1) < tol
+        converged[rows] = row_spreads(x) < tol
     return BlockResult(final=final, steps=steps, converged=converged)
 
 

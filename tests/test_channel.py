@@ -231,10 +231,11 @@ EDGE_SEEDS = [0, 1, 2**32 - 1, 2**32, 2**64 - 1, 2**64, 2**96 + 5, 2**128, 2**20
     k=st.one_of(st.sampled_from([0, 1, 2**32]), st.integers(0, 2**70)),
     mode=st.sampled_from(MODES),
     law=LAWS,
+    topology=st.sampled_from([complete_graph(4), graph_from_arcs(3, [])]),
     data=st.data(),
 )
-def test_channel_streams_match_seed_sequence_and_sample(seeds, k, mode, law, data):
-    model = ChannelModel(complete_graph(4), law, mode, 5)
+def test_channel_streams_match_seed_sequence_and_sample(seeds, k, mode, law, topology, data):
+    model = ChannelModel(topology, law, mode, 5)
     streams = ChannelStreams(model, seeds)
     states = streams.states(k)
     for i, seed in enumerate(seeds):
@@ -248,7 +249,7 @@ def test_channel_streams_match_seed_sequence_and_sample(seeds, k, mode, law, dat
     )
     selected = np.arange(len(seeds))[rows].tolist()
     draws = streams.draw(k, rows)
-    assert draws.shape == (len(selected), 12)
+    assert draws.shape == (len(selected), len(topology.arc_order))
     for out, i in zip(draws, selected):
         assert out.tobytes() == sample(replace(model, seed=seeds[i]), k).values.tobytes()
 

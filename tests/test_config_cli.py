@@ -272,6 +272,20 @@ class TestCli:
         assert code == 2
         assert summary["result.hull_violated"] is True
 
+    @pytest.mark.parametrize("mode", ["iid-per-step", "time-invariant"])
+    def test_montecarlo_on_edgeless_topology(self, tmp_path, mode):
+        # Valid for the naive variant: with no arcs no agent ever moves.
+        doc = minimal_doc(topology={"kind": "custom", "n": 3, "arcs": []})
+        doc["channel"]["mode"] = mode
+        doc["protocol"] = {"variant": "naive"}
+        doc["run"] = {"max_steps": 5}
+        path = tmp_path / "edgeless.json"
+        path.write_text(json.dumps(doc))
+        code = main(["--config", str(path), "--out-dir", str(tmp_path), "--runs", "2", "--quiet"])
+        assert code == 0
+        summary = json.loads((tmp_path / "summary.json").read_text())
+        assert summary["montecarlo.non_converged"] == 2
+
     def test_montecarlo_mode(self, tmp_path, capsys):
         code = main(
             ["--preset", "tv-sigma05", "--out-dir", str(tmp_path), "--runs", "10"]
