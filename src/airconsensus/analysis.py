@@ -1,9 +1,10 @@
 """Predictions and decompositions for consensus runs.
 
 Covers the consensus-value prediction from the dominant left eigenvector,
-the split of the superposition update into an equal-gain part plus a
-zero-mean channel disturbance, convergence-rate measurement, and seeded
-Monte Carlo statistics over channel realizations.
+found by one direct (LU) solve rather than power iteration, the split of
+the superposition update into an equal-gain part plus a zero-mean
+channel disturbance, convergence-rate measurement, and seeded Monte
+Carlo statistics over channel realizations.
 """
 
 from __future__ import annotations
@@ -16,7 +17,6 @@ import numpy as np
 
 from .channel import TIME_INVARIANT, ChannelModel, ChannelRealization, ChannelStreams, derive_seeds
 from .graph import WeightedDigraph
-from .linalg import dominant_left_eigenvector
 from .protocol import (
     CLASSICAL,
     CONVERGED,
@@ -27,7 +27,6 @@ from .protocol import (
     Trace,
     advance,
     effective_matrix,
-    row_spreads,
     validated_state,
 )
 
@@ -87,19 +86,30 @@ class MonteCarloResult:
 def predicted_consensus(D: np.ndarray, x0: Sequence[float]) -> float:
     """Predicted agreement value ``w' x0`` for a time-invariant update matrix.
 
-    ``w`` is the dominant left eigenvector of the primitive row-stochastic
-    ``D``. Before returning, the eigenvector is re-verified against the
+    ``w`` is the left Perron vector of the primitive row-stochastic ``D``,
+    found by one direct solve (LU) of ``w' (D - I) = 0`` with one of its
+    ``n`` equations, which are linearly dependent, replaced by
+    ``sum(w) = 1``. Before returning, ``w`` is re-verified against the
     fixed-point form in which the mixing weight has cancelled: with
     constant diagonal, ``w_i`` must equal the sum over receivers ``j`` of
     ``w_j * D_ji / (1 - D_jj)``, i.e. the prediction depends on the
     channel coefficients but not on the mixing weight. For non-constant
     diagonals the mixing does not cancel and the rearranged per-row eigen
-    identity is checked instead.
+    identity is checked instead. Raises ``np.linalg.LinAlgError`` if the
+    bordered system is singular and ``RuntimeError`` if ``w`` fails the
+    check.
     """
     D = np.asarray(D, dtype=float)
     x0 = np.asarray(x0, dtype=float)
-    pair = dominant_left_eigenvector(D)
-    w = pair.left_vector
+    # (D - I)' w = 0 with its last row replaced by sum(w) = 1, built in one
+    # n x n copy of D' and freed before the check makes its own copies.
+    bordered = D.T.copy()
+    bordered[np.diag_indices_from(bordered)] -= 1.0
+    bordered[-1] = 1.0
+    rhs = np.zeros(len(bordered))
+    rhs[-1] = 1.0
+    w = np.linalg.solve(bordered, rhs)
+    del bordered
     diag = np.diag(D)
     off = D - np.diag(diag)
     if np.ptp(diag) <= 1e-13:
@@ -206,11 +216,7 @@ def measure_rate(trace: Trace) -> float:
     with fewer than 10 usable steps or no decay to fit (already at
     consensus).
     """
-    return _fit_rate(trace.spreads())
-
-
-def _fit_rate(spreads: np.ndarray) -> float:
-    """``measure_rate`` of a trace with these per-step spreads."""
+    spreads = trace.spreads()
     positive = np.nonzero(spreads > 0.0)[0]
     if len(positive) < 10:
         raise ValueError(
@@ -231,13 +237,12 @@ def summarize_run(
     rate_predicted: Optional[float] = None,
 ) -> RunSummary:
     """Condense a trace into the flat run summary."""
-    x0 = trace.initial
-    final = trace.final
+    states = trace.states
+    x0, final = states[0], states[-1]
     lo, hi = float(np.min(x0)), float(np.max(x0))
-    arr = trace.state_array()
-    hull_violated = bool((arr < lo - 1e-12).any() or (arr > hi + 1e-12).any())
+    hull_violated = bool((states < lo - 1e-12).any() or (states > hi + 1e-12).any())
     try:
-        rate_measured: Optional[float] = _fit_rate(row_spreads(arr))
+        rate_measured: Optional[float] = measure_rate(trace)
     except ValueError:
         rate_measured = None
     return RunSummary(

@@ -19,7 +19,7 @@ from __future__ import annotations
 import math
 from bisect import bisect_left
 from dataclasses import dataclass
-from functools import cached_property
+from functools import cache, cached_property
 from types import MappingProxyType
 from typing import Mapping, Sequence, Union
 
@@ -278,6 +278,7 @@ def _word_groups(values, pad: int = 0) -> list[tuple[np.ndarray, list[np.ndarray
     return [(np.array(rows), list(np.array(table, dtype=np.uint32).T)) for rows, table in groups.values()]
 
 
+@cache
 def _hash_constant(call: int) -> int:
     """State of the hashmix multiplier before its ``call``-th use."""
     return _INIT_A * pow(_MULT_A, call, 1 << 32) & _MASK32
@@ -321,11 +322,22 @@ def _absorb(pool: np.ndarray, calls: int, words: list) -> tuple[np.ndarray, int]
     return pool, calls
 
 
+@cache
+def _output_constants(n_words: int) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
+    """Pool row, xor constant and multiplier of each of the ``2 * n_words``
+    uint32 outputs of ``generate_state`` (read-only; the last two as columns)."""
+    rows = np.arange(2 * n_words) % _POOL_SIZE
+    consts = np.array([_INIT_B * pow(_MULT_B, i, 1 << 32) & _MASK32 for i in range(2 * n_words + 1)], dtype=np.uint32)
+    rows.setflags(write=False)
+    consts.setflags(write=False)
+    return rows, consts[:-1, None], consts[1:, None]
+
+
 def _generate_state(pool: np.ndarray, n_words: int) -> np.ndarray:
     """``generate_state(n_words, np.uint64)`` per row: ``(rows, n_words)``."""
-    consts = [_INIT_B * pow(_MULT_B, i, 1 << 32) & _MASK32 for i in range(2 * n_words + 1)]
-    value = pool[np.arange(2 * n_words) % _POOL_SIZE] ^ np.array(consts[:-1], dtype=np.uint32)[:, None]
-    value *= np.array(consts[1:], dtype=np.uint32)[:, None]
+    rows, xor, mult = _output_constants(n_words)
+    value = pool[rows] ^ xor
+    value *= mult
     value ^= value >> 16
     words = value.T.astype(np.uint64)
     return words[:, 0::2] | words[:, 1::2] << np.uint64(32)

@@ -18,7 +18,7 @@ import numpy as np
 from .analysis import monte_carlo, predicted_consensus, summarize_run
 from .channel import TIME_INVARIANT, sample
 from .config import PRESET_NAMES, ConfigError, ScenarioConfig, parse_config, preset
-from .linalg import PowerIterationError, perron_matrix, second_eigenvalue_modulus
+from .linalg import perron_matrix, second_eigenvalue_modulus
 from .protocol import CLASSICAL, SUPERPOSITION, effective_matrix, run
 
 EXIT_OK = 0
@@ -103,7 +103,8 @@ def _predictions(cfg: ScenarioConfig):
         return None, None
     try:
         predicted = predicted_consensus(D, cfg.x0)
-    except (PowerIterationError, RuntimeError):
+    except (np.linalg.LinAlgError, RuntimeError) as exc:
+        print(f"warning: no prediction: {exc}", file=sys.stderr)
         return None, None
     return predicted, second_eigenvalue_modulus(D)
 
@@ -182,12 +183,13 @@ def _run_montecarlo(cfg: ScenarioConfig, runs: int, out_dir: Path, quiet: bool) 
 
 
 def _write_trace(path: Path, trace) -> None:
-    agents = [f",{agent}," for agent in range(1, trace.initial.size + 1)]
-    rows = ["step,agent,x\n"]
-    for state in trace.states:
-        step = str(state.step)
-        rows += [f"{step}{agent}{value:.17g}\n" for agent, value in zip(agents, state.x.tolist())]
-    path.write_text("".join(rows))
+    """``step,agent,x`` rows, one per agent and step, streamed one step at a time."""
+    agents = [f",{agent},%.17g\n" for agent in range(1, trace.states.shape[1] + 1)]
+    with path.open("w") as fh:
+        fh.write("step,agent,x\n")
+        for step, x in enumerate(trace.states):
+            prefix = str(step)
+            fh.write(prefix + prefix.join(agents) % tuple(x.tolist()))
 
 
 def _summary_dict(summary) -> dict:

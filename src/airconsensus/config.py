@@ -78,7 +78,7 @@ def parse_config(doc: Union[str, Mapping[str, Any]]) -> ScenarioConfig:
         except json.JSONDecodeError as exc:
             raise ConfigError([f"parse error at line {exc.lineno} column {exc.colno}: {exc.msg}"])
     else:
-        raw = copy.deepcopy(dict(doc))
+        raw = dict(doc)
     if not isinstance(raw, dict):
         raise ConfigError(["top-level document must be a JSON object"])
 

@@ -3,8 +3,11 @@ primitivity predicates, Perron matrices, and dominant eigen-structure.
 
 Inputs are dense n x n matrices, practical up to a few hundred nodes;
 the simulation steps work on arc lists and reach sparse n in the
-thousands. Tolerances default to the table below and every predicate
-takes an explicit ``tol`` where a tolerance is meaningful.
+thousands. ``dominant_left_eigenvector`` is a power iteration kept as an
+independent reference; the consensus prediction of a run
+(``analysis.predicted_consensus``) solves for the same vector directly.
+Tolerances default to the table below and every predicate takes an
+explicit ``tol`` where a tolerance is meaningful.
 """
 
 from __future__ import annotations

@@ -16,6 +16,7 @@ The superposition and naive steps cost O(|E|); ``effective_matrix`` and
 ``naive_matrix`` are their dense forms for the analysis and eigen paths.
 ``advance`` steps a block of R independent states held as one (R, n)
 array; ``run`` is a block of one and Monte Carlo uses blocks of many.
+A run's ``Trace`` holds its whole history as one (steps + 1, n) array.
 """
 
 from __future__ import annotations
@@ -67,12 +68,6 @@ def resolve_mixing(mixing: Mixing, n: int) -> np.ndarray:
 
 
 @dataclass(frozen=True)
-class NetworkState:
-    step: int
-    x: np.ndarray
-
-
-@dataclass(frozen=True)
 class ProtocolConfig:
     """Which update law to run and its parameters.
 
@@ -99,9 +94,10 @@ class ProtocolConfig:
 
 @dataclass(frozen=True)
 class Trace:
-    """Full state history of one run, from step 0 to termination."""
+    """Full state history of one run, from step 0 to termination: row ``k``
+    of the ``(steps + 1, n)`` array ``states`` is the state after step ``k``."""
 
-    states: tuple[NetworkState, ...]
+    states: np.ndarray
     reason: str
     matrices: Optional[tuple[np.ndarray, ...]] = None
 
@@ -111,18 +107,18 @@ class Trace:
 
     @property
     def initial(self) -> np.ndarray:
-        return self.states[0].x
+        return self.states[0]
 
     @property
     def final(self) -> np.ndarray:
-        return self.states[-1].x
+        return self.states[-1]
 
     def state_array(self) -> np.ndarray:
-        """States stacked as a (steps + 1, n) array."""
-        return np.stack([s.x for s in self.states])
+        """The ``(steps + 1, n)`` state history itself (not a copy)."""
+        return self.states
 
     def spreads(self) -> np.ndarray:
-        return row_spreads(self.state_array())
+        return row_spreads(self.states)
 
 
 def _positive(sums: np.ndarray) -> np.ndarray:
@@ -207,7 +203,8 @@ def advance(
     of step ``k`` for the still active rows (``None`` for the classical
     protocol); a time-invariant channel is drawn and summed once. A row
     leaves the block at the step its spread falls below ``tol``.
-    ``record`` sees the states after every step.
+    ``record`` sees the states after every step and may keep them:
+    ``advance`` never writes to a block once it has handed it out.
     """
     x = np.array(x0, dtype=float)
     rows = np.arange(len(x))
@@ -335,13 +332,13 @@ def run(
     recorded outcome, not an error. This is ``advance`` on a block of one.
     """
     x = validated_state(topology, channel, protocol, x0, tol, max_steps)
-    states = [NetworkState(0, x.copy())]
+    states = [x]
 
     def draw(k, rows):
         return sample(channel, k).values[None]
 
     def record(block):
-        states.append(NetworkState(len(states), block[0].copy()))
+        states.append(block[0])
 
     result = advance(
         BlockUpdate(topology, protocol),
@@ -363,7 +360,7 @@ def run(
         else:
             matrices = tuple(naive_matrix(sample(channel, k)) for k in taken)
     return Trace(
-        states=tuple(states),
+        states=np.stack(states),
         reason=CONVERGED if result.converged[0] else MAX_STEPS,
         matrices=matrices,
     )

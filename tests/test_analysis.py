@@ -3,6 +3,8 @@ from dataclasses import replace
 
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from airconsensus import analysis
 from airconsensus.analysis import (
@@ -29,7 +31,7 @@ from airconsensus.config import PRESET_NAMES, parse_config, preset
 from airconsensus.graph import complete_graph, graph_from_arcs, ring_graph, step_size_bound
 from airconsensus.linalg import dominant_left_eigenvector
 from airconsensus.protocol import CONVERGED, ProtocolConfig, effective_matrix, run
-from support import random_strongly_connected
+from support import random_strongly_connected, strongly_connected_digraphs
 
 
 def u010_channel(topology, seed=42, mode=IID_PER_STEP):
@@ -69,6 +71,22 @@ class TestPredictedConsensus:
         r = sample(u010_channel(g, seed=29, mode=TIME_INVARIANT), 0)
         w = dominant_left_eigenvector(effective_matrix(r, 0.35)).left_vector
         assert fixed_point_residual(r, w) <= 1e-10
+
+    @settings(max_examples=100, deadline=None)
+    @given(
+        g=strongly_connected_digraphs(),
+        seed=st.integers(0, 2**32 - 1),
+        mixings=st.lists(st.floats(0.01, 0.99), min_size=2, max_size=2),
+    )
+    def test_direct_solve_independent_of_mixing_and_matches_power_iteration(self, g, seed, mixings):
+        r = sample(u010_channel(g, seed=seed, mode=TIME_INVARIANT), 0)
+        x0 = np.random.default_rng(seed).uniform(0, 2 * np.pi, g.n)
+        values = []
+        for mixing in mixings:
+            D = effective_matrix(r, mixing)
+            values.append(predicted_consensus(D, x0))
+            assert abs(values[-1] - dominant_left_eigenvector(D).left_vector @ x0) <= 1e-8
+        assert abs(values[0] - values[1]) <= 1e-12
 
     def test_consensus_value_consistency_with_run(self):
         g = random_strongly_connected(np.random.default_rng(11), 5)

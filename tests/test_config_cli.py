@@ -6,8 +6,10 @@ from pathlib import Path
 import numpy as np
 import pytest
 
+from airconsensus import cli
 from airconsensus.cli import main
 from airconsensus.config import ConfigError, PRESET_NAMES, parse_config, preset
+from airconsensus.protocol import CONVERGED, Trace
 
 
 def minimal_doc(**overrides):
@@ -171,6 +173,31 @@ class TestParseConfig:
         assert len(err.value.problems) == 2
         assert any(p.startswith(message) for p in err.value.problems)
 
+    def test_mapping_left_unchanged_and_unshared(self):
+        doc = minimal_doc(
+            topology={"kind": "custom", "n": 3, "arcs": [[1, 2, 1.0], [2, 3, 1.0], [3, 1, 1.0]]},
+            protocol={"variant": "superposition", "mixing": [0.2, 0.5, 0.7]},
+            initial_state={"kind": "explicit", "values": [0.0, 1.0, 2.0]},
+            run={"tol": 1e-9, "max_steps": 50},
+            outputs={"trace": "t.csv"},
+        )
+        before = json.loads(json.dumps(doc))
+        cfg = parse_config(doc)
+        assert doc == before
+
+        def containers(tree):
+            if isinstance(tree, dict):
+                yield tree
+                for value in tree.values():
+                    yield from containers(value)
+            elif isinstance(tree, list):
+                yield tree
+                for value in tree:
+                    yield from containers(value)
+
+        shared = {id(c) for c in containers(doc)} & {id(c) for c in containers(cfg.resolved)}
+        assert not shared
+
     def test_presets_all_parse(self):
         for name in PRESET_NAMES:
             cfg = parse_config(preset(name))
@@ -320,6 +347,38 @@ class TestCli:
         value = first_row.split(",")[2]
         assert float(value) == np.float64(value)  # round-trips exactly
         assert len(value.split(".")[-1]) >= 15
+
+
+@pytest.mark.parametrize(
+    "failure", [RuntimeError("fixed-point check failed"), np.linalg.LinAlgError("Singular matrix")]
+)
+def test_missing_prediction_warns_with_reason(tmp_path, capsys, monkeypatch, failure):
+    def fail(D, x0):
+        raise failure
+
+    monkeypatch.setattr(cli, "predicted_consensus", fail)
+    code = main(["--preset", "ti-sigma02", "--out-dir", str(tmp_path), "--quiet"])
+    assert code == 0
+    assert capsys.readouterr().err == f"warning: no prediction: {failure}\n"
+    summary = json.loads((tmp_path / "summary.json").read_text())
+    assert summary["result.predicted_value"] is None
+    assert summary["result.rate_predicted"] is None
+
+
+def test_trace_writer_matches_per_value_formatting(tmp_path):
+    rng = np.random.default_rng(5)
+    states = rng.normal(0.0, 1e3, (12, 11))
+    states[3, :5] = [-0.1, 0.1, 1e-300, 1e300, -1e300]
+    states[7, :4] = [2.0 / 3.0, -np.pi, 0.30000000000000004, -0.0]
+    trace = Trace(states=states, reason=CONVERGED)
+    path = tmp_path / "trace.csv"
+    cli._write_trace(path, trace)
+    expected = "step,agent,x\n" + "".join(
+        f"{step},{agent},{value:.17g}\n"
+        for step, row in enumerate(states.tolist())
+        for agent, value in enumerate(row, start=1)
+    )
+    assert path.read_bytes() == expected.encode()
 
 
 def test_write_failure_reported_with_path(tmp_path, capsys):

@@ -276,7 +276,7 @@ class TestRun:
         ]:
             trace = run(g, channel, protocol, x0, max_steps=5, tol=1e-15)
             for state in trace.states:
-                np.testing.assert_array_equal(state.x, x0)
+                np.testing.assert_array_equal(state, x0)
 
     def test_hull_monotone_min_max(self):
         rng = np.random.default_rng(101)
@@ -319,7 +319,7 @@ class TestRun:
         assert len(trace.matrices) == trace.steps
         for k, D in enumerate(trace.matrices):
             np.testing.assert_allclose(
-                D @ trace.states[k].x, trace.states[k + 1].x, atol=1e-13
+                D @ trace.states[k], trace.states[k + 1], atol=1e-13
             )
 
     def test_channel_required_for_superposition(self):
