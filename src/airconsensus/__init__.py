@@ -7,134 +7,64 @@ signal, and mixes its own state with the ratio of the two superposed
 signals it receives. The update is row-stochastic whatever the (positive,
 unknown) channel coefficients are, so the network always agrees; the
 agreement value depends on the coefficients.
+
+The top level exports what a scenario needs end to end; every other name
+stays importable from its submodule (``airconsensus.protocol`` and so on).
 """
 
 from .analysis import (
-    DisturbanceDecomposition,
-    MonteCarloResult,
-    RunSummary,
     decomposition_deviation,
     decomposition_matrices,
-    disturbance_vector,
     fixed_point_residual,
     measure_rate,
     monte_carlo,
-    predicted_consensus,
     stacked_arc_indicator,
     summarize_run,
 )
-from .channel import (
-    IID_PER_STEP,
-    TIME_INVARIANT,
-    ChannelModel,
-    ChannelRealization,
-    ConstantLaw,
-    UniformLaw,
-    derive_seed,
-    sample,
-    superpose,
-)
-from .config import ConfigError, PRESET_NAMES, ScenarioConfig, parse_config, preset
-from .graph import (
-    WeightedDigraph,
-    complete_graph,
-    graph_from_arcs,
-    is_balanced,
-    is_strongly_connected,
-    laplacian,
-    ring_graph,
-    step_size_bound,
-)
+from .channel import IID_PER_STEP, TIME_INVARIANT, ChannelModel, ConstantLaw, UniformLaw, sample
+from .config import ConfigError, parse_config, preset
+from .graph import complete_graph, step_size_bound
 from .linalg import (
-    EigenPair,
-    PowerIterationError,
     dominant_left_eigenvector,
     graph_from_stochastic,
     is_primitive,
     is_row_stochastic,
-    matrix_to_csv,
     perron_matrix,
-    same_zero_pattern,
     second_eigenvalue_modulus,
 )
-from .protocol import (
-    CLASSICAL,
-    CONVERGED,
-    MAX_STEPS,
-    NAIVE,
-    SUPERPOSITION,
-    ProtocolConfig,
-    Trace,
-    effective_matrix,
-    naive_matrix,
-    perron_matched_mixing,
-    run,
-    spread,
-    step_classical,
-    step_naive,
-    step_superposition,
-)
+from .protocol import CONVERGED, ProtocolConfig, effective_matrix, naive_matrix, run, spread
 
 __version__ = "0.1.0"
 
 __all__ = [
+    "CONVERGED",
     "ChannelModel",
-    "ChannelRealization",
     "ConfigError",
     "ConstantLaw",
-    "DisturbanceDecomposition",
-    "EigenPair",
-    "MonteCarloResult",
-    "PowerIterationError",
-    "ProtocolConfig",
-    "RunSummary",
-    "ScenarioConfig",
-    "Trace",
-    "UniformLaw",
-    "WeightedDigraph",
-    "CLASSICAL",
-    "CONVERGED",
     "IID_PER_STEP",
-    "MAX_STEPS",
-    "NAIVE",
-    "PRESET_NAMES",
-    "SUPERPOSITION",
+    "ProtocolConfig",
     "TIME_INVARIANT",
+    "UniformLaw",
     "complete_graph",
     "decomposition_deviation",
     "decomposition_matrices",
-    "derive_seed",
-    "disturbance_vector",
     "dominant_left_eigenvector",
     "effective_matrix",
     "fixed_point_residual",
-    "graph_from_arcs",
     "graph_from_stochastic",
-    "is_balanced",
     "is_primitive",
     "is_row_stochastic",
-    "is_strongly_connected",
-    "laplacian",
-    "matrix_to_csv",
     "measure_rate",
     "monte_carlo",
     "naive_matrix",
     "parse_config",
-    "perron_matched_mixing",
     "perron_matrix",
-    "predicted_consensus",
     "preset",
-    "ring_graph",
     "run",
-    "same_zero_pattern",
     "sample",
     "second_eigenvalue_modulus",
     "spread",
     "stacked_arc_indicator",
-    "step_classical",
-    "step_naive",
     "step_size_bound",
-    "step_superposition",
     "summarize_run",
-    "superpose",
 ]

@@ -27,6 +27,7 @@ from .protocol import (
     Trace,
     advance,
     effective_matrix,
+    spread,
     validated_state,
 )
 
@@ -249,7 +250,7 @@ def summarize_run(
         consensus_value=float(np.mean(final)),
         predicted_value=predicted_value,
         steps_to_converge=trace.steps,
-        spread_final=float(np.max(final) - np.min(final)),
+        spread_final=spread(final),
         rate_measured=rate_measured,
         rate_predicted=rate_predicted,
         converged=trace.reason == CONVERGED,

@@ -17,15 +17,13 @@ one pass; a row holding one is redrawn as ``sample`` would redraw it.
 from __future__ import annotations
 
 import math
-from bisect import bisect_left
 from dataclasses import dataclass
 from functools import cache, cached_property
-from types import MappingProxyType
-from typing import Mapping, Sequence, Union
+from typing import Sequence, Union
 
 import numpy as np
 
-from .graph import Arc, WeightedDigraph
+from .graph import WeightedDigraph
 
 TIME_INVARIANT = "time-invariant"
 IID_PER_STEP = "iid-per-step"
@@ -106,7 +104,6 @@ class ChannelRealization:
     ``topology.arc_order``.
     """
 
-    step: int
     topology: WeightedDigraph
     values: np.ndarray
 
@@ -123,15 +120,6 @@ class ChannelRealization:
         g.setflags(write=False)
         return g
 
-    def coefficient(self, j: int, i: int) -> float:
-        if not self.topology.has_arc(j, i):
-            raise ValueError(f"no arc ({j}, {i}) in topology")
-        return float(self.values[bisect_left(self.topology.arc_order, (j, i))])
-
-    @property
-    def coefficients(self) -> Mapping[Arc, float]:
-        return MappingProxyType(dict(zip(self.topology.arc_order, self.values.tolist())))
-
 
 def sample(model: ChannelModel, k: int) -> ChannelRealization:
     """Draw the coefficients for step ``k``.
@@ -147,7 +135,7 @@ def sample(model: ChannelModel, k: int) -> ChannelRealization:
         np.random.SeedSequence(entropy=model.seed, spawn_key=(_CHANNEL_STREAM, counter))
     )
     values = model.law.draw(rng, len(model.topology.arc_order))
-    return ChannelRealization(step=k, topology=model.topology, values=values)
+    return ChannelRealization(topology=model.topology, values=values)
 
 
 def superpose(r: ChannelRealization, x: np.ndarray, i: int) -> tuple[float, float]:

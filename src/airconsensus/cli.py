@@ -19,7 +19,7 @@ from .analysis import monte_carlo, predicted_consensus, summarize_run
 from .channel import TIME_INVARIANT, sample
 from .config import PRESET_NAMES, ConfigError, ScenarioConfig, parse_config, preset
 from .linalg import perron_matrix, second_eigenvalue_modulus
-from .protocol import CLASSICAL, SUPERPOSITION, effective_matrix, run
+from .protocol import CLASSICAL, CONVERGED, MAX_STEPS, SUPERPOSITION, effective_matrix, run
 
 EXIT_OK = 0
 EXIT_USAGE = 1
@@ -201,7 +201,7 @@ def _summary_dict(summary) -> dict:
         "rate_measured": summary.rate_measured,
         "rate_predicted": summary.rate_predicted,
         "converged": summary.converged,
-        "reason": "converged" if summary.converged else "max-steps",
+        "reason": CONVERGED if summary.converged else MAX_STEPS,
         "hull_violated": summary.hull_violated,
     }
 

@@ -89,7 +89,7 @@ def parse_config(doc: Union[str, Mapping[str, Any]]) -> ScenarioConfig:
             problems.append(f"unknown section {key!r}")
 
     seed = raw.get("seed")
-    if seed is not None and not (isinstance(seed, int) and seed >= 0):
+    if seed is not None and not (_is_integer(seed) and seed >= 0):
         problems.append(f"seed: must be a nonnegative integer, got {seed!r}")
         seed = None
 
@@ -138,12 +138,12 @@ def _parse_topology(section, problems):
     try:
         if kind == "complete":
             n = _require_int(section, "n", "topology.n", minimum=2)
-            weight = float(section.get("weight", 1.0))
+            weight = _as_number(section.get("weight", 1.0), "topology.weight")
             g = complete_graph(n, weight)
             echo = {"kind": "complete", "n": n, "weight": weight}
         elif kind == "ring":
             n = _require_int(section, "n", "topology.n", minimum=2)
-            weight = float(section.get("weight", 1.0))
+            weight = _as_number(section.get("weight", 1.0), "topology.weight")
             g = ring_graph(n, weight)
             echo = {"kind": "ring", "n": n, "weight": weight}
         elif kind == "custom":
@@ -153,7 +153,12 @@ def _parse_topology(section, problems):
                 isinstance(a, list) and len(a) == 3 for a in arcs
             ):
                 raise ValueError("topology.arcs must be a list of [j, i, weight] triples")
-            g = graph_from_arcs(n, [(int(j), int(i), float(w)) for j, i, w in arcs])
+            for j, i, w in arcs:
+                if not (_is_integer(j) and _is_integer(i)):
+                    raise ValueError(f"topology.arcs node ids must be integers, got {[j, i, w]!r}")
+                if not _is_number(w):
+                    raise ValueError(f"arc ({j}, {i}) weight must be a number, got {w!r}")
+            g = graph_from_arcs(n, [(j, i, float(w)) for j, i, w in arcs])
             echo = {"kind": "custom", "n": n, "arcs": [[j, i, g.weights[(j, i)]] for j, i in g.arc_order]}
         else:
             raise ValueError(f"topology.kind must be 'complete', 'ring' or 'custom', got {kind!r}")
@@ -179,9 +184,9 @@ def _parse_channel(section, topology, variant, seed, problems):
         try:
             kind = law_spec.get("kind")
             if kind == "uniform":
-                law = UniformLaw(float(law_spec["lo"]), float(law_spec["hi"]))
+                law = UniformLaw(_as_number(law_spec["lo"], "lo"), _as_number(law_spec["hi"], "hi"))
             elif kind == "constant":
-                law = ConstantLaw(float(law_spec["value"]))
+                law = ConstantLaw(_as_number(law_spec["value"], "value"))
             else:
                 raise ValueError(f"kind must be 'uniform' or 'constant', got {kind!r}")
         except (ValueError, TypeError, KeyError, OverflowError) as exc:
@@ -196,7 +201,7 @@ def _parse_channel(section, topology, variant, seed, problems):
             problems.append("channel.seed: required (or provide a top-level seed to derive it from)")
         else:
             channel_seed = derive_seed(seed, _CHANNEL_SEED_TAG)
-    elif not (isinstance(channel_seed, int) and channel_seed >= 0):
+    elif not (_is_integer(channel_seed) and channel_seed >= 0):
         problems.append(f"channel.seed: must be a nonnegative integer, got {channel_seed!r}")
         channel_seed = None
     if topology is None or law is None or channel_seed is None:
@@ -230,7 +235,7 @@ def _parse_protocol(section, topology, problems):
     if variant == CLASSICAL:
         if mixing is not None:
             problems.append("protocol.mixing: only the superposition variant takes a mixing weight")
-        if not isinstance(step_size, (int, float)) or not _is_finite(step_size):
+        if not _is_number(step_size) or not _is_finite(step_size):
             problems.append("protocol.step_size: required finite number for the classical variant")
             return None
         step_size = float(step_size)
@@ -254,14 +259,14 @@ def _parse_protocol(section, topology, problems):
 
 
 def _validate_mixing(mixing, topology, problems):
-    if isinstance(mixing, (int, float)) and not isinstance(mixing, bool):
+    if _is_number(mixing):
         if not (0.0 < mixing < 1.0):
             problems.append(
                 f"protocol.mixing: must lie in the open interval (0, 1), got {mixing}"
             )
             return None
         return float(mixing)
-    if isinstance(mixing, list) and all(isinstance(v, (int, float)) for v in mixing):
+    if isinstance(mixing, list) and all(_is_number(v) for v in mixing):
         if topology is not None and len(mixing) != topology.n:
             problems.append(
                 f"protocol.mixing: per-agent list must have length {topology.n}, got {len(mixing)}"
@@ -293,7 +298,7 @@ def _parse_initial_state(section, topology, seed, problems):
     kind = section.get("kind")
     if kind == "explicit":
         values = section.get("values")
-        if not isinstance(values, list) or not all(isinstance(v, (int, float)) for v in values):
+        if not isinstance(values, list) or not all(_is_number(v) for v in values):
             problems.append("initial_state.values: must be a list of numbers")
             return None, None
         if not all(_is_finite(v) for v in values):
@@ -308,10 +313,10 @@ def _parse_initial_state(section, topology, seed, problems):
         return x0, {"kind": "explicit", "values": [float(v) for v in values]}
     if kind == "uniform":
         try:
-            lo = float(section.get("lo", 0.0))
-            hi = float(section.get("hi", math.tau))
-        except (TypeError, ValueError, OverflowError):
-            problems.append("initial_state: lo and hi must be finite numbers")
+            lo = _as_number(section.get("lo", 0.0), "lo")
+            hi = _as_number(section.get("hi", math.tau), "hi")
+        except (ValueError, OverflowError) as exc:
+            problems.append(f"initial_state: {exc}")
             return None, None
         if not lo < hi:
             problems.append(f"initial_state: needs lo < hi, got ({lo}, {hi})")
@@ -327,7 +332,7 @@ def _parse_initial_state(section, topology, seed, problems):
                 )
                 return None, None
             state_seed = derive_seed(seed, _STATE_SEED_TAG)
-        elif not (isinstance(state_seed, int) and state_seed >= 0):
+        elif not (_is_integer(state_seed) and state_seed >= 0):
             problems.append(f"initial_state.seed: must be a nonnegative integer, got {state_seed!r}")
             return None, None
         if topology is None:
@@ -347,10 +352,10 @@ def _parse_run(section, problems):
         return DEFAULT_SPREAD_TOL, DEFAULT_MAX_STEPS
     tol = section.get("tol", DEFAULT_SPREAD_TOL)
     max_steps = section.get("max_steps", DEFAULT_MAX_STEPS)
-    if not isinstance(tol, (int, float)) or not _is_finite(tol) or not tol > 0:
+    if not _is_number(tol) or not _is_finite(tol) or not tol > 0:
         problems.append(f"run.tol: must be a positive finite number, got {tol!r}")
         tol = DEFAULT_SPREAD_TOL
-    if not isinstance(max_steps, int) or max_steps < 0:
+    if not _is_integer(max_steps) or max_steps < 0:
         problems.append(f"run.max_steps: must be a nonnegative integer, got {max_steps!r}")
         max_steps = DEFAULT_MAX_STEPS
     return float(tol), max_steps
@@ -373,6 +378,24 @@ def _parse_outputs(section, problems):
     return tuple(names)
 
 
+def _is_number(value) -> bool:
+    """Whether a JSON value is a number: an int or a float, but not a bool.
+    Finiteness is checked where each field is validated."""
+    return isinstance(value, (int, float)) and not isinstance(value, bool)
+
+
+def _is_integer(value) -> bool:
+    """Whether a JSON value is an integer: an int, but not a bool."""
+    return isinstance(value, int) and not isinstance(value, bool)
+
+
+def _as_number(value, label) -> float:
+    """A JSON number as a float; anything else is a ``ValueError`` naming ``label``."""
+    if not _is_number(value):
+        raise ValueError(f"{label} must be a number, got {value!r}")
+    return float(value)
+
+
 def _is_finite(number) -> bool:
     """Whether a JSON number is a finite float; ints beyond float range are not."""
     try:
@@ -383,7 +406,7 @@ def _is_finite(number) -> bool:
 
 def _require_int(section, key, label, minimum):
     value = section.get(key)
-    if not isinstance(value, int) or value < minimum:
+    if not _is_integer(value) or value < minimum:
         raise ValueError(f"{label} must be an integer >= {minimum}, got {value!r}")
     return value
 

@@ -16,12 +16,11 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .graph import WeightedDigraph, step_size_bound
+from .graph import WeightedDigraph, laplacian, step_size_bound
 
 # Tolerance / iteration defaults, in one place.
 DEFAULT_TOL = 1e-12
 POWER_MAX_ITER = 100_000
-RECONSTRUCTION_TOL = 1e-12
 
 
 class PowerIterationError(RuntimeError):
@@ -98,8 +97,6 @@ def perron_matrix(g: WeightedDigraph, step_size: float) -> np.ndarray:
     the open interval (0, step_size_bound(g)); primitive whenever the
     graph is strongly connected.
     """
-    from .graph import laplacian
-
     if g.arcs:
         bound = step_size_bound(g)
         if not (0.0 < step_size < bound):
@@ -178,9 +175,3 @@ def second_eigenvalue_modulus(A: np.ndarray) -> float:
         return 0.0
     moduli = np.sort(np.abs(np.linalg.eigvals(A)))
     return float(moduli[-2])
-
-
-def matrix_to_csv(A: np.ndarray) -> str:
-    """Row-major CSV dump with full float precision, for debugging."""
-    A = np.asarray(A, dtype=float)
-    return "\n".join(",".join(f"{v:.17g}" for v in row) for row in np.atleast_2d(A))

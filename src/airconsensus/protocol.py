@@ -99,7 +99,6 @@ class Trace:
 
     states: np.ndarray
     reason: str
-    matrices: Optional[tuple[np.ndarray, ...]] = None
 
     @property
     def steps(self) -> int:
@@ -273,12 +272,6 @@ def perron_matched_mixing(r: ChannelRealization, step_size: float) -> np.ndarray
     return step_size * sums
 
 
-def step_classical(x: np.ndarray, g: WeightedDigraph, step_size: float) -> np.ndarray:
-    """One Laplacian-protocol update x+ = (I - step_size * L) x."""
-    update = BlockUpdate(g, ProtocolConfig(CLASSICAL, step_size=step_size))
-    return update(np.asarray(x, dtype=float)[None])[0]
-
-
 def naive_matrix(r: ChannelRealization) -> np.ndarray:
     """Update matrix of the naive scheme: average self with the raw received
     signal. Not row-stochastic for general coefficients."""
@@ -286,12 +279,6 @@ def naive_matrix(r: ChannelRealization) -> np.ndarray:
     D = r.gains / shares[:, None]
     np.fill_diagonal(D, 1.0 / shares)
     return D
-
-
-def step_naive(x: np.ndarray, r: ChannelRealization) -> np.ndarray:
-    """One naive update: x+_i = (x_i + received signal) / (in-degree + 1)."""
-    update = BlockUpdate(r.topology, ProtocolConfig(NAIVE))
-    return update(np.asarray(x, dtype=float)[None], *update.coefficients(r.values[None]))[0]
 
 
 def validated_state(
@@ -324,7 +311,6 @@ def run(
     x0: Sequence[float],
     tol: float = DEFAULT_SPREAD_TOL,
     max_steps: int = DEFAULT_MAX_STEPS,
-    record_matrices: bool = False,
 ) -> Trace:
     """Iterate the selected variant until spread(x) < tol or max_steps.
 
@@ -349,18 +335,4 @@ def run(
         max_steps,
         record,
     )
-    matrices = None
-    if record_matrices:
-        # Sampling is a pure function of the step, so each step's matrix is rebuilt.
-        taken = range(len(states) - 1)
-        if protocol.variant == CLASSICAL:
-            matrices = (perron_matrix(topology, protocol.step_size),) * len(taken)
-        elif protocol.variant == SUPERPOSITION:
-            matrices = tuple(effective_matrix(sample(channel, k), protocol.mixing) for k in taken)
-        else:
-            matrices = tuple(naive_matrix(sample(channel, k)) for k in taken)
-    return Trace(
-        states=np.stack(states),
-        reason=CONVERGED if result.converged[0] else MAX_STEPS,
-        matrices=matrices,
-    )
+    return Trace(states=np.stack(states), reason=CONVERGED if result.converged[0] else MAX_STEPS)

@@ -51,6 +51,73 @@ NON_FINITE_PROBES = {
 }
 
 
+_CUSTOM3 = {"kind": "custom", "n": 3, "arcs": [[1, 2, 1.0], [2, 3, 1.0], [3, 1, 1.0]]}
+
+# JSON values of the wrong type where a number or an integer belongs: each
+# used to be coerced (int() truncation, float() of a string, bools as 0/1).
+MISTYPED_PROBES = {
+    "fractional node id": (
+        {"topology": {**_CUSTOM3, "arcs": [[1.9, 2, 1.0], [2, 3, 1.0], [3, 1, 1.0]]}},
+        "topology: topology.arcs node ids must be integers",
+    ),
+    "string arc weight": (
+        {"topology": {**_CUSTOM3, "arcs": [[1, 2, 1.0], [2, 3, "1"], [3, 1, 1.0]]}},
+        "topology: arc (2, 3) weight must be a number",
+    ),
+    "bool arc weight": (
+        {"topology": {**_CUSTOM3, "arcs": [[1, 2, 1.0], [2, 3, 1.0], [3, 1, True]]}},
+        "topology: arc (3, 1) weight must be a number",
+    ),
+    "bool node count": ({"topology": {**_CUSTOM3, "n": True}}, "topology: topology.n must be an integer"),
+    "string ring weight": (
+        {"topology": {"kind": "ring", "n": 5, "weight": "2"}},
+        "topology: topology.weight must be a number",
+    ),
+    "string law bounds": (
+        {"channel": {"law": {"kind": "uniform", "lo": "0", "hi": "10"}, "mode": "iid-per-step"}},
+        "channel.law: lo must be a number",
+    ),
+    "bool constant law": (
+        {"channel": {"law": {"kind": "constant", "value": True}, "mode": "iid-per-step"}},
+        "channel.law: value must be a number",
+    ),
+    "bool initial bound": (
+        {"initial_state": {"kind": "uniform", "lo": 0.0, "hi": True, "seed": 3}},
+        "initial_state: hi must be a number",
+    ),
+    "bool initial value": (
+        {"initial_state": {"kind": "explicit", "values": [0.5, True, 1.0, 2.0, 3.0]}},
+        "initial_state.values: must be a list of numbers",
+    ),
+    "bool tol": ({"run": {"tol": True}}, "run.tol: must be a positive finite number"),
+    "bool max_steps": ({"run": {"max_steps": True}}, "run.max_steps: must be a nonnegative integer"),
+    "bool seed": (
+        {
+            "seed": True,
+            "channel": {"law": {"kind": "uniform", "lo": 0.0, "hi": 10.0}, "mode": "iid-per-step", "seed": 1},
+            "initial_state": {"kind": "uniform", "lo": 0.0, "hi": 1.0, "seed": 2},
+        },
+        "seed: must be a nonnegative integer",
+    ),
+    "bool channel seed": (
+        {"channel": {"law": {"kind": "uniform", "lo": 0.0, "hi": 10.0}, "mode": "iid-per-step", "seed": True}},
+        "channel.seed: must be a nonnegative integer",
+    ),
+    "bool state seed": (
+        {"initial_state": {"kind": "uniform", "lo": 0.0, "hi": 1.0, "seed": False}},
+        "initial_state.seed: must be a nonnegative integer",
+    ),
+    "bool step size": (
+        {"topology": {"kind": "ring", "n": 5, "weight": 0.1}, "protocol": {"variant": "classical", "step_size": True}},
+        "protocol.step_size: required finite number",
+    ),
+    "bool mixing entry": (
+        {"protocol": {"variant": "superposition", "mixing": [0.5, True, 0.5, 0.5, 0.5]}},
+        "protocol.mixing: required number (or per-agent list)",
+    ),
+}
+
+
 def probe_text(overrides):
     return json.dumps(minimal_doc(**overrides)).replace('"X"', "1e400").replace('"N"', "1" + "0" * 400)
 
@@ -173,6 +240,16 @@ class TestParseConfig:
         assert len(err.value.problems) == 2
         assert any(p.startswith(message) for p in err.value.problems)
 
+    @pytest.mark.parametrize("probe", sorted(MISTYPED_PROBES))
+    def test_mistyped_number_reported_with_other_problems(self, probe):
+        overrides, message = MISTYPED_PROBES[probe]
+        doc = minimal_doc(**overrides)
+        doc["bogus"] = {}
+        with pytest.raises(ConfigError) as err:
+            parse_config(doc)
+        assert len(err.value.problems) == 2
+        assert any(p.startswith(message) for p in err.value.problems)
+
     def test_mapping_left_unchanged_and_unshared(self):
         doc = minimal_doc(
             topology={"kind": "custom", "n": 3, "arcs": [[1, 2, 1.0], [2, 3, 1.0], [3, 1, 1.0]]},
@@ -276,6 +353,15 @@ class TestCli:
             assert main(["--config", str(path), "--out-dir", str(tmp_path)]) == 1
         assert message in capsys.readouterr().err
         assert not (tmp_path / "summary.json").exists()
+
+    @pytest.mark.parametrize("probe", sorted(MISTYPED_PROBES))
+    def test_mistyped_number_exits_one(self, tmp_path, capsys, probe):
+        overrides, message = MISTYPED_PROBES[probe]
+        path = tmp_path / "probe.json"
+        path.write_text(json.dumps(minimal_doc(**overrides)))
+        assert main(["--config", str(path), "--out-dir", str(tmp_path)]) == 1
+        assert message in capsys.readouterr().err
+        assert sorted(p.name for p in tmp_path.iterdir()) == ["probe.json"]
 
     def test_missing_file_exits_one(self, tmp_path, capsys):
         assert main(["--config", str(tmp_path / "nope.json")]) == 1

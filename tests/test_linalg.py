@@ -8,7 +8,6 @@ from airconsensus.linalg import (
     graph_from_stochastic,
     is_primitive,
     is_row_stochastic,
-    matrix_to_csv,
     perron_matrix,
     same_zero_pattern,
     second_eigenvalue_modulus,
@@ -245,10 +244,3 @@ class TestProductsOfPrimitives:
             assert same_zero_pattern(matrices[0], M)
         assert is_row_stochastic(product, 1e-12)
         assert is_primitive(product)
-
-
-def test_matrix_to_csv_round_trips():
-    A = np.array([[1.0, 2.5e-17], [-3.0, 4.0]])
-    text = matrix_to_csv(A)
-    back = np.array([[float(v) for v in line.split(",")] for line in text.splitlines()])
-    np.testing.assert_array_equal(back, A)

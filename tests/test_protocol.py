@@ -18,17 +18,27 @@ from airconsensus.linalg import is_primitive, is_row_stochastic, perron_matrix, 
 from airconsensus.protocol import (
     CONVERGED,
     MAX_STEPS,
+    BlockUpdate,
     ProtocolConfig,
     effective_matrix,
     naive_matrix,
     perron_matched_mixing,
     run,
     spread,
-    step_classical,
-    step_naive,
     step_superposition,
 )
 from support import random_strongly_connected, strongly_connected_digraphs
+
+
+NAIVE_CONFIG = ProtocolConfig("naive")
+
+
+def one_step(topology, config, x, r=None):
+    """One update of ``config`` on the single state ``x``, through a block of one;
+    ``r`` holds the channel coefficients of the superposition and naive variants."""
+    update = BlockUpdate(topology, config)
+    coefficients = update.coefficients(r.values[None]) if r is not None else ()
+    return update(np.asarray(x, dtype=float)[None], *coefficients)[0]
 
 
 def ideal_channel(topology, value=1.0):
@@ -103,7 +113,7 @@ class TestEffectiveMatrix:
                 eps = 0.8 / sums.max()
                 mixing = perron_matched_mixing(r, eps)
                 coeff_graph = WeightedDigraph(
-                    g.n, {(j, i): r.coefficient(j, i) for (j, i) in g.arcs}
+                    g.n, {(j, i): r.gains[i - 1, j - 1] for (j, i) in g.arcs}
                 )
                 np.testing.assert_allclose(
                     effective_matrix(r, mixing), perron_matrix(coeff_graph, eps), atol=1e-13
@@ -133,13 +143,14 @@ class TestEffectiveMatrix:
 class TestStepClassical:
     def test_two_cycle(self):
         g = graph_from_arcs(2, [(1, 2, 1.0), (2, 1, 1.0)])
-        np.testing.assert_allclose(step_classical(np.array([0.0, 2.0]), g, 0.5), [1.0, 1.0])
+        x_next = one_step(g, ProtocolConfig("classical", step_size=0.5), np.array([0.0, 2.0]))
+        np.testing.assert_allclose(x_next, [1.0, 1.0])
 
     def test_tiny_step_barely_moves(self):
         rng = np.random.default_rng(79)
         g = random_strongly_connected(rng, 5, w_lo=0.5, w_hi=5.0)
         x = rng.uniform(0, 2 * np.pi, 5)
-        x_next = step_classical(x, g, 1e-9)
+        x_next = one_step(g, ProtocolConfig("classical", step_size=1e-9), x)
         assert np.linalg.norm(x_next - x) <= 1e-8 * np.linalg.norm(x)
 
     def test_balanced_graph_preserves_sum(self):
@@ -151,23 +162,25 @@ class TestStepClassical:
             x = rng.uniform(-5, 5, 6)
             from airconsensus.graph import step_size_bound
 
-            x_next = step_classical(x, g, 0.5 * step_size_bound(g))
+            config = ProtocolConfig("classical", step_size=0.5 * step_size_bound(g))
+            x_next = one_step(g, config, x)
             assert abs(x_next.sum() - x.sum()) <= 1e-10
 
     def test_step_size_validated(self):
         g = graph_from_arcs(2, [(1, 2, 1.0), (2, 1, 1.0)])
         with pytest.raises(ValueError, match="step size"):
-            step_classical(np.zeros(2), g, 1.5)
+            one_step(g, ProtocolConfig("classical", step_size=1.5), np.zeros(2))
 
 
 class TestStepNaive:
     def test_ideal_channel_plain_average(self):
         r = sample(ideal_channel(complete_graph(3)), 0)
-        np.testing.assert_allclose(step_naive(np.array([0.0, 3.0, 6.0]), r), [3.0, 3.0, 3.0])
+        got = one_step(r.topology, NAIVE_CONFIG, np.array([0.0, 3.0, 6.0]), r)
+        np.testing.assert_allclose(got, [3.0, 3.0, 3.0])
 
     def test_gain_two_leaves_hull(self):
         r = sample(ideal_channel(complete_graph(3), value=2.0), 0)
-        got = step_naive(np.array([3.0, 3.0, 3.0]), r)
+        got = one_step(r.topology, NAIVE_CONFIG, np.array([3.0, 3.0, 3.0]), r)
         np.testing.assert_allclose(got, [5.0, 5.0, 5.0])
         assert got.max() > 3.0  # escapes the initial hull
 
@@ -184,7 +197,8 @@ class TestStepNaive:
         for k in range(10):
             r = sample(model, k)
             x = rng.uniform(0, 5, 5)
-            np.testing.assert_allclose(step_naive(x, r), naive_matrix(r) @ x, atol=1e-13)
+            got = one_step(r.topology, NAIVE_CONFIG, x, r)
+            np.testing.assert_allclose(got, naive_matrix(r) @ x, atol=1e-13)
 
 
 @settings(max_examples=60, deadline=None)
@@ -200,7 +214,7 @@ def test_arc_list_steps_match_dense_matrices(g, seed, k, data):
     mixing = np.array(data.draw(st.lists(st.floats(0.05, 0.95), min_size=g.n, max_size=g.n)))
     superposed = step_superposition(x, r, mixing)
     assert np.max(np.abs(superposed - effective_matrix(r, mixing) @ x)) <= 1e-13
-    assert np.max(np.abs(step_naive(x, r) - naive_matrix(r) @ x)) <= 1e-13
+    assert np.max(np.abs(one_step(r.topology, NAIVE_CONFIG, x, r) - naive_matrix(r) @ x)) <= 1e-13
 
 
 class TestRun:
@@ -314,10 +328,10 @@ class TestRun:
             x0,
             max_steps=10,
             tol=1e-15,
-            record_matrices=True,
         )
-        assert len(trace.matrices) == trace.steps
-        for k, D in enumerate(trace.matrices):
+        assert trace.steps == 10
+        for k in range(trace.steps):
+            D = effective_matrix(sample(u010_channel(g, seed=77), k), 0.6)
             np.testing.assert_allclose(
                 D @ trace.states[k], trace.states[k + 1], atol=1e-13
             )
