@@ -1,22 +1,23 @@
 """Predictions and decompositions for consensus runs.
 
 Covers the consensus-value prediction from the dominant left eigenvector,
-found by one direct (LU) solve rather than power iteration, the split of
-the superposition update into an equal-gain part plus a zero-mean
-channel disturbance, convergence-rate measurement, and seeded Monte
-Carlo statistics over channel realizations.
+found by restarted Arnoldi on the arc list rather than power iteration,
+the split of the superposition update into an equal-gain part plus a
+zero-mean channel disturbance, convergence-rate measurement, and seeded
+Monte Carlo statistics over channel realizations.
 """
 
 from __future__ import annotations
 
 import math
 from dataclasses import dataclass
-from typing import Optional, Sequence
+from typing import Optional, Sequence, Union
 
 import numpy as np
 
 from .channel import TIME_INVARIANT, ChannelModel, ChannelRealization, ChannelStreams, derive_seeds
 from .graph import WeightedDigraph
+from .linalg import ArcOperator, left_perron_vector
 from .protocol import (
     CLASSICAL,
     CONVERGED,
@@ -84,45 +85,38 @@ class MonteCarloResult:
     converged: tuple[bool, ...]
 
 
-def predicted_consensus(D: np.ndarray, x0: Sequence[float]) -> float:
+def predicted_consensus(D: Union[np.ndarray, ArcOperator], x0: Sequence[float]) -> float:
     """Predicted agreement value ``w' x0`` for a time-invariant update matrix.
 
     ``w`` is the left Perron vector of the primitive row-stochastic ``D``,
-    found by one direct solve (LU) of ``w' (D - I) = 0`` with one of its
-    ``n`` equations, which are linearly dependent, replaced by
-    ``sum(w) = 1``. Before returning, ``w`` is re-verified against the
-    fixed-point form in which the mixing weight has cancelled: with
+    given as an ``ArcOperator`` or as a dense matrix, which is read as
+    one (its diagonal and off-diagonal nonzeros). It is found by
+    restarted Arnoldi at O(|E|) per product (``linalg.left_perron_vector``).
+    Before returning, ``w`` is re-verified against the fixed-point form
+    in which the mixing weight has cancelled: with
     constant diagonal, ``w_i`` must equal the sum over receivers ``j`` of
     ``w_j * D_ji / (1 - D_jj)``, i.e. the prediction depends on the
     channel coefficients but not on the mixing weight. For non-constant
     diagonals the mixing does not cancel and the rearranged per-row eigen
-    identity is checked instead. Raises ``np.linalg.LinAlgError`` if the
-    bordered system is singular and ``RuntimeError`` if ``w`` fails the
-    check.
+    identity is checked instead. Raises ``np.linalg.LinAlgError`` if a
+    row of ``D`` has no off-diagonal weight, ``linalg.ArnoldiError`` if
+    the Arnoldi run does not converge and ``RuntimeError`` if ``w`` fails
+    the check.
     """
-    D = np.asarray(D, dtype=float)
-    x0 = np.asarray(x0, dtype=float)
-    # (D - I)' w = 0 with its last row replaced by sum(w) = 1, built in one
-    # n x n copy of D' and freed before the check makes its own copies.
-    bordered = D.T.copy()
-    bordered[np.diag_indices_from(bordered)] -= 1.0
-    bordered[-1] = 1.0
-    rhs = np.zeros(len(bordered))
-    rhs[-1] = 1.0
-    w = np.linalg.solve(bordered, rhs)
-    del bordered
-    diag = np.diag(D)
-    off = D - np.diag(diag)
+    if not isinstance(D, ArcOperator):
+        D = ArcOperator.from_dense(D)
+    w = left_perron_vector(D)
+    diag = D.diagonal
     if np.ptp(diag) <= 1e-13:
-        reconstructed = (w / (1.0 - diag)) @ off
+        reconstructed = D.offdiagonal_rmatvec(w / (1.0 - diag))
         residual = float(np.max(np.abs(reconstructed - w)))
     else:
-        residual = float(np.max(np.abs(w @ off - (1.0 - diag) * w)))
+        residual = float(np.max(np.abs(D.offdiagonal_rmatvec(w) - (1.0 - diag) * w)))
     if residual > FIXED_POINT_TOL:
         raise RuntimeError(
             f"left eigenvector failed the fixed-point check (residual {residual:.3e})"
         )
-    return float(w @ x0)
+    return float(w @ np.asarray(x0, dtype=float))
 
 
 def fixed_point_residual(r: ChannelRealization, w: Sequence[float]) -> float:

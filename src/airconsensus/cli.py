@@ -18,12 +18,16 @@ import numpy as np
 from .analysis import monte_carlo, predicted_consensus, summarize_run
 from .channel import TIME_INVARIANT, sample
 from .config import PRESET_NAMES, ConfigError, ScenarioConfig, parse_config, preset
-from .linalg import perron_matrix, second_eigenvalue_modulus
-from .protocol import CLASSICAL, CONVERGED, MAX_STEPS, SUPERPOSITION, effective_matrix, run
+from .linalg import perron_operator, subdominant_modulus
+from .protocol import CLASSICAL, CONVERGED, MAX_STEPS, SUPERPOSITION, effective_operator, run
 
 EXIT_OK = 0
 EXIT_USAGE = 1
 EXIT_MAX_STEPS = 2
+
+# First byte value that ASCII JSON text never holds: _indent_list marks
+# brackets and commas from here up.
+_MARKS = 0x80
 
 
 def main(argv: Optional[list[str]] = None) -> int:
@@ -94,19 +98,19 @@ def main(argv: Optional[list[str]] = None) -> int:
 
 def _predictions(cfg: ScenarioConfig):
     """Predicted consensus value and contraction rate, where they exist
-    (time-invariant superposition, or the classical protocol)."""
+    (time-invariant superposition, or the classical protocol), from the
+    O(|E|) form of the update: no n x n array is built."""
     if cfg.protocol.variant == SUPERPOSITION and cfg.channel.mode == TIME_INVARIANT:
-        D = effective_matrix(sample(cfg.channel, 0), cfg.protocol.mixing)
+        D = effective_operator(sample(cfg.channel, 0), cfg.protocol.mixing)
     elif cfg.protocol.variant == CLASSICAL:
-        D = perron_matrix(cfg.topology, cfg.protocol.step_size)
+        D = perron_operator(cfg.topology, cfg.protocol.step_size)
     else:
         return None, None
     try:
-        predicted = predicted_consensus(D, cfg.x0)
+        return predicted_consensus(D, cfg.x0), subdominant_modulus(D)
     except (np.linalg.LinAlgError, RuntimeError) as exc:
         print(f"warning: no prediction: {exc}", file=sys.stderr)
         return None, None
-    return predicted, second_eigenvalue_modulus(D)
 
 
 def _run_scenario(cfg: ScenarioConfig, out_dir: Path, quiet: bool) -> int:
@@ -121,7 +125,7 @@ def _run_scenario(cfg: ScenarioConfig, out_dir: Path, quiet: bool) -> int:
     doc = _flatten({"config": cfg.resolved, "result": _summary_dict(summary)})
     try:
         _write_trace(trace_path, trace)
-        summary_path.write_text(json.dumps(doc, sort_keys=True, indent=2) + "\n")
+        summary_path.write_text(_dumps_flat(doc) + "\n")
     except OSError as exc:
         print(f"error: cannot write {exc.filename or trace_path}: {exc}", file=sys.stderr)
         return EXIT_USAGE
@@ -168,7 +172,7 @@ def _run_montecarlo(cfg: ScenarioConfig, runs: int, out_dir: Path, quiet: bool) 
     summary_path = out_dir / cfg.summary_file
     try:
         samples_path.write_text("\n".join(lines) + "\n")
-        summary_path.write_text(json.dumps(doc, sort_keys=True, indent=2) + "\n")
+        summary_path.write_text(_dumps_flat(doc) + "\n")
     except OSError as exc:
         print(f"error: cannot write {exc.filename or samples_path}: {exc}", file=sys.stderr)
         return EXIT_USAGE
@@ -204,6 +208,51 @@ def _summary_dict(summary) -> dict:
         "reason": CONVERGED if summary.converged else MAX_STEPS,
         "hull_violated": summary.hull_violated,
     }
+
+
+def _dumps_flat(doc: Mapping[str, Any]) -> str:
+    """``json.dumps(doc, sort_keys=True, indent=2)`` of a flat document, byte
+    for byte, with the values encoded by the C encoder: ``indent`` makes
+    ``json`` fall back to its pure-Python encoder."""
+    lines = []
+    for key in sorted(doc):
+        value = doc[key]
+        text = json.dumps(value, separators=(",", ":"))
+        if isinstance(value, (list, tuple)) and value:
+            text = _indent_list(text) or json.dumps(value, indent=2).replace("\n", "\n  ")
+        lines.append(f"  {json.dumps(key)}: {text}")
+    return "{\n" + ",\n".join(lines) + "\n}" if lines else "{}"
+
+
+def _indent_list(text: str) -> Optional[str]:
+    """Compact JSON of a list, laid out as ``indent=2`` lays it out one level
+    deep, or ``None`` if it holds strings or nests too deep to mark.
+
+    Each ``[``, ``]`` and ``,`` becomes a non-ASCII byte that encodes it
+    with its nesting depth, and one ``bytes.replace`` per byte adds its
+    line break and indent. An empty ``[]`` is set aside first, as it
+    stays on one line.
+    """
+    if '"' in text:
+        return None
+    if text.count("[") == 1:
+        # One level has no depths to find. Leaving numpy out also spares a
+        # Monte Carlo run the 0.5 MB of numpy code these calls page in.
+        return "[\n    " + text[1:-1].replace(",", ",\n    ") + "\n  ]"
+    codes = np.frombuffer(text.replace("[]", "\0").encode(), np.uint8).copy()
+    opens, closes = codes == ord("["), codes == ord("]")
+    depth = 1 + np.cumsum(opens.view(np.int8) - closes.view(np.int8), dtype=np.intp)
+    top = int(depth.max())
+    if _MARKS + 3 * top + 2 > 0xFF:
+        return None
+    for kind, mask in enumerate((opens, closes, codes == ord(","))):
+        codes[mask] = _MARKS + 3 * depth[mask] + kind
+    out = codes.tobytes()
+    for level in range(1, top + 1):
+        pad = b"\n" + b"  " * level
+        for kind, layout in enumerate((b"[" + pad, pad + b"]", b"," + pad)):
+            out = out.replace(bytes([_MARKS + 3 * level + kind]), layout)
+    return out.replace(b"\0", b"[]").decode()
 
 
 def _flatten(tree: Mapping[str, Any], prefix: str = "") -> dict:

@@ -34,7 +34,7 @@ class WeightedDigraph:
     weights: Mapping[Arc, float]
 
     def __post_init__(self):
-        if not isinstance(self.n, int) or self.n < 1:
+        if isinstance(self.n, bool) or not isinstance(self.n, int) or self.n < 1:
             raise ValueError(f"node count must be a positive integer, got {self.n!r}")
         frozen: dict[Arc, float] = {}
         for arc, w in self.weights.items():

@@ -1,11 +1,12 @@
-"""Dense matrix kernel of the analysis paths: stochasticity and
-primitivity predicates, Perron matrices, and dominant eigen-structure.
+"""Matrix kernel of the analysis paths: stochasticity and primitivity
+predicates, Perron matrices, and dominant eigen-structure.
 
-Inputs are dense n x n matrices, practical up to a few hundred nodes;
-the simulation steps work on arc lists and reach sparse n in the
-thousands. ``dominant_left_eigenvector`` is a power iteration kept as an
-independent reference; the consensus prediction of a run
-(``analysis.predicted_consensus``) solves for the same vector directly.
+The predicates and the power iteration take dense n x n matrices and
+serve as references. ``ArcOperator`` holds an update matrix as its
+diagonal plus one weight per arc, so its products cost O(n + |E|), and
+``top_eigenpair`` is a restarted Arnoldi method on such products: the
+predictions of a run (``left_perron_vector``, ``subdominant_modulus``)
+reach sparse n in the thousands without forming an n x n array.
 Tolerances default to the table below and every predicate takes an
 explicit ``tol`` where a tolerance is meaningful.
 """
@@ -13,6 +14,7 @@ explicit ``tol`` where a tolerance is meaningful.
 from __future__ import annotations
 
 from dataclasses import dataclass
+from typing import Callable
 
 import numpy as np
 
@@ -21,6 +23,13 @@ from .graph import WeightedDigraph, laplacian, step_size_bound
 # Tolerance / iteration defaults, in one place.
 DEFAULT_TOL = 1e-12
 POWER_MAX_ITER = 100_000
+#: Restarted Arnoldi: basis size, Ritz vectors kept at a restart, most
+#: restarts, and the Ritz residual (relative to the norm of the projected
+#: matrix) at which the top pair counts as converged.
+KRYLOV_BASIS = 40
+KRYLOV_KEEP = 16
+KRYLOV_MAX_RESTARTS = 500
+KRYLOV_TOL = 1e-14
 
 
 class PowerIterationError(RuntimeError):
@@ -31,12 +40,59 @@ class PowerIterationError(RuntimeError):
         self.residual = residual
 
 
+class ArnoldiError(RuntimeError):
+    """Restarted Arnoldi ran out of restarts before its top Ritz pair converged."""
+
+    def __init__(self, restarts: int, residual: float):
+        super().__init__(
+            f"restarted Arnoldi did not converge after {restarts} restarts "
+            f"(final residual {residual:.3e})"
+        )
+        self.restarts = restarts
+        self.residual = residual
+
+
 @dataclass(frozen=True)
 class EigenPair:
     """Dominant eigenvalue and its left eigenvector, normalized to sum 1."""
 
     value: float
     left_vector: np.ndarray
+
+
+@dataclass(frozen=True)
+class ArcOperator:
+    """An n x n matrix held as its diagonal plus one weight per off-diagonal
+    entry: ``weights[e]`` sits at ``(rows[e], cols[e])``. Each product with
+    a vector is one ``np.bincount``, O(n + |E|)."""
+
+    diagonal: np.ndarray
+    rows: np.ndarray
+    cols: np.ndarray
+    weights: np.ndarray
+
+    @classmethod
+    def from_dense(cls, A: np.ndarray) -> ArcOperator:
+        """The diagonal and the off-diagonal nonzeros of a dense matrix."""
+        A = _as_square(A)
+        off = A.copy()
+        np.fill_diagonal(off, 0.0)
+        rows, cols = np.nonzero(off)
+        return cls(np.diag(A).copy(), rows, cols, off[rows, cols])
+
+    @property
+    def n(self) -> int:
+        return len(self.diagonal)
+
+    def matvec(self, x: np.ndarray) -> np.ndarray:
+        """``A @ x``."""
+        return self.diagonal * x + np.bincount(
+            self.rows, weights=self.weights * x[self.cols], minlength=self.n
+        )
+
+    def offdiagonal_rmatvec(self, y: np.ndarray) -> np.ndarray:
+        """``y @ (A - diag(A))``."""
+        return np.bincount(self.cols, weights=self.weights * y[self.rows], minlength=self.n)
 
 
 def _as_square(A: np.ndarray) -> np.ndarray:
@@ -97,6 +153,20 @@ def perron_matrix(g: WeightedDigraph, step_size: float) -> np.ndarray:
     the open interval (0, step_size_bound(g)); primitive whenever the
     graph is strongly connected.
     """
+    _check_step_size(g, step_size)
+    return np.eye(g.n) - step_size * laplacian(g)
+
+
+def perron_operator(g: WeightedDigraph, step_size: float) -> ArcOperator:
+    """``perron_matrix(g, step_size)`` as an ``ArcOperator``: diagonal
+    ``1 - step_size * in-weight`` and ``step_size * weight(j, i)`` on each arc."""
+    _check_step_size(g, step_size)
+    weights = step_size * np.array([g.weights[arc] for arc in g.arc_order], dtype=float)
+    in_weights = np.bincount(g.arc_rows, weights=weights, minlength=g.n)
+    return ArcOperator(1.0 - in_weights, g.arc_rows, g.arc_cols, weights)
+
+
+def _check_step_size(g: WeightedDigraph, step_size: float) -> None:
     if g.arcs:
         bound = step_size_bound(g)
         if not (0.0 < step_size < bound):
@@ -105,7 +175,6 @@ def perron_matrix(g: WeightedDigraph, step_size: float) -> np.ndarray:
             )
     elif not step_size > 0.0:
         raise ValueError(f"step size must be positive, got {step_size}")
-    return np.eye(g.n) - step_size * laplacian(g)
 
 
 def graph_from_stochastic(P: np.ndarray, step_size: float) -> WeightedDigraph:
@@ -175,3 +244,95 @@ def second_eigenvalue_modulus(A: np.ndarray) -> float:
         return 0.0
     moduli = np.sort(np.abs(np.linalg.eigvals(A)))
     return float(moduli[-2])
+
+
+def top_eigenpair(matvec: Callable[[np.ndarray], np.ndarray], n: int) -> tuple[complex, np.ndarray]:
+    """Largest-modulus eigenvalue of a real linear operator on R^n and a
+    unit eigenvector (complex for a complex eigenvalue).
+
+    Thick-restart Arnoldi (Stewart, SIAM J. Matrix Anal. Appl. 23(3),
+    2001; Saad, Numerical Methods for Large Eigenvalue Problems, ch. 6-7)
+    with a basis of ``KRYLOV_BASIS`` vectors, each orthogonalized by two
+    passes of classical Gram-Schmidt. A cycle that does not converge
+    restarts on an orthonormal basis of the real and imaginary parts of
+    the ``KRYLOV_KEEP`` largest-modulus Ritz vectors, so a complex pair
+    is kept whole. The run stops when the top Ritz pair's residual
+    ``|A x - theta x|``, computed with the operator itself, is at most
+    ``KRYLOV_TOL`` times the norm of the projected matrix, or when the
+    basis spans an invariant subspace (always so once it holds n
+    vectors). The start vector is fixed, so the result is deterministic.
+    Raises ``ArnoldiError`` after ``KRYLOV_MAX_RESTARTS`` restarts.
+    """
+    m = min(KRYLOV_BASIS, n)
+    V = np.empty((n, m + 1))
+    H = np.zeros((m + 1, m))
+    start = 1.0 + 0.5 * np.sin(np.arange(1.0, n + 1.0))
+    V[:, 0] = start / np.linalg.norm(start)
+    kept, residual = 0, np.inf
+    for restart in range(KRYLOV_MAX_RESTARTS + 1):
+        end = m
+        for j in range(kept, m):
+            w = matvec(V[:, j])
+            for _ in range(2):
+                h = V[:, : j + 1].T @ w
+                w -= V[:, : j + 1] @ h
+                H[: j + 1, j] += h
+            H[j + 1, j] = np.linalg.norm(w)
+            if H[j + 1, j] == 0.0:
+                end = j + 1
+                break
+            V[:, j + 1] = w / H[j + 1, j]
+        theta, Y = np.linalg.eig(H[:end, :end])
+        order = np.argsort(-np.abs(theta), kind="stable")
+        x = V[:, :end] @ Y[:, order[0]]
+        residual = float(np.linalg.norm(matvec(x.real) + 1j * matvec(x.imag) - theta[order[0]] * x))
+        if end < m or m == n or residual <= KRYLOV_TOL * np.linalg.norm(H[:end, :end]):
+            return complex(theta[order[0]]), x
+        wanted = Y[:, order[:KRYLOV_KEEP]]
+        # A real Ritz vector has a zero imaginary part and the two members
+        # of a conjugate pair span one plane: drop those null directions.
+        U, s, _ = np.linalg.svd(np.hstack([wanted.real, wanted.imag]), full_matrices=False)
+        Q = U[:, s > 1e-8 * s[0]]
+        kept = Q.shape[1]
+        T, b = Q.T @ H[:m, :m] @ Q, H[m, m - 1] * Q[-1]
+        V[:, :kept] = V[:, :m] @ Q
+        V[:, kept] = V[:, m]
+        H[:] = 0.0
+        H[:kept, :kept], H[kept, :kept] = T, b
+    raise ArnoldiError(KRYLOV_MAX_RESTARTS, residual)
+
+
+def left_perron_vector(A: ArcOperator) -> np.ndarray:
+    """Left eigenvector ``w`` of the eigenvalue 1 of a primitive row-stochastic
+    ``A``, with ``sum(w) == 1``.
+
+    With ``s`` the off-diagonal row sums of ``A`` (``1 - diag(A)``, summed
+    without cancellation), ``w' A = w'`` is exactly ``pi' G = pi'`` for
+    ``pi = s * w`` and the row-stochastic chain ``G = (A - diag(A)) / s``
+    (rows scaled). So ``w`` is found as ``pi / s``, with ``pi`` the top
+    eigenvector of the lazy chain ``y -> (y + y G) / 2``, whose eigenvalue
+    1 is simple and alone on the unit circle. For the superposition
+    update ``G`` holds the channel shares ``h_ij / sum_l h_il`` alone: the
+    mixing weights enter only through the final scaling, and a small
+    weight does not crowd the spectrum towards 1 and degrade the solve.
+    Raises ``np.linalg.LinAlgError`` if a row has no off-diagonal weight,
+    so that the eigenvalue 1 is not simple.
+    """
+    scale = np.bincount(A.rows, weights=A.weights, minlength=A.n)
+    if not (scale > 0.0).all():
+        raise np.linalg.LinAlgError("a row has no off-diagonal weight; the eigenvalue 1 is not simple")
+    _, pi = top_eigenpair(lambda y: 0.5 * (y + A.offdiagonal_rmatvec(y / scale)), A.n)
+    w = pi.real / scale
+    return w / w.sum()
+
+
+def subdominant_modulus(A: ArcOperator) -> float:
+    """Second-largest eigenvalue modulus of a row-stochastic ``A``, O(|E|)
+    per product: the top Ritz modulus of ``x -> Ax - mean(Ax)``, which has
+    ``A``'s spectrum with the eigenvalue 1 of ``A 1 = 1`` moved to 0."""
+
+    def deflated(x):
+        y = A.matvec(x)
+        return y - y.mean()
+
+    return abs(top_eigenpair(deflated, A.n)[0])

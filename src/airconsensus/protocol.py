@@ -13,7 +13,8 @@ Three update laws over one block update and one run loop:
   matrix is not row-stochastic for general coefficients, so it fails;
   kept as the baseline that motivates the two-signal scheme.
 The superposition and naive steps cost O(|E|); ``effective_matrix`` and
-``naive_matrix`` are their dense forms for the analysis and eigen paths.
+``naive_matrix`` are their dense forms for the analysis and eigen paths,
+and ``effective_operator`` the O(|E|) form the run predictions use.
 ``advance`` steps a block of R independent states held as one (R, n)
 array; ``run`` is a block of one and Monte Carlo uses blocks of many.
 A run's ``Trace`` holds its whole history as one (steps + 1, n) array.
@@ -29,7 +30,7 @@ import numpy as np
 
 from .channel import TIME_INVARIANT, ChannelModel, ChannelRealization, sample
 from .graph import WeightedDigraph
-from .linalg import perron_matrix
+from .linalg import ArcOperator, perron_matrix
 
 SUPERPOSITION = "superposition"
 CLASSICAL = "classical"
@@ -256,6 +257,15 @@ def effective_matrix(r: ChannelRealization, mixing: Mixing) -> np.ndarray:
     D = (m[:, None] * r.gains) / sums[:, None]
     np.fill_diagonal(D, 1.0 - m)
     return D
+
+
+def effective_operator(r: ChannelRealization, mixing: Mixing) -> ArcOperator:
+    """``effective_matrix(r, mixing)`` as an ``ArcOperator``: diagonal
+    ``1 - m_i`` and ``m_i * h_ij / sum_l h_il`` on each arc, O(|E|)."""
+    m = resolve_mixing(mixing, r.topology.n)
+    rows = r.topology.arc_rows
+    shares = (m[rows] * r.values) / _positive_row_sums(r)[rows]
+    return ArcOperator(1.0 - m, rows, r.topology.arc_cols, shares)
 
 
 def perron_matched_mixing(r: ChannelRealization, step_size: float) -> np.ndarray:

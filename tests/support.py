@@ -133,3 +133,25 @@ def random_primitive_posdiag(rng, n, density=0.4):
         A[i - 1, j - 1] = rng.uniform(0.1, 2.0)
     A[np.diag_indices(n)] = rng.uniform(0.1, 2.0, n)
     return A
+
+
+def ring_with_chords(rng, n, chords, blocks=1, cross=0):
+    """Directed ring 1 -> 2 -> ... -> n -> 1 plus ``chords`` random distinct
+    in-arcs per node, ``cross`` of them from outside the node's community
+    (``blocks`` equal communities of consecutive nodes), all of weight 1.
+
+    With two communities and one cross chord per node the update matrix
+    has one slow inter-community mode; with one community and a few
+    chords the top of its spectrum is a dense cluster of complex pairs.
+    """
+    size = n // blocks
+    arcs = {}
+    for i in range(1, n + 1):
+        pred = (i - 2) % n + 1
+        arcs[(pred, i)] = 1.0
+        others = np.array([j for j in range(1, n + 1) if j != i and j != pred])
+        outside = (others - 1) // size != (i - 1) // size
+        picked = list(rng.choice(others[outside], cross, replace=False))
+        picked += list(rng.choice(others[~outside], chords - cross, replace=False))
+        arcs.update({(int(j), i): 1.0 for j in picked})
+    return WeightedDigraph(n, arcs)

@@ -207,6 +207,11 @@ class TestSuperpose:
             superpose(r, np.zeros(3), 1)
 
 
+def test_bool_seed_rejected():
+    with pytest.raises(ValueError, match="seed must be a nonnegative integer"):
+        ChannelModel(complete_graph(3), UniformLaw(0.0, 10.0), TIME_INVARIANT, True)
+
+
 def test_derive_seed_is_deterministic_and_spread_out():
     seeds = {derive_seed(42, i) for i in range(100)}
     assert len(seeds) == 100

@@ -1,15 +1,20 @@
 import json
 import math
+import tracemalloc
 import warnings
 from pathlib import Path
 
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
-from airconsensus import cli
+from airconsensus import analysis, cli, linalg, protocol
+from airconsensus.channel import sample
 from airconsensus.cli import main
 from airconsensus.config import ConfigError, PRESET_NAMES, parse_config, preset
 from airconsensus.protocol import CONVERGED, Trace
+from support import ring_with_chords
 
 
 def minimal_doc(**overrides):
@@ -436,19 +441,133 @@ class TestCli:
 
 
 @pytest.mark.parametrize(
-    "failure", [RuntimeError("fixed-point check failed"), np.linalg.LinAlgError("Singular matrix")]
+    "failure", [RuntimeError("fixed-point check failed"), np.linalg.LinAlgError("Eigenvalues did not converge")]
 )
 def test_missing_prediction_warns_with_reason(tmp_path, capsys, monkeypatch, failure):
-    def fail(D, x0):
+    def fail(*args):
         raise failure
 
-    monkeypatch.setattr(cli, "predicted_consensus", fail)
-    code = main(["--preset", "ti-sigma02", "--out-dir", str(tmp_path), "--quiet"])
-    assert code == 0
-    assert capsys.readouterr().err == f"warning: no prediction: {failure}\n"
+    for target in ("predicted_consensus", "subdominant_modulus"):
+        with monkeypatch.context() as patch:
+            patch.setattr(cli, target, fail)
+            code = main(["--preset", "ti-sigma02", "--out-dir", str(tmp_path), "--quiet"])
+        assert code == 0
+        assert capsys.readouterr().err == f"warning: no prediction: {failure}\n"
+        summary = json.loads((tmp_path / "summary.json").read_text())
+        assert summary["result.predicted_value"] is None
+        assert summary["result.rate_predicted"] is None
+
+
+CLASSICAL_DOC = {
+    "topology": {"kind": "ring", "n": 8},
+    "protocol": {"variant": "classical", "step_size": 0.4},
+    "seed": 3,
+}
+
+
+def ring_with_chords_doc(n, chords, seed):
+    g = ring_with_chords(np.random.default_rng(seed), n, chords)
+    return {
+        "topology": {"kind": "custom", "n": n, "arcs": [[j, i, 1.0] for j, i in g.arc_order]},
+        "channel": {"law": {"kind": "uniform", "lo": 0.0, "hi": 10.0}, "mode": "time-invariant"},
+        "protocol": {"variant": "superposition", "mixing": 0.5},
+        "seed": seed,
+    }
+
+
+@pytest.mark.parametrize("source", ["preset", "classical"])
+def test_predictions_build_no_dense_matrix(tmp_path, monkeypatch, source):
+    def dense(*args, **kwargs):
+        raise AssertionError("dense n x n work on the prediction path")
+
+    # The classical run itself steps with the dense Perron matrix that
+    # protocol binds; only the prediction path must do without one.
+    for module in (cli, analysis, protocol):
+        monkeypatch.setattr(module, "effective_matrix", dense, raising=False)
+    for module in (cli, analysis, linalg):
+        monkeypatch.setattr(module, "perron_matrix", dense, raising=False)
+    monkeypatch.setattr(np.linalg, "eigvals", dense)
+    monkeypatch.setattr(np.linalg, "solve", dense)
+    if source == "preset":
+        argv = ["--preset", "ti-sigma02"]
+    else:
+        path = tmp_path / "classical.json"
+        path.write_text(json.dumps(CLASSICAL_DOC))
+        argv = ["--config", str(path)]
+    assert main(argv + ["--out-dir", str(tmp_path), "--quiet"]) == 0
+    summary = json.loads((tmp_path / "summary.json").read_text())
+    assert abs(summary["result.predicted_value"] - summary["result.consensus_value"]) <= 1e-6
+    assert 0.0 < summary["result.rate_predicted"] < 1.0
+
+
+def test_prediction_keeps_below_dense_memory():
+    # An n x n float array at n = 1000 is 8 MB; the solves hold about
+    # 1 kB per node (Krylov basis and temporaries). The first sample loads
+    # numpy.random, whose import is not prediction work.
+    cfg = parse_config(ring_with_chords_doc(1000, 3, 5))
+    sample(cfg.channel, 0)
+    tracemalloc.start()
+    try:
+        predicted, rate = cli._predictions(cfg)
+        peak = tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+    assert predicted is not None and rate is not None
+    assert peak < 1000 * 1000 * 8 / 2
+
+
+def test_arnoldi_failure_warns_with_restarts_and_residual(tmp_path, capsys, monkeypatch):
+    path = tmp_path / "scenario.json"
+    path.write_text(json.dumps(ring_with_chords_doc(200, 3, 2)))
+    monkeypatch.setattr(linalg, "KRYLOV_MAX_RESTARTS", 0)
+    assert main(["--config", str(path), "--out-dir", str(tmp_path), "--quiet"]) == 0
+    err = capsys.readouterr().err
+    assert err.startswith(
+        "warning: no prediction: restarted Arnoldi did not converge after 0 restarts (final residual "
+    )
+    assert err.endswith(")\n") and err.count("\n") == 1
     summary = json.loads((tmp_path / "summary.json").read_text())
     assert summary["result.predicted_value"] is None
     assert summary["result.rate_predicted"] is None
+
+
+# Flat documents as the CLI writes them: scalars, strings and lists
+# (nested or not) of numbers and literals, sometimes of strings.
+FLAT_VALUES = st.one_of(
+    st.none(),
+    st.booleans(),
+    st.integers(-(2**70), 2**70),
+    st.floats(),
+    st.text(max_size=8),
+    st.recursive(
+        st.one_of(st.none(), st.booleans(), st.integers(-(2**70), 2**70), st.floats()),
+        lambda inner: st.lists(inner, max_size=6) | st.tuples(inner, inner),
+        max_leaves=40,
+    ),
+    st.lists(st.text(alphabet="[],\" 0ab", max_size=4), max_size=4),
+)
+
+
+@settings(max_examples=300, deadline=None)
+@given(doc=st.dictionaries(st.text(max_size=12), FLAT_VALUES, max_size=8))
+def test_summary_encoder_matches_json_indent(doc):
+    assert cli._dumps_flat(doc) == json.dumps(doc, sort_keys=True, indent=2)
+
+
+def test_summary_encoder_matches_json_indent_when_deeply_nested():
+    deep = 1.5
+    for _ in range(60):
+        deep = [deep, [], 2]
+    assert cli._dumps_flat({"deep": deep}) == json.dumps({"deep": deep}, sort_keys=True, indent=2)
+
+
+@pytest.mark.parametrize("name", PRESET_NAMES)
+@pytest.mark.parametrize("runs", [None, 3])
+def test_summary_json_bytes_match_json_indent(tmp_path, name, runs):
+    argv = ["--preset", name, "--out-dir", str(tmp_path), "--quiet"]
+    main(argv + (["--runs", str(runs)] if runs else []))
+    written = (tmp_path / "summary.json").read_text()
+    assert written == json.dumps(json.loads(written), sort_keys=True, indent=2) + "\n"
 
 
 def test_trace_writer_matches_per_value_formatting(tmp_path):

@@ -40,6 +40,10 @@ class TestConstruction:
         with pytest.raises(ValueError, match="positive weight"):
             WeightedDigraph(2, {(1, 2): float("nan")})
 
+    def test_rejects_bool_node_count(self):
+        with pytest.raises(ValueError, match="node count must be a positive integer"):
+            WeightedDigraph(True, {})
+
     def test_rejects_out_of_range_endpoint(self):
         with pytest.raises(ValueError, match="outside node range"):
             WeightedDigraph(2, {(1, 3): 1.0})

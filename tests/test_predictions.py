@@ -1,0 +1,187 @@
+"""The O(|E|) run predictions against dense references.
+
+``predicted_consensus`` and ``subdominant_modulus`` work on the arc-list
+form of the update matrix through restarted Arnoldi. The references here
+are dense: a bordered LU solve of ``w' (D - I) = 0``, ``sum(w) = 1`` for
+the left Perron vector and ``numpy.linalg.eigvals`` (through
+``second_eigenvalue_modulus``) for the second eigenvalue modulus.
+"""
+
+from dataclasses import replace
+
+import numpy as np
+import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
+
+from airconsensus import linalg
+from airconsensus.analysis import predicted_consensus
+from airconsensus.channel import TIME_INVARIANT, ChannelModel, UniformLaw, sample
+from airconsensus.config import PRESET_NAMES, parse_config, preset
+from airconsensus.graph import WeightedDigraph, step_size_bound
+from airconsensus.linalg import (
+    KRYLOV_BASIS,
+    ArcOperator,
+    ArnoldiError,
+    perron_matrix,
+    perron_operator,
+    second_eigenvalue_modulus,
+    subdominant_modulus,
+    top_eigenpair,
+)
+from airconsensus.protocol import CLASSICAL, effective_matrix, effective_operator
+from support import ring_with_chords, strongly_connected_digraphs
+
+VALUE_TOL = 1e-12
+RATE_REL_TOL = 1e-10
+# Both moduli carry an absolute rounding error of a few ulps of ||D||,
+# so a relative gate means nothing for a second eigenvalue near 0.
+RATE_ABS_FLOOR = 1e-14
+
+
+def lu_prediction(D, x0):
+    """w' x0 with w from one dense LU solve of the bordered system."""
+    bordered = D.T.copy()
+    bordered[np.diag_indices_from(bordered)] -= 1.0
+    bordered[-1] = 1.0
+    rhs = np.zeros(len(D))
+    rhs[-1] = 1.0
+    return float(np.linalg.solve(bordered, rhs) @ x0)
+
+
+def assert_matches_dense(D, op, x0):
+    reference = lu_prediction(D, x0)
+    assert abs(predicted_consensus(op, x0) - reference) <= VALUE_TOL
+    assert abs(predicted_consensus(D, x0) - reference) <= VALUE_TOL
+    rate = second_eigenvalue_modulus(D)
+    assert abs(subdominant_modulus(op) - rate) <= RATE_REL_TOL * rate + RATE_ABS_FLOOR
+
+
+def ti_channel(g, seed):
+    return ChannelModel(g, UniformLaw(0.0, 10.0), TIME_INVARIANT, seed)
+
+
+@st.composite
+def graphs_below_basis(draw):
+    """A strongly connected digraph or a pure directed ring (complex
+    spectrum), with n from 2 up to one below the Krylov basis size."""
+    if not draw(st.booleans()):
+        return draw(strongly_connected_digraphs(max_n=KRYLOV_BASIS - 1))
+    n = draw(st.integers(2, KRYLOV_BASIS - 1))
+    order = draw(st.permutations(range(1, n + 1)))
+    weights = draw(st.lists(st.floats(0.5, 10.0), min_size=n, max_size=n))
+    return WeightedDigraph(n, {(order[t], order[(t + 1) % n]): weights[t] for t in range(n)})
+
+
+@st.composite
+def update_matrices(draw):
+    """(dense D, its ArcOperator form): superposition with a scalar or a
+    per-agent mixing over a time-invariant uniform channel, or the
+    classical Perron matrix."""
+    g = draw(graphs_below_basis())
+    kind = draw(st.sampled_from(["scalar", "per-agent", "classical"]))
+    if kind == "classical":
+        step = draw(st.floats(0.05, 0.95)) * step_size_bound(g)
+        return perron_matrix(g, step), perron_operator(g, step)
+    r = sample(ti_channel(g, draw(st.integers(0, 2**32 - 1))), 0)
+    if kind == "scalar":
+        mixing = draw(st.floats(0.01, 0.99))
+    else:
+        mixing = draw(st.lists(st.floats(0.01, 0.99), min_size=g.n, max_size=g.n))
+    return effective_matrix(r, mixing), effective_operator(r, mixing)
+
+
+@settings(max_examples=150, deadline=None)
+@given(pair=update_matrices(), seed=st.integers(0, 2**32 - 1))
+def test_predictions_match_dense_references(pair, seed):
+    D, op = pair
+    x0 = np.random.default_rng(seed).uniform(0, 2 * np.pi, len(D))
+    assert_matches_dense(D, op, x0)
+
+
+@settings(max_examples=40, deadline=None)
+@given(pair=update_matrices(), seed=st.integers(0, 2**32 - 1))
+def test_arc_operator_products_match_dense(pair, seed):
+    D, op = pair
+    x = np.random.default_rng(seed).normal(size=len(D))
+    off = D - np.diag(np.diag(D))
+    for form in (op, ArcOperator.from_dense(D)):
+        assert np.max(np.abs(form.matvec(x) - D @ x)) <= 1e-13
+        assert np.max(np.abs(form.offdiagonal_rmatvec(x) - x @ off)) <= 1e-13
+
+
+@pytest.mark.parametrize("name", PRESET_NAMES)
+def test_every_preset_matches_dense_references(name):
+    cfg = parse_config(preset(name))
+    if cfg.protocol.variant == CLASSICAL:
+        D = perron_matrix(cfg.topology, cfg.protocol.step_size)
+        op = perron_operator(cfg.topology, cfg.protocol.step_size)
+    else:
+        r = sample(replace(cfg.channel, mode=TIME_INVARIANT), 0)
+        D, op = effective_matrix(r, cfg.protocol.mixing), effective_operator(r, cfg.protocol.mixing)
+    assert_matches_dense(D, op, np.asarray(cfg.x0))
+
+
+def two_community_x0(rng, n):
+    half = n // 2
+    return np.concatenate([rng.uniform(0, np.pi, half), rng.uniform(np.pi, 2 * np.pi, n - half)])
+
+
+@pytest.mark.parametrize("seed", range(1, 11))
+def test_two_community_sparse_graphs_match_dense_references(seed):
+    rng = np.random.default_rng(seed)
+    g = ring_with_chords(rng, 500, chords=8, blocks=2, cross=1)
+    r = sample(ti_channel(g, seed), 0)
+    assert_matches_dense(effective_matrix(r, 0.3), effective_operator(r, 0.3), two_community_x0(rng, 500))
+
+
+def test_ring_with_three_chords_top_is_a_complex_pair():
+    # Run time-invariant, this graph's second eigenvalue is one of a
+    # complex pair in a dense cluster: the hard case for a restarted method.
+    rng = np.random.default_rng(1)
+    g = ring_with_chords(rng, 500, chords=3)
+    r = sample(ti_channel(g, 1), 0)
+    D = effective_matrix(r, 0.5)
+    moduli = np.abs(np.linalg.eigvals(D))
+    second = np.linalg.eigvals(D)[np.argsort(-moduli)[1]]
+    assert abs(second.imag) > 1e-3
+    assert_matches_dense(D, effective_operator(r, 0.5), rng.uniform(0, 2 * np.pi, 500))
+
+
+def test_predictions_are_deterministic():
+    g = ring_with_chords(np.random.default_rng(4), 300, chords=3)
+    op = effective_operator(sample(ti_channel(g, 4), 0), 0.5)
+    x0 = np.linspace(0.0, 1.0, 300)
+    assert predicted_consensus(op, x0) == predicted_consensus(op, x0)
+    assert subdominant_modulus(op) == subdominant_modulus(op)
+
+
+def test_single_node_operator():
+    op = ArcOperator(np.ones(1), np.zeros(0, np.intp), np.zeros(0, np.intp), np.zeros(0))
+    assert subdominant_modulus(op) == 0.0
+
+
+def test_row_without_off_diagonal_weight_has_no_prediction():
+    D = np.array([[1.0, 0.0], [0.5, 0.5]])  # node 1 hears nobody: 1 is not simple
+    with pytest.raises(np.linalg.LinAlgError, match="no off-diagonal weight"):
+        predicted_consensus(D, [0.0, 1.0])
+
+
+def test_top_eigenpair_finds_a_complex_pair():
+    # A rotation by 90 degrees scaled by 0.5, beside a smaller real eigenvalue.
+    A = np.array([[0.0, -0.5, 0.0], [0.5, 0.0, 0.0], [0.0, 0.0, 0.25]])
+    theta, x = top_eigenpair(lambda v: A @ v, 3)
+    assert abs(theta) == pytest.approx(0.5, abs=1e-15)
+    assert abs(theta.imag) == pytest.approx(0.5, abs=1e-15)
+    assert np.max(np.abs(A @ x - theta * x)) <= 1e-15
+
+
+def test_top_eigenpair_raises_with_restarts_and_residual(monkeypatch):
+    g = ring_with_chords(np.random.default_rng(2), 200, chords=3)
+    op = effective_operator(sample(ti_channel(g, 2), 0), 0.5)
+    monkeypatch.setattr(linalg, "KRYLOV_MAX_RESTARTS", 1)
+    with pytest.raises(ArnoldiError) as info:
+        subdominant_modulus(op)
+    assert info.value.restarts == 1
+    assert info.value.residual > linalg.KRYLOV_TOL
+    assert str(info.value).startswith("restarted Arnoldi did not converge after 1 restarts (final residual ")
