@@ -15,7 +15,7 @@ from typing import Optional, Sequence, Union
 
 import numpy as np
 
-from .channel import TIME_INVARIANT, ChannelModel, ChannelRealization, ChannelStreams, derive_seeds
+from .channel import TIME_INVARIANT, ChannelModel, ChannelRealization, ChannelStreams, derive_seed
 from .graph import WeightedDigraph
 from .linalg import ArcOperator, left_perron_vector
 from .protocol import (
@@ -92,26 +92,21 @@ def predicted_consensus(D: Union[np.ndarray, ArcOperator], x0: Sequence[float]) 
     given as an ``ArcOperator`` or as a dense matrix, which is read as
     one (its diagonal and off-diagonal nonzeros). It is found by
     restarted Arnoldi at O(|E|) per product (``linalg.left_perron_vector``).
-    Before returning, ``w`` is re-verified against the fixed-point form
-    in which the mixing weight has cancelled: with
-    constant diagonal, ``w_i`` must equal the sum over receivers ``j`` of
-    ``w_j * D_ji / (1 - D_jj)``, i.e. the prediction depends on the
-    channel coefficients but not on the mixing weight. For non-constant
-    diagonals the mixing does not cancel and the rearranged per-row eigen
-    identity is checked instead. Raises ``np.linalg.LinAlgError`` if a
-    row of ``D`` has no off-diagonal weight, ``linalg.ArnoldiError`` if
-    the Arnoldi run does not converge and ``RuntimeError`` if ``w`` fails
-    the check.
+    Before returning, ``w`` is re-verified against the per-row identity
+    ``(w' (D - diag(D)))_i == s_i w_i``, with ``s`` the off-diagonal row
+    sums (``1 - D_ii``, summed without cancellation), checked as
+    ``max |(w' (D - diag(D)))_i / s_i - w_i|``. With a common mixing weight
+    the weight cancels from this ratio, leaving the coefficient-only
+    equation ``w_i = sum_j w_j h_ji / sum_l h_jl``: the prediction depends
+    on the channel coefficients but not on the mixing weight, however
+    small. Raises ``np.linalg.LinAlgError`` if a row of ``D`` has no
+    off-diagonal weight, ``linalg.ArnoldiError`` if the Arnoldi run does
+    not converge and ``RuntimeError`` if ``w`` fails the check.
     """
     if not isinstance(D, ArcOperator):
         D = ArcOperator.from_dense(D)
     w = left_perron_vector(D)
-    diag = D.diagonal
-    if np.ptp(diag) <= 1e-13:
-        reconstructed = D.offdiagonal_rmatvec(w / (1.0 - diag))
-        residual = float(np.max(np.abs(reconstructed - w)))
-    else:
-        residual = float(np.max(np.abs(D.offdiagonal_rmatvec(w) - (1.0 - diag) * w)))
+    residual = float(np.max(np.abs(D.offdiagonal_rmatvec(w) / D.offdiagonal_row_sums() - w)))
     if residual > FIXED_POINT_TOL:
         raise RuntimeError(
             f"left eigenvector failed the fixed-point check (residual {residual:.3e})"
@@ -283,7 +278,8 @@ def monte_carlo(
         raise ValueError(f"need at least 2 runs, got {runs}")
     x = validated_state(topology, channel, protocol, x0, tol, max_steps)
     if channel is not None and vary_channel:
-        seeds = derive_seeds(channel.seed if base_seed is None else base_seed, runs)
+        base = channel.seed if base_seed is None else base_seed
+        seeds = [derive_seed(base, i) for i in range(runs)]
     else:
         seeds = [channel.seed if channel is not None else 0] * runs
     block = max(1, MC_BLOCK_ELEMENTS // max(len(topology.arc_order), topology.n))

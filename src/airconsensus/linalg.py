@@ -94,6 +94,11 @@ class ArcOperator:
         """``y @ (A - diag(A))``."""
         return np.bincount(self.cols, weights=self.weights * y[self.rows], minlength=self.n)
 
+    def offdiagonal_row_sums(self) -> np.ndarray:
+        """Row sums of ``A - diag(A)``: ``1 - diag(A)`` for a row-stochastic
+        ``A``, summed without that subtraction's cancellation."""
+        return np.bincount(self.rows, weights=self.weights, minlength=self.n)
+
 
 def _as_square(A: np.ndarray) -> np.ndarray:
     A = np.asarray(A, dtype=float)
@@ -318,7 +323,7 @@ def left_perron_vector(A: ArcOperator) -> np.ndarray:
     Raises ``np.linalg.LinAlgError`` if a row has no off-diagonal weight,
     so that the eigenvalue 1 is not simple.
     """
-    scale = np.bincount(A.rows, weights=A.weights, minlength=A.n)
+    scale = A.offdiagonal_row_sums()
     if not (scale > 0.0).all():
         raise np.linalg.LinAlgError("a row has no off-diagonal weight; the eigenvalue 1 is not simple")
     _, pi = top_eigenpair(lambda y: 0.5 * (y + A.offdiagonal_rmatvec(y / scale)), A.n)

@@ -28,7 +28,7 @@ from typing import Callable, Optional, Sequence, Union
 
 import numpy as np
 
-from .channel import TIME_INVARIANT, ChannelModel, ChannelRealization, sample
+from .channel import TIME_INVARIANT, ChannelModel, ChannelRealization, ChannelStreams
 from .graph import WeightedDigraph
 from .linalg import ArcOperator, perron_matrix
 
@@ -330,16 +330,13 @@ def run(
     x = validated_state(topology, channel, protocol, x0, tol, max_steps)
     states = [x]
 
-    def draw(k, rows):
-        return sample(channel, k).values[None]
-
     def record(block):
         states.append(block[0])
 
     result = advance(
         BlockUpdate(topology, protocol),
         x[None],
-        None if protocol.variant == CLASSICAL else draw,
+        None if protocol.variant == CLASSICAL else ChannelStreams(channel, [channel.seed]).draw,
         channel is not None and channel.mode == TIME_INVARIANT,
         tol,
         max_steps,

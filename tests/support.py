@@ -10,6 +10,7 @@ from __future__ import annotations
 import numpy as np
 from hypothesis import strategies as st
 
+from airconsensus.channel import _CHANNEL_STREAM, TIME_INVARIANT, ConstantLaw
 from airconsensus.graph import WeightedDigraph
 
 
@@ -155,3 +156,26 @@ def ring_with_chords(rng, n, chords, blocks=1, cross=0):
         picked += list(rng.choice(others[~outside], chords - cross, replace=False))
         arcs.update({(int(j), i): 1.0 for j in picked})
     return WeightedDigraph(n, arcs)
+
+
+def stream_draw(model, k):
+    """Reference draw of step ``k``: the seed's PCG64DXSM stream advanced by
+    ``k * 2**64`` outputs, ``Generator.uniform`` on the law's bounds, exact
+    zeros redrawn from the same generator."""
+    bits = np.random.PCG64DXSM(np.random.SeedSequence(entropy=model.seed, spawn_key=(_CHANNEL_STREAM,)))
+    bits.advance(0 if model.mode == TIME_INVARIANT else k << 64)
+    size = len(model.topology.arc_order)
+    if isinstance(model.law, ConstantLaw):
+        return np.full(size, model.law.value)
+    return generator_uniform_draw(model.law, np.random.Generator(bits), size)
+
+
+def generator_uniform_draw(law, rng, size):
+    """Reference uniform draw: ``Generator.uniform`` on the law's bounds,
+    exact zeros redrawn the same way."""
+    values = rng.uniform(law.lo, law.hi, size)
+    while True:
+        zero = values <= 0.0
+        if not zero.any():
+            return values
+        values[zero] = rng.uniform(law.lo, law.hi, int(zero.sum()))

@@ -7,7 +7,6 @@ from hypothesis import assume, given, settings
 from hypothesis import strategies as st
 
 from airconsensus.channel import (
-    _CHANNEL_STREAM,
     IID_PER_STEP,
     MODES,
     TIME_INVARIANT,
@@ -16,12 +15,11 @@ from airconsensus.channel import (
     ConstantLaw,
     UniformLaw,
     derive_seed,
-    derive_seeds,
     sample,
     superpose,
 )
 from airconsensus.graph import complete_graph, graph_from_arcs
-from support import strongly_connected_digraphs
+from support import generator_uniform_draw, stream_draw, strongly_connected_digraphs
 
 
 def u010_model(topology, mode=IID_PER_STEP, seed=42):
@@ -29,28 +27,13 @@ def u010_model(topology, mode=IID_PER_STEP, seed=42):
 
 
 def arc_loop_gains(model, k):
-    """Reference dense realization: the channel stream drawn in arc order and
-    scattered one arc at a time."""
-    counter = 0 if model.mode == TIME_INVARIANT else k
-    rng = np.random.default_rng(
-        np.random.SeedSequence(entropy=model.seed, spawn_key=(_CHANNEL_STREAM, counter))
-    )
+    """Reference dense realization: the reference draw scattered one arc at
+    a time."""
     order = model.topology.arc_order
     gains = np.zeros((model.topology.n, model.topology.n))
-    for (j, i), value in zip(order, model.law.draw(rng, len(order))):
+    for (j, i), value in zip(order, stream_draw(model, k)):
         gains[i - 1, j - 1] = value
     return gains
-
-
-def generator_uniform_draw(law, rng, size):
-    """Reference uniform draw: ``Generator.uniform`` on the law's bounds,
-    exact zeros redrawn the same way."""
-    values = rng.uniform(law.lo, law.hi, size)
-    while True:
-        zero = values <= 0.0
-        if not zero.any():
-            return values
-        values[zero] = rng.uniform(law.lo, law.hi, int(zero.sum()))
 
 
 @st.composite
@@ -149,6 +132,16 @@ class TestSampling:
         with pytest.raises(ValueError, match="nonnegative"):
             sample(u010_model(complete_graph(3)), -1)
 
+    @pytest.mark.parametrize("mode", MODES)
+    def test_step_beyond_stream_rejected(self, mode):
+        # Step 2**64 would start at offset 2**128 and wrap onto step 0.
+        model = u010_model(complete_graph(3), mode=mode)
+        assert sample(model, 2**64 - 1).values.shape == (6,)
+        with pytest.raises(ValueError, match="below 2\\*\\*64"):
+            sample(model, 2**64)
+        with pytest.raises(ValueError, match="below 2\\*\\*64"):
+            ChannelStreams(model, [1]).draw(2**64)
+
     def test_gains_are_read_only(self):
         r = sample(u010_model(complete_graph(3)), 0)
         with pytest.raises(ValueError):
@@ -219,45 +212,43 @@ def test_derive_seed_is_deterministic_and_spread_out():
     assert derive_seed(42, 7) != derive_seed(43, 7)
 
 
-def test_derive_seeds_match_derive_seed():
-    for base in (0, 42, 2**32, 2**64 - 1, 2**64, 2**130 + 3):
-        assert derive_seeds(base, 40) == [derive_seed(base, i) for i in range(40)]
-
-
 EDGE_SEEDS = [0, 1, 2**32 - 1, 2**32, 2**64 - 1, 2**64, 2**96 + 5, 2**128, 2**200 + 11]
+STEPS = st.one_of(st.sampled_from([0, 1, 2, 2**32, 2**64 - 1]), st.integers(0, 40), st.integers(0, 2**64 - 1))
 
 
 @settings(max_examples=150, deadline=None)
 @given(
     seeds=st.lists(
-        st.one_of(st.sampled_from(EDGE_SEEDS), st.integers(0, 2**64 - 1), st.integers(0, 2**140)),
+        st.one_of(st.sampled_from(EDGE_SEEDS), st.integers(0, 2**64 - 1), st.integers(0, 2**200)),
         min_size=1,
         max_size=6,
     ),
-    k=st.one_of(st.sampled_from([0, 1, 2**32]), st.integers(0, 2**70)),
+    steps=st.lists(STEPS, min_size=1, max_size=6),
     mode=st.sampled_from(MODES),
     law=LAWS,
     topology=st.sampled_from([complete_graph(4), graph_from_arcs(3, [])]),
     data=st.data(),
 )
-def test_channel_streams_match_seed_sequence_and_sample(seeds, k, mode, law, topology, data):
+def test_channel_streams_match_sample(seeds, steps, mode, law, topology, data):
+    # Sampling is a pure function of (seed, mode, k): each draw equals
+    # ``sample`` whatever the block drew before, through repeated,
+    # descending and skipped steps and changing row subsets.
     model = ChannelModel(topology, law, mode, 5)
     streams = ChannelStreams(model, seeds)
-    states = streams.states(k)
-    for i, seed in enumerate(seeds):
-        expected = np.random.SeedSequence(entropy=seed, spawn_key=(_CHANNEL_STREAM, k)).generate_state(4, np.uint64)
-        assert states[i].tolist() == expected.tolist()
-    rows = data.draw(
-        st.one_of(
-            st.just(slice(None)),
-            st.lists(st.integers(0, len(seeds) - 1), unique=True).map(lambda r: np.array(r, dtype=np.intp)),
+    for k in steps:
+        rows = data.draw(
+            st.one_of(
+                st.just(slice(None)),
+                st.lists(st.integers(0, len(seeds) - 1), unique=True).map(lambda r: np.array(r, dtype=np.intp)),
+            )
         )
-    )
-    selected = np.arange(len(seeds))[rows].tolist()
-    draws = streams.draw(k, rows)
-    assert draws.shape == (len(selected), len(topology.arc_order))
-    for out, i in zip(draws, selected):
-        assert out.tobytes() == sample(replace(model, seed=seeds[i]), k).values.tobytes()
+        selected = np.arange(len(seeds))[rows].tolist()
+        draws = streams.draw(k, rows)
+        assert draws.shape == (len(selected), len(topology.arc_order))
+        for out, i in zip(draws, selected):
+            expected = sample(replace(model, seed=seeds[i]), k).values
+            assert out.tobytes() == expected.tobytes()
+            assert out.tobytes() == stream_draw(replace(model, seed=seeds[i]), k).tobytes()
 
 
 def test_channel_streams_draw_selected_rows_and_redraw_zeros():

@@ -1,7 +1,9 @@
+import csv
 import json
 import math
 import tracemalloc
 import warnings
+from dataclasses import replace
 from pathlib import Path
 
 import numpy as np
@@ -10,11 +12,11 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from airconsensus import analysis, cli, linalg, protocol
-from airconsensus.channel import sample
+from airconsensus.channel import derive_seed, sample
 from airconsensus.cli import main
 from airconsensus.config import ConfigError, PRESET_NAMES, parse_config, preset
 from airconsensus.protocol import CONVERGED, Trace
-from support import ring_with_chords
+from support import ring_with_chords, stream_draw
 
 
 def minimal_doc(**overrides):
@@ -599,9 +601,37 @@ GOLDEN = Path(__file__).parent / "data" / "golden_tv_complete_n30_sigma08_runs10
 
 
 def test_montecarlo_outputs_match_golden_files(tmp_path):
-    # Written by the serial one-run-per-replicate engine; any change to the
-    # random stream or the update arithmetic shows up here.
+    # Any change to the random stream or the update arithmetic shows up here.
     code = main(["--preset", "tv-complete-n30-sigma08", "--runs", "100", "--out-dir", str(tmp_path), "--quiet"])
     assert code == 0
     for name in ("samples.csv", "summary.json"):
         assert (tmp_path / name).read_bytes() == (GOLDEN / name).read_bytes(), name
+
+
+def test_golden_files_match_per_replicate_stream_reference():
+    # Each golden replicate rerun alone on coefficients drawn straight from
+    # the seed's PCG64DXSM stream, without ChannelStreams or monte_carlo.
+    cfg = parse_config(preset("tv-complete-n30-sigma08"))
+    rows = list(csv.DictReader((GOLDEN / "samples.csv").open()))
+    values, steps = [], []
+    for i, row in enumerate(rows):
+        channel = replace(cfg.channel, seed=derive_seed(cfg.channel.seed, i))
+        result = protocol.advance(
+            protocol.BlockUpdate(cfg.topology, cfg.protocol),
+            np.array(cfg.x0)[None],
+            lambda k, active: stream_draw(channel, k)[None],
+            False,
+            cfg.tol,
+            cfg.max_steps,
+        )
+        values.append(float(result.final[0].mean()))
+        steps.append(int(result.steps[0]))
+        assert (row["run"], row["seed"]) == (str(i), str(channel.seed))
+        assert row["consensus_value"] == f"{values[-1]:.17g}"
+        assert (row["steps"], row["converged"]) == (str(steps[-1]), str(int(result.converged[0])))
+    summary = json.loads((GOLDEN / "summary.json").read_text())
+    mean = math.fsum(values) / len(values)
+    assert summary["montecarlo.runs"] == len(values) == 100
+    assert summary["montecarlo.mean_consensus"] == mean
+    assert summary["montecarlo.std_consensus"] == math.sqrt(math.fsum((v - mean) ** 2 for v in values) / 99)
+    assert summary["montecarlo.mean_steps"] == math.fsum(steps) / 100

@@ -14,7 +14,7 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from airconsensus import linalg
+from airconsensus import cli, linalg
 from airconsensus.analysis import predicted_consensus
 from airconsensus.channel import TIME_INVARIANT, ChannelModel, UniformLaw, sample
 from airconsensus.config import PRESET_NAMES, parse_config, preset
@@ -120,6 +120,17 @@ def test_every_preset_matches_dense_references(name):
         r = sample(replace(cfg.channel, mode=TIME_INVARIANT), 0)
         D, op = effective_matrix(r, cfg.protocol.mixing), effective_operator(r, cfg.protocol.mixing)
     assert_matches_dense(D, op, np.asarray(cfg.x0))
+
+
+def test_tiny_mixing_weight_keeps_its_prediction(capsys):
+    # The weight cancels from the fixed-point check, so 1e-9 (where 1 - D_jj
+    # loses about seven digits) predicts what 0.2 predicts.
+    doc = preset("ti-sigma02")
+    doc["protocol"]["mixing"] = 1e-9
+    tiny, _ = cli._predictions(parse_config(doc))
+    reference, _ = cli._predictions(parse_config(preset("ti-sigma02")))
+    assert capsys.readouterr().err == ""
+    assert tiny is not None and abs(tiny - reference) <= 1e-12
 
 
 def two_community_x0(rng, n):

@@ -9,6 +9,8 @@ from airconsensus.channel import (
     MODES,
     TIME_INVARIANT,
     ChannelModel,
+    ChannelRealization,
+    ChannelStreams,
     ConstantLaw,
     UniformLaw,
     sample,
@@ -229,11 +231,16 @@ class TestRun:
         g = WeightedDigraph(n, weights)
         drawn = []
 
-        def recording_sample(model, k):
-            drawn.append(sample(model, k))
-            return drawn[-1]
+        class RecordingStreams(ChannelStreams):
+            def draw(self, k, rows=slice(None)):
+                drawn.append(super().draw(k, rows))
+                return drawn[-1]
 
-        monkeypatch.setattr(protocol, "sample", recording_sample)
+        def no_dense_gains(r):
+            raise AssertionError("a run built the dense gain matrix")
+
+        monkeypatch.setattr(protocol, "ChannelStreams", RecordingStreams)
+        monkeypatch.setattr(ChannelRealization, "gains", property(no_dense_gains))
         x0 = rng.uniform(0, 2 * np.pi, n)
         for mode in MODES:
             for cfg in (ProtocolConfig("superposition", mixing=0.5), ProtocolConfig("naive")):
@@ -241,7 +248,7 @@ class TestRun:
                 assert trace.steps == 20
                 assert np.isfinite(trace.final).all()
         assert len(drawn) == 2 * (1 + 20)
-        assert all("gains" not in r.__dict__ for r in drawn)
+        assert all(values.shape == (1, len(g.arc_order)) for values in drawn)
 
     def test_superposition_converges(self):
         rng = np.random.default_rng(97)
