@@ -255,14 +255,12 @@ def monte_carlo(
     runs: int,
     tol: float = DEFAULT_SPREAD_TOL,
     max_steps: int = DEFAULT_MAX_STEPS,
-    base_seed: Optional[int] = None,
-    vary_channel: bool = True,
 ) -> MonteCarloResult:
     """Run ``runs`` independent replicates and aggregate consensus statistics.
 
-    Per-run channel seeds are derived deterministically from ``base_seed``
-    (default: the channel's own seed), so repeated calls reproduce the same
-    result; ``vary_channel=False`` reuses the configured seed in every run.
+    Replicate ``i`` runs on the channel seed ``derive_seed(channel.seed, i)``,
+    so repeated calls reproduce the same result; without a channel (the
+    classical protocol) every seed is 0 and every replicate is the same run.
     The initial state is held fixed. Non-converged runs are counted in
     ``non_converged`` and still reported, never dropped.
 
@@ -277,11 +275,7 @@ def monte_carlo(
     if runs < 2:
         raise ValueError(f"need at least 2 runs, got {runs}")
     x = validated_state(topology, channel, protocol, x0, tol, max_steps)
-    if channel is not None and vary_channel:
-        base = channel.seed if base_seed is None else base_seed
-        seeds = [derive_seed(base, i) for i in range(runs)]
-    else:
-        seeds = [channel.seed if channel is not None else 0] * runs
+    seeds = [derive_seed(channel.seed, i) for i in range(runs)] if channel is not None else [0] * runs
     block = max(1, MC_BLOCK_ELEMENTS // max(len(topology.arc_order), topology.n))
     update = BlockUpdate(topology, protocol, rows=min(block, runs))
     time_invariant = channel is not None and channel.mode == TIME_INVARIANT

@@ -1,7 +1,7 @@
 """Stochastic wireless channel coefficients and superposed-signal arithmetic.
 
 Sampling is counter-based: the coefficients of channel seed ``s`` at step
-``k`` are ``law.draw`` of a PCG64DXSM generator seeded from
+``k`` are drawn on the law from a PCG64DXSM generator seeded from
 ``SeedSequence(entropy=s, spawn_key=(stream,))`` and advanced by
 ``k * 2**64`` outputs (``k = 0`` for a time-invariant channel). They are
 a pure function of ``(seed, mode, k)``, so any step can be reproduced
@@ -10,17 +10,17 @@ substreams of one generator, which PCG64DXSM keeps independent at large
 strides by design.
 A realization holds one coefficient per arc, so sampling costs O(|E|);
 the dense n x n gain matrix is built only when an analysis reads it.
-``ChannelStreams`` draws the same coefficients for a whole block of run
-seeds from one generator per seed: each row is one ``advance`` and one
-standard-uniform fill, the block is then scaled to the law's bounds in
-one pass and checked for exact zeros in one pass, and a row holding one
-is redrawn by ``sample``.
+``ChannelStreams`` is the one draw path: it draws for a whole block of
+run seeds from one generator per seed, each row one ``advance`` and one
+standard-uniform fill; the block is then scaled to the law's bounds in
+one pass and checked for exact zeros in one pass, and a zero is redrawn
+in place from its row's generator. ``sample`` is a block of one.
 """
 
 from __future__ import annotations
 
 import math
-from dataclasses import dataclass, replace
+from dataclasses import dataclass
 from functools import cached_property
 from typing import Sequence, Union
 
@@ -52,14 +52,6 @@ class UniformLaw:
         if not math.isfinite(self.hi - self.lo):
             raise ValueError(f"uniform law needs finite bounds, got ({self.lo}, {self.hi})")
 
-    def draw(self, rng: np.random.Generator, size: int) -> np.ndarray:
-        values = self.scale(rng.random(size))
-        while True:
-            zero = values <= 0.0
-            if not zero.any():
-                return values
-            values[zero] = rng.uniform(self.lo, self.hi, int(zero.sum()))
-
     def scale(self, uniforms: np.ndarray) -> np.ndarray:
         """Standard uniforms mapped onto the law in place: ``lo + (hi - lo) * u``,
         bit for bit what ``Generator.uniform(lo, hi)`` makes of the same ``u``."""
@@ -77,9 +69,6 @@ class ConstantLaw:
     def __post_init__(self):
         if not 0.0 < self.value < math.inf:
             raise ValueError(f"constant coefficient must be positive and finite, got {self.value}")
-
-    def draw(self, rng: np.random.Generator, size: int) -> np.ndarray:
-        return np.full(size, self.value)
 
 
 Law = Union[UniformLaw, ConstantLaw]
@@ -133,10 +122,7 @@ def sample(model: ChannelModel, k: int) -> ChannelRealization:
     per-step models draw independent coefficients addressed by the step
     index alone, which must lie below ``2**64``.
     """
-    rng = _stream(model.seed)
-    rng.bit_generator.advance(_offset(model, k))
-    values = model.law.draw(rng, len(model.topology.arc_order))
-    return ChannelRealization(topology=model.topology, values=values)
+    return ChannelRealization(model.topology, ChannelStreams(model, [model.seed]).draw(k)[0])
 
 
 def _stream(seed: int) -> np.random.Generator:
@@ -181,22 +167,22 @@ class ChannelStreams:
     before: each seed keeps its own channel generator, which is advanced
     from where its last draw left it to step ``k``'s offset and fills its
     row with standard uniforms; the block is then scaled to the law's
-    bounds as ``UniformLaw.draw`` scales one row.
+    bounds, and each exact zero redrawn with ``Generator.uniform`` from
+    its row's generator until none is left.
     """
 
     def __init__(self, model: ChannelModel, seeds: Sequence[int]):
         self.model = model
-        self._seeds = list(seeds)
-        self._rngs = [_stream(seed) for seed in self._seeds]
+        self._rngs = [_stream(seed) for seed in seeds]
         # Stream position of each generator: where its next output sits.
-        self._at = [0] * len(self._seeds)
+        self._at = [0] * len(self._rngs)
 
     def draw(self, k: int, rows: Union[slice, np.ndarray] = slice(None)) -> np.ndarray:
         """``(len(rows), |E|)`` coefficients for step ``k`` of the selected runs."""
         law = self.model.law
         arcs = len(self.model.topology.arc_order)
         offset = _offset(self.model, k)
-        selected = np.arange(len(self._seeds))[rows].tolist()
+        selected = np.arange(len(self._rngs))[rows].tolist()
         if isinstance(law, ConstantLaw):
             return np.full((len(selected), arcs), law.value)
         out = np.empty((len(selected), arcs))
@@ -208,5 +194,9 @@ class ChannelStreams:
         law.scale(out)
         # Checked after scaling: a subnormal width rounds nonzero uniforms to 0.
         for row in np.flatnonzero(out.min(axis=1, initial=np.inf) <= 0.0).tolist():
-            out[row] = sample(replace(self.model, seed=self._seeds[selected[row]]), k).values
+            i, values = selected[row], out[row]
+            while (zero := values <= 0.0).any():
+                count = int(zero.sum())
+                values[zero] = self._rngs[i].uniform(law.lo, law.hi, count)
+                self._at[i] += count
         return out

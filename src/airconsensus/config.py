@@ -95,7 +95,9 @@ def parse_config(doc: Union[str, Mapping[str, Any]]) -> ScenarioConfig:
 
     topology, topo_echo = _parse_topology(raw.get("topology"), problems)
     protocol = _parse_protocol(raw.get("protocol"), topology, problems)
-    variant = protocol.variant if protocol is not None else None
+    # The declared variant decides whether a channel section belongs, even if its parameters are invalid.
+    declared = raw["protocol"].get("variant") if isinstance(raw.get("protocol"), dict) else None
+    variant = declared if declared in VARIANTS else None
     channel, channel_echo = _parse_channel(raw.get("channel"), topology, variant, seed, problems)
     x0, state_echo = _parse_initial_state(raw.get("initial_state"), topology, seed, problems)
     tol, max_steps = _parse_run(raw.get("run"), problems)
@@ -159,7 +161,8 @@ def _parse_topology(section, problems):
                 if not _is_number(w):
                     raise ValueError(f"arc ({j}, {i}) weight must be a number, got {w!r}")
             g = graph_from_arcs(n, [(j, i, float(w)) for j, i, w in arcs])
-            echo = {"kind": "custom", "n": n, "arcs": [[j, i, g.weights[(j, i)]] for j, i in g.arc_order]}
+            # Sorted, the parsed triples list the arcs in arc order.
+            echo = {"kind": "custom", "n": n, "arcs": sorted([j, i, float(w)] for j, i, w in arcs)}
         else:
             raise ValueError(f"topology.kind must be 'complete', 'ring' or 'custom', got {kind!r}")
     except (ValueError, TypeError, KeyError, OverflowError) as exc:

@@ -25,9 +25,10 @@ class WeightedDigraph:
     rejected. Instances are immutable after construction and safe to
     share between concurrent readers.
 
-    Read-only arrays built once: ``arc_rows`` / ``arc_cols`` hold the
-    0-based receiver / transmitter of each arc in ``arc_order``, and
-    ``in_degrees`` the number of in-arcs of each node.
+    Read-only arrays built once: ``arc_rows`` / ``arc_cols`` /
+    ``arc_weights`` hold the 0-based receiver, the 0-based transmitter and
+    the weight of each arc in ``arc_order``, and ``in_degrees`` the number
+    of in-arcs of each node.
     """
 
     n: int
@@ -53,8 +54,10 @@ class WeightedDigraph:
         object.__setattr__(self, "_arc_order", order)
         ends = np.fromiter(chain.from_iterable(order), np.intp, 2 * len(order)).reshape(-1, 2)
         cols, rows = np.ascontiguousarray(ends.T) - 1
+        weights = np.fromiter((frozen[arc] for arc in order), float, len(order))
         degrees = np.bincount(rows, minlength=self.n)
-        for name, array in (("arc_rows", rows), ("arc_cols", cols), ("in_degrees", degrees)):
+        arrays = (("arc_rows", rows), ("arc_cols", cols), ("arc_weights", weights), ("in_degrees", degrees))
+        for name, array in arrays:
             array.setflags(write=False)
             object.__setattr__(self, name, array)
 
@@ -141,11 +144,9 @@ def _reaches_all(adj: dict[int, list[int]], n: int) -> bool:
 
 def is_balanced(g: WeightedDigraph, tol: float = BALANCE_TOL) -> bool:
     """True iff every node's total incoming weight equals its total outgoing weight."""
-    net = [0.0] * (g.n + 1)
-    for (j, i), w in g.weights.items():
-        net[i] += w
-        net[j] -= w
-    return all(abs(v) <= tol for v in net[1:])
+    net = np.bincount(g.arc_rows, weights=g.arc_weights, minlength=g.n)
+    net -= np.bincount(g.arc_cols, weights=g.arc_weights, minlength=g.n)
+    return bool((np.abs(net) <= tol).all())
 
 
 def laplacian(g: WeightedDigraph) -> np.ndarray:
@@ -156,21 +157,19 @@ def laplacian(g: WeightedDigraph) -> np.ndarray:
     as the exact negation of the off-diagonal row sum.
     """
     L = np.zeros((g.n, g.n))
-    L[g.arc_rows, g.arc_cols] = [-g.weights[arc] for arc in g.arc_order]
+    L[g.arc_rows, g.arc_cols] = -g.arc_weights
     diag = -L.sum(axis=1)
     L[np.diag_indices(g.n)] = diag
     return L
 
 
 def step_size_bound(g: WeightedDigraph) -> float:
-    """Exclusive upper bound on the consensus step size: 1 / max in-weight sum.
+    """Exclusive upper bound on the consensus step size: 1 / max in-weight sum,
+    each sum taken in arc order.
 
     Raises if the graph has no arcs (the bound is undefined).
     """
-    sums = [0.0] * (g.n + 1)
-    for (j, i), w in g.weights.items():
-        sums[i] += w
-    heaviest = max(sums[1:])
+    heaviest = float(np.bincount(g.arc_rows, weights=g.arc_weights, minlength=g.n).max())
     if heaviest <= 0.0:
         raise ValueError("graph has no arcs; step size bound is undefined")
     return 1.0 / heaviest

@@ -3,7 +3,8 @@ predicates, Perron matrices, and dominant eigen-structure.
 
 The predicates and the power iteration take dense n x n matrices and
 serve as references. ``ArcOperator`` holds an update matrix as its
-diagonal plus one weight per arc, so its products cost O(n + |E|), and
+diagonal plus one weight per arc, so its products cost O(n + |E|); its
+``dense()`` is the one place a dense update matrix is assembled.
 ``top_eigenpair`` is a restarted Arnoldi method on such products: the
 predictions of a run (``left_perron_vector``, ``subdominant_modulus``)
 reach sparse n in the thousands without forming an n x n array.
@@ -18,7 +19,7 @@ from typing import Callable
 
 import numpy as np
 
-from .graph import WeightedDigraph, laplacian, step_size_bound
+from .graph import WeightedDigraph, step_size_bound
 
 # Tolerance / iteration defaults, in one place.
 DEFAULT_TOL = 1e-12
@@ -83,6 +84,13 @@ class ArcOperator:
     @property
     def n(self) -> int:
         return len(self.diagonal)
+
+    def dense(self) -> np.ndarray:
+        """The n x n matrix itself, zero off the diagonal and the arcs."""
+        A = np.zeros((self.n, self.n))
+        A[self.rows, self.cols] = self.weights
+        np.fill_diagonal(A, self.diagonal)
+        return A
 
     def matvec(self, x: np.ndarray) -> np.ndarray:
         """``A @ x``."""
@@ -152,34 +160,28 @@ def same_zero_pattern(A: np.ndarray, B: np.ndarray) -> bool:
 
 
 def perron_matrix(g: WeightedDigraph, step_size: float) -> np.ndarray:
-    """One-step consensus operator ``I - step_size * laplacian(g)``.
+    """One-step consensus operator ``I - step_size * laplacian(g)``, the
+    dense form of ``perron_operator(g, step_size)``.
 
     Row-stochastic with a strictly positive diagonal for any step size in
     the open interval (0, step_size_bound(g)); primitive whenever the
     graph is strongly connected.
     """
-    _check_step_size(g, step_size)
-    return np.eye(g.n) - step_size * laplacian(g)
+    return perron_operator(g, step_size).dense()
 
 
 def perron_operator(g: WeightedDigraph, step_size: float) -> ArcOperator:
-    """``perron_matrix(g, step_size)`` as an ``ArcOperator``: diagonal
-    ``1 - step_size * in-weight`` and ``step_size * weight(j, i)`` on each arc."""
-    _check_step_size(g, step_size)
-    weights = step_size * np.array([g.weights[arc] for arc in g.arc_order], dtype=float)
-    in_weights = np.bincount(g.arc_rows, weights=weights, minlength=g.n)
-    return ArcOperator(1.0 - in_weights, g.arc_rows, g.arc_cols, weights)
-
-
-def _check_step_size(g: WeightedDigraph, step_size: float) -> None:
-    if g.arcs:
+    """The Perron matrix as an ``ArcOperator``: ``step_size * weight(j, i)``
+    on each arc and the diagonal ``1 -`` the sum of its row's arc entries."""
+    if g.arc_order:
         bound = step_size_bound(g)
         if not (0.0 < step_size < bound):
-            raise ValueError(
-                f"step size must lie in (0, {bound}), got {step_size}"
-            )
+            raise ValueError(f"step size must lie in (0, {bound}), got {step_size}")
     elif not step_size > 0.0:
         raise ValueError(f"step size must be positive, got {step_size}")
+    weights = step_size * g.arc_weights
+    in_weights = np.bincount(g.arc_rows, weights=weights, minlength=g.n)
+    return ArcOperator(1.0 - in_weights, g.arc_rows, g.arc_cols, weights)
 
 
 def graph_from_stochastic(P: np.ndarray, step_size: float) -> WeightedDigraph:

@@ -12,9 +12,11 @@ Three update laws over one block update and one run loop:
 * ``naive`` -- plain averaging of the raw superposed signal. Its update
   matrix is not row-stochastic for general coefficients, so it fails;
   kept as the baseline that motivates the two-signal scheme.
-The superposition and naive steps cost O(|E|); ``effective_matrix`` and
-``naive_matrix`` are their dense forms for the analysis and eigen paths,
-and ``effective_operator`` the O(|E|) form the run predictions use.
+Each step costs O(|E|): all three are the same take/multiply/bincount
+over the arc list. ``effective_operator`` holds the superposition update
+as a ``linalg.ArcOperator``, the O(|E|) form the run predictions use;
+``effective_matrix``, ``naive_matrix`` and ``linalg.perron_matrix`` are
+the dense forms of such operators, for the analysis and eigen paths.
 ``advance`` steps a block of R independent states held as one (R, n)
 array; ``run`` is a block of one and Monte Carlo uses blocks of many.
 A run's ``Trace`` holds its whole history as one (steps + 1, n) array.
@@ -30,7 +32,7 @@ import numpy as np
 
 from .channel import TIME_INVARIANT, ChannelModel, ChannelRealization, ChannelStreams
 from .graph import WeightedDigraph
-from .linalg import ArcOperator, perron_matrix
+from .linalg import ArcOperator, perron_operator
 
 SUPERPOSITION = "superposition"
 CLASSICAL = "classical"
@@ -138,7 +140,8 @@ class BlockUpdate:
     of states, for blocks of up to ``rows`` rows.
 
     Row ``b`` of a block has coefficients in row ``b`` of an ``(R, |E|)``
-    array. Receiver sums come from one ``np.bincount`` over the flat index
+    array; the classical protocol's arc weights are fixed and shared by
+    every row. Receiver sums come from one ``np.bincount`` over the flat index
     ``b * n + arc_rows``, which visits each row's arcs in arc order, so
     every row gets the same result, bit for bit, as a block of one.
     """
@@ -150,7 +153,8 @@ class BlockUpdate:
         if self.variant == SUPERPOSITION:
             self._mixing = resolve_mixing(protocol.mixing, topology.n)
         elif self.variant == CLASSICAL:
-            self._matrix = perron_matrix(topology, protocol.step_size)
+            perron = perron_operator(topology, protocol.step_size)
+            self._diagonal, self._weights = perron.diagonal, perron.weights
         else:
             self._shares = topology.in_degrees + 1.0
 
@@ -168,13 +172,13 @@ class BlockUpdate:
         return (values,)
 
     def __call__(self, x: np.ndarray, *coefficients: np.ndarray) -> np.ndarray:
-        if self.variant == CLASSICAL:
-            return np.matmul(self._matrix, x[..., None])[..., 0]
         weighted = np.take(x, self.topology.arc_cols, axis=1)
-        weighted *= coefficients[0]
+        weighted *= coefficients[0] if coefficients else self._weights
         received = self.arc_sums(weighted)
         if self.variant == SUPERPOSITION:
             return (1.0 - self._mixing) * x + self._mixing * (received / coefficients[1])
+        if self.variant == CLASSICAL:
+            return self._diagonal * x + received
         return (x + received) / self._shares
 
 
@@ -246,22 +250,19 @@ def step_superposition(x: np.ndarray, r: ChannelRealization, mixing: Mixing) -> 
 
 
 def effective_matrix(r: ChannelRealization, mixing: Mixing) -> np.ndarray:
-    """Matrix form of the superposition update for one realization.
+    """Matrix form of the superposition update for one realization, the
+    dense form of ``effective_operator(r, mixing)``.
 
     Diagonal ``1 - m_i``; entry ``(i, j)`` is ``m_i * h_ij / sum_l h_il``
     on arcs and zero elsewhere. Row-stochastic for any realization, and
     of the same zero pattern for every step of a fixed topology.
     """
-    m = resolve_mixing(mixing, r.topology.n)
-    sums = _positive_row_sums(r)
-    D = (m[:, None] * r.gains) / sums[:, None]
-    np.fill_diagonal(D, 1.0 - m)
-    return D
+    return effective_operator(r, mixing).dense()
 
 
 def effective_operator(r: ChannelRealization, mixing: Mixing) -> ArcOperator:
-    """``effective_matrix(r, mixing)`` as an ``ArcOperator``: diagonal
-    ``1 - m_i`` and ``m_i * h_ij / sum_l h_il`` on each arc, O(|E|)."""
+    """The superposition update of one realization as an ``ArcOperator``:
+    diagonal ``1 - m_i`` and ``m_i * h_ij / sum_l h_il`` on each arc, O(|E|)."""
     m = resolve_mixing(mixing, r.topology.n)
     rows = r.topology.arc_rows
     shares = (m[rows] * r.values) / _positive_row_sums(r)[rows]
@@ -284,11 +285,11 @@ def perron_matched_mixing(r: ChannelRealization, step_size: float) -> np.ndarray
 
 def naive_matrix(r: ChannelRealization) -> np.ndarray:
     """Update matrix of the naive scheme: average self with the raw received
-    signal. Not row-stochastic for general coefficients."""
+    signal, diagonal ``1 / (d_i + 1)`` and ``h_ij / (d_i + 1)`` on arcs for
+    in-degree ``d_i``. Not row-stochastic for general coefficients."""
     shares = r.topology.in_degrees + 1.0
-    D = r.gains / shares[:, None]
-    np.fill_diagonal(D, 1.0 / shares)
-    return D
+    rows = r.topology.arc_rows
+    return ArcOperator(1.0 / shares, rows, r.topology.arc_cols, r.values / shares[rows]).dense()
 
 
 def validated_state(

@@ -284,17 +284,6 @@ class TestSummarizeRun:
 
 
 class TestMonteCarlo:
-    def test_pinned_channel_seed_gives_zero_std(self):
-        g = complete_graph(5)
-        channel = u010_channel(g, seed=7, mode=TIME_INVARIANT)
-        x0 = np.random.default_rng(32).uniform(0, 2 * np.pi, 5)
-        result = monte_carlo(
-            g, channel, ProtocolConfig("superposition", mixing=0.4), x0, runs=8,
-            vary_channel=False,
-        )
-        assert result.std_consensus == 0.0
-        assert result.non_converged == 0
-
     def test_repeat_call_identical(self):
         g = complete_graph(5)
         channel = u010_channel(g, seed=7)
@@ -329,12 +318,12 @@ class TestMonteCarlo:
             )
 
 
-def serial_monte_carlo(topology, channel, protocol, x0, runs, vary_channel=True, **kwargs):
+def serial_monte_carlo(topology, channel, protocol, x0, runs, **kwargs):
     """Reference: one ``run`` per replicate, seeded as monte_carlo documents."""
     values, steps, seeds, converged = [], [], [], []
     for idx in range(runs):
-        model, seed = channel, (channel.seed if channel is not None else 0)
-        if channel is not None and vary_channel:
+        model, seed = channel, 0
+        if channel is not None:
             seed = derive_seed(channel.seed, idx)
             model = replace(channel, seed=seed)
         trace = run(topology, model, protocol, x0, **kwargs)
@@ -345,11 +334,9 @@ def serial_monte_carlo(topology, channel, protocol, x0, runs, vary_channel=True,
     return tuple(values), tuple(steps), tuple(seeds), tuple(converged)
 
 
-def assert_matches_serial(topology, channel, protocol, x0, runs, vary_channel=True, **kwargs):
-    result = monte_carlo(topology, channel, protocol, x0, runs, vary_channel=vary_channel, **kwargs)
-    values, steps, seeds, converged = serial_monte_carlo(
-        topology, channel, protocol, x0, runs, vary_channel=vary_channel, **kwargs
-    )
+def assert_matches_serial(topology, channel, protocol, x0, runs, **kwargs):
+    result = monte_carlo(topology, channel, protocol, x0, runs, **kwargs)
+    values, steps, seeds, converged = serial_monte_carlo(topology, channel, protocol, x0, runs, **kwargs)
     assert np.array(result.consensus_values).tobytes() == np.array(values).tobytes()
     assert result.steps == steps
     assert result.seeds == seeds
@@ -401,17 +388,6 @@ class TestBatchedMonteCarloMatchesSerialRuns:
         x0 = np.random.default_rng(64).uniform(0, 2 * np.pi, 4)
         config = ProtocolConfig("classical", step_size=0.5 * step_size_bound(g))
         assert_matches_serial(g, None, config, x0, 9)
-
-    @pytest.mark.parametrize("mode", [IID_PER_STEP, TIME_INVARIANT])
-    def test_fixed_channel_seed(self, mode):
-        g = complete_graph(4)
-        x0 = np.random.default_rng(65).uniform(0, 2 * np.pi, 4)
-        for seed in (8, 2**64 + 8):
-            result = assert_matches_serial(
-                g, u010_channel(g, seed=seed, mode=mode), ProtocolConfig("superposition", mixing=0.6), x0, 10,
-                vary_channel=False,
-            )
-            assert len(set(result.consensus_values)) == 1
 
     def test_zero_max_steps(self):
         g = complete_graph(4)

@@ -3,7 +3,7 @@ from dataclasses import replace
 
 import numpy as np
 import pytest
-from hypothesis import assume, given, settings
+from hypothesis import assume, example, given, settings
 from hypothesis import strategies as st
 
 from airconsensus.channel import (
@@ -14,6 +14,7 @@ from airconsensus.channel import (
     ChannelStreams,
     ConstantLaw,
     UniformLaw,
+    _stream,
     derive_seed,
     sample,
     superpose,
@@ -39,9 +40,10 @@ def arc_loop_gains(model, k):
 @st.composite
 def uniform_laws(draw):
     """Uniform laws with lo == 0 or lo > 0, widths from subnormal (5e-324,
-    where about half the draws round to zero) to huge (1e300)."""
+    where about half the draws round to zero, and 1.5e-323, where a sixth
+    do and the rest take one of three values) to huge (1e300)."""
     lo = draw(st.one_of(st.just(0.0), st.sampled_from([5e-324, 1e-300, 2.5, 1e300]), st.floats(0.0, 1e300)))
-    width = draw(st.one_of(st.sampled_from([5e-324, 1e-300, 10.0, 1e300]), st.floats(5e-324, 1e300)))
+    width = draw(st.one_of(st.sampled_from([5e-324, 1.5e-323, 1e-300, 10.0, 1e300]), st.floats(5e-324, 1e300)))
     assume(lo < lo + width < math.inf)
     return UniformLaw(lo, lo + width)
 
@@ -73,8 +75,9 @@ class TestLaws:
     @settings(max_examples=200, deadline=None)
     @given(law=uniform_laws(), seed=st.integers(0, 2**64 - 1), size=st.integers(0, 300))
     def test_uniform_draw_matches_generator_uniform(self, law, seed, size):
-        got = law.draw(np.random.default_rng(seed), size)
-        assert got.tobytes() == generator_uniform_draw(law, np.random.default_rng(seed), size).tobytes()
+        star = graph_from_arcs(size + 1, [(j, 1, 1.0) for j in range(2, size + 2)])
+        got = sample(ChannelModel(star, law, IID_PER_STEP, seed), 0).values
+        assert got.tobytes() == generator_uniform_draw(law, _stream(seed), size).tobytes()
         assert (got > 0.0).all()
 
     def test_unknown_mode_rejected(self):
@@ -214,9 +217,21 @@ def test_derive_seed_is_deterministic_and_spread_out():
 
 EDGE_SEEDS = [0, 1, 2**32 - 1, 2**32, 2**64 - 1, 2**64, 2**96 + 5, 2**128, 2**200 + 11]
 STEPS = st.one_of(st.sampled_from([0, 1, 2, 2**32, 2**64 - 1]), st.integers(0, 40), st.integers(0, 2**64 - 1))
+# Rows drawn at each step: all of them (None) or a subset in any order.
+ROW_SUBSETS = st.one_of(st.none(), st.lists(st.integers(0, 5), unique=True))
+# A sixth of its draws round to zero; the rest show the stream position.
+SUBNORMAL = UniformLaw(0.0, 1.5e-323)
 
 
 @settings(max_examples=150, deadline=None)
+@example(
+    seeds=[7, 2**64], steps=[3, 3, 1, 4], subsets=[None, [1], [0, 1], [1, 0]],
+    mode=IID_PER_STEP, law=SUBNORMAL, topology=complete_graph(4),
+)
+@example(
+    seeds=[7, 2**64], steps=[0, 5, 0], subsets=[None, [1], None],
+    mode=TIME_INVARIANT, law=SUBNORMAL, topology=complete_graph(4),
+)
 @given(
     seeds=st.lists(
         st.one_of(st.sampled_from(EDGE_SEEDS), st.integers(0, 2**64 - 1), st.integers(0, 2**200)),
@@ -224,24 +239,23 @@ STEPS = st.one_of(st.sampled_from([0, 1, 2, 2**32, 2**64 - 1]), st.integers(0, 4
         max_size=6,
     ),
     steps=st.lists(STEPS, min_size=1, max_size=6),
+    subsets=st.lists(ROW_SUBSETS, min_size=6, max_size=6),
     mode=st.sampled_from(MODES),
     law=LAWS,
     topology=st.sampled_from([complete_graph(4), graph_from_arcs(3, [])]),
-    data=st.data(),
 )
-def test_channel_streams_match_sample(seeds, steps, mode, law, topology, data):
+def test_channel_streams_match_sample(seeds, steps, subsets, mode, law, topology):
     # Sampling is a pure function of (seed, mode, k): each draw equals
     # ``sample`` whatever the block drew before, through repeated,
-    # descending and skipped steps and changing row subsets.
+    # descending and skipped steps and changing row subsets, also after
+    # a row redrew the zeros a subnormal width rounds to.
     model = ChannelModel(topology, law, mode, 5)
     streams = ChannelStreams(model, seeds)
-    for k in steps:
-        rows = data.draw(
-            st.one_of(
-                st.just(slice(None)),
-                st.lists(st.integers(0, len(seeds) - 1), unique=True).map(lambda r: np.array(r, dtype=np.intp)),
-            )
-        )
+    for k, subset in zip(steps, subsets):
+        if subset is None:
+            rows = slice(None)
+        else:
+            rows = np.array([row for row in subset if row < len(seeds)], dtype=np.intp)
         selected = np.arange(len(seeds))[rows].tolist()
         draws = streams.draw(k, rows)
         assert draws.shape == (len(selected), len(topology.arc_order))

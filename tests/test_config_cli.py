@@ -1,6 +1,7 @@
 import csv
 import json
 import math
+import sys
 import tracemalloc
 import warnings
 from dataclasses import replace
@@ -11,15 +12,17 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from airconsensus import analysis, cli, linalg, protocol
-from airconsensus.channel import derive_seed, sample
+from airconsensus import cli, linalg, protocol
+from airconsensus.channel import ChannelRealization, derive_seed, sample
 from airconsensus.cli import main
 from airconsensus.config import ConfigError, PRESET_NAMES, parse_config, preset
-from airconsensus.protocol import CONVERGED, Trace
+from airconsensus.protocol import CONVERGED, ProtocolConfig, Trace, run
 from support import ring_with_chords, stream_draw
 
 
 def minimal_doc(**overrides):
+    """A valid superposition scenario; an override replaces a section and
+    ``None`` removes it."""
     doc = {
         "topology": {"kind": "complete", "n": 5},
         "channel": {"law": {"kind": "uniform", "lo": 0.0, "hi": 10.0}, "mode": "iid-per-step"},
@@ -27,7 +30,7 @@ def minimal_doc(**overrides):
         "seed": 42,
     }
     doc.update(overrides)
-    return doc
+    return {key: value for key, value in doc.items() if value is not None}
 
 
 # Numbers beyond float range, written into the JSON text literally: "X"
@@ -52,7 +55,7 @@ NON_FINITE_PROBES = {
         "protocol.mixing: must lie in the open interval (0, 1)",
     ),
     "integer step size": (
-        {"protocol": {"variant": "classical", "step_size": "N"}},
+        {"protocol": {"variant": "classical", "step_size": "N"}, "channel": None},
         "protocol.step_size: required finite number",
     ),
 }
@@ -115,7 +118,11 @@ MISTYPED_PROBES = {
         "initial_state.seed: must be a nonnegative integer",
     ),
     "bool step size": (
-        {"topology": {"kind": "ring", "n": 5, "weight": 0.1}, "protocol": {"variant": "classical", "step_size": True}},
+        {
+            "topology": {"kind": "ring", "n": 5, "weight": 0.1},
+            "protocol": {"variant": "classical", "step_size": True},
+            "channel": None,
+        },
         "protocol.step_size: required finite number",
     ),
     "bool mixing entry": (
@@ -183,6 +190,22 @@ class TestParseConfig:
         doc["protocol"] = {"variant": "classical", "step_size": 0.1}
         with pytest.raises(ConfigError, match="does not use a channel"):
             parse_config(doc)
+
+    @pytest.mark.parametrize("step_size", [1.5, None], ids=["invalid", "missing"])
+    def test_classical_step_size_problem_reported_alone(self, tmp_path, capsys, step_size):
+        # A classical scenario takes no channel section, even when its step
+        # size is invalid or missing.
+        doc = {"topology": {"kind": "ring", "n": 4}, "protocol": {"variant": "classical"}, "seed": 1}
+        if step_size is not None:
+            doc["protocol"]["step_size"] = step_size
+        with pytest.raises(ConfigError) as info:
+            parse_config(doc)
+        assert len(info.value.problems) == 1
+        assert info.value.problems[0].startswith("protocol.step_size: ")
+        path = tmp_path / "classical.json"
+        path.write_text(json.dumps(doc))
+        assert main(["--config", str(path), "--out-dir", str(tmp_path)]) == 1
+        assert "channel" not in capsys.readouterr().err
 
     def test_problems_are_aggregated(self):
         doc = minimal_doc()
@@ -477,17 +500,20 @@ def ring_with_chords_doc(n, chords, seed):
     }
 
 
-@pytest.mark.parametrize("source", ["preset", "classical"])
+@pytest.mark.parametrize("source", ["preset", "classical", "classical-runs"])
 def test_predictions_build_no_dense_matrix(tmp_path, monkeypatch, source):
+    # Neither a run, a Monte Carlo batch nor the predictions build an
+    # n x n array: every dense form raises, wherever it is bound.
     def dense(*args, **kwargs):
-        raise AssertionError("dense n x n work on the prediction path")
+        raise AssertionError("dense n x n work on a CLI run path")
 
-    # The classical run itself steps with the dense Perron matrix that
-    # protocol binds; only the prediction path must do without one.
-    for module in (cli, analysis, protocol):
-        monkeypatch.setattr(module, "effective_matrix", dense, raising=False)
-    for module in (cli, analysis, linalg):
-        monkeypatch.setattr(module, "perron_matrix", dense, raising=False)
+    package = [module for name, module in sys.modules.items() if name.split(".")[0] == "airconsensus"]
+    for module in package:
+        for name in ("effective_matrix", "naive_matrix", "perron_matrix"):
+            if hasattr(module, name):
+                monkeypatch.setattr(module, name, dense)
+    monkeypatch.setattr(linalg.ArcOperator, "dense", dense)
+    monkeypatch.setattr(ChannelRealization, "gains", property(dense))
     monkeypatch.setattr(np.linalg, "eigvals", dense)
     monkeypatch.setattr(np.linalg, "solve", dense)
     if source == "preset":
@@ -495,11 +521,31 @@ def test_predictions_build_no_dense_matrix(tmp_path, monkeypatch, source):
     else:
         path = tmp_path / "classical.json"
         path.write_text(json.dumps(CLASSICAL_DOC))
-        argv = ["--config", str(path)]
+        argv = ["--config", str(path)] + (["--runs", "3"] if source == "classical-runs" else [])
     assert main(argv + ["--out-dir", str(tmp_path), "--quiet"]) == 0
     summary = json.loads((tmp_path / "summary.json").read_text())
+    if source == "classical-runs":
+        assert summary["montecarlo.runs"] == 3 and summary["montecarlo.non_converged"] == 0
+        return
     assert abs(summary["result.predicted_value"] - summary["result.consensus_value"]) <= 1e-6
     assert 0.0 < summary["result.rate_predicted"] < 1.0
+
+
+def test_classical_run_keeps_below_dense_memory():
+    # An n x n float array at n = 2000 is 32 MB; the arc-list step holds a
+    # few length-|E| temporaries and the trace about 16 kB per step.
+    n = 2000
+    g = ring_with_chords(np.random.default_rng(7), n, 3)
+    x0 = np.random.default_rng(8).uniform(0, 2 * np.pi, n)
+    classical = ProtocolConfig("classical", step_size=0.1)
+    tracemalloc.start()
+    try:
+        trace = run(g, None, classical, x0)
+        peak = tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+    assert trace.reason == CONVERGED
+    assert peak < n * n * 8 / 2
 
 
 def test_prediction_keeps_below_dense_memory():

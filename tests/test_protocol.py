@@ -15,16 +15,25 @@ from airconsensus.channel import (
     UniformLaw,
     sample,
 )
-from airconsensus.graph import WeightedDigraph, complete_graph, graph_from_arcs
-from airconsensus.linalg import is_primitive, is_row_stochastic, perron_matrix, same_zero_pattern
+from airconsensus.graph import WeightedDigraph, complete_graph, graph_from_arcs, laplacian, step_size_bound
+from airconsensus.linalg import (
+    ArcOperator,
+    is_primitive,
+    is_row_stochastic,
+    perron_matrix,
+    perron_operator,
+    same_zero_pattern,
+)
 from airconsensus.protocol import (
     CONVERGED,
     MAX_STEPS,
     BlockUpdate,
     ProtocolConfig,
     effective_matrix,
+    effective_operator,
     naive_matrix,
     perron_matched_mixing,
+    resolve_mixing,
     run,
     spread,
     step_superposition,
@@ -214,9 +223,58 @@ def test_arc_list_steps_match_dense_matrices(g, seed, k, data):
     r = sample(u010_channel(g, seed=seed), k)
     x = np.array(data.draw(st.lists(st.floats(0.0, 2 * np.pi), min_size=g.n, max_size=g.n)))
     mixing = np.array(data.draw(st.lists(st.floats(0.05, 0.95), min_size=g.n, max_size=g.n)))
+    step_size = data.draw(st.floats(0.01, 0.99)) * step_size_bound(g)
     superposed = step_superposition(x, r, mixing)
     assert np.max(np.abs(superposed - effective_matrix(r, mixing) @ x)) <= 1e-13
     assert np.max(np.abs(one_step(r.topology, NAIVE_CONFIG, x, r) - naive_matrix(r) @ x)) <= 1e-13
+    classical = one_step(g, ProtocolConfig("classical", step_size=step_size), x)
+    assert np.max(np.abs(classical - perron_matrix(g, step_size) @ x)) <= 1e-13
+
+
+def assert_same_operator(dense_read, op):
+    """``ArcOperator.from_dense`` lists the arcs row by row; ``op`` in arc order."""
+    order = np.lexsort((op.cols, op.rows))
+    assert dense_read.diagonal.tobytes() == op.diagonal.tobytes()
+    assert dense_read.rows.tolist() == op.rows[order].tolist()
+    assert dense_read.cols.tolist() == op.cols[order].tolist()
+    assert dense_read.weights.tobytes() == op.weights[order].tobytes()
+
+
+@settings(max_examples=60, deadline=None)
+@given(
+    g=strongly_connected_digraphs(),
+    seed=st.integers(0, 2**63 - 1),
+    per_agent=st.booleans(),
+    data=st.data(),
+)
+def test_dense_matrices_are_their_arc_operators(g, seed, per_agent, data):
+    # Every dense update matrix is assembled by ``ArcOperator.dense``, and
+    # equals the entrywise formula of each update byte for byte.
+    r = sample(u010_channel(g, seed=seed), 0)
+    if per_agent:
+        mixing = np.array(data.draw(st.lists(st.floats(0.05, 0.95), min_size=g.n, max_size=g.n)))
+    else:
+        mixing = data.draw(st.floats(0.05, 0.95))
+    m = resolve_mixing(mixing, g.n)
+    sums = np.bincount(g.arc_rows, weights=r.values, minlength=g.n)
+    expected = (m[:, None] * r.gains) / sums[:, None]
+    np.fill_diagonal(expected, 1.0 - m)
+    assert effective_matrix(r, mixing).tobytes() == expected.tobytes()
+    shares = g.in_degrees + 1.0
+    expected = r.gains / shares[:, None]
+    np.fill_diagonal(expected, 1.0 / shares)
+    assert naive_matrix(r).tobytes() == expected.tobytes()
+
+    # The Perron diagonal is 1 minus the arc entries of its row, summed in
+    # arc order: within rounding of ``1 - step_size * in-weight``.
+    step_size = data.draw(st.floats(0.01, 0.99)) * step_size_bound(g)
+    P = perron_matrix(g, step_size)
+    off = ~np.eye(g.n, dtype=bool)
+    assert (P[off] == -step_size * laplacian(g)[off]).all()
+    np.testing.assert_allclose(np.diag(P), 1.0 - step_size * np.diag(laplacian(g)), rtol=0, atol=1e-15)
+
+    for op in (effective_operator(r, mixing), perron_operator(g, step_size)):
+        assert_same_operator(ArcOperator.from_dense(op.dense()), op)
 
 
 class TestRun:
