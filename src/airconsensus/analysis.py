@@ -260,7 +260,8 @@ def monte_carlo(
 
     Replicate ``i`` runs on the channel seed ``derive_seed(channel.seed, i)``,
     so repeated calls reproduce the same result; without a channel (the
-    classical protocol) every seed is 0 and every replicate is the same run.
+    classical protocol) every seed is 0 and every replicate is the same run,
+    which is advanced once and repeated.
     The initial state is held fixed. Non-converged runs are counted in
     ``non_converged`` and still reported, never dropped.
 
@@ -276,14 +277,16 @@ def monte_carlo(
         raise ValueError(f"need at least 2 runs, got {runs}")
     x = validated_state(topology, channel, protocol, x0, tol, max_steps)
     seeds = [derive_seed(channel.seed, i) for i in range(runs)] if channel is not None else [0] * runs
+    # With nothing drawn every replicate is the same run: advance one.
+    distinct = 1 if protocol.variant == CLASSICAL else runs
     block = max(1, MC_BLOCK_ELEMENTS // max(len(topology.arc_order), topology.n))
-    update = BlockUpdate(topology, protocol, rows=min(block, runs))
+    update = BlockUpdate(topology, protocol, rows=min(block, distinct))
     time_invariant = channel is not None and channel.mode == TIME_INVARIANT
     values: list[float] = []
     steps: list[int] = []
     converged: list[bool] = []
-    for start in range(0, runs, block):
-        block_seeds = seeds[start : start + block]
+    for start in range(0, distinct, block):
+        block_seeds = seeds[start : min(start + block, distinct)]
         draw = ChannelStreams(channel, block_seeds).draw if protocol.variant != CLASSICAL else None
         result = advance(
             update, np.tile(x, (len(block_seeds), 1)), draw, time_invariant, tol, max_steps
@@ -291,6 +294,8 @@ def monte_carlo(
         values += result.final.mean(axis=1).tolist()
         steps += result.steps.tolist()
         converged += result.converged.tolist()
+    if distinct < runs:
+        values, steps, converged = values * runs, steps * runs, converged * runs
     mean = math.fsum(values) / runs
     var = math.fsum((v - mean) ** 2 for v in values) / (runs - 1)
     return MonteCarloResult(

@@ -187,13 +187,18 @@ def _run_montecarlo(cfg: ScenarioConfig, runs: int, out_dir: Path, quiet: bool) 
 
 
 def _write_trace(path: Path, trace) -> None:
-    """``step,agent,x`` rows, one per agent and step, streamed one step at a time."""
-    agents = [f",{agent},%.17g\n" for agent in range(1, trace.states.shape[1] + 1)]
-    with path.open("w") as fh:
-        fh.write("step,agent,x\n")
-        for step, x in enumerate(trace.states):
-            prefix = str(step)
-            fh.write(prefix + prefix.join(agents) % tuple(x.tolist()))
+    """``step,agent,x`` rows, one per agent and step, formatted a chunk of
+    whole steps at a time."""
+    # Imported on first use: a Monte Carlo run writes no trace.
+    from .textfmt import CHUNK_VALUES, TraceRows
+
+    states = trace.states
+    rows = TraceRows(states.shape[1])
+    per = max(1, CHUNK_VALUES // states.shape[1])
+    with path.open("wb") as fh:
+        fh.write(b"step,agent,x\n")
+        for start in range(0, len(states), per):
+            fh.write(rows(states[start : start + per], start))
 
 
 def _summary_dict(summary) -> dict:
@@ -241,7 +246,9 @@ def _indent_list(text: str) -> Optional[str]:
         return "[\n    " + text[1:-1].replace(",", ",\n    ") + "\n  ]"
     codes = np.frombuffer(text.replace("[]", "\0").encode(), np.uint8).copy()
     opens, closes = codes == ord("["), codes == ord("]")
-    depth = 1 + np.cumsum(opens.view(np.int8) - closes.view(np.int8), dtype=np.intp)
+    # One byte per character: depth wraps only above 255, and it passes the
+    # guard's cap on the way there.
+    depth = 1 + np.cumsum(opens.view(np.uint8) - closes.view(np.uint8), dtype=np.uint8)
     top = int(depth.max())
     if _MARKS + 3 * top + 2 > 0xFF:
         return None

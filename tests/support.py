@@ -179,3 +179,14 @@ def generator_uniform_draw(law, rng, size):
         if not zero.any():
             return values
         values[zero] = rng.uniform(law.lo, law.hi, int(zero.sum()))
+
+
+def write_trace_per_step(path, trace):
+    """Reference ``trace.csv`` writer: ``step,agent,x`` rows, one per agent
+    and step, each step's rows formatted by one Python ``%`` with ``%.17g``."""
+    agents = [f",{agent},%.17g\n" for agent in range(1, trace.states.shape[1] + 1)]
+    with open(path, "w") as fh:
+        fh.write("step,agent,x\n")
+        for step, x in enumerate(trace.states):
+            prefix = str(step)
+            fh.write(prefix + prefix.join(agents) % tuple(x.tolist()))

@@ -389,6 +389,33 @@ class TestBatchedMonteCarloMatchesSerialRuns:
         config = ProtocolConfig("classical", step_size=0.5 * step_size_bound(g))
         assert_matches_serial(g, None, config, x0, 9)
 
+    def test_classical_advances_one_row(self, monkeypatch):
+        # Nothing is drawn, so every replicate is the same run: one row is
+        # advanced and its outcome repeated.
+        blocks = []
+        advance = analysis.advance
+
+        def recording(update, x0, *args):
+            blocks.append(len(x0))
+            return advance(update, x0, *args)
+
+        monkeypatch.setattr(analysis, "advance", recording)
+        g = ring_graph(8)
+        x0 = np.random.default_rng(65).uniform(0, 2 * np.pi, 8)
+        result = assert_matches_serial(g, None, ProtocolConfig("classical", step_size=0.4), x0, 50)
+        assert blocks == [1]
+        assert result.runs == 50 and result.std_consensus == 0.0
+
+    def test_constant_law_builds_no_generator(self, monkeypatch):
+        def no_stream(seed):
+            raise AssertionError("a constant law reads no generator")
+
+        monkeypatch.setattr("airconsensus.channel._stream", no_stream)
+        g = complete_graph(4)
+        x0 = np.random.default_rng(66).uniform(0, 2 * np.pi, 4)
+        model = ChannelModel(g, ConstantLaw(2.5), IID_PER_STEP, 9)
+        assert_matches_serial(g, model, ProtocolConfig("superposition", mixing=0.4), x0, 11)
+
     def test_zero_max_steps(self):
         g = complete_graph(4)
         x0 = np.array([1.0, 1.0, 1.0, 1.0 + 1e-12])

@@ -654,6 +654,17 @@ def test_montecarlo_outputs_match_golden_files(tmp_path):
         assert (tmp_path / name).read_bytes() == (GOLDEN / name).read_bytes(), name
 
 
+GOLDEN_CLASSICAL = Path(__file__).parent / "data" / "golden_classical_ring8_runs50"
+
+
+def test_classical_montecarlo_outputs_match_golden_files(tmp_path):
+    # Written by an engine that stepped each of the 50 identical replicates.
+    argv = ["--config", str(GOLDEN_CLASSICAL / "scenario.json"), "--runs", "50"]
+    assert main(argv + ["--out-dir", str(tmp_path), "--quiet"]) == 0
+    for name in ("samples.csv", "summary.json"):
+        assert (tmp_path / name).read_bytes() == (GOLDEN_CLASSICAL / name).read_bytes(), name
+
+
 def test_golden_files_match_per_replicate_stream_reference():
     # Each golden replicate rerun alone on coefficients drawn straight from
     # the seed's PCG64DXSM stream, without ChannelStreams or monte_carlo.
