@@ -173,9 +173,7 @@ class ChannelStreams:
 
     def __init__(self, model: ChannelModel, seeds: Sequence[int]):
         self.model = model
-        self._runs = len(seeds)
-        # A constant law reads no generator, so none is built for it.
-        self._rngs = [] if isinstance(model.law, ConstantLaw) else [_stream(seed) for seed in seeds]
+        self._rngs = [_stream(seed) for seed in seeds]
         # Stream position of each generator: where its next output sits.
         self._at = [0] * len(self._rngs)
 
@@ -184,7 +182,7 @@ class ChannelStreams:
         law = self.model.law
         arcs = len(self.model.topology.arc_order)
         offset = _offset(self.model, k)
-        selected = np.arange(self._runs)[rows].tolist()
+        selected = np.arange(len(self._rngs))[rows].tolist()
         if isinstance(law, ConstantLaw):
             return np.full((len(selected), arcs), law.value)
         out = np.empty((len(selected), arcs))

@@ -75,10 +75,7 @@ class TraceRows:
         rows[:, :, a:b] = self._agents
         rows[:, :, -1] = ord("\n")
         rest = _fill(states.ravel(), rows.reshape(steps * n, -1)[:, b:-1])
-        text = rows.tobytes().translate(None, b" ")
-        if len(rest):
-            text = (text.decode("ascii") % tuple(rest.tolist())).encode("ascii")
-        return text
+        return rows.tobytes().translate(None, b" ") % tuple(rest.tolist())
 
 
 def _labels(k: np.ndarray) -> np.ndarray:
@@ -95,27 +92,19 @@ def _fill(x: np.ndarray, out: np.ndarray) -> np.ndarray:
     ``%.17g`` for every other value. Return those other values, in order."""
     ax = np.abs(x)
     rows = np.flatnonzero((ax >= 1e-5) & (ax < 1e17))
-    if len(rows):
-        n, e = _decimal(ax[rows])
-        if e.min() < -4:
-            keep = e >= -4
-            rows, n, e = rows[keep], n[keep], e[keep]
-    if len(rows) == len(x):
-        _layout(out, n, e, x < 0)
-        return x[:0]
-    rest = np.ones(len(x), bool)
-    if len(rows):
-        text = np.empty((len(rows), _WIDTH), np.uint8)
-        _layout(text, n, e, x[rows] < 0)
-        out[rows] = text
-        rest[rows] = False
+    n, e = _decimal(ax[rows])
+    # In order of exponent, so that _layout writes each exponent's rows as
+    # one slice; the exponent -5 sorts first and is dropped.
+    order = np.argsort(e.astype(np.int8), kind="stable")[np.count_nonzero(e < -4) :]
+    rows, n, e = rows[order], n[order], e[order]
+    text = np.empty((len(rows), _WIDTH), np.uint8)
+    _layout(text, n, e, x[rows] < 0)
+    out[rows] = text
     zero = np.flatnonzero(ax == 0.0)
-    if len(zero):
-        out[zero] = _ZEROS[np.signbit(x[zero]).view(np.int8)]
-        rest[zero] = False
-    if rest.all():
-        out[...] = _SPECIFIER
-        return x
+    out[zero] = _ZEROS[np.signbit(x[zero]).view(np.int8)]
+    rest = np.ones(len(x), bool)
+    rest[rows] = False
+    rest[zero] = False
     out[rest] = _SPECIFIER
     return x[rest]
 
@@ -134,10 +123,9 @@ def _decimal(ax: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
     # Rounding never carries N up to 10**17: doubles are spaced wider than
     # half a unit of the 17th digit, so none lies that close below 10**k.
     off = (n >= _TEN17).astype(np.int64) - (n < _TEN16)
-    if off.any():
-        redo = np.flatnonzero(off)
-        e[redo] += off[redo]
-        n[redo] = _scaled(m[redo], q[redo], 16 - e[redo])
+    redo = np.flatnonzero(off)
+    e[redo] += off[redo]
+    n[redo] = _scaled(m[redo], q[redo], 16 - e[redo])
     return n, e
 
 
@@ -181,16 +169,16 @@ def _ascii_digits(n: np.ndarray) -> np.ndarray:
 
 def _layout(out: np.ndarray, n: np.ndarray, e: np.ndarray, negative: np.ndarray) -> None:
     """Write the fixed-notation text of the digits ``n`` and exponents ``e``
-    (in [-4, 16]) into the rows of ``out``: a sign slot, the number with
-    its trailing zeros dropped, and the point with them when no fraction
-    is left, then spaces."""
+    (ascending, in [-4, 16]) into the rows of ``out``: a sign slot, the
+    number with its trailing zeros dropped, and the point with them when
+    no fraction is left, then spaces."""
     digits = _ascii_digits(n)
     out[:, 0] = np.where(negative, ord("-"), _SPACE)
     out[:, 19:] = _SPACE
-    for exp in (np.flatnonzero(np.bincount(e + 4, minlength=21)) - 4).tolist():
-        rows = e == exp
-        if rows.all():
-            rows = slice(None)
+    exps = (np.flatnonzero(np.bincount(e + 4)) - 4).tolist()
+    bounds = np.searchsorted(e, [*exps, 17]).tolist()
+    for exp, lo, hi in zip(exps, bounds, bounds[1:]):
+        rows = slice(lo, hi)
         if exp >= 0:
             # Zeros of the integer part stay: a space is below "0".
             out[rows, 1 : exp + 2] = np.maximum(digits[rows, : exp + 1], ord("0"))

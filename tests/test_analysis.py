@@ -406,16 +406,6 @@ class TestBatchedMonteCarloMatchesSerialRuns:
         assert blocks == [1]
         assert result.runs == 50 and result.std_consensus == 0.0
 
-    def test_constant_law_builds_no_generator(self, monkeypatch):
-        def no_stream(seed):
-            raise AssertionError("a constant law reads no generator")
-
-        monkeypatch.setattr("airconsensus.channel._stream", no_stream)
-        g = complete_graph(4)
-        x0 = np.random.default_rng(66).uniform(0, 2 * np.pi, 4)
-        model = ChannelModel(g, ConstantLaw(2.5), IID_PER_STEP, 9)
-        assert_matches_serial(g, model, ProtocolConfig("superposition", mixing=0.4), x0, 11)
-
     def test_zero_max_steps(self):
         g = complete_graph(4)
         x0 = np.array([1.0, 1.0, 1.0, 1.0 + 1e-12])
