@@ -25,6 +25,7 @@ from .protocol import (
     DEFAULT_SPREAD_TOL,
     BlockUpdate,
     ProtocolConfig,
+    RunAggregates,
     Trace,
     advance,
     effective_matrix,
@@ -198,7 +199,7 @@ def decomposition_deviation(
     return float(np.max(np.abs(direct - split)))
 
 
-def measure_rate(trace: Trace) -> float:
+def measure_rate(trace: Union[Trace, RunAggregates]) -> float:
     """Least-squares slope of log(spread) per step over the decay window.
 
     The first and last 10% of the positive-spread steps are dropped to
@@ -222,15 +223,16 @@ def measure_rate(trace: Trace) -> float:
 
 
 def summarize_run(
-    trace: Trace,
+    trace: Union[Trace, RunAggregates],
     predicted_value: Optional[float] = None,
     rate_predicted: Optional[float] = None,
 ) -> RunSummary:
-    """Condense a trace into the flat run summary."""
-    states = trace.states
-    x0, final = states[0], states[-1]
+    """Condense a run into the flat run summary, from its whole ``Trace`` or
+    from the ``RunAggregates`` kept while its states were streamed."""
+    x0, final = trace.initial, trace.final
     lo, hi = float(np.min(x0)), float(np.max(x0))
-    hull_violated = bool((states < lo - 1e-12).any() or (states > hi + 1e-12).any())
+    low, high = trace.hull()
+    hull_violated = low < lo - 1e-12 or high > hi + 1e-12
     try:
         rate_measured: Optional[float] = measure_rate(trace)
     except ValueError:

@@ -11,7 +11,7 @@ import argparse
 import json
 import sys
 from pathlib import Path
-from typing import Any, Mapping, Optional
+from typing import Any, BinaryIO, Mapping, Optional
 
 import numpy as np
 
@@ -19,15 +19,19 @@ from .analysis import monte_carlo, predicted_consensus, summarize_run
 from .channel import TIME_INVARIANT, sample
 from .config import PRESET_NAMES, ConfigError, ScenarioConfig, parse_config, preset
 from .linalg import perron_operator, subdominant_modulus
-from .protocol import CLASSICAL, CONVERGED, MAX_STEPS, SUPERPOSITION, effective_operator, run
+from .protocol import (
+    CLASSICAL,
+    CONVERGED,
+    MAX_STEPS,
+    SUPERPOSITION,
+    RunAggregates,
+    effective_operator,
+    record_run,
+)
 
 EXIT_OK = 0
 EXIT_USAGE = 1
 EXIT_MAX_STEPS = 2
-
-# First byte value that ASCII JSON text never holds: _indent_list marks
-# brackets and commas from here up.
-_MARKS = 0x80
 
 
 def main(argv: Optional[list[str]] = None) -> int:
@@ -114,25 +118,25 @@ def _predictions(cfg: ScenarioConfig):
 
 
 def _run_scenario(cfg: ScenarioConfig, out_dir: Path, quiet: bool) -> int:
-    trace = run(
-        cfg.topology, cfg.channel, cfg.protocol, cfg.x0, tol=cfg.tol, max_steps=cfg.max_steps
-    )
-    predicted, rate_predicted = _predictions(cfg)
-    summary = summarize_run(trace, predicted_value=predicted, rate_predicted=rate_predicted)
-
     trace_path = out_dir / cfg.trace_file
     summary_path = out_dir / cfg.summary_file
-    doc = _flatten({"config": cfg.resolved, "result": _summary_dict(summary)})
     try:
-        _write_trace(trace_path, trace)
-        summary_path.write_text(_dumps_flat(doc) + "\n")
+        aggregates = _write_trace(trace_path, cfg)
     except OSError as exc:
         print(f"error: cannot write {exc.filename or trace_path}: {exc}", file=sys.stderr)
+        return EXIT_USAGE
+    predicted, rate_predicted = _predictions(cfg)
+    summary = summarize_run(aggregates, predicted_value=predicted, rate_predicted=rate_predicted)
+    doc = _flatten({"config": cfg.resolved, "result": _summary_dict(summary)})
+    try:
+        summary_path.write_text(_dumps_flat(doc) + "\n")
+    except OSError as exc:
+        print(f"error: cannot write {exc.filename or summary_path}: {exc}", file=sys.stderr)
         return EXIT_USAGE
 
     if not quiet:
         print(
-            f"{trace.reason} after {trace.steps} steps: consensus {summary.consensus_value:.12g} "
+            f"{aggregates.reason} after {aggregates.steps} steps: consensus {summary.consensus_value:.12g} "
             f"(spread {summary.spread_final:.3e}); wrote {trace_path} and {summary_path}"
         )
     return EXIT_OK if summary.converged else EXIT_MAX_STEPS
@@ -186,19 +190,55 @@ def _run_montecarlo(cfg: ScenarioConfig, runs: int, out_dir: Path, quiet: bool) 
     return EXIT_OK
 
 
-def _write_trace(path: Path, trace) -> None:
-    """``step,agent,x`` rows, one per agent and step, formatted a chunk of
-    whole steps at a time."""
-    # Imported on first use: a Monte Carlo run writes no trace.
-    from .textfmt import CHUNK_VALUES, TraceRows
-
-    states = trace.states
-    rows = TraceRows(states.shape[1])
-    per = max(1, CHUNK_VALUES // states.shape[1])
+def _write_trace(path: Path, cfg: ScenarioConfig) -> RunAggregates:
+    """Run the scenario and stream its ``step,agent,x`` rows, one per agent
+    and step, to ``path`` as the run makes them: memory does not grow with
+    the step count. Return what the summary reads of the run."""
     with path.open("wb") as fh:
+        recorder = _ChunkRecorder(fh, cfg.topology.n)
+        reason = record_run(
+            recorder, cfg.topology, cfg.channel, cfg.protocol, cfg.x0, tol=cfg.tol, max_steps=cfg.max_steps
+        )
+        return recorder.close(reason)
+
+
+class _ChunkRecorder:
+    """Record callback of a run that writes its trace rows a chunk of whole
+    steps at a time: the states fill a buffer of about ``CHUNK_VALUES``
+    values, made once, and each full buffer is formatted, written and
+    folded into the run's aggregates before it is filled again."""
+
+    def __init__(self, fh: BinaryIO, n: int):
+        # Imported on first use: a Monte Carlo run writes no trace.
+        from .textfmt import CHUNK_VALUES, TraceRows
+
+        self._fh = fh
+        self._rows = TraceRows(n)
+        self._buffer = np.empty((max(1, CHUNK_VALUES // n), n))
+        self._filled = 0
+        self._first_step = 0
+        self._aggregates = RunAggregates()
         fh.write(b"step,agent,x\n")
-        for start in range(0, len(states), per):
-            fh.write(rows(states[start : start + per], start))
+
+    def __call__(self, block: np.ndarray) -> None:
+        self._buffer[self._filled] = block[0]
+        self._filled += 1
+        if self._filled == len(self._buffer):
+            self._flush()
+
+    def _flush(self) -> None:
+        chunk = self._buffer[: self._filled]
+        self._aggregates.add(chunk)
+        self._fh.write(self._rows(chunk, self._first_step))
+        self._first_step += self._filled
+        self._filled = 0
+
+    def close(self, reason: str) -> RunAggregates:
+        """Write the last, partial chunk and return the run's aggregates."""
+        if self._filled:
+            self._flush()
+        self._aggregates.reason = reason
+        return self._aggregates
 
 
 def _summary_dict(summary) -> dict:
@@ -231,35 +271,21 @@ def _dumps_flat(doc: Mapping[str, Any]) -> str:
 
 def _indent_list(text: str) -> Optional[str]:
     """Compact JSON of a list, laid out as ``indent=2`` lays it out one level
-    deep, or ``None`` if it holds strings or nests too deep to mark.
-
-    Each ``[``, ``]`` and ``,`` becomes a non-ASCII byte that encodes it
-    with its nesting depth, and one ``bytes.replace`` per byte adds its
-    line break and indent. An empty ``[]`` is set aside first, as it
-    stays on one line.
-    """
-    if '"' in text:
+    deep, or ``None`` unless it is a list of numbers (or ``null`` or
+    booleans) or a list of nonempty such lists: all the resolved config
+    holds."""
+    if '"' in text or "[]" in text:
         return None
-    if text.count("[") == 1:
-        # One level has no depths to find. Leaving numpy out also spares a
-        # Monte Carlo run the 0.5 MB of numpy code these calls page in.
-        return "[\n    " + text[1:-1].replace(",", ",\n    ") + "\n  ]"
-    codes = np.frombuffer(text.replace("[]", "\0").encode(), np.uint8).copy()
-    opens, closes = codes == ord("["), codes == ord("]")
-    # One byte per character: depth wraps only above 255, and it passes the
-    # guard's cap on the way there.
-    depth = 1 + np.cumsum(opens.view(np.uint8) - closes.view(np.uint8), dtype=np.uint8)
-    top = int(depth.max())
-    if _MARKS + 3 * top + 2 > 0xFF:
+    body = text[1:-1]
+    if "[" not in body:
+        return "[\n    " + body.replace(",", ",\n    ") + "\n  ]"
+    # A list of lists is "[[...],[...]]", with no bracket between its
+    # inner lists' "],[" separators.
+    inner = body[1:-1].replace("],[", "\0")
+    if body[0] != "[" or body[-1] != "]" or "[" in inner or "]" in inner:
         return None
-    for kind, mask in enumerate((opens, closes, codes == ord(","))):
-        codes[mask] = _MARKS + 3 * depth[mask] + kind
-    out = codes.tobytes()
-    for level in range(1, top + 1):
-        pad = b"\n" + b"  " * level
-        for kind, layout in enumerate((b"[" + pad, pad + b"]", b"," + pad)):
-            out = out.replace(bytes([_MARKS + 3 * level + kind]), layout)
-    return out.replace(b"\0", b"[]").decode()
+    inner = inner.replace(",", ",\n      ").replace("\0", "\n    ],\n    [\n      ")
+    return "[\n    [\n      " + inner + "\n    ]\n  ]"
 
 
 def _flatten(tree: Mapping[str, Any], prefix: str = "") -> dict:

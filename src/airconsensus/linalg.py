@@ -42,13 +42,12 @@ class PowerIterationError(RuntimeError):
 
 
 class ArnoldiError(RuntimeError):
-    """Restarted Arnoldi ran out of restarts before its top Ritz pair converged."""
+    """Restarted Arnoldi ran out of restarts before its top Ritz pair
+    converged (``restarts`` and the final ``residual`` say how far it got),
+    or returned a value its operator cannot have."""
 
-    def __init__(self, restarts: int, residual: float):
-        super().__init__(
-            f"restarted Arnoldi did not converge after {restarts} restarts "
-            f"(final residual {residual:.3e})"
-        )
+    def __init__(self, message: str, restarts: int = 0, residual: float = np.nan):
+        super().__init__(message)
         self.restarts = restarts
         self.residual = residual
 
@@ -306,7 +305,12 @@ def top_eigenpair(matvec: Callable[[np.ndarray], np.ndarray], n: int) -> tuple[c
         V[:, kept] = V[:, m]
         H[:] = 0.0
         H[:kept, :kept], H[kept, :kept] = T, b
-    raise ArnoldiError(KRYLOV_MAX_RESTARTS, residual)
+    raise ArnoldiError(
+        f"restarted Arnoldi did not converge after {KRYLOV_MAX_RESTARTS} restarts "
+        f"(final residual {residual:.3e})",
+        KRYLOV_MAX_RESTARTS,
+        residual,
+    )
 
 
 def left_perron_vector(A: ArcOperator) -> np.ndarray:
@@ -336,10 +340,15 @@ def left_perron_vector(A: ArcOperator) -> np.ndarray:
 def subdominant_modulus(A: ArcOperator) -> float:
     """Second-largest eigenvalue modulus of a row-stochastic ``A``, O(|E|)
     per product: the top Ritz modulus of ``x -> Ax - mean(Ax)``, which has
-    ``A``'s spectrum with the eigenvalue 1 of ``A 1 = 1`` moved to 0."""
+    ``A``'s spectrum with the eigenvalue 1 of ``A 1 = 1`` moved to 0.
+    Raises ``ArnoldiError`` rather than return a modulus above
+    ``1 + DEFAULT_TOL``, which no row-stochastic matrix has."""
 
     def deflated(x):
         y = A.matvec(x)
         return y - y.mean()
 
-    return abs(top_eigenpair(deflated, A.n)[0])
+    modulus = abs(top_eigenpair(deflated, A.n)[0])
+    if modulus > 1.0 + DEFAULT_TOL:
+        raise ArnoldiError(f"second eigenvalue modulus {modulus:.6g} exceeds 1 for a row-stochastic matrix")
+    return modulus

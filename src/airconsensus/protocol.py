@@ -18,8 +18,11 @@ as a ``linalg.ArcOperator``, the O(|E|) form the run predictions use;
 ``effective_matrix``, ``naive_matrix`` and ``linalg.perron_matrix`` are
 the dense forms of such operators, for the analysis and eigen paths.
 ``advance`` steps a block of R independent states held as one (R, n)
-array; ``run`` is a block of one and Monte Carlo uses blocks of many.
-A run's ``Trace`` holds its whole history as one (steps + 1, n) array.
+array; ``record_run`` is a block of one that hands each step's state to
+a callback, and Monte Carlo uses blocks of many. ``run``'s ``Trace``
+keeps the whole history as one (steps + 1, n) array; ``RunAggregates``
+keeps only what ``analysis.summarize_run`` reads of it, so a run whose
+states are streamed elsewhere holds O(n + steps) floats.
 """
 
 from __future__ import annotations
@@ -121,6 +124,50 @@ class Trace:
 
     def spreads(self) -> np.ndarray:
         return row_spreads(self.states)
+
+    def hull(self) -> tuple[float, float]:
+        """Least and greatest value any agent held at any step."""
+        return hull(self.states)
+
+
+class RunAggregates:
+    """What ``analysis.summarize_run`` reads of a run, as ``Trace`` answers
+    it, kept as the states of consecutive steps are added a chunk at a time:
+    the initial and final states, the least and greatest value, one spread
+    per step, and the termination ``reason`` once the run has set it."""
+
+    def __init__(self):
+        self.initial: Optional[np.ndarray] = None
+        self.final: Optional[np.ndarray] = None
+        self.reason: Optional[str] = None
+        self._low, self._high = math.nan, math.nan
+        self._spreads: list[np.ndarray] = []
+
+    def add(self, states: np.ndarray) -> None:
+        """Fold in an ``(S, n)`` array of the next ``S`` steps' states,
+        which the caller may overwrite afterwards."""
+        if self.initial is None:
+            self.initial = states[0].copy()
+        self.final = states[-1].copy()
+        low, high = hull(states)
+        self._low, self._high = float(np.fmin(self._low, low)), float(np.fmax(self._high, high))
+        self._spreads.append(row_spreads(states))
+
+    @property
+    def steps(self) -> int:
+        return sum(map(len, self._spreads)) - 1
+
+    def spreads(self) -> np.ndarray:
+        return np.concatenate(self._spreads)
+
+    def hull(self) -> tuple[float, float]:
+        return self._low, self._high
+
+
+def hull(states: np.ndarray) -> tuple[float, float]:
+    """Least and greatest value of an array of states, NaNs passed over:
+    a value is below ``c`` somewhere exactly when the least is."""
+    return float(np.fmin.reduce(states, axis=None)), float(np.fmax.reduce(states, axis=None))
 
 
 def _positive(sums: np.ndarray) -> np.ndarray:
@@ -315,6 +362,37 @@ def validated_state(
     return x
 
 
+def record_run(
+    record: Callable[[np.ndarray], None],
+    topology: WeightedDigraph,
+    channel: Optional[ChannelModel],
+    protocol: ProtocolConfig,
+    x0: Sequence[float],
+    tol: float = DEFAULT_SPREAD_TOL,
+    max_steps: int = DEFAULT_MAX_STEPS,
+) -> str:
+    """Iterate the selected variant until spread(x) < tol or max_steps, and
+    return the termination reason.
+
+    ``record`` sees the ``(1, n)`` state of every step from step 0 on and
+    may keep it. Deterministic for a fixed (channel seed, config);
+    non-convergence is an outcome, not an error. This is ``advance`` on a
+    block of one.
+    """
+    x = validated_state(topology, channel, protocol, x0, tol, max_steps)[None]
+    record(x)
+    result = advance(
+        BlockUpdate(topology, protocol),
+        x,
+        None if protocol.variant == CLASSICAL else ChannelStreams(channel, [channel.seed]).draw,
+        channel is not None and channel.mode == TIME_INVARIANT,
+        tol,
+        max_steps,
+        record,
+    )
+    return CONVERGED if result.converged[0] else MAX_STEPS
+
+
 def run(
     topology: WeightedDigraph,
     channel: Optional[ChannelModel],
@@ -323,24 +401,9 @@ def run(
     tol: float = DEFAULT_SPREAD_TOL,
     max_steps: int = DEFAULT_MAX_STEPS,
 ) -> Trace:
-    """Iterate the selected variant until spread(x) < tol or max_steps.
-
-    Deterministic for a fixed (channel seed, config); non-convergence is a
-    recorded outcome, not an error. This is ``advance`` on a block of one.
-    """
-    x = validated_state(topology, channel, protocol, x0, tol, max_steps)
-    states = [x]
-
-    def record(block):
-        states.append(block[0])
-
-    result = advance(
-        BlockUpdate(topology, protocol),
-        x[None],
-        None if protocol.variant == CLASSICAL else ChannelStreams(channel, [channel.seed]).draw,
-        channel is not None and channel.mode == TIME_INVARIANT,
-        tol,
-        max_steps,
-        record,
+    """``record_run`` keeping every state: the run's whole ``Trace``."""
+    states: list[np.ndarray] = []
+    reason = record_run(
+        lambda block: states.append(block[0]), topology, channel, protocol, x0, tol, max_steps
     )
-    return Trace(states=np.stack(states), reason=CONVERGED if result.converged[0] else MAX_STEPS)
+    return Trace(states=np.stack(states), reason=reason)

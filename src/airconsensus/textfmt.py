@@ -56,26 +56,59 @@ _SPECIFIER[:5] = np.frombuffer(b"%.17g", np.uint8)
 
 class TraceRows:
     """``step,agent,x`` rows of an ``n``-agent trace, one per agent and
-    step, made for a chunk of consecutive steps at a time."""
+    step, made for a chunk of consecutive steps at a time.
+
+    The row bytes and every per-value array of the formatting live in
+    buffers made once and grown only as chunks or step labels grow: a
+    chunk allocates nothing in proportion to its size but its output, so
+    the heap does not grow and shrink, with its pages faulted back in,
+    from one chunk to the next.
+    """
 
     def __init__(self, n: int):
         labels = _labels(np.arange(1, n + 1))
         self._agents = np.full((n, labels.shape[1] + 2), ord(","), np.uint8)
         self._agents[:, 1:-1] = labels
+        self._text = bytearray()
+        self._scratch = _Scratch(0)
 
-    def __call__(self, states: np.ndarray, first_step: int) -> bytes:
+    def __call__(self, states: np.ndarray, first_step: int) -> bytearray:
         """The rows of ``states``, an ``(S, n)`` array of steps ``first_step``
         to ``first_step + S - 1``, written as float64 values."""
         states = np.asarray(states, dtype=np.float64)
         steps, n = states.shape
         label = _labels(np.arange(first_step, first_step + steps))
         a, b = label.shape[1], label.shape[1] + self._agents.shape[1]
-        rows = np.empty((steps, n, b + _WIDTH + 1), np.uint8)
+        size = steps * n * (b + _WIDTH + 1)
+        if len(self._text) < size:
+            self._text = bytearray(size)
+        if self._scratch.size < steps * n:
+            self._scratch = _Scratch(steps * n)
+        text = np.frombuffer(self._text, np.uint8)
+        # Bytes past this chunk's rows are spaces, which the join deletes.
+        text[size:] = _SPACE
+        rows = text[:size].reshape(steps, n, -1)
         rows[:, :, :a] = label[:, None]
         rows[:, :, a:b] = self._agents
         rows[:, :, -1] = ord("\n")
-        rest = _fill(states.ravel(), rows.reshape(steps * n, -1)[:, b:-1])
-        return rows.tobytes().translate(None, b" ") % tuple(rest.tolist())
+        rest = _fill(states.ravel(), rows.reshape(steps * n, -1)[:, b:-1], self._scratch)
+        joined = self._text.translate(None, b" ")
+        return joined % tuple(rest.tolist()) if len(rest) else joined
+
+
+class _Scratch:
+    """The per-value arrays of ``_fill`` for up to ``size`` values."""
+
+    def __init__(self, size: int):
+        self.size = size
+        self.index = np.arange(size)
+        self.real = np.empty((2, size))
+        self.signed = np.empty((4, size), np.int64)
+        self.unsigned = np.empty((7, size), np.uint64)
+        self.small = np.empty((5, size), np.uint32)
+        self.flags = np.empty((3, size), bool)
+        self.words = np.empty((size, 5), np.uint32)
+        self.text = np.empty((size, _WIDTH), np.uint8)
 
 
 def _labels(k: np.ndarray) -> np.ndarray:
@@ -85,94 +118,151 @@ def _labels(k: np.ndarray) -> np.ndarray:
     return text
 
 
-def _fill(x: np.ndarray, out: np.ndarray) -> np.ndarray:
+def _fill(x: np.ndarray, out: np.ndarray, w: _Scratch) -> np.ndarray:
     """Write the text of each value into its row of ``out``, ``(len(x), 23)``
     bytes, padded with spaces: fixed notation where the exponent is in
     range, ``0`` or ``-0`` for a zero, and the conversion specifier
     ``%.17g`` for every other value. Return those other values, in order."""
-    ax = np.abs(x)
-    rows = np.flatnonzero((ax >= 1e-5) & (ax < 1e17))
-    n, e = _decimal(ax[rows])
+    size = len(x)
+    ax = np.abs(x, out=w.real[0, :size])
+    fixed = np.greater_equal(ax, 1e-5, out=w.flags[0, :size])
+    fixed &= np.less(ax, 1e17, out=w.flags[1, :size])
+    count = np.count_nonzero(fixed)
+    found = np.compress(fixed, w.index[:size], out=w.signed[3, :count])
+    n, e = _decimal(np.take(ax, found, out=w.real[1, :count], mode="clip"), w)
     # In order of exponent, so that _layout writes each exponent's rows as
     # one slice; the exponent -5 sorts first and is dropped.
     order = np.argsort(e.astype(np.int8), kind="stable")[np.count_nonzero(e < -4) :]
-    rows, n, e = rows[order], n[order], e[order]
-    text = np.empty((len(rows), _WIDTH), np.uint8)
-    _layout(text, n, e, x[rows] < 0)
+    count = len(order)
+    rows = np.take(found, order, out=w.signed[2, :count], mode="clip")
+    e = np.take(e, order, out=w.signed[0, :count], mode="clip")
+    n = np.take(n, order, out=w.unsigned[0, :count], mode="clip")
+    negative = np.less(np.take(x, rows, out=w.real[1, :count], mode="clip"), 0.0, out=w.flags[2, :count])
+    text = w.text[:count]
+    _layout(text, n, e, negative, w)
     out[rows] = text
     zero = np.flatnonzero(ax == 0.0)
     out[zero] = _ZEROS[np.signbit(x[zero]).view(np.int8)]
-    rest = np.ones(len(x), bool)
+    rest = w.flags[0, :size]
+    rest[:] = True
     rest[rows] = False
     rest[zero] = False
     out[rest] = _SPECIFIER
     return x[rest]
 
 
-def _decimal(ax: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
+def _decimal(ax: np.ndarray, w: _Scratch) -> tuple[np.ndarray, np.ndarray]:
     """``(N, E)`` with ``N`` in [10**16, 10**17) the correctly rounded 17
     significant digits of each ``ax`` in [1e-5, 1e17), and ``E`` the
-    decimal exponent ``%.17g`` reads from them."""
+    decimal exponent ``%.17g`` reads from them; ``ax`` is overwritten."""
+    size = len(ax)
     bits = ax.view(np.uint64)
-    m = (bits & _MANTISSA) | _HIDDEN
-    q = (bits >> _U64(52)).astype(np.int64) - 1075
-    e = np.floor(np.log10(ax)).astype(np.int64)
-    np.minimum(np.maximum(e, -5, out=e), 16, out=e)
-    n = _scaled(m, q, 16 - e)
+    m = np.bitwise_and(bits, _MANTISSA, out=w.unsigned[0, :size])
+    m |= _HIDDEN
+    q = w.signed[0, :size]
+    np.right_shift(bits, _U64(52), out=q.view(np.uint64))
+    q -= 1075
+    e = w.signed[1, :size]
+    np.copyto(e, np.floor(np.log10(ax, out=ax), out=ax), casting="unsafe")
+    np.clip(e, -5, 16, out=e)
+    n = _scaled(m, q, np.subtract(16, e, out=w.signed[2, :size]), w.unsigned[1, :size], w.unsigned[2:])
     # floor(log10) can miss by one next to a power of ten: move E and redo.
     # Rounding never carries N up to 10**17: doubles are spaced wider than
     # half a unit of the 17th digit, so none lies that close below 10**k.
-    off = (n >= _TEN17).astype(np.int64) - (n < _TEN16)
-    redo = np.flatnonzero(off)
-    e[redo] += off[redo]
-    n[redo] = _scaled(m[redo], q[redo], 16 - e[redo])
+    up = np.greater_equal(n, _TEN17, out=w.flags[1, :size])
+    down = np.less(n, _TEN16, out=w.flags[2, :size])
+    redo = np.flatnonzero(up | down)
+    if len(redo):
+        e[redo] += up[redo].view(np.int8) - down[redo].view(np.int8)
+        n[redo] = _scaled(m[redo], q[redo], 16 - e[redo], np.empty(len(redo), np.uint64), w.unsigned[2:])
     return n, e
 
 
-def _scaled(m: np.ndarray, q: np.ndarray, s: np.ndarray) -> np.ndarray:
-    """``round_half_even(m * 5**s * 2**(s + q))`` as ``uint64``, for
-    ``m < 2**53``, ``0 <= s <= 21``, ``-56 < s + q < 4`` and a result
-    below ``2**63``."""
-    f = _POW5[s]
-    m_lo, m_hi = m & _LOW32, m >> _U64(32)
-    f_lo, f_hi = f & _LOW32, f >> _U64(32)
-    mid = m_lo * f_hi + m_hi * f_lo
-    lo = m_lo * f_lo
-    low = lo + (mid << _U64(32))
-    high = m_hi * f_hi + (mid >> _U64(32)) + (low < lo)
-    t = (8 - s - q).astype(np.uint64)
-    n = (high << (_U64(64) - t)) | (low >> t)
-    rem = low & ((_U64(1) << t) - _U64(1))
-    half = _U64(1) << (t - _U64(1))
-    return n + ((rem > half) | ((rem == half) & (n & _U64(1)).astype(bool)))
+def _scaled(m: np.ndarray, q: np.ndarray, s: np.ndarray, out: np.ndarray, tmp: np.ndarray) -> np.ndarray:
+    """``round_half_even(m * 5**s * 2**(s + q))`` as ``uint64`` into ``out``,
+    for ``m < 2**53``, ``0 <= s <= 21``, ``-56 < s + q < 4`` and a result
+    below ``2**63``; ``tmp`` holds five rows of scratch."""
+    f, m_lo, f_lo, mid, low = (row[: len(m)] for row in tmp[:5])
+    high = out
+    np.take(_POW5, s, out=f, mode="clip")
+    np.bitwise_and(m, _LOW32, out=m_lo)
+    np.bitwise_and(f, _LOW32, out=f_lo)
+    f >>= _U64(32)
+    # The 128-bit product m * f as high and low limbs, from 32-bit halves.
+    np.multiply(m_lo, f, out=mid)
+    np.right_shift(m, _U64(32), out=low)
+    np.multiply(low, f, out=high)
+    low *= f_lo
+    mid += low
+    m_lo *= f_lo
+    np.left_shift(mid, _U64(32), out=low)
+    low += m_lo
+    high += np.less(low, m_lo, out=f_lo)
+    mid >>= _U64(32)
+    high += mid
+    # Shift right by t = 8 - s - q, rounding half to even.
+    t = f
+    np.subtract(8, s, out=t.view(np.int64))
+    np.subtract(t.view(np.int64), q, out=t.view(np.int64))
+    np.subtract(_U64(64), t, out=mid)
+    high <<= mid
+    np.right_shift(low, t, out=mid)
+    high |= mid
+    np.left_shift(_U64(1), t, out=mid)
+    mid -= _U64(1)
+    low &= mid
+    t -= _U64(1)
+    np.left_shift(_U64(1), t, out=t)
+    np.greater(low, t, out=mid)
+    np.equal(low, t, out=m_lo)
+    np.bitwise_and(high, _U64(1), out=f_lo)
+    m_lo &= f_lo
+    mid |= m_lo
+    high += mid
+    return high
 
 
-def _ascii_digits(n: np.ndarray) -> np.ndarray:
+def _ascii_digits(n: np.ndarray, w: _Scratch) -> np.ndarray:
     """``(len(n), 17)`` ASCII digits of each ``n`` in [10**16, 10**17), its
     trailing zeros as spaces."""
-    lead = n // _TEN16
-    rest = n - lead * _TEN16
-    upper = (rest // _U64(10**8)).astype(np.uint32)
-    lower = (rest - upper.astype(np.uint64) * _U64(10**8)).astype(np.uint32)
-    high, low = upper // 10000, lower // 10000
-    groups = (high, upper - high * 10000, low, lower - low * 10000)
-    words = np.empty((len(n), 5), np.uint32)
-    # A group is trimmed when every group after it is zero.
-    tail = True
-    for j in range(3, -1, -1):
-        words[:, 1 + j] = _QUADS[groups[j] + 10000 * tail]
-        tail = tail & (groups[j] == 0)
+    size = len(n)
+    lead, rest, upper = (row[:size] for row in w.unsigned[1:4])
+    words = w.words[:size]
     text = words.view(np.uint8)
-    text[:, 3] = lead.astype(np.uint8) + ord("0")
+    # Division by a constant, then a multiply and subtract for the
+    # remainder: far quicker in numpy than divmod or %.
+    np.floor_divide(n, _TEN16, out=lead)
+    np.multiply(lead, _TEN16, out=rest)
+    np.subtract(n, rest, out=rest)
+    lead += _U64(ord("0"))
+    np.copyto(text[:, 3], lead, casting="unsafe")
+    np.floor_divide(rest, _U64(10**8), out=upper)
+    np.multiply(upper, _U64(10**8), out=lead)
+    rest -= lead
+    high, low, mid, last, index = (row[:size] for row in w.small)
+    np.copyto(mid, upper, casting="unsafe")
+    np.copyto(last, rest, casting="unsafe")
+    np.floor_divide(mid, np.uint32(10**4), out=high)
+    np.floor_divide(last, np.uint32(10**4), out=low)
+    mid -= np.multiply(high, np.uint32(10**4), out=index)
+    last -= np.multiply(low, np.uint32(10**4), out=index)
+    # A group is trimmed when every group after it is zero.
+    tail = w.flags[1, :size]
+    tail[:] = True
+    for j, group in reversed(list(enumerate((high, mid, low, last)))):
+        np.multiply(tail, np.uint32(10000), out=index)
+        index += group
+        np.take(_QUADS, index, out=words[:, 1 + j], mode="clip")
+        tail &= np.equal(group, 0, out=w.flags[0, :size])
     return text[:, 3:]
 
 
-def _layout(out: np.ndarray, n: np.ndarray, e: np.ndarray, negative: np.ndarray) -> None:
+def _layout(out: np.ndarray, n: np.ndarray, e: np.ndarray, negative: np.ndarray, w: _Scratch) -> None:
     """Write the fixed-notation text of the digits ``n`` and exponents ``e``
     (ascending, in [-4, 16]) into the rows of ``out``: a sign slot, the
     number with its trailing zeros dropped, and the point with them when
     no fraction is left, then spaces."""
-    digits = _ascii_digits(n)
+    digits = _ascii_digits(n, w)
     out[:, 0] = np.where(negative, ord("-"), _SPACE)
     out[:, 19:] = _SPACE
     exps = (np.flatnonzero(np.bincount(e + 4)) - 4).tolist()

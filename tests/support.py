@@ -10,6 +10,7 @@ from __future__ import annotations
 import numpy as np
 from hypothesis import strategies as st
 
+from airconsensus import cli
 from airconsensus.channel import _CHANNEL_STREAM, TIME_INVARIANT, ConstantLaw
 from airconsensus.graph import WeightedDigraph
 
@@ -190,3 +191,13 @@ def write_trace_per_step(path, trace):
         for step, x in enumerate(trace.states):
             prefix = str(step)
             fh.write(prefix + prefix.join(agents) % tuple(x.tolist()))
+
+
+def write_trace_chunked(path, trace):
+    """``trace.csv`` of a whole trace through the CLI's streaming writer,
+    its chunk recorder fed the states a step at a time as a run feeds it."""
+    with open(path, "wb") as fh:
+        record = cli._ChunkRecorder(fh, trace.states.shape[1])
+        for x in trace.states:
+            record(x[None])
+        return record.close(trace.reason)

@@ -17,7 +17,7 @@ from airconsensus.channel import ChannelRealization, derive_seed, sample
 from airconsensus.cli import main
 from airconsensus.config import ConfigError, PRESET_NAMES, parse_config, preset
 from airconsensus.protocol import CONVERGED, ProtocolConfig, Trace, run
-from support import ring_with_chords, stream_draw
+from support import ring_with_chords, stream_draw, write_trace_chunked
 
 
 def minimal_doc(**overrides):
@@ -625,7 +625,7 @@ def test_trace_writer_matches_per_value_formatting(tmp_path):
     states[7, :4] = [2.0 / 3.0, -np.pi, 0.30000000000000004, -0.0]
     trace = Trace(states=states, reason=CONVERGED)
     path = tmp_path / "trace.csv"
-    cli._write_trace(path, trace)
+    write_trace_chunked(path, trace)
     expected = "step,agent,x\n" + "".join(
         f"{step},{agent},{value:.17g}\n"
         for step, row in enumerate(states.tolist())

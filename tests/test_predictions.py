@@ -7,6 +7,7 @@ the left Perron vector and ``numpy.linalg.eigvals`` (through
 ``second_eigenvalue_modulus``) for the second eigenvalue modulus.
 """
 
+import json
 from dataclasses import replace
 
 import numpy as np
@@ -16,9 +17,9 @@ from hypothesis import strategies as st
 
 from airconsensus import cli, linalg
 from airconsensus.analysis import predicted_consensus
-from airconsensus.channel import TIME_INVARIANT, ChannelModel, UniformLaw, sample
+from airconsensus.channel import TIME_INVARIANT, ChannelModel, ConstantLaw, UniformLaw, sample
 from airconsensus.config import PRESET_NAMES, parse_config, preset
-from airconsensus.graph import WeightedDigraph, step_size_bound
+from airconsensus.graph import WeightedDigraph, complete_graph, step_size_bound
 from airconsensus.linalg import (
     KRYLOV_BASIS,
     ArcOperator,
@@ -196,3 +197,63 @@ def test_top_eigenpair_raises_with_restarts_and_residual(monkeypatch):
     assert info.value.restarts == 1
     assert info.value.residual > linalg.KRYLOV_TOL
     assert str(info.value).startswith("restarted Arnoldi did not converge after 1 restarts (final residual ")
+
+
+def constant_complete(n):
+    """The superposition update of a complete graph under a constant
+    channel, mixing 0.5: two distinct eigenvalues, 1 and 0.5 - 0.5 / (n - 1)."""
+    channel = ChannelModel(complete_graph(n), ConstantLaw(1.0), TIME_INVARIANT, 1)
+    return effective_operator(sample(channel, 0), 0.5)
+
+
+@pytest.mark.parametrize(
+    "op",
+    [
+        *(constant_complete(n) for n in (10, 30, 60)),
+        *(perron_operator(complete_graph(n), 0.01) for n in (10, 30)),
+    ],
+    ids=["superposition-n10", "superposition-n30", "superposition-n60", "classical-n10", "classical-n30"],
+)
+def test_subdominant_modulus_on_degenerate_spectra_is_right_or_raises(op):
+    # Arnoldi breaks down on these few-eigenvalue spectra and once returned
+    # moduli from 1.35 to 5185. Whatever it does, no value above 1 may
+    # come back for a row-stochastic matrix.
+    dense = second_eigenvalue_modulus(op.dense())
+    try:
+        modulus = subdominant_modulus(op)
+    except ArnoldiError as exc:
+        assert "exceeds 1" in str(exc) or "did not converge" in str(exc)
+    else:
+        assert abs(modulus - dense) <= RATE_REL_TOL * dense + RATE_ABS_FLOOR
+
+
+def test_subdominant_modulus_above_one_raises(monkeypatch):
+    monkeypatch.setattr(linalg, "top_eigenpair", lambda matvec, n: (1.0 + 1e-9, np.ones(n)))
+    with pytest.raises(ArnoldiError, match="second eigenvalue modulus 1 exceeds 1"):
+        subdominant_modulus(constant_complete(4))
+    monkeypatch.setattr(linalg, "top_eigenpair", lambda matvec, n: (-1.0 - 1e-13, np.ones(n)))
+    assert subdominant_modulus(constant_complete(4)) == 1.0 + 1e-13
+
+
+def test_cli_never_writes_a_modulus_above_one(tmp_path, capsys, monkeypatch):
+    # Classical protocol on the complete 30-node graph, step size 0.01: the
+    # dense second eigenvalue modulus is |1 - 30 * 0.01| = 0.7. With the
+    # consensus prediction forced through, the rate alone decides.
+    monkeypatch.setattr(cli, "predicted_consensus", lambda D, x0: 0.0)
+    path = tmp_path / "scenario.json"
+    path.write_text(
+        json.dumps(
+            {
+                "topology": {"kind": "complete", "n": 30},
+                "protocol": {"variant": "classical", "step_size": 0.01},
+                "seed": 2,
+                "run": {"max_steps": 50},
+            }
+        )
+    )
+    cli.main(["--config", str(path), "--out-dir", str(tmp_path), "--quiet"])
+    rate = json.loads((tmp_path / "summary.json").read_text())["result.rate_predicted"]
+    if rate is None:
+        assert capsys.readouterr().err.startswith("warning: no prediction: ")
+    else:
+        assert abs(rate - 0.7) <= 1e-12

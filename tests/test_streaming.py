@@ -1,0 +1,184 @@
+"""The CLI's single run streams ``trace.csv`` a chunk of steps at a time and
+keeps only running aggregates. Its outputs must equal, byte for byte,
+those of the whole-trace path (``run``, then ``summarize_run`` and the
+per-step reference writer), and its peak memory must not grow with the
+step count."""
+
+import json
+import os
+import subprocess
+import sys
+import tempfile
+from pathlib import Path
+from unittest import mock
+
+import numpy as np
+import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
+
+import airconsensus
+from airconsensus import cli, textfmt
+from airconsensus.analysis import summarize_run
+from airconsensus.config import PRESET_NAMES, parse_config, preset
+from airconsensus.graph import step_size_bound
+from airconsensus.protocol import run
+from support import strongly_connected_digraphs, write_trace_per_step
+
+UNIFORM = {"kind": "uniform", "lo": 0.0, "hi": 10.0}
+
+# PR 10's diverging naive run: through 1e17, where %.17g turns to exponent
+# notation, and on to inf.
+DIVERGING_NAIVE = {
+    "topology": {"kind": "complete", "n": 6},
+    "channel": {"law": UNIFORM, "mode": "time-invariant"},
+    "protocol": {"variant": "naive"},
+    "initial_state": {"kind": "explicit", "values": [-3.0, -1.0, 0.0, 0.5, 2.0, 4.0]},
+    "seed": 3,
+    "run": {"max_steps": 500},
+}
+
+ONE_AGENT = {
+    "topology": {"kind": "custom", "n": 1, "arcs": []},
+    "channel": {"law": UNIFORM, "mode": "iid-per-step"},
+    "protocol": {"variant": "naive"},
+    "initial_state": {"kind": "explicit", "values": [0.25]},
+    "seed": 1,
+}
+
+
+def whole_trace_outputs(doc, out):
+    """``trace.csv`` and ``summary.json`` bytes of the whole-trace path."""
+    cfg = parse_config(doc)
+    trace = run(cfg.topology, cfg.channel, cfg.protocol, cfg.x0, tol=cfg.tol, max_steps=cfg.max_steps)
+    predicted, rate_predicted = cli._predictions(cfg)
+    summary = summarize_run(trace, predicted_value=predicted, rate_predicted=rate_predicted)
+    write_trace_per_step(out / "reference.csv", trace)
+    flat = cli._flatten({"config": cfg.resolved, "result": cli._summary_dict(summary)})
+    return (out / "reference.csv").read_bytes(), (cli._dumps_flat(flat) + "\n").encode()
+
+
+def assert_streams_whole_trace_bytes(doc, out, chunk):
+    path = out / "scenario.json"
+    path.write_text(json.dumps(doc))
+    with mock.patch.object(textfmt, "CHUNK_VALUES", chunk):
+        code = cli.main(["--config", str(path), "--out-dir", str(out / "cli"), "--quiet"])
+    assert code in (cli.EXIT_OK, cli.EXIT_MAX_STEPS)
+    trace, summary = whole_trace_outputs(doc, out)
+    assert (out / "cli" / "trace.csv").read_bytes() == trace
+    assert (out / "cli" / "summary.json").read_bytes() == summary
+
+
+@st.composite
+def scenarios(draw):
+    """A small strongly connected graph under any variant and channel mode,
+    run for few enough steps to span a handful of small chunks."""
+    g = draw(strongly_connected_digraphs(max_n=6))
+    doc = {
+        "topology": {"kind": "custom", "n": g.n, "arcs": [[j, i, w] for (j, i), w in sorted(g.weights.items())]},
+        "seed": draw(st.integers(0, 2**32)),
+        "run": {"max_steps": draw(st.sampled_from([0, 1, 2, 7, 60, 400]))},
+    }
+    variant = draw(st.sampled_from(["superposition", "classical", "naive"]))
+    if variant == "classical":
+        doc["protocol"] = {"variant": variant, "step_size": draw(st.floats(0.05, 0.95)) * step_size_bound(g)}
+    else:
+        mode = draw(st.sampled_from(["time-invariant", "iid-per-step"]))
+        doc["channel"] = {"law": UNIFORM, "mode": mode}
+        doc["protocol"] = {"variant": variant}
+        if variant == "superposition":
+            doc["protocol"]["mixing"] = draw(st.floats(0.05, 0.95))
+    return doc
+
+
+@pytest.mark.filterwarnings("ignore::RuntimeWarning")
+@settings(max_examples=60, deadline=None)
+@given(doc=scenarios(), chunk=st.sampled_from([1, 5, 12, 64, textfmt.CHUNK_VALUES]))
+def test_streamed_outputs_match_whole_trace_outputs(doc, chunk):
+    with tempfile.TemporaryDirectory() as out:
+        assert_streams_whole_trace_bytes(doc, Path(out), chunk)
+
+
+@pytest.mark.filterwarnings("ignore::RuntimeWarning")
+@pytest.mark.parametrize("doc", [DIVERGING_NAIVE, ONE_AGENT], ids=["diverging-naive", "one-agent"])
+@pytest.mark.parametrize("chunk", [7, 40, textfmt.CHUNK_VALUES])
+def test_streamed_outputs_match_on_edge_runs(tmp_path, doc, chunk):
+    assert_streams_whole_trace_bytes(doc, tmp_path, chunk)
+
+
+@pytest.mark.parametrize("name", PRESET_NAMES)
+@pytest.mark.parametrize("max_steps", [0, 1, None])
+def test_streamed_outputs_match_on_presets(tmp_path, name, max_steps):
+    doc = preset(name)
+    if max_steps is not None:
+        doc.setdefault("run", {})["max_steps"] = max_steps
+    assert_streams_whole_trace_bytes(doc, tmp_path, 40)
+
+
+def test_unwritable_summary_reported_with_path(tmp_path, capsys):
+    (tmp_path / "summary.json").mkdir()  # a directory squatting on the summary filename
+    code = cli.main(["--preset", "ti-sigma02", "--out-dir", str(tmp_path), "--quiet"])
+    assert code == cli.EXIT_USAGE
+    assert "cannot write" in capsys.readouterr().err
+
+
+PEAK_CHILD = """
+import sys
+from airconsensus.cli import main
+main(sys.argv[1:])
+with open("/proc/self/status") as fh:
+    print(next(int(line.split()[1]) for line in fh if line.startswith("VmHWM:")))
+"""
+
+
+def peak_rss_kb(tmp_path, max_steps):
+    """High-water resident memory of one CLI run, in a fresh interpreter, on
+    a 1000-node ring whose i.i.d. channel and mixing of 0.05 keep it
+    running to ``max_steps``."""
+    doc = {
+        "topology": {"kind": "ring", "n": 1000},
+        "channel": {"law": UNIFORM, "mode": "iid-per-step"},
+        "protocol": {"variant": "superposition", "mixing": 0.05},
+        "seed": 1,
+        "run": {"max_steps": max_steps},
+    }
+    config = tmp_path / f"ring-{max_steps}.json"
+    config.write_text(json.dumps(doc))
+    out = tmp_path / f"out-{max_steps}"
+    src = str(Path(airconsensus.__file__).resolve().parents[1])
+    env = dict(os.environ, PYTHONPATH=os.pathsep.join([src, os.environ.get("PYTHONPATH", "")]))
+    child = subprocess.run(
+        [sys.executable, "-c", PEAK_CHILD, "--config", str(config), "--out-dir", str(out), "--quiet"],
+        env=env,
+        capture_output=True,
+        text=True,
+        check=True,
+    )
+    summary = json.loads((out / "summary.json").read_text())
+    assert summary["result.steps"] == max_steps and not summary["result.converged"]
+    (out / "trace.csv").unlink()
+    return int(child.stdout)
+
+
+@pytest.mark.skipif(not Path("/proc/self/status").exists(), reason="needs /proc/self/status for VmHWM")
+def test_single_run_peak_memory_does_not_grow_with_steps(tmp_path):
+    # The whole history of 3000 steps would be 24 MB, and the parent of the
+    # streaming writer peaked 43 MB higher at 3000 steps than at 300.
+    short, long = peak_rss_kb(tmp_path, 300), peak_rss_kb(tmp_path, 3000)
+    assert long - short <= 4 * 1024, (short, long)
+
+
+def test_aggregates_match_the_whole_trace():
+    cfg = parse_config(preset("ti-sigma02"))
+    trace = run(cfg.topology, cfg.channel, cfg.protocol, cfg.x0, tol=cfg.tol, max_steps=cfg.max_steps)
+    with tempfile.TemporaryFile() as fh, mock.patch.object(textfmt, "CHUNK_VALUES", 12):
+        record = cli._ChunkRecorder(fh, cfg.topology.n)
+        for x in trace.states:
+            record(x[None])
+        aggregates = record.close(trace.reason)
+    assert aggregates.steps == trace.steps and aggregates.reason == trace.reason
+    assert np.array_equal(aggregates.initial, trace.initial)
+    assert np.array_equal(aggregates.final, trace.final)
+    assert np.array_equal(aggregates.spreads(), trace.spreads())
+    assert aggregates.hull() == trace.hull() == (trace.states.min(), trace.states.max())
+    assert summarize_run(aggregates) == summarize_run(trace)

@@ -6,10 +6,10 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from airconsensus import cli, textfmt
+from airconsensus import textfmt
 from airconsensus.config import PRESET_NAMES, parse_config, preset
 from airconsensus.protocol import CONVERGED, Trace, run
-from support import write_trace_per_step
+from support import write_trace_chunked, write_trace_per_step
 
 
 def formatted(values):
@@ -126,7 +126,7 @@ def test_matches_python_on_any_bit_pattern(words):
 
 
 def assert_writes_reference_bytes(tmp_path, trace):
-    cli._write_trace(tmp_path / "trace.csv", trace)
+    write_trace_chunked(tmp_path / "trace.csv", trace)
     write_trace_per_step(tmp_path / "reference.csv", trace)
     assert (tmp_path / "trace.csv").read_bytes() == (tmp_path / "reference.csv").read_bytes()
 
