@@ -28,6 +28,7 @@ states are streamed elsewhere holds O(n + steps) floats.
 from __future__ import annotations
 
 import math
+from array import array
 from dataclasses import dataclass
 from typing import Callable, Optional, Sequence, Union
 
@@ -141,7 +142,7 @@ class RunAggregates:
         self.final: Optional[np.ndarray] = None
         self.reason: Optional[str] = None
         self._low, self._high = math.nan, math.nan
-        self._spreads: list[np.ndarray] = []
+        self._spreads = array("d")
 
     def add(self, states: np.ndarray) -> None:
         """Fold in an ``(S, n)`` array of the next ``S`` steps' states,
@@ -151,14 +152,14 @@ class RunAggregates:
         self.final = states[-1].copy()
         low, high = hull(states)
         self._low, self._high = float(np.fmin(self._low, low)), float(np.fmax(self._high, high))
-        self._spreads.append(row_spreads(states))
+        self._spreads.frombytes(row_spreads(states).tobytes())
 
     @property
     def steps(self) -> int:
-        return sum(map(len, self._spreads)) - 1
+        return len(self._spreads) - 1
 
     def spreads(self) -> np.ndarray:
-        return np.concatenate(self._spreads)
+        return np.array(self._spreads)
 
     def hull(self) -> tuple[float, float]:
         return self._low, self._high

@@ -97,7 +97,15 @@ class TraceRows:
 
 
 class _Scratch:
-    """The per-value arrays of ``_fill`` for up to ``size`` values."""
+    """The per-value arrays of ``_fill`` for up to ``size`` values.
+
+    ``_fill`` keeps ``real[0]``, ``flags[0]`` and ``signed[3]`` to itself.
+    ``_decimal`` leaves the digits in ``unsigned[1]`` and the exponents in
+    ``signed[1]``, working in ``unsigned[2:]`` for ``_scaled``; ``_fill``
+    sorts them into ``unsigned[0]`` and ``signed[0]``, and their rows into
+    ``signed[2]``, before ``_ascii_digits`` takes ``unsigned[1:4]``,
+    ``small`` and ``words``.
+    """
 
     def __init__(self, size: int):
         self.size = size
