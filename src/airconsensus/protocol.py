@@ -28,7 +28,6 @@ states are streamed elsewhere holds O(n + steps) floats.
 from __future__ import annotations
 
 import math
-from array import array
 from dataclasses import dataclass
 from typing import Callable, Optional, Sequence, Union
 
@@ -141,8 +140,9 @@ class RunAggregates:
         self.initial: Optional[np.ndarray] = None
         self.final: Optional[np.ndarray] = None
         self.reason: Optional[str] = None
+        self.steps = -1
         self._low, self._high = math.nan, math.nan
-        self._spreads = array("d")
+        self._spreads = np.empty(0)
 
     def add(self, states: np.ndarray) -> None:
         """Fold in an ``(S, n)`` array of the next ``S`` steps' states,
@@ -152,14 +152,14 @@ class RunAggregates:
         self.final = states[-1].copy()
         low, high = hull(states)
         self._low, self._high = float(np.fmin(self._low, low)), float(np.fmax(self._high, high))
-        self._spreads.frombytes(row_spreads(states).tobytes())
-
-    @property
-    def steps(self) -> int:
-        return len(self._spreads) - 1
+        start, end = self.steps + 1, self.steps + 1 + len(states)
+        if end > len(self._spreads):
+            self._spreads = np.concatenate([self._spreads[:start], np.empty(end)])
+        self._spreads[start:end] = row_spreads(states)
+        self.steps = end - 1
 
     def spreads(self) -> np.ndarray:
-        return np.array(self._spreads)
+        return self._spreads[: self.steps + 1]
 
     def hull(self) -> tuple[float, float]:
         return self._low, self._high

@@ -70,6 +70,7 @@ class TraceRows:
         self._agents = np.full((n, labels.shape[1] + 2), ord(","), np.uint8)
         self._agents[:, 1:-1] = labels
         self._text = bytearray()
+        self._shape = None  # of the rows that self._text holds
         self._scratch = _Scratch(0)
 
     def __call__(self, states: np.ndarray, first_step: int) -> bytearray:
@@ -81,7 +82,7 @@ class TraceRows:
         a, b = label.shape[1], label.shape[1] + self._agents.shape[1]
         size = steps * n * (b + _WIDTH + 1)
         if len(self._text) < size:
-            self._text = bytearray(size)
+            self._text, self._shape = bytearray(size), None
         if self._scratch.size < steps * n:
             self._scratch = _Scratch(steps * n)
         text = np.frombuffer(self._text, np.uint8)
@@ -89,10 +90,14 @@ class TraceRows:
         text[size:] = _SPACE
         rows = text[:size].reshape(steps, n, -1)
         rows[:, :, :a] = label[:, None]
-        rows[:, :, a:b] = self._agents
-        rows[:, :, -1] = ord("\n")
+        if rows.shape != self._shape:
+            # The agent labels and newlines of the last chunk's rows stay.
+            rows[:, :, a:b] = self._agents
+            rows[:, :, -1] = ord("\n")
+            self._shape = rows.shape
         rest = _fill(states.ravel(), rows.reshape(steps * n, -1)[:, b:-1], self._scratch)
         joined = self._text.translate(None, b" ")
+        # With no specifier to fill, % would only copy the chunk's text.
         return joined % tuple(rest.tolist()) if len(rest) else joined
 
 
@@ -180,7 +185,7 @@ def _decimal(ax: np.ndarray, w: _Scratch) -> tuple[np.ndarray, np.ndarray]:
     up = np.greater_equal(n, _TEN17, out=w.flags[1, :size])
     down = np.less(n, _TEN16, out=w.flags[2, :size])
     redo = np.flatnonzero(up | down)
-    if len(redo):
+    if len(redo):  # rarely: skip some 35 numpy calls on empty arrays
         e[redo] += up[redo].view(np.int8) - down[redo].view(np.int8)
         n[redo] = _scaled(m[redo], q[redo], 16 - e[redo], np.empty(len(redo), np.uint64), w.unsigned[2:])
     return n, e
