@@ -26,7 +26,6 @@ from .protocol import (
     BlockUpdate,
     ProtocolConfig,
     RunAggregates,
-    Trace,
     advance,
     effective_matrix,
     spread,
@@ -199,7 +198,7 @@ def decomposition_deviation(
     return float(np.max(np.abs(direct - split)))
 
 
-def measure_rate(trace: Union[Trace, RunAggregates]) -> float:
+def measure_rate(trace: RunAggregates) -> float:
     """Least-squares slope of log(spread) per step over the decay window.
 
     The first and last 10% of the positive-spread steps are dropped to
@@ -223,12 +222,12 @@ def measure_rate(trace: Union[Trace, RunAggregates]) -> float:
 
 
 def summarize_run(
-    trace: Union[Trace, RunAggregates],
+    trace: RunAggregates,
     predicted_value: Optional[float] = None,
     rate_predicted: Optional[float] = None,
 ) -> RunSummary:
-    """Condense a run into the flat run summary, from its whole ``Trace`` or
-    from the ``RunAggregates`` kept while its states were streamed."""
+    """Condense a run into the flat run summary, from the ``RunAggregates``
+    kept while its states were recorded (a whole ``Trace`` is one)."""
     x0, final = trace.initial, trace.final
     lo, hi = float(np.min(x0)), float(np.max(x0))
     low, high = trace.hull()

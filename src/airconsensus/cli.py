@@ -11,7 +11,7 @@ import argparse
 import json
 import sys
 from pathlib import Path
-from typing import Any, BinaryIO, Mapping, Optional
+from typing import Any, Mapping, Optional
 
 import numpy as np
 
@@ -192,53 +192,19 @@ def _run_montecarlo(cfg: ScenarioConfig, runs: int, out_dir: Path, quiet: bool) 
 
 def _write_trace(path: Path, cfg: ScenarioConfig) -> RunAggregates:
     """Run the scenario and stream its ``step,agent,x`` rows, one per agent
-    and step, to ``path`` as the run makes them: memory does not grow with
-    the step count. Return what the summary reads of the run."""
+    and step, to ``path`` a chunk at a time as the run makes them: memory
+    does not grow with the step count. Return what the summary reads of the
+    run."""
+    # Imported on first use: a Monte Carlo run writes no trace.
+    from .textfmt import TraceRows
+
+    rows = TraceRows(cfg.topology.n)
     with path.open("wb") as fh:
-        recorder = _ChunkRecorder(fh, cfg.topology.n)
-        reason = record_run(
-            recorder, cfg.topology, cfg.channel, cfg.protocol, cfg.x0, tol=cfg.tol, max_steps=cfg.max_steps
-        )
-        return recorder.close(reason)
-
-
-class _ChunkRecorder:
-    """Record callback of a run that writes its trace rows a chunk of whole
-    steps at a time: the states fill a buffer of about ``CHUNK_VALUES``
-    values, made once, and each full buffer is formatted, written and
-    folded into the run's aggregates before it is filled again."""
-
-    def __init__(self, fh: BinaryIO, n: int):
-        # Imported on first use: a Monte Carlo run writes no trace.
-        from .textfmt import CHUNK_VALUES, TraceRows
-
-        self._fh = fh
-        self._rows = TraceRows(n)
-        self._buffer = np.empty((max(1, CHUNK_VALUES // n), n))
-        self._filled = 0
-        self._first_step = 0
-        self._aggregates = RunAggregates()
         fh.write(b"step,agent,x\n")
-
-    def __call__(self, block: np.ndarray) -> None:
-        self._buffer[self._filled] = block[0]
-        self._filled += 1
-        if self._filled == len(self._buffer):
-            self._flush()
-
-    def _flush(self) -> None:
-        chunk = self._buffer[: self._filled]
-        self._aggregates.add(chunk)
-        self._fh.write(self._rows(chunk, self._first_step))
-        self._first_step += self._filled
-        self._filled = 0
-
-    def close(self, reason: str) -> RunAggregates:
-        """Write the last, partial chunk and return the run's aggregates."""
-        if self._filled:
-            self._flush()
-        self._aggregates.reason = reason
-        return self._aggregates
+        return record_run(
+            lambda states, first_step: fh.write(rows(states, first_step)),
+            cfg.topology, cfg.channel, cfg.protocol, cfg.x0, tol=cfg.tol, max_steps=cfg.max_steps,
+        )
 
 
 def _summary_dict(summary) -> dict:

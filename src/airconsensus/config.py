@@ -138,16 +138,11 @@ def _parse_topology(section, problems):
         return None, None
     kind = section.get("kind")
     try:
-        if kind == "complete":
+        if kind in ("complete", "ring"):
             n = _require_int(section, "n", "topology.n", minimum=2)
             weight = _as_number(section.get("weight", 1.0), "topology.weight")
-            g = complete_graph(n, weight)
-            echo = {"kind": "complete", "n": n, "weight": weight}
-        elif kind == "ring":
-            n = _require_int(section, "n", "topology.n", minimum=2)
-            weight = _as_number(section.get("weight", 1.0), "topology.weight")
-            g = ring_graph(n, weight)
-            echo = {"kind": "ring", "n": n, "weight": weight}
+            g = (complete_graph if kind == "complete" else ring_graph)(n, weight)
+            echo = {"kind": kind, "n": n, "weight": weight}
         elif kind == "custom":
             n = _require_int(section, "n", "topology.n", minimum=1)
             arcs = section.get("arcs")
@@ -161,8 +156,8 @@ def _parse_topology(section, problems):
                 if not _is_number(w):
                     raise ValueError(f"arc ({j}, {i}) weight must be a number, got {w!r}")
             g = graph_from_arcs(n, [(j, i, float(w)) for j, i, w in arcs])
-            # Sorted, the parsed triples list the arcs in arc order.
-            echo = {"kind": "custom", "n": n, "arcs": sorted([j, i, float(w)] for j, i, w in arcs)}
+            # The graph's own weight objects: copies would stay alive until the summary is written.
+            echo = {"kind": "custom", "n": n, "arcs": [[j, i, g.weights[j, i]] for j, i in g.arc_order]}
         else:
             raise ValueError(f"topology.kind must be 'complete', 'ring' or 'custom', got {kind!r}")
     except (ValueError, TypeError, KeyError, OverflowError) as exc:
@@ -234,6 +229,10 @@ def _parse_protocol(section, topology, problems):
         if mixing is None:
             return None
         _require_strong_connectivity(topology, variant, problems)
+        # The received ratio divides by a node's in-neighbor sum; a strongly
+        # connected graph lacks in-neighbors only at n = 1.
+        if topology is not None and not topology.in_degrees.all():
+            problems.append(f"topology: every node needs an in-neighbor for the {variant} variant")
         return ProtocolConfig(variant=SUPERPOSITION, mixing=mixing)
     if variant == CLASSICAL:
         if mixing is not None:

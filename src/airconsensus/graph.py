@@ -12,9 +12,6 @@ import numpy as np
 
 Arc = tuple[int, int]
 
-#: Absolute tolerance of the in-weight vs out-weight balance check.
-BALANCE_TOL = 1e-12
-
 
 @dataclass(frozen=True)
 class WeightedDigraph:
@@ -140,27 +137,6 @@ def _reaches_all(adj: dict[int, list[int]], n: int) -> bool:
                 seen.add(u)
                 stack.append(u)
     return len(seen) == n
-
-
-def is_balanced(g: WeightedDigraph, tol: float = BALANCE_TOL) -> bool:
-    """True iff every node's total incoming weight equals its total outgoing weight."""
-    net = np.bincount(g.arc_rows, weights=g.arc_weights, minlength=g.n)
-    net -= np.bincount(g.arc_cols, weights=g.arc_weights, minlength=g.n)
-    return bool((np.abs(net) <= tol).all())
-
-
-def laplacian(g: WeightedDigraph) -> np.ndarray:
-    """Graph Laplacian: degree matrix minus adjacency, so every row sums to zero.
-
-    Entry ``(i, j)`` is ``-weight(j, i)`` for an arc ``(j, i)`` and the
-    diagonal holds each node's total in-weight. The diagonal is assembled
-    as the exact negation of the off-diagonal row sum.
-    """
-    L = np.zeros((g.n, g.n))
-    L[g.arc_rows, g.arc_cols] = -g.arc_weights
-    diag = -L.sum(axis=1)
-    L[np.diag_indices(g.n)] = diag
-    return L
 
 
 def step_size_bound(g: WeightedDigraph) -> float:

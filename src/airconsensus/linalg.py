@@ -149,17 +149,9 @@ def is_primitive(A: np.ndarray) -> bool:
     return bool(B.all())
 
 
-def same_zero_pattern(A: np.ndarray, B: np.ndarray) -> bool:
-    """True iff the two nonnegative matrices have zeros in the same positions."""
-    A = np.asarray(A, dtype=float)
-    B = np.asarray(B, dtype=float)
-    if A.shape != B.shape:
-        raise ValueError(f"shape mismatch: {A.shape} vs {B.shape}")
-    return bool(np.array_equal(A == 0, B == 0))
-
-
 def perron_matrix(g: WeightedDigraph, step_size: float) -> np.ndarray:
-    """One-step consensus operator ``I - step_size * laplacian(g)``, the
+    """One-step consensus operator ``I - step_size * L``, with ``L`` the
+    graph Laplacian of ``g`` (in-weight degree matrix minus adjacency), the
     dense form of ``perron_operator(g, step_size)``.
 
     Row-stochastic with a strictly positive diagonal for any step size in

@@ -18,11 +18,12 @@ as a ``linalg.ArcOperator``, the O(|E|) form the run predictions use;
 ``effective_matrix``, ``naive_matrix`` and ``linalg.perron_matrix`` are
 the dense forms of such operators, for the analysis and eigen paths.
 ``advance`` steps a block of R independent states held as one (R, n)
-array; ``record_run`` is a block of one that hands each step's state to
-a callback, and Monte Carlo uses blocks of many. ``run``'s ``Trace``
-keeps the whole history as one (steps + 1, n) array; ``RunAggregates``
-keeps only what ``analysis.summarize_run`` reads of it, so a run whose
-states are streamed elsewhere holds O(n + steps) floats.
+array; Monte Carlo uses blocks of many. ``record_run`` is a block of one
+that buffers its states a chunk of whole steps at a time, hands each
+chunk to a callback and folds it into the ``RunAggregates`` that
+``analysis.summarize_run`` reads, so a run whose states are streamed
+elsewhere holds O(n + steps) floats. ``run``'s ``Trace`` is those
+aggregates plus the whole history as one (steps + 1, n) array.
 """
 
 from __future__ import annotations
@@ -47,6 +48,9 @@ MAX_STEPS = "max-steps"
 
 DEFAULT_SPREAD_TOL = 1e-9
 DEFAULT_MAX_STEPS = 10_000
+
+#: About the most values one chunk of a recorded run holds; a chunk is whole steps.
+CHUNK_VALUES = 8192
 
 Mixing = Union[float, Sequence[float], np.ndarray]
 
@@ -98,43 +102,11 @@ class ProtocolConfig:
             object.__setattr__(self, "mixing", tuple(float(v) for v in self.mixing))
 
 
-@dataclass(frozen=True)
-class Trace:
-    """Full state history of one run, from step 0 to termination: row ``k``
-    of the ``(steps + 1, n)`` array ``states`` is the state after step ``k``."""
-
-    states: np.ndarray
-    reason: str
-
-    @property
-    def steps(self) -> int:
-        return len(self.states) - 1
-
-    @property
-    def initial(self) -> np.ndarray:
-        return self.states[0]
-
-    @property
-    def final(self) -> np.ndarray:
-        return self.states[-1]
-
-    def state_array(self) -> np.ndarray:
-        """The ``(steps + 1, n)`` state history itself (not a copy)."""
-        return self.states
-
-    def spreads(self) -> np.ndarray:
-        return row_spreads(self.states)
-
-    def hull(self) -> tuple[float, float]:
-        """Least and greatest value any agent held at any step."""
-        return hull(self.states)
-
-
 class RunAggregates:
-    """What ``analysis.summarize_run`` reads of a run, as ``Trace`` answers
-    it, kept as the states of consecutive steps are added a chunk at a time:
-    the initial and final states, the least and greatest value, one spread
-    per step, and the termination ``reason`` once the run has set it."""
+    """What ``analysis.summarize_run`` reads of a run, kept as the states of
+    consecutive steps are added a chunk at a time: the initial and final
+    states, the least and greatest value, one spread per step, and the
+    termination ``reason`` once the run has set it."""
 
     def __init__(self):
         self.initial: Optional[np.ndarray] = None
@@ -150,8 +122,9 @@ class RunAggregates:
         if self.initial is None:
             self.initial = states[0].copy()
         self.final = states[-1].copy()
-        low, high = hull(states)
-        self._low, self._high = float(np.fmin(self._low, low)), float(np.fmax(self._high, high))
+        # NaNs passed over: a value is below ``c`` somewhere exactly when the least is.
+        self._low = float(np.fmin(self._low, np.fmin.reduce(states, axis=None)))
+        self._high = float(np.fmax(self._high, np.fmax.reduce(states, axis=None)))
         start, end = self.steps + 1, self.steps + 1 + len(states)
         if end > len(self._spreads):
             self._spreads = np.concatenate([self._spreads[:start], np.empty(end)])
@@ -162,13 +135,24 @@ class RunAggregates:
         return self._spreads[: self.steps + 1]
 
     def hull(self) -> tuple[float, float]:
+        """Least and greatest value any agent held at any step."""
         return self._low, self._high
 
 
-def hull(states: np.ndarray) -> tuple[float, float]:
-    """Least and greatest value of an array of states, NaNs passed over:
-    a value is below ``c`` somewhere exactly when the least is."""
-    return float(np.fmin.reduce(states, axis=None)), float(np.fmax.reduce(states, axis=None))
+class Trace(RunAggregates):
+    """Full state history of one run, from step 0 to termination, and its
+    aggregates: row ``k`` of the ``(steps + 1, n)`` array ``states`` is the
+    state after step ``k``."""
+
+    def __init__(self, states: np.ndarray, reason: str):
+        super().__init__()
+        self.states = states
+        self.add(states)
+        self.reason = reason
+
+    def state_array(self) -> np.ndarray:
+        """The ``(steps + 1, n)`` state history itself (not a copy)."""
+        return self.states
 
 
 def _positive(sums: np.ndarray) -> np.ndarray:
@@ -364,24 +348,44 @@ def validated_state(
 
 
 def record_run(
-    record: Callable[[np.ndarray], None],
+    record: Callable[[np.ndarray, int], None],
     topology: WeightedDigraph,
     channel: Optional[ChannelModel],
     protocol: ProtocolConfig,
     x0: Sequence[float],
     tol: float = DEFAULT_SPREAD_TOL,
     max_steps: int = DEFAULT_MAX_STEPS,
-) -> str:
+) -> RunAggregates:
     """Iterate the selected variant until spread(x) < tol or max_steps, and
-    return the termination reason.
+    return the run's ``RunAggregates``, its termination ``reason`` set.
 
-    ``record`` sees the ``(1, n)`` state of every step from step 0 on and
-    may keep it. Deterministic for a fixed (channel seed, config);
-    non-convergence is an outcome, not an error. This is ``advance`` on a
-    block of one.
+    The states of whole steps from step 0 on fill one buffer of about
+    ``CHUNK_VALUES`` values. Each full buffer, and the last partial one, is
+    folded into the aggregates and handed to ``record(states, first_step)``,
+    ``states`` holding steps ``first_step`` on, to be copied if kept.
+    Deterministic for a fixed (channel seed, config); non-convergence is an
+    outcome, not an error. This is ``advance`` on a block of one.
     """
     x = validated_state(topology, channel, protocol, x0, tol, max_steps)[None]
-    record(x)
+    buffer = np.empty((max(1, CHUNK_VALUES // topology.n), topology.n))
+    aggregates = RunAggregates()
+    filled = 0
+
+    def flush() -> None:
+        nonlocal filled
+        chunk = buffer[:filled]
+        record(chunk, aggregates.steps + 1)
+        aggregates.add(chunk)
+        filled = 0
+
+    def keep(block: np.ndarray) -> None:
+        nonlocal filled
+        buffer[filled] = block[0]
+        filled += 1
+        if filled == len(buffer):
+            flush()
+
+    keep(x)
     result = advance(
         BlockUpdate(topology, protocol),
         x,
@@ -389,9 +393,12 @@ def record_run(
         channel is not None and channel.mode == TIME_INVARIANT,
         tol,
         max_steps,
-        record,
+        keep,
     )
-    return CONVERGED if result.converged[0] else MAX_STEPS
+    if filled:
+        flush()
+    aggregates.reason = CONVERGED if result.converged[0] else MAX_STEPS
+    return aggregates
 
 
 def run(
@@ -403,8 +410,8 @@ def run(
     max_steps: int = DEFAULT_MAX_STEPS,
 ) -> Trace:
     """``record_run`` keeping every state: the run's whole ``Trace``."""
-    states: list[np.ndarray] = []
-    reason = record_run(
-        lambda block: states.append(block[0]), topology, channel, protocol, x0, tol, max_steps
+    chunks: list[np.ndarray] = []
+    aggregates = record_run(
+        lambda states, _: chunks.append(states.copy()), topology, channel, protocol, x0, tol, max_steps
     )
-    return Trace(states=np.stack(states), reason=reason)
+    return Trace(states=np.concatenate(chunks), reason=aggregates.reason)

@@ -20,9 +20,6 @@ from __future__ import annotations
 
 import numpy as np
 
-#: About the most values one chunk of trace rows holds; a chunk is whole steps.
-CHUNK_VALUES = 8192
-
 _SPACE = ord(" ")
 # Widest fixed-notation text: a sign slot, then 0.00012345678901234567.
 _WIDTH = 23

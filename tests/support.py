@@ -10,9 +10,44 @@ from __future__ import annotations
 import numpy as np
 from hypothesis import strategies as st
 
-from airconsensus import cli
+from airconsensus import protocol
 from airconsensus.channel import _CHANNEL_STREAM, TIME_INVARIANT, ConstantLaw
 from airconsensus.graph import WeightedDigraph
+from airconsensus.textfmt import TraceRows
+
+
+#: Absolute tolerance of the in-weight vs out-weight balance check.
+BALANCE_TOL = 1e-12
+
+
+def is_balanced(g: WeightedDigraph, tol: float = BALANCE_TOL) -> bool:
+    """True iff every node's total incoming weight equals its total outgoing weight."""
+    net = np.bincount(g.arc_rows, weights=g.arc_weights, minlength=g.n)
+    net -= np.bincount(g.arc_cols, weights=g.arc_weights, minlength=g.n)
+    return bool((np.abs(net) <= tol).all())
+
+
+def laplacian(g: WeightedDigraph) -> np.ndarray:
+    """Graph Laplacian: degree matrix minus adjacency, so every row sums to zero.
+
+    Entry ``(i, j)`` is ``-weight(j, i)`` for an arc ``(j, i)`` and the
+    diagonal holds each node's total in-weight. The diagonal is assembled
+    as the exact negation of the off-diagonal row sum.
+    """
+    L = np.zeros((g.n, g.n))
+    L[g.arc_rows, g.arc_cols] = -g.arc_weights
+    diag = -L.sum(axis=1)
+    L[np.diag_indices(g.n)] = diag
+    return L
+
+
+def same_zero_pattern(A: np.ndarray, B: np.ndarray) -> bool:
+    """True iff the two nonnegative matrices have zeros in the same positions."""
+    A = np.asarray(A, dtype=float)
+    B = np.asarray(B, dtype=float)
+    if A.shape != B.shape:
+        raise ValueError(f"shape mismatch: {A.shape} vs {B.shape}")
+    return bool(np.array_equal(A == 0, B == 0))
 
 
 def random_strongly_connected(rng, n, extra_prob=0.35, w_lo=0.5, w_hi=10.0):
@@ -194,10 +229,12 @@ def write_trace_per_step(path, trace):
 
 
 def write_trace_chunked(path, trace):
-    """``trace.csv`` of a whole trace through the CLI's streaming writer,
-    its chunk recorder fed the states a step at a time as a run feeds it."""
+    """``trace.csv`` of a whole trace through the streaming writer,
+    ``textfmt.TraceRows``, fed chunks of whole steps of about
+    ``protocol.CHUNK_VALUES`` values, as a recorded run feeds it."""
+    n = trace.states.shape[1]
+    rows, size = TraceRows(n), max(1, protocol.CHUNK_VALUES // n)
     with open(path, "wb") as fh:
-        record = cli._ChunkRecorder(fh, trace.states.shape[1])
-        for x in trace.states:
-            record(x[None])
-        return record.close(trace.reason)
+        fh.write(b"step,agent,x\n")
+        for first_step in range(0, len(trace.states), size):
+            fh.write(rows(trace.states[first_step : first_step + size], first_step))

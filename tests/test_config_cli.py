@@ -177,6 +177,14 @@ class TestParseConfig:
         with pytest.raises(ConfigError, match="strongly connected"):
             parse_config(doc)
 
+    def test_one_node_rejected_for_superposition_with_other_problems(self):
+        # Strongly connected, but its one node hears nobody: no received ratio.
+        doc = minimal_doc(topology={"kind": "custom", "n": 1, "arcs": []}, run={"tol": -1.0})
+        with pytest.raises(ConfigError) as info:
+            parse_config(doc)
+        assert len(info.value.problems) == 2
+        assert "topology: every node needs an in-neighbor for the superposition variant" in info.value.problems
+
     def test_classical_step_size_bound_named(self):
         doc = minimal_doc()
         doc["protocol"] = {"variant": "classical", "step_size": 0.9}
@@ -365,6 +373,19 @@ class TestCli:
         path.write_text(json.dumps(doc))
         assert main(["--config", str(path), "--out-dir", str(tmp_path)]) == 1
         assert "open interval (0, 1)" in capsys.readouterr().err
+
+    @pytest.mark.parametrize("runs", [[], ["--runs", "2"]], ids=["single", "montecarlo"])
+    def test_one_node_superposition_exits_one_writing_nothing(self, tmp_path, capsys, runs):
+        doc = minimal_doc(topology={"kind": "custom", "n": 1, "arcs": []})
+        doc["channel"]["mode"] = "time-invariant"  # summed before the first step
+        path = tmp_path / "one-node.json"
+        path.write_text(json.dumps(doc))
+        out = tmp_path / "out"
+        out.mkdir()
+        assert main(["--config", str(path), "--out-dir", str(out), *runs]) == 1
+        err = capsys.readouterr().err
+        assert "invalid scenario config" in err and "every node needs an in-neighbor" in err
+        assert not any(out.iterdir())
 
     def test_overflowing_law_bound_exits_one_in_montecarlo(self, tmp_path, capsys):
         path = tmp_path / "overflow.json"

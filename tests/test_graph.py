@@ -5,13 +5,11 @@ from airconsensus.graph import (
     WeightedDigraph,
     complete_graph,
     graph_from_arcs,
-    is_balanced,
     is_strongly_connected,
-    laplacian,
     ring_graph,
     step_size_bound,
 )
-from support import closure_strongly_connected, random_digraph, random_strongly_connected
+from support import closure_strongly_connected, is_balanced, laplacian, random_digraph, random_strongly_connected
 
 
 def two_cycle(w_12=1.0, w_21=1.0):

@@ -9,7 +9,6 @@ from airconsensus.linalg import (
     is_primitive,
     is_row_stochastic,
     perron_matrix,
-    same_zero_pattern,
     second_eigenvalue_modulus,
 )
 from support import (
@@ -17,6 +16,7 @@ from support import (
     primitive_by_explicit_powers,
     random_primitive_posdiag,
     random_strongly_connected,
+    same_zero_pattern,
 )
 
 

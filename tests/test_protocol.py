@@ -15,14 +15,13 @@ from airconsensus.channel import (
     UniformLaw,
     sample,
 )
-from airconsensus.graph import WeightedDigraph, complete_graph, graph_from_arcs, laplacian, step_size_bound
+from airconsensus.graph import WeightedDigraph, complete_graph, graph_from_arcs, step_size_bound
 from airconsensus.linalg import (
     ArcOperator,
     is_primitive,
     is_row_stochastic,
     perron_matrix,
     perron_operator,
-    same_zero_pattern,
 )
 from airconsensus.protocol import (
     CONVERGED,
@@ -38,7 +37,7 @@ from airconsensus.protocol import (
     spread,
     step_superposition,
 )
-from support import random_strongly_connected, strongly_connected_digraphs
+from support import laplacian, random_strongly_connected, same_zero_pattern, strongly_connected_digraphs
 
 
 NAIVE_CONFIG = ProtocolConfig("naive")

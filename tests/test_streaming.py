@@ -18,11 +18,12 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 import airconsensus
-from airconsensus import cli, textfmt
+from airconsensus import cli, protocol
 from airconsensus.analysis import summarize_run
+from airconsensus.channel import TIME_INVARIANT, ChannelStreams
 from airconsensus.config import PRESET_NAMES, parse_config, preset
 from airconsensus.graph import step_size_bound
-from airconsensus.protocol import run
+from airconsensus.protocol import record_run, run
 from support import strongly_connected_digraphs, write_trace_per_step
 
 UNIFORM = {"kind": "uniform", "lo": 0.0, "hi": 10.0}
@@ -61,7 +62,7 @@ def whole_trace_outputs(doc, out):
 def assert_streams_whole_trace_bytes(doc, out, chunk):
     path = out / "scenario.json"
     path.write_text(json.dumps(doc))
-    with mock.patch.object(textfmt, "CHUNK_VALUES", chunk):
+    with mock.patch.object(protocol, "CHUNK_VALUES", chunk):
         code = cli.main(["--config", str(path), "--out-dir", str(out / "cli"), "--quiet"])
     assert code in (cli.EXIT_OK, cli.EXIT_MAX_STEPS)
     trace, summary = whole_trace_outputs(doc, out)
@@ -93,7 +94,7 @@ def scenarios(draw):
 
 @pytest.mark.filterwarnings("ignore::RuntimeWarning")
 @settings(max_examples=60, deadline=None)
-@given(doc=scenarios(), chunk=st.sampled_from([1, 5, 12, 64, textfmt.CHUNK_VALUES]))
+@given(doc=scenarios(), chunk=st.sampled_from([1, 5, 12, 64, protocol.CHUNK_VALUES]))
 def test_streamed_outputs_match_whole_trace_outputs(doc, chunk):
     with tempfile.TemporaryDirectory() as out:
         assert_streams_whole_trace_bytes(doc, Path(out), chunk)
@@ -101,7 +102,7 @@ def test_streamed_outputs_match_whole_trace_outputs(doc, chunk):
 
 @pytest.mark.filterwarnings("ignore::RuntimeWarning")
 @pytest.mark.parametrize("doc", [DIVERGING_NAIVE, ONE_AGENT], ids=["diverging-naive", "one-agent"])
-@pytest.mark.parametrize("chunk", [7, 40, textfmt.CHUNK_VALUES])
+@pytest.mark.parametrize("chunk", [7, 40, protocol.CHUNK_VALUES])
 def test_streamed_outputs_match_on_edge_runs(tmp_path, doc, chunk):
     assert_streams_whole_trace_bytes(doc, tmp_path, chunk)
 
@@ -168,17 +169,72 @@ def test_single_run_peak_memory_does_not_grow_with_steps(tmp_path):
     assert long - short <= 4 * 1024, (short, long)
 
 
-def test_aggregates_match_the_whole_trace():
+def test_aggregates_match_the_whole_trace(monkeypatch):
     cfg = parse_config(preset("ti-sigma02"))
+    args = (cfg.topology, cfg.channel, cfg.protocol, cfg.x0, cfg.tol, cfg.max_steps)
+    states = run(*args).states
+    monkeypatch.setattr(protocol, "CHUNK_VALUES", 12)
+    handed = []
+    aggregates = record_run(lambda chunk, first_step: handed.append((first_step, len(chunk))), *args)
+    # Chunks of 12 // 5 = 2 whole steps, the last one maybe partial.
+    assert [size for _, size in handed[:-1]] == [2] * (len(handed) - 1) and 1 <= handed[-1][1] <= 2
+    assert [step for first, size in handed for step in range(first, first + size)] == list(range(len(states)))
+    assert aggregates.steps == len(states) - 1 and aggregates.reason == protocol.CONVERGED
+    assert np.array_equal(aggregates.initial, states[0])
+    assert np.array_equal(aggregates.final, states[-1])
+    assert np.array_equal(aggregates.spreads(), states.max(axis=1) - states.min(axis=1))
+    assert aggregates.hull() == (states.min(), states.max())
+    assert summarize_run(aggregates) == summarize_run(protocol.Trace(states=states, reason=aggregates.reason))
+
+
+def advanced_states(cfg):
+    """Every state of a run as a per-step ``record`` callback of ``advance``
+    collects it, with no chunk buffer in between."""
+    states = [np.array(cfg.x0, dtype=float)]
+    channel = cfg.channel
+    protocol.advance(
+        protocol.BlockUpdate(cfg.topology, cfg.protocol),
+        states[0][None],
+        None if channel is None else ChannelStreams(channel, [channel.seed]).draw,
+        channel is not None and channel.mode == TIME_INVARIANT,
+        cfg.tol,
+        cfg.max_steps,
+        lambda block: states.append(block[0].copy()),
+    )
+    return np.stack(states)
+
+
+def three_agent_scenario(variant, mode, max_steps):
+    doc = {"topology": {"kind": "complete", "n": 3}, "seed": 11, "run": {"max_steps": max_steps}}
+    doc["protocol"] = {"variant": variant}
+    if variant == "classical":
+        doc["protocol"]["step_size"] = 0.2
+    else:
+        doc["channel"] = {"law": UNIFORM, "mode": mode}
+        if variant == "superposition":
+            doc["protocol"]["mixing"] = 0.3
+    return parse_config(doc)
+
+
+@pytest.mark.filterwarnings("ignore::RuntimeWarning")
+@pytest.mark.parametrize("chunk", [1, 5, 12, protocol.CHUNK_VALUES])
+@pytest.mark.parametrize("max_steps", [0, 7, 300])
+@pytest.mark.parametrize(
+    "variant, mode",
+    [
+        ("superposition", "time-invariant"),
+        ("superposition", "iid-per-step"),
+        ("naive", "time-invariant"),
+        ("naive", "iid-per-step"),
+        ("classical", None),
+    ],
+)
+def test_run_states_match_a_per_step_record_of_advance(monkeypatch, variant, mode, max_steps, chunk):
+    cfg = three_agent_scenario(variant, mode, max_steps)
+    expected = advanced_states(cfg)
+    if (chunk, max_steps) == (12, 7):
+        # 8 states in chunks of 12 // 3 = 4: the last chunk is full.
+        assert len(expected) == 8
+    monkeypatch.setattr(protocol, "CHUNK_VALUES", chunk)
     trace = run(cfg.topology, cfg.channel, cfg.protocol, cfg.x0, tol=cfg.tol, max_steps=cfg.max_steps)
-    with tempfile.TemporaryFile() as fh, mock.patch.object(textfmt, "CHUNK_VALUES", 12):
-        record = cli._ChunkRecorder(fh, cfg.topology.n)
-        for x in trace.states:
-            record(x[None])
-        aggregates = record.close(trace.reason)
-    assert aggregates.steps == trace.steps and aggregates.reason == trace.reason
-    assert np.array_equal(aggregates.initial, trace.initial)
-    assert np.array_equal(aggregates.final, trace.final)
-    assert np.array_equal(aggregates.spreads(), trace.spreads())
-    assert aggregates.hull() == trace.hull() == (trace.states.min(), trace.states.max())
-    assert summarize_run(aggregates) == summarize_run(trace)
+    assert trace.states.shape == expected.shape and trace.states.tobytes() == expected.tobytes()

@@ -6,7 +6,7 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from airconsensus import textfmt
+from airconsensus import protocol, textfmt
 from airconsensus.config import PRESET_NAMES, parse_config, preset
 from airconsensus.protocol import CONVERGED, Trace, run
 from support import write_trace_chunked, write_trace_per_step
@@ -145,7 +145,7 @@ def test_writer_matches_reference_on_presets(tmp_path, name):
 def test_writer_matches_reference_when_steps_do_not_fill_the_last_chunk(tmp_path, monkeypatch, chunk):
     # 4 agents: chunks of 3, 10 and 250 steps for 121 steps, the step labels
     # growing from one digit to three inside a chunk.
-    monkeypatch.setattr(textfmt, "CHUNK_VALUES", chunk)
+    monkeypatch.setattr(protocol, "CHUNK_VALUES", chunk)
     states = np.random.default_rng(13).normal(0.0, 10.0, (121, 4))
     states[::7, 1] = 0.0
     assert len(states) % (chunk // 4)
@@ -158,7 +158,7 @@ def test_writer_matches_reference_with_one_agent(tmp_path):
 
 
 def test_writer_matches_reference_with_steps_wider_than_a_chunk(tmp_path):
-    n = textfmt.CHUNK_VALUES + 808
+    n = protocol.CHUNK_VALUES + 808
     states = np.random.default_rng(15).uniform(0.0, 2 * np.pi, (3, n))
     states[1, ::97] = ties(np.random.default_rng(16), 5)[: len(states[1, ::97])]
     assert_writes_reference_bytes(tmp_path, Trace(states=states, reason=CONVERGED))
