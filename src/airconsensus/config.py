@@ -222,42 +222,45 @@ def _parse_protocol(section, topology, problems):
         return None
     mixing = section.get("mixing")
     step_size = section.get("step_size")
+    # The topology checks run whatever the protocol's own values are, so
+    # that every violated constraint is named.
     if variant == SUPERPOSITION:
         if step_size is not None:
             problems.append("protocol.step_size: only the classical variant takes a step size")
         mixing = _validate_mixing(mixing, topology, problems)
-        if mixing is None:
-            return None
         _require_strong_connectivity(topology, variant, problems)
         # The received ratio divides by a node's in-neighbor sum; a strongly
         # connected graph lacks in-neighbors only at n = 1.
         if topology is not None and not topology.in_degrees.all():
             problems.append(f"topology: every node needs an in-neighbor for the {variant} variant")
-        return ProtocolConfig(variant=SUPERPOSITION, mixing=mixing)
+        return None if mixing is None else ProtocolConfig(variant=SUPERPOSITION, mixing=mixing)
     if variant == CLASSICAL:
         if mixing is not None:
             problems.append("protocol.mixing: only the superposition variant takes a mixing weight")
-        if not _is_number(step_size) or not _is_finite(step_size):
-            problems.append("protocol.step_size: required finite number for the classical variant")
-            return None
-        step_size = float(step_size)
-        if topology is not None:
-            try:
-                bound = step_size_bound(topology)
-            except ValueError as exc:
-                problems.append(f"protocol.step_size: {exc}")
-                return None
-            if not (0.0 < step_size < bound):
-                problems.append(
-                    f"protocol.step_size: must lie in (0, {bound:.6g}) for this topology, got {step_size}"
-                )
-                return None
+        step_size = _validate_step_size(step_size, topology, problems)
         _require_strong_connectivity(topology, variant, problems)
-        return ProtocolConfig(variant=CLASSICAL, step_size=step_size)
+        return None if step_size is None else ProtocolConfig(variant=CLASSICAL, step_size=step_size)
     # naive
     if mixing is not None or step_size is not None:
         problems.append("protocol: the naive variant takes no mixing or step_size")
     return ProtocolConfig(variant=NAIVE)
+
+
+def _validate_step_size(step_size, topology, problems):
+    if not _is_number(step_size) or not _is_finite(step_size):
+        problems.append("protocol.step_size: required finite number for the classical variant")
+        return None
+    step_size = float(step_size)
+    if topology is not None:
+        try:
+            bound = step_size_bound(topology)
+        except ValueError as exc:
+            problems.append(f"protocol.step_size: {exc}")
+            return None
+        if not (0.0 < step_size < bound):
+            problems.append(f"protocol.step_size: must lie in (0, {bound:.6g}) for this topology, got {step_size}")
+            return None
+    return step_size
 
 
 def _validate_mixing(mixing, topology, problems):

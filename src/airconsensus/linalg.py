@@ -42,9 +42,10 @@ class PowerIterationError(RuntimeError):
 
 
 class ArnoldiError(RuntimeError):
-    """Restarted Arnoldi ran out of restarts before its top Ritz pair
-    converged (``restarts`` and the final ``residual`` say how far it got),
-    or returned a value its operator cannot have."""
+    """Restarted Arnoldi ran out of restarts, or reached an invariant
+    subspace, before its top Ritz pair converged (``restarts`` and the
+    final ``residual`` say how far it got), or returned a value its
+    operator cannot have."""
 
     def __init__(self, message: str, restarts: int = 0, residual: float = np.nan):
         super().__init__(message)
@@ -256,10 +257,13 @@ def top_eigenpair(matvec: Callable[[np.ndarray], np.ndarray], n: int) -> tuple[c
     the ``KRYLOV_KEEP`` largest-modulus Ritz vectors, so a complex pair
     is kept whole. The run stops when the top Ritz pair's residual
     ``|A x - theta x|``, computed with the operator itself, is at most
-    ``KRYLOV_TOL`` times the norm of the projected matrix, or when the
-    basis spans an invariant subspace (always so once it holds n
-    vectors). The start vector is fixed, so the result is deterministic.
-    Raises ``ArnoldiError`` after ``KRYLOV_MAX_RESTARTS`` restarts.
+    ``KRYLOV_TOL`` times the norm of the projected matrix. A basis that
+    spans an invariant subspace (always so once it holds n vectors) ends
+    the run too: a new vector is taken as rounding noise when its norm is
+    at most ``KRYLOV_TOL`` times that of the product it came from. The
+    start vector is fixed, so the result is deterministic. Raises
+    ``ArnoldiError`` if the top pair fails its residual on an invariant
+    subspace or after ``KRYLOV_MAX_RESTARTS`` restarts.
     """
     m = min(KRYLOV_BASIS, n)
     V = np.empty((n, m + 1))
@@ -271,12 +275,14 @@ def top_eigenpair(matvec: Callable[[np.ndarray], np.ndarray], n: int) -> tuple[c
         end = m
         for j in range(kept, m):
             w = matvec(V[:, j])
+            scale = np.linalg.norm(w)
             for _ in range(2):
                 h = V[:, : j + 1].T @ w
                 w -= V[:, : j + 1] @ h
                 H[: j + 1, j] += h
             H[j + 1, j] = np.linalg.norm(w)
-            if H[j + 1, j] == 0.0:
+            # All of A v but rounding noise lies in the basis: invariant.
+            if H[j + 1, j] <= KRYLOV_TOL * scale:
                 end = j + 1
                 break
             V[:, j + 1] = w / H[j + 1, j]
@@ -284,8 +290,10 @@ def top_eigenpair(matvec: Callable[[np.ndarray], np.ndarray], n: int) -> tuple[c
         order = np.argsort(-np.abs(theta), kind="stable")
         x = V[:, :end] @ Y[:, order[0]]
         residual = float(np.linalg.norm(matvec(x.real) + 1j * matvec(x.imag) - theta[order[0]] * x))
-        if end < m or m == n or residual <= KRYLOV_TOL * np.linalg.norm(H[:end, :end]):
+        if residual <= KRYLOV_TOL * np.linalg.norm(H[:end, :end]):
             return complex(theta[order[0]]), x
+        if end < m or m == n:
+            break
         wanted = Y[:, order[:KRYLOV_KEEP]]
         # A real Ritz vector has a zero imaginary part and the two members
         # of a conjugate pair span one plane: drop those null directions.
@@ -298,9 +306,8 @@ def top_eigenpair(matvec: Callable[[np.ndarray], np.ndarray], n: int) -> tuple[c
         H[:] = 0.0
         H[:kept, :kept], H[kept, :kept] = T, b
     raise ArnoldiError(
-        f"restarted Arnoldi did not converge after {KRYLOV_MAX_RESTARTS} restarts "
-        f"(final residual {residual:.3e})",
-        KRYLOV_MAX_RESTARTS,
+        f"restarted Arnoldi did not converge after {restart} restarts (final residual {residual:.3e})",
+        restart,
         residual,
     )
 

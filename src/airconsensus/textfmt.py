@@ -1,11 +1,12 @@
 """The rows of ``trace.csv``, ``step,agent,%.17g``, formatted in numpy.
 
 Every byte equals what Python's ``'%.17g' % v`` writes. A finite value
-``|v| = m * 2**q`` whose decimal exponent ``E`` lies in [-4, 16], the
-range ``%.17g`` writes in fixed notation, gets its 17 significant digits
-``N = round_half_even(m * 5**s * 2**(s + q))``, ``s = 16 - E``, exactly:
-``m * 5**s`` is below ``2**102`` and is kept in two ``uint64`` limbs, then
-shifted right with the remainder compared against half, ties to even.
+``a = |v|`` whose decimal exponent ``E`` lies in [-4, 16], the range
+``%.17g`` writes in fixed notation, gets its 17 significant digits
+``N = round_half_even(a * 10**s)``, ``s = 16 - E``, exactly: ``10**s`` is
+an exact double, Dekker's product (Numer. Math. 18, 1971) gives ``a * 10**s``
+as ``p + err`` with ``p`` and ``err`` doubles, and ``p``, at least
+``2**53``, is an even integer, so ``N = p + rint(err)``.
 The digits are laid out in fixed notation, trailing zeros and a bare
 point dropped, and zeros are written as ``0`` and ``-0``. Every other
 value (subnormals, infinities, NaNs and exponents outside the range)
@@ -24,14 +25,20 @@ _SPACE = ord(" ")
 # Widest fixed-notation text: a sign slot, then 0.00012345678901234567.
 _WIDTH = 23
 
-_U64 = np.uint64
-_LOW32 = _U64(0xFFFFFFFF)
-_MANTISSA = _U64((1 << 52) - 1)
-_HIDDEN = _U64(1 << 52)
-_TEN16, _TEN17 = _U64(10**16), _U64(10**17)
-# 5**s * 2**8 for s = 16 - E, E in [-5, 16]: below 2**57. The 2**8 keeps
-# the shift below positive for every value in range.
-_POW5 = np.array([5**s << 8 for s in range(22)], dtype=np.uint64)
+
+def _veltkamp(a: np.ndarray, hi: np.ndarray, lo: np.ndarray) -> None:
+    """Split each double ``a`` into ``hi + lo``, halves of at most 26
+    significant bits whose products are exact (Veltkamp's split)."""
+    np.multiply(a, 2.0**27 + 1.0, out=hi)
+    np.subtract(hi, a, out=lo)
+    hi -= lo
+    np.subtract(a, hi, out=lo)
+
+
+# 10**s for s in [0, 22], each an exact double, and its two halves.
+_TENS = np.empty((3, 23))
+_TENS[0] = [float(10**s) for s in range(23)]
+_veltkamp(_TENS[0], _TENS[1], _TENS[2])
 # ASCII of 0000 ... 9999, four digits to one uint32 word; then the same
 # with trailing zeros as spaces, for the last nonzero group of a number.
 _PAIRS = np.frombuffer("".join(f"{i:02d}" for i in range(100)).encode(), np.uint8).reshape(100, 2)
@@ -99,23 +106,22 @@ class TraceRows:
 
 
 class _Scratch:
-    """The per-value arrays of ``_fill`` for up to ``size`` values.
+    """The per-value arrays of ``_fill`` for up to ``size`` values, each
+    written through ``out=``.
 
-    ``_fill`` keeps ``real[0]``, ``flags[0]`` and ``signed[3]`` to itself.
-    ``_decimal`` leaves the digits in ``unsigned[1]`` and the exponents in
-    ``signed[1]``, working in ``unsigned[2:]`` for ``_scaled``; ``_fill``
-    sorts them into ``unsigned[0]`` and ``signed[0]``, and their rows into
-    ``signed[2]``, before ``_ascii_digits`` takes ``unsigned[1:4]``,
-    ``small`` and ``words``.
+    ``_fill`` puts the absolute values in ``real[1]``, those it writes in
+    fixed notation in ``real[0]`` and their rows in ``ints[5]``.
+    ``_decimal`` leaves the exponents in ``ints[3]`` and the digits in
+    ``ints[4]``, working in ``real[1:]`` and ``ints[0]`` for ``_scaled``;
+    ``_fill`` sorts exponents, digits and rows into ``ints[:3]`` before
+    ``_ascii_digits`` takes ``ints[3:]`` and ``words``.
     """
 
     def __init__(self, size: int):
         self.size = size
         self.index = np.arange(size)
-        self.real = np.empty((2, size))
-        self.signed = np.empty((4, size), np.int64)
-        self.unsigned = np.empty((7, size), np.uint64)
-        self.small = np.empty((5, size), np.uint32)
+        self.real = np.empty((6, size))
+        self.ints = np.empty((6, size), np.int64)
         self.flags = np.empty((3, size), bool)
         self.words = np.empty((size, 5), np.uint32)
         self.text = np.empty((size, _WIDTH), np.uint8)
@@ -134,24 +140,24 @@ def _fill(x: np.ndarray, out: np.ndarray, w: _Scratch) -> np.ndarray:
     range, ``0`` or ``-0`` for a zero, and the conversion specifier
     ``%.17g`` for every other value. Return those other values, in order."""
     size = len(x)
-    ax = np.abs(x, out=w.real[0, :size])
+    ax = np.abs(x, out=w.real[1, :size])
     fixed = np.greater_equal(ax, 1e-5, out=w.flags[0, :size])
     fixed &= np.less(ax, 1e17, out=w.flags[1, :size])
     count = np.count_nonzero(fixed)
-    found = np.compress(fixed, w.index[:size], out=w.signed[3, :count])
-    n, e = _decimal(np.take(ax, found, out=w.real[1, :count], mode="clip"), w)
+    found = np.compress(fixed, w.index[:size], out=w.ints[5, :count])
+    n, e = _decimal(np.take(ax, found, out=w.real[0, :count], mode="clip"), w)
     # In order of exponent, so that _layout writes each exponent's rows as
     # one slice; the exponent -5 sorts first and is dropped.
     order = np.argsort(e.astype(np.int8), kind="stable")[np.count_nonzero(e < -4) :]
     count = len(order)
-    rows = np.take(found, order, out=w.signed[2, :count], mode="clip")
-    e = np.take(e, order, out=w.signed[0, :count], mode="clip")
-    n = np.take(n, order, out=w.unsigned[0, :count], mode="clip")
-    negative = np.less(np.take(x, rows, out=w.real[1, :count], mode="clip"), 0.0, out=w.flags[2, :count])
+    e = np.take(e, order, out=w.ints[0, :count], mode="clip")
+    n = np.take(n, order, out=w.ints[1, :count], mode="clip")
+    rows = np.take(found, order, out=w.ints[2, :count], mode="clip")
+    negative = np.less(np.take(x, rows, out=w.real[0, :count], mode="clip"), 0.0, out=w.flags[2, :count])
     text = w.text[:count]
     _layout(text, n, e, negative, w)
     out[rows] = text
-    zero = np.flatnonzero(ax == 0.0)
+    zero = np.flatnonzero(x == 0.0)
     out[zero] = _ZEROS[np.signbit(x[zero]).view(np.int8)]
     rest = w.flags[0, :size]
     rest[:] = True
@@ -161,109 +167,73 @@ def _fill(x: np.ndarray, out: np.ndarray, w: _Scratch) -> np.ndarray:
     return x[rest]
 
 
-def _decimal(ax: np.ndarray, w: _Scratch) -> tuple[np.ndarray, np.ndarray]:
+def _decimal(a: np.ndarray, w: _Scratch) -> tuple[np.ndarray, np.ndarray]:
     """``(N, E)`` with ``N`` in [10**16, 10**17) the correctly rounded 17
-    significant digits of each ``ax`` in [1e-5, 1e17), and ``E`` the
-    decimal exponent ``%.17g`` reads from them; ``ax`` is overwritten."""
-    size = len(ax)
-    bits = ax.view(np.uint64)
-    m = np.bitwise_and(bits, _MANTISSA, out=w.unsigned[0, :size])
-    m |= _HIDDEN
-    q = w.signed[0, :size]
-    np.right_shift(bits, _U64(52), out=q.view(np.uint64))
-    q -= 1075
-    e = w.signed[1, :size]
-    np.copyto(e, np.floor(np.log10(ax, out=ax), out=ax), casting="unsafe")
+    significant digits of each ``a`` in [1e-5, 1e17), and ``E`` the
+    decimal exponent ``%.17g`` reads from them."""
+    size = len(a)
+    e, n = w.ints[3, :size], w.ints[4, :size]
+    log = w.real[1, :size]
+    np.copyto(e, np.floor(np.log10(a, out=log), out=log), casting="unsafe")
     np.clip(e, -5, 16, out=e)
-    n = _scaled(m, q, np.subtract(16, e, out=w.signed[2, :size]), w.unsigned[1, :size], w.unsigned[2:])
+    _scaled(a, np.subtract(16, e, out=w.ints[0, :size]), n, w.real[1:])
     # floor(log10) can miss by one next to a power of ten: move E and redo.
     # Rounding never carries N up to 10**17: doubles are spaced wider than
     # half a unit of the 17th digit, so none lies that close below 10**k.
-    up = np.greater_equal(n, _TEN17, out=w.flags[1, :size])
-    down = np.less(n, _TEN16, out=w.flags[2, :size])
+    up = np.greater_equal(n, 10**17, out=w.flags[1, :size])
+    down = np.less(n, 10**16, out=w.flags[2, :size])
     redo = np.flatnonzero(up | down)
-    if len(redo):  # rarely: skip some 35 numpy calls on empty arrays
+    if len(redo):  # rarely: skip some 20 numpy calls on empty arrays
         e[redo] += up[redo].view(np.int8) - down[redo].view(np.int8)
-        n[redo] = _scaled(m[redo], q[redo], 16 - e[redo], np.empty(len(redo), np.uint64), w.unsigned[2:])
+        n[redo] = _scaled(a[redo], 16 - e[redo], np.empty(len(redo), np.int64), w.real[1:])
     return n, e
 
 
-def _scaled(m: np.ndarray, q: np.ndarray, s: np.ndarray, out: np.ndarray, tmp: np.ndarray) -> np.ndarray:
-    """``round_half_even(m * 5**s * 2**(s + q))`` as ``uint64`` into ``out``,
-    for ``m < 2**53``, ``0 <= s <= 21``, ``-56 < s + q < 4`` and a result
-    below ``2**63``; ``tmp`` holds five rows of scratch."""
-    f, m_lo, f_lo, mid, low = (row[: len(m)] for row in tmp[:5])
-    high = out
-    np.take(_POW5, s, out=f, mode="clip")
-    np.bitwise_and(m, _LOW32, out=m_lo)
-    np.bitwise_and(f, _LOW32, out=f_lo)
-    f >>= _U64(32)
-    # The 128-bit product m * f as high and low limbs, from 32-bit halves.
-    np.multiply(m_lo, f, out=mid)
-    np.right_shift(m, _U64(32), out=low)
-    np.multiply(low, f, out=high)
-    low *= f_lo
-    mid += low
-    m_lo *= f_lo
-    np.left_shift(mid, _U64(32), out=low)
-    low += m_lo
-    high += np.less(low, m_lo, out=f_lo)
-    mid >>= _U64(32)
-    high += mid
-    # Shift right by t = 8 - s - q, rounding half to even.
-    t = f
-    np.subtract(8, s, out=t.view(np.int64))
-    np.subtract(t.view(np.int64), q, out=t.view(np.int64))
-    np.subtract(_U64(64), t, out=mid)
-    high <<= mid
-    np.right_shift(low, t, out=mid)
-    high |= mid
-    np.left_shift(_U64(1), t, out=mid)
-    mid -= _U64(1)
-    low &= mid
-    t -= _U64(1)
-    np.left_shift(_U64(1), t, out=t)
-    np.greater(low, t, out=mid)
-    np.equal(low, t, out=m_lo)
-    np.bitwise_and(high, _U64(1), out=f_lo)
-    m_lo &= f_lo
-    mid |= m_lo
-    high += mid
-    return high
+def _scaled(a: np.ndarray, s: np.ndarray, out: np.ndarray, tmp: np.ndarray) -> np.ndarray:
+    """``round_half_even(a * 10**s)`` as ``int64`` into ``out``, for
+    ``0 <= s <= 22`` and products in [2**53, 2**63), as are those of
+    ``_decimal`` even where ``E`` is off by one; ``s`` is overwritten and
+    ``tmp`` holds five rows of scratch."""
+    p, hi, lo, b, t = (row[: len(a)] for row in tmp[:5])
+    np.multiply(a, np.take(_TENS[0], s, out=p, mode="clip"), out=p)
+    np.copyto(out, p, casting="unsafe")
+    # Dekker's product: p - a * 10**s, exactly, is accumulated in p from the
+    # halves of both factors, ((p - hi * b_hi) - lo * b_hi - hi * b_lo) - lo * b_lo.
+    _veltkamp(a, hi, lo)
+    np.take(_TENS[1], s, out=b, mode="clip")
+    p -= np.multiply(hi, b, out=t)
+    p -= np.multiply(lo, b, out=b)
+    np.take(_TENS[2], s, out=b, mode="clip")
+    p -= np.multiply(hi, b, out=hi)
+    p -= np.multiply(lo, b, out=lo)
+    # p, at least 2**53, is an even integer, so p + rint(err) ties to even.
+    np.copyto(s, np.rint(p, out=p), casting="unsafe")
+    out -= s
+    return out
 
 
 def _ascii_digits(n: np.ndarray, w: _Scratch) -> np.ndarray:
     """``(len(n), 17)`` ASCII digits of each ``n`` in [10**16, 10**17), its
-    trailing zeros as spaces."""
+    trailing zeros as spaces; ``n`` is overwritten."""
     size = len(n)
-    lead, rest, upper = (row[:size] for row in w.unsigned[1:4])
+    quot, group, index = (row[:size] for row in w.ints[3:])
     words = w.words[:size]
-    text = words.view(np.uint8)
-    # Division by a constant, then a multiply and subtract for the
-    # remainder: far quicker in numpy than divmod or %.
-    np.floor_divide(n, _TEN16, out=lead)
-    np.multiply(lead, _TEN16, out=rest)
-    np.subtract(n, rest, out=rest)
-    lead += _U64(ord("0"))
-    np.copyto(text[:, 3], lead, casting="unsafe")
-    np.floor_divide(rest, _U64(10**8), out=upper)
-    np.multiply(upper, _U64(10**8), out=lead)
-    rest -= lead
-    high, low, mid, last, index = (row[:size] for row in w.small)
-    np.copyto(mid, upper, casting="unsafe")
-    np.copyto(last, rest, casting="unsafe")
-    np.floor_divide(mid, np.uint32(10**4), out=high)
-    np.floor_divide(last, np.uint32(10**4), out=low)
-    mid -= np.multiply(high, np.uint32(10**4), out=index)
-    last -= np.multiply(low, np.uint32(10**4), out=index)
-    # A group is trimmed when every group after it is zero.
     tail = w.flags[1, :size]
     tail[:] = True
-    for j, group in reversed(list(enumerate((high, mid, low, last)))):
-        np.multiply(tail, np.uint32(10000), out=index)
+    # Four-digit groups from the last, each trimmed when every group after
+    # it is zero. Division by a constant, then a multiply and subtract for
+    # the remainder: far quicker in numpy than divmod or %.
+    for j in range(4, 0, -1):
+        np.floor_divide(n, 10**4, out=quot)
+        np.subtract(n, np.multiply(quot, 10**4, out=group), out=group)
+        np.multiply(tail, 10**4, out=index)
         index += group
-        np.take(_QUADS, index, out=words[:, 1 + j], mode="clip")
+        np.take(_QUADS, index, out=words[:, j], mode="clip")
         tail &= np.equal(group, 0, out=w.flags[0, :size])
+        n, quot = quot, n
+    n += ord("0")
+    text = words.view(np.uint8)
+    np.copyto(text[:, 3], n, casting="unsafe")
     return text[:, 3:]
 
 

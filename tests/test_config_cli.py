@@ -177,6 +177,19 @@ class TestParseConfig:
         with pytest.raises(ConfigError, match="strongly connected"):
             parse_config(doc)
 
+    def test_chain_topology_problems_reported_beside_invalid_mixing(self):
+        doc = minimal_doc(
+            topology={"kind": "custom", "n": 3, "arcs": [[1, 2, 1.0], [2, 3, 1.0]]},
+            protocol={"variant": "superposition", "mixing": 7},
+        )
+        with pytest.raises(ConfigError) as info:
+            parse_config(doc)
+        assert info.value.problems == (
+            "protocol.mixing: must lie in the open interval (0, 1), got 7",
+            "topology: must be strongly connected for the superposition variant",
+            "topology: every node needs an in-neighbor for the superposition variant",
+        )
+
     def test_one_node_rejected_for_superposition_with_other_problems(self):
         # Strongly connected, but its one node hears nobody: no received ratio.
         doc = minimal_doc(topology={"kind": "custom", "n": 1, "arcs": []}, run={"tol": -1.0})

@@ -199,6 +199,22 @@ def test_top_eigenpair_raises_with_restarts_and_residual(monkeypatch):
     assert str(info.value).startswith("restarted Arnoldi did not converge after 1 restarts (final residual ")
 
 
+def test_top_eigenpair_checks_the_residual_on_an_invariant_subspace():
+    # An "operator" that maps the start vector to 0 and then acts as the
+    # identity: the basis is invariant at once, and its Ritz pair, 0 and
+    # the start vector, fails the residual check.
+    calls = []
+
+    def matvec(v):
+        calls.append(v)
+        return 0.0 * v if len(calls) == 1 else v.copy()
+
+    with pytest.raises(ArnoldiError) as info:
+        top_eigenpair(matvec, 5)
+    assert info.value.restarts == 0
+    assert str(info.value) == "restarted Arnoldi did not converge after 0 restarts (final residual 1.000e+00)"
+
+
 def constant_complete(n):
     """The superposition update of a complete graph under a constant
     channel, mixing 0.5: two distinct eigenvalues, 1 and 0.5 - 0.5 / (n - 1)."""
@@ -214,17 +230,20 @@ def constant_complete(n):
     ],
     ids=["superposition-n10", "superposition-n30", "superposition-n60", "classical-n10", "classical-n30"],
 )
-def test_subdominant_modulus_on_degenerate_spectra_is_right_or_raises(op):
-    # Arnoldi breaks down on these few-eigenvalue spectra and once returned
-    # moduli from 1.35 to 5185. Whatever it does, no value above 1 may
-    # come back for a row-stochastic matrix.
+def test_subdominant_modulus_on_degenerate_spectra_is_right(op):
+    # Arnoldi breaks down on these few-eigenvalue spectra: its basis spans
+    # an invariant subspace after a few vectors. It once returned moduli
+    # from 1.35 to 5185 here, and then raised.
     dense = second_eigenvalue_modulus(op.dense())
-    try:
-        modulus = subdominant_modulus(op)
-    except ArnoldiError as exc:
-        assert "exceeds 1" in str(exc) or "did not converge" in str(exc)
-    else:
-        assert abs(modulus - dense) <= RATE_REL_TOL * dense + RATE_ABS_FLOOR
+    assert abs(subdominant_modulus(op) - dense) <= RATE_REL_TOL * dense + RATE_ABS_FLOOR
+
+
+@pytest.mark.parametrize("n", [10, 30, 60])
+def test_predicted_consensus_on_constant_complete_graphs_is_the_mean(n):
+    # Every agent hears every other with the same gain: the update is
+    # doubly stochastic and averages.
+    x0 = np.random.default_rng(n).uniform(0.0, 10.0, n)
+    assert abs(predicted_consensus(constant_complete(n), x0) - x0.mean()) <= VALUE_TOL
 
 
 def test_subdominant_modulus_above_one_raises(monkeypatch):
@@ -235,25 +254,43 @@ def test_subdominant_modulus_above_one_raises(monkeypatch):
     assert subdominant_modulus(constant_complete(4)) == 1.0 + 1e-13
 
 
-def test_cli_never_writes_a_modulus_above_one(tmp_path, capsys, monkeypatch):
+def complete_scenario(tmp_path, protocol, channel=None):
+    """Run the CLI on the complete 30-node graph; return ``mean(x0)`` and
+    the summary."""
+    doc = {"topology": {"kind": "complete", "n": 30}, "protocol": protocol, "seed": 2, "run": {"max_steps": 50}}
+    if channel is not None:
+        doc["channel"] = channel
+    path = tmp_path / "scenario.json"
+    path.write_text(json.dumps(doc))
+    cli.main(["--config", str(path), "--out-dir", str(tmp_path), "--quiet"])
+    return float(np.mean(parse_config(doc).x0)), json.loads((tmp_path / "summary.json").read_text())
+
+
+def test_cli_never_writes_a_modulus_above_one(tmp_path, monkeypatch):
     # Classical protocol on the complete 30-node graph, step size 0.01: the
     # dense second eigenvalue modulus is |1 - 30 * 0.01| = 0.7. With the
     # consensus prediction forced through, the rate alone decides.
     monkeypatch.setattr(cli, "predicted_consensus", lambda D, x0: 0.0)
-    path = tmp_path / "scenario.json"
-    path.write_text(
-        json.dumps(
-            {
-                "topology": {"kind": "complete", "n": 30},
-                "protocol": {"variant": "classical", "step_size": 0.01},
-                "seed": 2,
-                "run": {"max_steps": 50},
-            }
-        )
-    )
-    cli.main(["--config", str(path), "--out-dir", str(tmp_path), "--quiet"])
-    rate = json.loads((tmp_path / "summary.json").read_text())["result.rate_predicted"]
-    if rate is None:
-        assert capsys.readouterr().err.startswith("warning: no prediction: ")
-    else:
-        assert abs(rate - 0.7) <= 1e-12
+    _, summary = complete_scenario(tmp_path, {"variant": "classical", "step_size": 0.01})
+    assert abs(summary["result.rate_predicted"] - 0.7) <= 1e-12
+
+
+@pytest.mark.parametrize(
+    "protocol, channel, rate",
+    [
+        # A balanced graph averages, at the rate |1 - 30 * 0.01|.
+        ({"variant": "classical", "step_size": 0.01}, None, 0.7),
+        # Equal gains, mixing 0.5: the update 0.5 I + 0.5 (J - I) / 29.
+        (
+            {"variant": "superposition", "mixing": 0.5},
+            {"law": {"kind": "constant", "value": 1.0}, "mode": "time-invariant"},
+            0.5 - 0.5 / 29,
+        ),
+    ],
+    ids=["classical", "constant-channel"],
+)
+def test_cli_predicts_the_complete_graph(tmp_path, capsys, protocol, channel, rate):
+    mean, summary = complete_scenario(tmp_path, protocol, channel)
+    assert abs(summary["result.predicted_value"] - mean) <= 1e-12
+    assert abs(summary["result.rate_predicted"] - rate) <= 1e-12
+    assert capsys.readouterr().err == ""

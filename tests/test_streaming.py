@@ -132,6 +132,14 @@ with open("/proc/self/status") as fh:
 """
 
 
+def run_child(code, *argv):
+    """Run ``code`` in a fresh interpreter that imports this package, with
+    ``argv`` as its arguments."""
+    src = str(Path(airconsensus.__file__).resolve().parents[1])
+    env = dict(os.environ, PYTHONPATH=os.pathsep.join([src, os.environ.get("PYTHONPATH", "")]))
+    return subprocess.run([sys.executable, "-c", code, *argv], env=env, capture_output=True, text=True, check=True)
+
+
 def peak_rss_kb(tmp_path, max_steps):
     """High-water resident memory of one CLI run, in a fresh interpreter, on
     a 1000-node ring whose i.i.d. channel and mixing of 0.05 keep it
@@ -146,15 +154,7 @@ def peak_rss_kb(tmp_path, max_steps):
     config = tmp_path / f"ring-{max_steps}.json"
     config.write_text(json.dumps(doc))
     out = tmp_path / f"out-{max_steps}"
-    src = str(Path(airconsensus.__file__).resolve().parents[1])
-    env = dict(os.environ, PYTHONPATH=os.pathsep.join([src, os.environ.get("PYTHONPATH", "")]))
-    child = subprocess.run(
-        [sys.executable, "-c", PEAK_CHILD, "--config", str(config), "--out-dir", str(out), "--quiet"],
-        env=env,
-        capture_output=True,
-        text=True,
-        check=True,
-    )
+    child = run_child(PEAK_CHILD, "--config", str(config), "--out-dir", str(out), "--quiet")
     summary = json.loads((out / "summary.json").read_text())
     assert summary["result.steps"] == max_steps and not summary["result.converged"]
     (out / "trace.csv").unlink()
@@ -167,6 +167,25 @@ def test_single_run_peak_memory_does_not_grow_with_steps(tmp_path):
     # streaming writer peaked 43 MB higher at 3000 steps than at 300.
     short, long = peak_rss_kb(tmp_path, 300), peak_rss_kb(tmp_path, 3000)
     assert long - short <= 4 * 1024, (short, long)
+
+
+MODULES_CHILD = """
+import sys
+from airconsensus.cli import main
+main(sys.argv[1:])
+print(sorted(name for name in sys.modules if name.startswith("airconsensus")))
+"""
+
+
+def test_monte_carlo_never_imports_the_trace_formatter(tmp_path):
+    # A Monte Carlo run writes no trace: its set-up time and memory do not
+    # include the formatter's tables. A single run does import it.
+    args = ("--preset", "tv-sigma05", "--out-dir", str(tmp_path), "--quiet")
+    modules = run_child(MODULES_CHILD, *args, "--runs", "2")
+    assert "airconsensus.cli" in modules.stdout and "airconsensus.textfmt" not in modules.stdout
+    assert (tmp_path / "samples.csv").exists()
+    modules = run_child(MODULES_CHILD, *args)
+    assert "airconsensus.textfmt" in modules.stdout
 
 
 def test_aggregates_match_the_whole_trace(monkeypatch):
