@@ -257,7 +257,9 @@ def top_eigenpair(matvec: Callable[[np.ndarray], np.ndarray], n: int) -> tuple[c
     the ``KRYLOV_KEEP`` largest-modulus Ritz vectors, so a complex pair
     is kept whole. The run stops when the top Ritz pair's residual
     ``|A x - theta x|``, computed with the operator itself, is at most
-    ``KRYLOV_TOL`` times the norm of the projected matrix. A basis that
+    ``KRYLOV_TOL`` times the norm of the projected matrix, or times 1 if
+    that norm is smaller: the tolerance is meant for operators of
+    spectral radius at most about 1, as both callers' are. A basis that
     spans an invariant subspace (always so once it holds n vectors) ends
     the run too: a new vector is taken as rounding noise when its norm is
     at most ``KRYLOV_TOL`` times that of the product it came from. The
@@ -290,7 +292,9 @@ def top_eigenpair(matvec: Callable[[np.ndarray], np.ndarray], n: int) -> tuple[c
         order = np.argsort(-np.abs(theta), kind="stable")
         x = V[:, :end] @ Y[:, order[0]]
         residual = float(np.linalg.norm(matvec(x.real) + 1j * matvec(x.imag) - theta[order[0]] * x))
-        if residual <= KRYLOV_TOL * np.linalg.norm(H[:end, :end]):
+        # The floor of 1 admits an operator whose output is rounding noise
+        # (a rank-one D, deflated): its noise-level top pair is the answer.
+        if residual <= KRYLOV_TOL * max(np.linalg.norm(H[:end, :end]), 1.0):
             return complex(theta[order[0]]), x
         if end < m or m == n:
             break

@@ -238,6 +238,17 @@ def test_subdominant_modulus_on_degenerate_spectra_is_right(op):
     assert abs(subdominant_modulus(op) - dense) <= RATE_REL_TOL * dense + RATE_ABS_FLOOR
 
 
+@pytest.mark.parametrize("n", [10, 30, 100])
+def test_rank_one_update_predicts_the_mean_in_one_step(n):
+    # Step size 1/n on the complete graph: D = J/n, every eigenvalue but
+    # the 1 is 0, and the deflated operator returns only rounding noise.
+    # Its noise-level top pair is the answer; it once raised.
+    op = perron_operator(complete_graph(n), 1.0 / n)
+    assert abs(subdominant_modulus(op) - second_eigenvalue_modulus(op.dense())) <= RATE_ABS_FLOOR
+    x0 = np.random.default_rng(n).uniform(0.0, 10.0, n)
+    assert abs(predicted_consensus(op, x0) - x0.mean()) <= VALUE_TOL
+
+
 @pytest.mark.parametrize("n", [10, 30, 60])
 def test_predicted_consensus_on_constant_complete_graphs_is_the_mean(n):
     # Every agent hears every other with the same gain: the update is
@@ -254,10 +265,10 @@ def test_subdominant_modulus_above_one_raises(monkeypatch):
     assert subdominant_modulus(constant_complete(4)) == 1.0 + 1e-13
 
 
-def complete_scenario(tmp_path, protocol, channel=None):
-    """Run the CLI on the complete 30-node graph; return ``mean(x0)`` and
-    the summary."""
-    doc = {"topology": {"kind": "complete", "n": 30}, "protocol": protocol, "seed": 2, "run": {"max_steps": 50}}
+def complete_scenario(tmp_path, protocol, channel=None, n=30):
+    """Run the CLI on the complete ``n``-node graph; return ``mean(x0)``
+    and the summary."""
+    doc = {"topology": {"kind": "complete", "n": n}, "protocol": protocol, "seed": 2, "run": {"max_steps": 50}}
     if channel is not None:
         doc["channel"] = channel
     path = tmp_path / "scenario.json"
@@ -293,4 +304,13 @@ def test_cli_predicts_the_complete_graph(tmp_path, capsys, protocol, channel, ra
     mean, summary = complete_scenario(tmp_path, protocol, channel)
     assert abs(summary["result.predicted_value"] - mean) <= 1e-12
     assert abs(summary["result.rate_predicted"] - rate) <= 1e-12
+    assert capsys.readouterr().err == ""
+
+
+@pytest.mark.parametrize("n", [10, 30, 100])
+def test_cli_predicts_the_rank_one_complete_graph(tmp_path, capsys, n):
+    # Step size 1/n averages in one step: the dense rate is rounding noise.
+    mean, summary = complete_scenario(tmp_path, {"variant": "classical", "step_size": 1.0 / n}, n=n)
+    assert abs(summary["result.predicted_value"] - mean) <= 1e-12
+    assert abs(summary["result.rate_predicted"]) <= RATE_ABS_FLOOR
     assert capsys.readouterr().err == ""
