@@ -297,8 +297,12 @@ def monte_carlo(
         converged += result.converged.tolist()
     if distinct < runs:
         values, steps, converged = values * runs, steps * runs, converged * runs
-    mean = math.fsum(values) / runs
-    var = math.fsum((v - mean) ** 2 for v in values) / (runs - 1)
+    try:
+        mean = math.fsum(values) / runs
+        var = math.fsum((v - mean) ** 2 for v in values) / (runs - 1)
+    except (OverflowError, ValueError):  # beyond float range, or inf - inf: runs that diverged
+        with np.errstate(over="ignore", invalid="ignore"):
+            mean, var = float(np.mean(values)), float(np.var(values, ddof=1))
     return MonteCarloResult(
         runs=runs,
         non_converged=converged.count(False),

@@ -40,8 +40,9 @@ _STEP_BITS = 64
 
 @dataclass(frozen=True)
 class UniformLaw:
-    """Uniform coefficients on (lo, hi]; exact zeros are redrawn so every
-    coefficient stays strictly positive."""
+    """Uniform coefficients ``lo + (hi - lo) * u`` with ``u`` uniform on
+    [0, 1), so on [lo, hi) up to rounding; exact zeros (only at ``lo = 0``)
+    are redrawn so every coefficient stays strictly positive."""
 
     lo: float
     hi: float

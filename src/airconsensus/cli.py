@@ -17,7 +17,7 @@ import numpy as np
 
 from .analysis import monte_carlo, predicted_consensus, summarize_run
 from .channel import TIME_INVARIANT, sample
-from .config import PRESET_NAMES, ConfigError, ScenarioConfig, parse_config, preset
+from .config import PRESET_NAMES, ConfigError, ScenarioConfig, override_seed, parse_config, preset
 from .linalg import perron_operator, subdominant_modulus
 from .protocol import (
     CLASSICAL,
@@ -54,31 +54,27 @@ def main(argv: Optional[list[str]] = None) -> int:
     if (args.config is None) == (args.preset is None):
         print("error: exactly one of --config or --preset is required", file=sys.stderr)
         return EXIT_USAGE
+    if args.runs is not None and args.runs < 2:
+        print("error: --runs must be at least 2", file=sys.stderr)
+        return EXIT_USAGE
 
     if args.config is not None:
+        # The one JSON decoder of a scenario: RFC 8259 text is UTF-8.
         try:
-            doc: Any = json.loads(args.config.read_text())
-        except OSError as exc:
-            print(f"error: cannot read config {args.config}: {exc}", file=sys.stderr)
-            return EXIT_USAGE
+            doc: Any = json.loads(args.config.read_text(encoding="utf-8"))
         except json.JSONDecodeError as exc:
             print(
                 f"error: {args.config}: parse error at line {exc.lineno} column {exc.colno}: {exc.msg}",
                 file=sys.stderr,
             )
             return EXIT_USAGE
+        except (OSError, UnicodeDecodeError, RecursionError) as exc:  # RecursionError: nested too deep
+            print(f"error: cannot read config {args.config}: {exc}", file=sys.stderr)
+            return EXIT_USAGE
     else:
         doc = preset(args.preset)
     if args.seed is not None:
-        if not isinstance(doc, dict):
-            print("error: config document must be a JSON object", file=sys.stderr)
-            return EXIT_USAGE
-        doc["seed"] = args.seed
-        # An explicit override must win over seeds frozen into the document.
-        if isinstance(doc.get("channel"), dict):
-            doc["channel"].pop("seed", None)
-        if isinstance(doc.get("initial_state"), dict):
-            doc["initial_state"].pop("seed", None)
+        override_seed(doc, args.seed)
 
     try:
         cfg = parse_config(doc)
@@ -93,9 +89,6 @@ def main(argv: Optional[list[str]] = None) -> int:
         return EXIT_USAGE
 
     if args.runs is not None:
-        if args.runs < 2:
-            print("error: --runs must be at least 2", file=sys.stderr)
-            return EXIT_USAGE
         return _run_montecarlo(cfg, args.runs, args.out_dir, args.quiet)
     return _run_scenario(cfg, args.out_dir, args.quiet)
 

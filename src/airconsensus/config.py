@@ -1,6 +1,7 @@
-"""Scenario configuration: JSON parsing, validation, defaults, presets.
+"""Scenario configuration: validation, defaults, seeds, presets.
 
-A scenario document is a JSON object with sections ``topology``,
+A scenario document is a JSON object, given as the mapping ``json.load``
+makes of it, with sections ``topology``,
 ``channel``, ``protocol``, and optionally ``initial_state``, ``run``,
 ``outputs``, plus a top-level ``seed`` from which any missing channel or
 initial-state seed is derived. Validation is all-at-once: every problem
@@ -11,10 +12,9 @@ invalid config.
 from __future__ import annotations
 
 import copy
-import json
 import math
 from dataclasses import dataclass
-from typing import Any, Mapping, Optional, Union
+from typing import Any, Mapping, Optional
 
 import numpy as np
 
@@ -30,13 +30,15 @@ from .protocol import (
     ProtocolConfig,
 )
 
-# Stream tags for seeds derived from the top-level seed.
-_CHANNEL_SEED_TAG = 1
-_STATE_SEED_TAG = 2
+# The sections whose seed is derived from the top-level seed when they
+# give none, each with its stream tag.
+_SEED_TAGS = {"channel": 1, "initial_state": 2}
 
-DEFAULT_TRACE_FILE = "trace.csv"
-DEFAULT_SUMMARY_FILE = "summary.json"
-DEFAULT_SAMPLES_FILE = "samples.csv"
+# Each channel law kind: its law type and the number fields its constructor
+# takes, in order. The resolved config echoes the same fields.
+_LAWS = {"uniform": (UniformLaw, ("lo", "hi")), "constant": (ConstantLaw, ("value",))}
+
+DEFAULT_OUTPUTS = {"trace": "trace.csv", "summary": "summary.json", "samples": "samples.csv"}
 
 
 class ConfigError(ValueError):
@@ -70,38 +72,29 @@ class ScenarioConfig:
     resolved: dict
 
 
-def parse_config(doc: Union[str, Mapping[str, Any]]) -> ScenarioConfig:
-    """Parse and validate a scenario document (JSON text or mapping)."""
-    if isinstance(doc, str):
-        try:
-            raw = json.loads(doc)
-        except json.JSONDecodeError as exc:
-            raise ConfigError([f"parse error at line {exc.lineno} column {exc.colno}: {exc.msg}"])
-    else:
-        raw = dict(doc)
-    if not isinstance(raw, dict):
+def parse_config(doc: Mapping[str, Any]) -> ScenarioConfig:
+    """Validate a scenario document, the mapping ``json.load`` makes of a
+    JSON object, and resolve its defaults; anything else is rejected."""
+    if not isinstance(doc, Mapping):
         raise ConfigError(["top-level document must be a JSON object"])
 
     problems: list[str] = []
     known = {"topology", "channel", "protocol", "initial_state", "run", "outputs", "seed"}
-    for key in raw:
+    for key in doc:
         if key not in known:
             problems.append(f"unknown section {key!r}")
 
-    seed = raw.get("seed")
-    if seed is not None and not (_is_integer(seed) and seed >= 0):
-        problems.append(f"seed: must be a nonnegative integer, got {seed!r}")
-        seed = None
+    seed = _seed(doc.get("seed"), None, None, problems)
 
-    topology, topo_echo = _parse_topology(raw.get("topology"), problems)
-    protocol = _parse_protocol(raw.get("protocol"), topology, problems)
+    topology, topo_echo = _parse_topology(doc.get("topology"), problems)
+    protocol = _parse_protocol(doc.get("protocol"), topology, problems)
     # The declared variant decides whether a channel section belongs, even if its parameters are invalid.
-    declared = raw["protocol"].get("variant") if isinstance(raw.get("protocol"), dict) else None
+    declared = doc["protocol"].get("variant") if isinstance(doc.get("protocol"), dict) else None
     variant = declared if declared in VARIANTS else None
-    channel, channel_echo = _parse_channel(raw.get("channel"), topology, variant, seed, problems)
-    x0, state_echo = _parse_initial_state(raw.get("initial_state"), topology, seed, problems)
-    tol, max_steps = _parse_run(raw.get("run"), problems)
-    trace_file, summary_file, samples_file = _parse_outputs(raw.get("outputs"), problems)
+    channel, channel_echo = _parse_channel(doc.get("channel"), topology, variant, seed, problems)
+    x0, state_echo = _parse_initial_state(doc.get("initial_state"), topology, seed, problems)
+    tol, max_steps = _parse_run(doc.get("run"), problems)
+    trace_file, summary_file, samples_file = _parse_outputs(doc.get("outputs"), problems)
 
     if problems:
         raise ConfigError(problems)
@@ -179,36 +172,24 @@ def _parse_channel(section, topology, variant, seed, problems):
     if not isinstance(law_spec, dict):
         problems.append("channel.law: required object, e.g. {\"kind\": \"uniform\", \"lo\": 0.0, \"hi\": 10.0}")
     else:
+        kind = law_spec.get("kind")
         try:
-            kind = law_spec.get("kind")
-            if kind == "uniform":
-                law = UniformLaw(_as_number(law_spec["lo"], "lo"), _as_number(law_spec["hi"], "hi"))
-            elif kind == "constant":
-                law = ConstantLaw(_as_number(law_spec["value"], "value"))
-            else:
-                raise ValueError(f"kind must be 'uniform' or 'constant', got {kind!r}")
+            if not (isinstance(kind, str) and kind in _LAWS):
+                raise ValueError(f"kind must be {' or '.join(map(repr, _LAWS))}, got {kind!r}")
+            law_type, fields = _LAWS[kind]
+            values = [_as_number(law_spec[field], field) for field in fields]
+            law = law_type(*values)
+            law_echo = {"kind": kind, **dict(zip(fields, values))}
         except (ValueError, TypeError, KeyError, OverflowError) as exc:
             problems.append(f"channel.law: {exc}")
     mode = section.get("mode")
     if mode not in MODES:
         problems.append(f"channel.mode: must be one of {MODES}, got {mode!r}")
         mode = IID_PER_STEP
-    channel_seed = section.get("seed")
-    if channel_seed is None:
-        if seed is None:
-            problems.append("channel.seed: required (or provide a top-level seed to derive it from)")
-        else:
-            channel_seed = derive_seed(seed, _CHANNEL_SEED_TAG)
-    elif not (_is_integer(channel_seed) and channel_seed >= 0):
-        problems.append(f"channel.seed: must be a nonnegative integer, got {channel_seed!r}")
-        channel_seed = None
+    channel_seed = _seed(section.get("seed"), "channel", seed, problems)
     if topology is None or law is None or channel_seed is None:
         return None, None
     model = ChannelModel(topology=topology, law=law, mode=mode, seed=channel_seed)
-    if isinstance(law, UniformLaw):
-        law_echo = {"kind": "uniform", "lo": law.lo, "hi": law.hi}
-    else:
-        law_echo = {"kind": "constant", "value": law.value}
     return model, {"law": law_echo, "mode": mode, "seed": channel_seed}
 
 
@@ -329,18 +310,8 @@ def _parse_initial_state(section, topology, seed, problems):
         if not math.isfinite(hi - lo):
             problems.append(f"initial_state: needs a finite width hi - lo, got ({lo}, {hi})")
             return None, None
-        state_seed = section.get("seed")
-        if state_seed is None:
-            if seed is None:
-                problems.append(
-                    "initial_state.seed: required (or provide a top-level seed to derive it from)"
-                )
-                return None, None
-            state_seed = derive_seed(seed, _STATE_SEED_TAG)
-        elif not (_is_integer(state_seed) and state_seed >= 0):
-            problems.append(f"initial_state.seed: must be a nonnegative integer, got {state_seed!r}")
-            return None, None
-        if topology is None:
+        state_seed = _seed(section.get("seed"), "initial_state", seed, problems)
+        if topology is None or state_seed is None:
             return None, None
         rng = np.random.default_rng(state_seed)
         x0 = rng.uniform(lo, hi, topology.n)
@@ -350,11 +321,9 @@ def _parse_initial_state(section, topology, seed, problems):
 
 
 def _parse_run(section, problems):
-    if section is None:
-        return DEFAULT_SPREAD_TOL, DEFAULT_MAX_STEPS
-    if not isinstance(section, dict):
+    if section is not None and not isinstance(section, dict):
         problems.append("run: must be an object")
-        return DEFAULT_SPREAD_TOL, DEFAULT_MAX_STEPS
+    section = section if isinstance(section, dict) else {}
     tol = section.get("tol", DEFAULT_SPREAD_TOL)
     max_steps = section.get("max_steps", DEFAULT_MAX_STEPS)
     if not _is_number(tol) or not _is_finite(tol) or not tol > 0:
@@ -367,20 +336,49 @@ def _parse_run(section, problems):
 
 
 def _parse_outputs(section, problems):
-    defaults = (DEFAULT_TRACE_FILE, DEFAULT_SUMMARY_FILE, DEFAULT_SAMPLES_FILE)
-    if section is None:
-        return defaults
-    if not isinstance(section, dict):
+    if section is not None and not isinstance(section, dict):
         problems.append("outputs: must be an object")
-        return defaults
-    names = []
-    for key, default in zip(("trace", "summary", "samples"), defaults):
+    section = section if isinstance(section, dict) else {}
+    # A plain name inside the output directory: no path, no NUL.
+    names = {}
+    for key, default in DEFAULT_OUTPUTS.items():
         value = section.get(key, default)
-        if not isinstance(value, str) or not value:
+        if isinstance(value, str) and value not in ("", ".", "..") and "/" not in value and "\0" not in value:
+            names[key] = value
+        else:
             problems.append(f"outputs.{key}: must be a non-empty filename")
-            value = default
-        names.append(value)
-    return tuple(names)
+    # Every run writes the summary beside the trace or the samples, never both of those.
+    summary = names.get("summary")
+    if summary is not None and summary in (names.get("trace"), names.get("samples")):
+        problems.append(f"outputs.summary: must differ from the trace and samples names, got {summary!r}")
+    return tuple(names.get(key, default) for key, default in DEFAULT_OUTPUTS.items())
+
+
+def _seed(value, section, base, problems):
+    """The one seed rule, for ``section`` (``None``: the optional top-level seed): a
+    nonnegative integer as it is; if missing, one derived from the top-level seed
+    ``base`` with the section's stream tag; else a problem recorded and ``None``."""
+    label = "seed" if section is None else f"{section}.seed"
+    if _is_integer(value) and value >= 0:
+        return value
+    if value is not None:
+        problems.append(f"{label}: must be a nonnegative integer, got {value!r}")
+    elif section is not None:
+        if base is not None:
+            return derive_seed(base, _SEED_TAGS[section])
+        problems.append(f"{label}: required (or provide a top-level seed to derive it from)")
+    return None
+
+
+def override_seed(doc: Any, seed: int) -> None:
+    """Make ``seed`` the top-level seed of ``doc`` in place and drop the section seeds
+    derived from it, so that it wins over seeds frozen into the document (the CLI's
+    ``--seed``). Anything but an object is left for ``parse_config`` to reject."""
+    if isinstance(doc, dict):
+        doc["seed"] = seed
+        for section in _SEED_TAGS:
+            if isinstance(doc.get(section), dict):
+                doc[section].pop("seed", None)
 
 
 def _is_number(value) -> bool:

@@ -1,7 +1,10 @@
+import contextlib
 import csv
+import io
 import json
 import math
 import sys
+import tempfile
 import tracemalloc
 import warnings
 from dataclasses import replace
@@ -15,7 +18,7 @@ from hypothesis import strategies as st
 from airconsensus import cli, linalg, protocol
 from airconsensus.channel import ChannelRealization, derive_seed, sample
 from airconsensus.cli import main
-from airconsensus.config import ConfigError, PRESET_NAMES, parse_config, preset
+from airconsensus.config import ConfigError, PRESET_NAMES, override_seed, parse_config, preset
 from airconsensus.protocol import CONVERGED, ProtocolConfig, Trace, run
 from support import ring_with_chords, stream_draw, write_trace_chunked
 
@@ -156,13 +159,52 @@ class TestParseConfig:
         assert again.channel.seed == cfg.channel.seed
         assert again.resolved == cfg.resolved
 
-    def test_json_text_accepted(self):
-        cfg = parse_config(json.dumps(minimal_doc()))
-        assert cfg.topology.n == 5
+    @pytest.mark.parametrize(
+        "doc",
+        ["{}", json.dumps(minimal_doc()), [["seed", 1]], [1, 2], None, 7],
+        ids=["empty-object-text", "scenario-text", "pairs", "array", "null", "number"],
+    )
+    def test_only_a_mapping_is_a_document(self, doc):
+        # JSON text is decoded by the caller (the CLI), never here.
+        with pytest.raises(ConfigError) as info:
+            parse_config(doc)
+        assert info.value.problems == ("top-level document must be a JSON object",)
 
-    def test_parse_error_reports_position(self):
-        with pytest.raises(ConfigError, match="line 1 column"):
-            parse_config("{not json")
+    def test_seed_override_drops_the_section_seeds(self):
+        doc = minimal_doc(initial_state={"kind": "uniform", "lo": 0.0, "hi": 1.0, "seed": 5})
+        doc["channel"]["seed"] = 6
+        override_seed(doc, 9)
+        assert doc["seed"] == 9 and "seed" not in doc["channel"] and "seed" not in doc["initial_state"]
+        derived = parse_config(doc).resolved
+        assert derived["channel"]["seed"] == derive_seed(9, 1)
+        assert derived["initial_state"]["seed"] == derive_seed(9, 2)
+
+    @pytest.mark.parametrize("outputs", [{"trace": "out.csv", "samples": "out.csv"}, {"trace": "..a", "summary": "s"}])
+    def test_output_names_accepted(self, outputs):
+        # No run writes both the trace and the samples: they may share a name.
+        cfg = parse_config(minimal_doc(outputs=outputs))
+        defaults = {"trace": "trace.csv", "summary": "summary.json", "samples": "samples.csv"}
+        assert cfg.resolved["outputs"] == {**defaults, **outputs}
+
+    @pytest.mark.parametrize(
+        "outputs, problems",
+        [
+            ({"trace": "", "summary": ".", "samples": ".."}, ["trace", "summary", "samples"]),
+            ({"trace": "a/b.csv", "samples": "x\0y"}, ["trace", "samples"]),
+            ({"summary": "trace.csv"}, ["summary-collision"]),
+            ({"summary": "m.csv", "samples": "m.csv", "trace": 3}, ["trace", "summary-collision"]),
+        ],
+    )
+    def test_output_names_checked(self, outputs, problems):
+        with pytest.raises(ConfigError) as info:
+            parse_config(minimal_doc(outputs=outputs))
+        expected = [
+            f"outputs.summary: must differ from the trace and samples names, got {outputs['summary']!r}"
+            if key == "summary-collision"
+            else f"outputs.{key}: must be a non-empty filename"
+            for key in problems
+        ]
+        assert list(info.value.problems) == expected
 
     def test_mixing_above_one_rejected_naming_constraint(self):
         doc = minimal_doc()
@@ -427,6 +469,13 @@ class TestCli:
         assert message in capsys.readouterr().err
         assert sorted(p.name for p in tmp_path.iterdir()) == ["probe.json"]
 
+    def test_parse_error_reports_position(self, tmp_path, capsys):
+        path = tmp_path / "broken.json"
+        path.write_text("{not json")
+        assert main(["--config", str(path), "--out-dir", str(tmp_path / "out")]) == 1
+        assert "line 1 column" in capsys.readouterr().err
+        assert not (tmp_path / "out").exists()
+
     def test_missing_file_exits_one(self, tmp_path, capsys):
         assert main(["--config", str(tmp_path / "nope.json")]) == 1
         assert "cannot read" in capsys.readouterr().err
@@ -483,9 +532,10 @@ class TestCli:
         assert (a / "samples.csv").read_bytes() == (b / "samples.csv").read_bytes()
         assert (a / "summary.json").read_bytes() == (b / "summary.json").read_bytes()
 
-    def test_montecarlo_rejects_single_run(self, capsys):
-        assert main(["--preset", "tv-sigma05", "--runs", "1"]) == 1
+    def test_montecarlo_rejects_single_run(self, tmp_path, capsys):
+        assert main(["--preset", "tv-sigma05", "--runs", "1", "--out-dir", str(tmp_path / "out")]) == 1
         assert "at least 2" in capsys.readouterr().err
+        assert not (tmp_path / "out").exists()
 
     def test_quiet_suppresses_output(self, tmp_path, capsys):
         main(["--preset", "ti-sigma02", "--out-dir", str(tmp_path), "--quiet"])
@@ -497,6 +547,148 @@ class TestCli:
         value = first_row.split(",")[2]
         assert float(value) == np.float64(value)  # round-trips exactly
         assert len(value.split(".")[-1]) >= 15
+
+
+def outputs_probe(outputs):
+    return json.dumps(minimal_doc(outputs=outputs, run={"max_steps": 5})).encode()
+
+
+# Inputs the front door rejects; each once ran, was misreported, ended in a
+# traceback or wrote outside its place: (file bytes, extra arguments, a line
+# of the report on stderr).
+FRONT_DOOR_PROBES = {
+    "scenario inside a JSON string": (json.dumps(json.dumps(minimal_doc())).encode(), [], "top-level document"),
+    "JSON string": (b'"garbage"', [], "top-level document must be a JSON object"),
+    "list of sections": (b'[["topology", {"kind": "ring", "n": 3}], ["seed", 1]]', [], "top-level document"),
+    "JSON array": (b"[1, 2]", [], "top-level document must be a JSON object"),
+    "JSON array with --seed": (b"[1, 2]", ["--seed", "3"], "top-level document must be a JSON object"),
+    "not UTF-8": (b'{"seed": "\xff"}', [], "cannot read config"),
+    "nested too deep": (b"[" * 100_000, [], "cannot read config"),
+    "NUL in a name": (outputs_probe({"trace": "a\0b.csv"}), [], "outputs.trace: must be a non-empty filename"),
+    "summary over the trace": (
+        outputs_probe({"trace": "out.txt", "summary": "out.txt"}),
+        [],
+        "outputs.summary: must differ from the trace and samples names, got 'out.txt'",
+    ),
+    "summary over the samples": (
+        outputs_probe({"samples": "summary.json"}),
+        ["--runs", "2"],
+        "outputs.summary: must differ",
+    ),
+    "name outside the output directory": (
+        outputs_probe({"samples": "../escaped.csv"}),
+        ["--runs", "2"],
+        "outputs.samples: must be a non-empty filename",
+    ),
+    "name in a subdirectory": (outputs_probe({"trace": "sub/t.csv"}), [], "outputs.trace: must be a non-empty"),
+    "dot names": (outputs_probe({"trace": ".", "summary": ".."}), [], "outputs.summary: must be a non-empty"),
+}
+
+
+@pytest.mark.parametrize("probe", list(FRONT_DOOR_PROBES))
+def test_front_door_rejects_probe_writing_nothing(tmp_path, capsys, probe):
+    text, args, message = FRONT_DOOR_PROBES[probe]
+    path = tmp_path / "probe.json"
+    path.write_bytes(text)
+    out = tmp_path / "out"
+    assert main(["--config", str(path), "--out-dir", str(out), *args]) == 1
+    err = capsys.readouterr().err
+    assert message in err and "Traceback" not in err
+    assert [p.name for p in tmp_path.iterdir()] == ["probe.json"]
+
+
+def fuzz_doc():
+    """A valid 4-node scenario that stops within 50 steps, with a field of
+    every section set."""
+    return {
+        "topology": {"kind": "custom", "n": 4, "arcs": [[1, 2, 1.0], [2, 3, 2.0], [3, 4, 1.0], [4, 1, 0.5]]},
+        "channel": {"law": {"kind": "uniform", "lo": 0.5, "hi": 2.0}, "mode": "iid-per-step", "seed": 3},
+        "protocol": {"variant": "superposition", "mixing": 0.5},
+        "initial_state": {"kind": "uniform", "lo": 0.0, "hi": 1.0, "seed": 4},
+        "run": {"tol": 1e-6, "max_steps": 50},
+        "outputs": {"trace": "t.csv", "summary": "s.json", "samples": "m.csv"},
+        "seed": 1,
+    }
+
+
+# Where a fuzzed value goes: every section and field of fuzz_doc, a law and
+# a protocol field its base leaves out, and a section no scenario has.
+FUZZ_PATHS = [
+    (key,) for key in fuzz_doc()
+] + [
+    (section, key) for section, fields in fuzz_doc().items() if isinstance(fields, dict) for key in fields
+] + [
+    ("topology", "arcs", 0),
+    ("topology", "arcs", 0, 2),
+    ("channel", "law", "kind"),
+    ("channel", "law", "hi"),
+    ("channel", "law", "value"),
+    ("protocol", "step_size"),
+    ("initial_state", "values"),
+    ("extra",),
+]
+
+JSON_SCALARS = st.one_of(
+    st.none(),
+    st.booleans(),
+    st.integers(-(2**70), 2**70),
+    st.floats(),
+    st.text(max_size=6),
+    # Path-like names: separators, dots and NUL.
+    st.text(alphabet="./\0ab", max_size=4),
+)
+JSON_VALUES = st.recursive(
+    JSON_SCALARS,
+    lambda inner: st.lists(inner, max_size=4) | st.dictionaries(st.text(max_size=6), inner, max_size=4),
+    max_leaves=12,
+)
+
+
+def _beyond_64(value):
+    return isinstance(value, (int, float)) and not isinstance(value, bool) and value > 64
+
+
+@settings(max_examples=300, deadline=None)
+@given(data=st.data())
+def test_fuzzed_document_never_raises(data):
+    path = data.draw(st.sampled_from(FUZZ_PATHS), label="path")
+    # Scalars drawn on their own as well: st.recursive draws mostly containers.
+    values = JSON_SCALARS | JSON_VALUES
+    if path in (("topology", "n"), ("run", "max_steps")):
+        # A valid but huge n builds n or n^2 dict entries, and a huge
+        # max_steps runs that long, before anything bounds them: sizing is
+        # a policy parse_config does not set yet.
+        values = values.filter(lambda v: not _beyond_64(v))
+    doc = fuzz_doc()
+    *parents, last = path
+    target = doc
+    for key in parents:
+        target = target[key]
+    target[last] = data.draw(values, label="value")
+    runs = data.draw(st.sampled_from([[], ["--runs", "2"]]), label="runs")
+    with tempfile.TemporaryDirectory() as work:
+        config = Path(work) / "fuzz.json"
+        config.write_text(json.dumps(doc))
+        err = io.StringIO()
+        with contextlib.redirect_stdout(io.StringIO()), contextlib.redirect_stderr(err), warnings.catch_warnings():
+            warnings.simplefilter("ignore")
+            code = main(["--config", str(config), "--out-dir", str(Path(work) / "out"), *runs])
+    assert code in (0, 1, 2), err.getvalue()
+
+
+def test_montecarlo_statistics_beyond_float_range(tmp_path):
+    # The naive update drives these two replicates apart by about 1e202:
+    # their squared deviation from the mean passes the float range, which
+    # once raised OverflowError.
+    doc = fuzz_doc()
+    doc["protocol"] = {"variant": "naive"}
+    doc["initial_state"] = {"kind": "explicit", "values": [0.0, 3e200, 0.0, 3e200]}
+    path = tmp_path / "wide.json"
+    path.write_text(json.dumps(doc))
+    assert main(["--config", str(path), "--runs", "2", "--out-dir", str(tmp_path), "--quiet"]) == 0
+    summary = json.loads((tmp_path / "s.json").read_text())
+    assert math.isfinite(summary["montecarlo.mean_consensus"])
+    assert summary["montecarlo.std_consensus"] == math.inf
 
 
 @pytest.mark.parametrize(

@@ -24,6 +24,8 @@ from airconsensus.linalg import (
     KRYLOV_BASIS,
     ArcOperator,
     ArnoldiError,
+    dominant_left_eigenvector,
+    left_perron_vector,
     perron_matrix,
     perron_operator,
     second_eigenvalue_modulus,
@@ -75,6 +77,36 @@ def graphs_below_basis(draw):
 
 
 @st.composite
+def few_eigenvalue_graphs(draw):
+    """A complete graph, a two-way star, a complete bipartite graph or a
+    two-way ring, with one weight on every arc: few distinct eigenvalues
+    (under a constant channel or the classical protocol), on which
+    Arnoldi's basis turns invariant after a few vectors. Rings stop at 24
+    nodes, where the spectral gap stays above 1e-3 for the mixings and step
+    sizes drawn, so that a power-iteration reference converges."""
+    family = draw(st.sampled_from(["complete", "star", "bipartite", "ring"]))
+    weight = draw(st.floats(0.5, 10.0))
+    if family == "complete":
+        return complete_graph(draw(st.integers(2, 90)), weight)
+    if family == "star":
+        n = draw(st.integers(2, 60))
+        links = [(1, i) for i in range(2, n + 1)]
+    elif family == "bipartite":
+        a, b = draw(st.integers(1, 30)), draw(st.integers(1, 30))
+        n = a + b
+        links = [(j, i) for j in range(1, a + 1) for i in range(a + 1, n + 1)]
+    else:
+        n = draw(st.integers(3, 24))
+        links = [(i, i % n + 1) for i in range(1, n + 1)]
+    return WeightedDigraph(n, {arc: weight for j, i in links for arc in ((j, i), (i, j))})
+
+
+def classical_update(draw, g):
+    step = draw(st.floats(0.05, 0.95)) * step_size_bound(g)
+    return perron_matrix(g, step), perron_operator(g, step)
+
+
+@st.composite
 def update_matrices(draw):
     """(dense D, its ArcOperator form): superposition with a scalar or a
     per-agent mixing over a time-invariant uniform channel, or the
@@ -82,8 +114,7 @@ def update_matrices(draw):
     g = draw(graphs_below_basis())
     kind = draw(st.sampled_from(["scalar", "per-agent", "classical"]))
     if kind == "classical":
-        step = draw(st.floats(0.05, 0.95)) * step_size_bound(g)
-        return perron_matrix(g, step), perron_operator(g, step)
+        return classical_update(draw, g)
     r = sample(ti_channel(g, draw(st.integers(0, 2**32 - 1))), 0)
     if kind == "scalar":
         mixing = draw(st.floats(0.01, 0.99))
@@ -92,12 +123,38 @@ def update_matrices(draw):
     return effective_matrix(r, mixing), effective_operator(r, mixing)
 
 
+@st.composite
+def few_eigenvalue_updates(draw):
+    """(dense D, its ArcOperator form) with few distinct eigenvalues, all
+    of them semisimple: a few-eigenvalue graph under a constant channel
+    with a scalar mixing, or its classical Perron matrix. (A constant
+    channel on a random digraph can give a defective eigenvalue, which no
+    method, the dense reference included, resolves below sqrt(eps).)"""
+    g = draw(few_eigenvalue_graphs())
+    if draw(st.booleans()):
+        return classical_update(draw, g)
+    r = sample(ChannelModel(g, ConstantLaw(draw(st.floats(0.1, 10.0))), TIME_INVARIANT, 1), 0)
+    mixing = draw(st.floats(0.05, 0.95))
+    return effective_matrix(r, mixing), effective_operator(r, mixing)
+
+
 @settings(max_examples=150, deadline=None)
-@given(pair=update_matrices(), seed=st.integers(0, 2**32 - 1))
+@given(pair=update_matrices() | few_eigenvalue_updates(), seed=st.integers(0, 2**32 - 1))
 def test_predictions_match_dense_references(pair, seed):
     D, op = pair
     x0 = np.random.default_rng(seed).uniform(0, 2 * np.pi, len(D))
     assert_matches_dense(D, op, x0)
+
+
+@settings(max_examples=100, deadline=None)
+@given(pair=few_eigenvalue_updates())
+def test_few_eigenvalue_spectra_match_power_iteration(pair):
+    D, op = pair
+    rate = second_eigenvalue_modulus(D)
+    # Power iteration's error is about its residual over the spectral gap.
+    reference = dominant_left_eigenvector(D, tol=VALUE_TOL * (1.0 - rate)).left_vector
+    assert np.max(np.abs(left_perron_vector(op) - reference)) <= VALUE_TOL
+    assert abs(subdominant_modulus(op) - rate) <= RATE_REL_TOL * rate + RATE_ABS_FLOOR
 
 
 @settings(max_examples=40, deadline=None)
