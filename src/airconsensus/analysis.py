@@ -15,7 +15,7 @@ from typing import Optional, Sequence, Union
 
 import numpy as np
 
-from .channel import TIME_INVARIANT, ChannelModel, ChannelRealization, ChannelStreams, derive_seed
+from .channel import TIME_INVARIANT, ChannelModel, ChannelRealization, ChannelStreams, derive_seeds
 from .graph import WeightedDigraph
 from .linalg import ArcOperator, left_perron_vector
 from .protocol import (
@@ -267,7 +267,10 @@ def monte_carlo(
     ``non_converged`` and still reported, never dropped.
 
     Replicates advance together, in blocks whose states and coefficients
-    hold at most ``MC_BLOCK_ELEMENTS`` floats each. Every replicate's
+    hold at most ``MC_BLOCK_ELEMENTS`` floats each. The run seeds and the
+    words their channel generators are seeded with are each computed for
+    all replicates in one pass; a block's generators are built when the
+    block starts, so set-up and memory stay flat. Every replicate's
     consensus value, step count and outcome equal, bit for bit, those of
     one ``run`` with its channel seed.
 
@@ -277,20 +280,20 @@ def monte_carlo(
     if runs < 2:
         raise ValueError(f"need at least 2 runs, got {runs}")
     x = validated_state(topology, channel, protocol, x0, tol, max_steps)
-    seeds = [derive_seed(channel.seed, i) for i in range(runs)] if channel is not None else [0] * runs
+    seeds = derive_seeds(channel.seed, range(runs)) if channel is not None else [0] * runs
     # With nothing drawn every replicate is the same run: advance one.
     distinct = 1 if protocol.variant == CLASSICAL else runs
     block = max(1, MC_BLOCK_ELEMENTS // max(len(topology.arc_order), topology.n))
     update = BlockUpdate(topology, protocol, rows=min(block, distinct))
     time_invariant = channel is not None and channel.mode == TIME_INVARIANT
+    streams = ChannelStreams.blocks(channel, seeds, block) if protocol.variant != CLASSICAL else None
     values: list[float] = []
     steps: list[int] = []
     converged: list[bool] = []
     for start in range(0, distinct, block):
-        block_seeds = seeds[start : min(start + block, distinct)]
-        draw = ChannelStreams(channel, block_seeds).draw if protocol.variant != CLASSICAL else None
+        draw = next(streams).draw if streams is not None else None
         result = advance(
-            update, np.tile(x, (len(block_seeds), 1)), draw, time_invariant, tol, max_steps
+            update, np.tile(x, (min(block, distinct - start), 1)), draw, time_invariant, tol, max_steps
         )
         values += result.final.mean(axis=1).tolist()
         steps += result.steps.tolist()

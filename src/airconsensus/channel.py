@@ -1,28 +1,33 @@
 """Stochastic wireless channel coefficients and superposed-signal arithmetic.
 
-Sampling is counter-based: the coefficients of channel seed ``s`` at step
-``k`` are drawn on the law from a PCG64DXSM generator seeded from
-``SeedSequence(entropy=s, spawn_key=(stream,))`` and advanced by
-``k * 2**64`` outputs (``k = 0`` for a time-invariant channel). They are
-a pure function of ``(seed, mode, k)``, so any step can be reproduced
-without replaying earlier ones, and the steps of one seed read disjoint
-substreams of one generator, which PCG64DXSM keeps independent at large
-strides by design.
+Sampling is counter-based. Channel seed ``s`` has one PCG64DXSM stream,
+seeded from ``SeedSequence(entropy=s, spawn_key=(stream,))``. Step ``k``
+of an i.i.d.-per-step channel reads outputs ``[k |E|, (k + 1) |E|)`` of
+it; a time-invariant channel reads ``[0, |E|)`` at every step. Exact
+zeros of i.i.d. step ``k`` are redrawn from outputs ``2**127 + k * 2**63``
+on (a time-invariant draw's from ``|E|`` on), so no redraw moves another
+step. The coefficients are therefore a pure function of ``(seed, mode,
+k)``: any step is reached by one ``advance``, and consecutive steps by
+none.
 A realization holds one coefficient per arc, so sampling costs O(|E|);
 the dense n x n gain matrix is built only when an analysis reads it.
 ``ChannelStreams`` is the one draw path: it draws for a whole block of
-run seeds from one generator per seed, each row one ``advance`` and one
-standard-uniform fill; the block is then scaled to the law's bounds in
-one pass and checked for exact zeros in one pass, and a zero is redrawn
-in place from its row's generator. ``sample`` is a block of one.
+run seeds from one generator per seed, each row one standard-uniform
+fill (after an ``advance`` only if the row is out of place); the block
+is then scaled to the law's bounds in one pass and checked for exact
+zeros in one pass. ``sample`` is a block of one.
+Seeding replays numpy's ``SeedSequence`` hash on uint32 arrays, one
+pass for a whole batch of seeds: it gives ``derive_seed``'s child seeds
+and the words each generator is seeded with, bit for bit, without a
+``SeedSequence`` object per seed.
 """
 
 from __future__ import annotations
 
 import math
 from dataclasses import dataclass
-from functools import cached_property
-from typing import Sequence, Union
+from functools import cache, cached_property
+from typing import Iterator, Sequence, Union
 
 import numpy as np
 
@@ -34,8 +39,18 @@ MODES = (TIME_INVARIANT, IID_PER_STEP)
 
 # Stream tag separating channel draws from any other use of the same seed.
 _CHANNEL_STREAM = 0xC0EF
-# Step k's coefficients start at output k << _STEP_BITS of the seed's stream.
+# Steps are numbered below 2**_STEP_BITS.
 _STEP_BITS = 64
+# Zeros of i.i.d. step k are redrawn from output _REDRAW + (k << _REDRAW_STEP_BITS) on.
+_REDRAW = 1 << 127
+_REDRAW_STEP_BITS = 63
+
+# numpy's SeedSequence: pool size (32-bit words) and hash constants.
+_POOL = 4
+_INIT_A, _MULT_A = 0x43B0D7E5, 0x931E8875
+_INIT_B, _MULT_B = 0x8B51F9DD, 0x58F38DED
+_MIX_MULT_L, _MIX_MULT_R = 0xCA01F9DD, 0x4973F715
+_MASK32 = 0xFFFFFFFF
 
 
 @dataclass(frozen=True)
@@ -57,7 +72,8 @@ class UniformLaw:
         """Standard uniforms mapped onto the law in place: ``lo + (hi - lo) * u``,
         bit for bit what ``Generator.uniform(lo, hi)`` makes of the same ``u``."""
         uniforms *= self.hi - self.lo
-        uniforms += self.lo
+        if self.lo:  # u * w + 0.0 is u * w, bit for bit, for u * w >= 0
+            uniforms += self.lo
         return uniforms
 
 
@@ -126,19 +142,16 @@ def sample(model: ChannelModel, k: int) -> ChannelRealization:
     return ChannelRealization(model.topology, ChannelStreams(model, [model.seed]).draw(k)[0])
 
 
-def _stream(seed: int) -> np.random.Generator:
-    """The channel generator of ``seed``, at the start of its stream."""
-    seeds = np.random.SeedSequence(entropy=seed, spawn_key=(_CHANNEL_STREAM,))
-    return np.random.Generator(np.random.PCG64DXSM(seeds))
-
-
-def _offset(model: ChannelModel, k: int) -> int:
-    """Position of step ``k``'s coefficients in the model's channel stream."""
+def _offsets(model: ChannelModel, k: int, arcs: int) -> tuple[int, int]:
+    """Positions in the model's channel stream of step ``k``'s coefficients
+    and of the redraws of their exact zeros."""
     if k < 0:
         raise ValueError(f"step index must be nonnegative, got {k}")
     if k >> _STEP_BITS:
         raise ValueError(f"step index must be below 2**{_STEP_BITS}, got {k}")
-    return 0 if model.mode == TIME_INVARIANT else k << _STEP_BITS
+    if model.mode == TIME_INVARIANT:
+        return 0, arcs
+    return k * arcs, _REDRAW + (k << _REDRAW_STEP_BITS)
 
 
 def superpose(r: ChannelRealization, x: np.ndarray, i: int) -> tuple[float, float]:
@@ -154,10 +167,115 @@ def superpose(r: ChannelRealization, x: np.ndarray, i: int) -> tuple[float, floa
     return float(h @ x[r.topology.arc_cols[into]]), float(h.sum())
 
 
-def derive_seed(base: int, *key: int) -> int:
-    """Deterministic 64-bit child seed for stream/run separation."""
-    ss = np.random.SeedSequence(entropy=int(base), spawn_key=tuple(int(v) for v in key))
-    return int(ss.generate_state(1, np.uint64)[0])
+def derive_seed(base: int, key: int) -> int:
+    """Deterministic 64-bit child seed for stream/run separation: the first
+    64-bit word of ``SeedSequence(entropy=base, spawn_key=(key,))``."""
+    return derive_seeds(base, [key])[0]
+
+
+def derive_seeds(base: int, keys: Sequence[int]) -> list[int]:
+    """``derive_seed(base, key)`` for each of ``keys``, in one replay."""
+    keys = [int(key) for key in keys]
+    return _replay([int(base)] * len(keys), keys, 2).astype("<u4").view("<u8")[:, 0].tolist()
+
+
+def _stream_words(seeds: Sequence[int]) -> np.ndarray:
+    """``(len(seeds), 4)`` uint64 words that each seed's channel generator
+    is seeded with: ``SeedSequence(entropy=seed, spawn_key=(_CHANNEL_STREAM,))
+    .generate_state(4, np.uint64)``."""
+    words = _replay(seeds, [_CHANNEL_STREAM] * len(seeds), 8)
+    return words.astype("<u4").view("<u8").astype(np.uint64)
+
+
+def _replay(entropy: Sequence[int], keys: Sequence[int], words: int) -> np.ndarray:
+    """``SeedSequence(entropy=e, spawn_key=(key,)).generate_state(words)``
+    for each pair of nonnegative ints, as a ``(len(entropy), words)`` uint32
+    array.
+
+    numpy's hash replayed on uint32 arrays, one hash step for all rows at
+    once. A row's input is the entropy's 32-bit words, zero-padded to the
+    pool size because a spawn key follows, then the key's words; rows
+    with the same word counts share the order of hash steps and are
+    hashed together.
+    """
+    sizes = [
+        (max(_POOL, (e.bit_length() + 31) >> 5), (key.bit_length() + 31) >> 5 or 1)
+        for e, key in zip(entropy, keys)
+    ]
+    out = np.empty((len(sizes), words), np.uint32)
+    for size in set(sizes):
+        rows = [i for i, s in enumerate(sizes) if s == size]
+        columns = np.vstack(
+            [_words([entropy[i] for i in rows], size[0]), _words([keys[i] for i in rows], size[1])]
+        )
+        out[rows] = _hash(columns, words).T
+    return out
+
+
+def _words(values: Sequence[int], width: int) -> np.ndarray:
+    """``(width, len(values))`` uint32 array: column ``i`` holds the
+    little-endian 32-bit words of ``values[i]``."""
+    data = b"".join(value.to_bytes(4 * width, "little") for value in values)
+    return np.frombuffer(data, "<u4").reshape(len(values), width).T.astype(np.uint32, order="C")
+
+
+def _hash(entropy: np.ndarray, words: int) -> np.ndarray:
+    """``SeedSequence``'s pool mixing of the ``(length, rows)`` uint32 words
+    ``entropy`` (length at least the pool size), then ``generate_state``:
+    a ``(words, rows)`` uint32 array. uint32 arithmetic wraps as the hash's."""
+    const = _INIT_A
+
+    def hashmix(value: np.ndarray) -> np.ndarray:
+        nonlocal const
+        value = value ^ const
+        const = const * _MULT_A & _MASK32
+        value = value * const
+        return value ^ value >> 16
+
+    def mix(x: np.ndarray, y: np.ndarray) -> np.ndarray:
+        result = x * _MIX_MULT_L - y * _MIX_MULT_R
+        return result ^ result >> 16
+
+    pool = [hashmix(value) for value in entropy[:_POOL]]
+    for src in range(_POOL):
+        for dst in range(_POOL):
+            if src != dst:
+                pool[dst] = mix(pool[dst], hashmix(pool[src]))
+    for value in entropy[_POOL:]:
+        for dst in range(_POOL):
+            pool[dst] = mix(pool[dst], hashmix(value))
+    const, state = _INIT_B, []
+    for i in range(words):
+        value = pool[i % _POOL] ^ const
+        const = const * _MULT_B & _MASK32
+        value = value * const
+        state.append(value ^ value >> 16)
+    return np.array(state)
+
+
+@cache
+def _fixed_seed_sequence() -> type:
+    """An ``ISeedSequence`` that hands a bit generator fixed seed words.
+    Made on first use: importing the package does not load ``numpy.random``."""
+    from numpy.random.bit_generator import ISeedSequence
+
+    class FixedWords(ISeedSequence):
+        __slots__ = ("words",)
+
+        def __init__(self, words: np.ndarray):
+            self.words = words
+
+        def generate_state(self, n_words, dtype=np.uint32):
+            return self.words
+
+    return FixedWords
+
+
+def _generators(words: np.ndarray) -> list[np.random.Generator]:
+    """A channel generator at the start of its stream for each row of
+    ``_stream_words``."""
+    fixed, bits, generator = _fixed_seed_sequence(), np.random.PCG64DXSM, np.random.Generator
+    return [generator(bits(fixed(row))) for row in words]
 
 
 class ChannelStreams:
@@ -165,16 +283,30 @@ class ChannelStreams:
 
     Row ``i`` of ``draw(k, rows)`` equals ``sample(replace(model,
     seed=seeds[rows][i]), k).values`` bit for bit, whatever was drawn
-    before: each seed keeps its own channel generator, which is advanced
-    from where its last draw left it to step ``k``'s offset and fills its
-    row with standard uniforms; the block is then scaled to the law's
-    bounds, and each exact zero redrawn with ``Generator.uniform`` from
-    its row's generator until none is left.
+    before: each seed keeps its own channel generator, which fills its row
+    with standard uniforms from step ``k``'s position, advanced there only
+    if its last draw did not end there; the block is then scaled to the
+    law's bounds, and each exact zero redrawn with ``Generator.uniform``
+    from its row's redraw position until none is left.
     """
 
     def __init__(self, model: ChannelModel, seeds: Sequence[int]):
+        self._start(model, _stream_words(seeds))
+
+    @classmethod
+    def blocks(cls, model: ChannelModel, seeds: Sequence[int], size: int) -> Iterator["ChannelStreams"]:
+        """``ChannelStreams(model, seeds[i : i + size])`` for ``i = 0, size,
+        ...``: the seeds are replayed in one pass, and each block's
+        generators are built when it is reached."""
+        words = _stream_words(seeds)
+        for first in range(0, len(seeds), size):
+            streams = cls.__new__(cls)
+            streams._start(model, words[first : first + size])
+            yield streams
+
+    def _start(self, model: ChannelModel, words: np.ndarray) -> None:
         self.model = model
-        self._rngs = [_stream(seed) for seed in seeds]
+        self._rngs = _generators(words)
         # Stream position of each generator: where its next output sits.
         self._at = [0] * len(self._rngs)
 
@@ -182,22 +314,27 @@ class ChannelStreams:
         """``(len(rows), |E|)`` coefficients for step ``k`` of the selected runs."""
         law = self.model.law
         arcs = len(self.model.topology.arc_order)
-        offset = _offset(self.model, k)
+        start, redraw = _offsets(self.model, k, arcs)
         selected = np.arange(len(self._rngs))[rows].tolist()
         if isinstance(law, ConstantLaw):
             return np.full((len(selected), arcs), law.value)
         out = np.empty((len(selected), arcs))
+        rngs, at = self._rngs, self._at
         for values, i in zip(out, selected):
-            rng = self._rngs[i]
-            rng.bit_generator.advance(offset - self._at[i])
-            rng.random(out=values)
-            self._at[i] = offset + arcs
+            if at[i] != start:
+                rngs[i].bit_generator.advance(start - at[i])
+            rngs[i].random(out=values)
+            at[i] = start + arcs
         law.scale(out)
         # Checked after scaling: a subnormal width rounds nonzero uniforms to 0.
-        for row in np.flatnonzero(out.min(axis=1, initial=np.inf) <= 0.0).tolist():
+        if out.min(initial=np.inf) > 0.0:
+            return out
+        for row in np.flatnonzero(out.min(axis=1) <= 0.0).tolist():
             i, values = selected[row], out[row]
+            rngs[i].bit_generator.advance(redraw - at[i])
+            at[i] = redraw
             while (zero := values <= 0.0).any():
                 count = int(zero.sum())
-                values[zero] = self._rngs[i].uniform(law.lo, law.hi, count)
-                self._at[i] += count
+                values[zero] = rngs[i].uniform(law.lo, law.hi, count)
+                at[i] += count
         return out

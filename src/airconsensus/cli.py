@@ -9,6 +9,7 @@ from __future__ import annotations
 
 import argparse
 import json
+import math
 import sys
 from pathlib import Path
 from typing import Any, Mapping, Optional
@@ -217,10 +218,15 @@ def _summary_dict(summary) -> dict:
 def _dumps_flat(doc: Mapping[str, Any]) -> str:
     """``json.dumps(doc, sort_keys=True, indent=2)`` of a flat document, byte
     for byte, with the values encoded by the C encoder: ``indent`` makes
-    ``json`` fall back to its pure-Python encoder."""
+    ``json`` fall back to its pure-Python encoder. A non-finite float value
+    is written as ``null``, so the document is strict JSON (RFC 8259); the
+    lists the resolved config echoes are finite by validation and are not
+    checked."""
     lines = []
     for key in sorted(doc):
         value = doc[key]
+        if isinstance(value, float) and not math.isfinite(value):
+            value = None
         text = json.dumps(value, separators=(",", ":"))
         if isinstance(value, (list, tuple)) and value:
             text = _indent_list(text) or json.dumps(value, indent=2).replace("\n", "\n  ")

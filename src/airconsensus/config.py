@@ -40,6 +40,13 @@ _LAWS = {"uniform": (UniformLaw, ("lo", "hi")), "constant": (ConstantLaw, ("valu
 
 DEFAULT_OUTPUTS = {"trace": "trace.csv", "summary": "summary.json", "samples": "samples.csv"}
 
+#: Most arcs a topology may have, and so most nodes: a strongly connected
+#: digraph on n >= 2 nodes has at least n arcs. Building a graph and its
+#: scenario took 290-700 bytes per arc (complete n = 1000: 306 MB; ring
+#: n = 10^6: 629 MB), so a graph at the bound stays below about 0.75 GB.
+#: The count is checked before anything is built.
+MAX_ARCS = 1 << 20
+
 
 class ConfigError(ValueError):
     """One or more scenario validation failures, reported together."""
@@ -134,6 +141,7 @@ def _parse_topology(section, problems):
         if kind in ("complete", "ring"):
             n = _require_int(section, "n", "topology.n", minimum=2)
             weight = _as_number(section.get("weight", 1.0), "topology.weight")
+            _check_size(n, n * (n - 1) if kind == "complete" else n)
             g = (complete_graph if kind == "complete" else ring_graph)(n, weight)
             echo = {"kind": kind, "n": n, "weight": weight}
         elif kind == "custom":
@@ -143,6 +151,7 @@ def _parse_topology(section, problems):
                 isinstance(a, list) and len(a) == 3 for a in arcs
             ):
                 raise ValueError("topology.arcs must be a list of [j, i, weight] triples")
+            _check_size(n, len(arcs))
             for j, i, w in arcs:
                 if not (_is_integer(j) and _is_integer(i)):
                     raise ValueError(f"topology.arcs node ids must be integers, got {[j, i, w]!r}")
@@ -157,6 +166,11 @@ def _parse_topology(section, problems):
         problems.append(f"topology: {exc}")
         return None, None
     return g, echo
+
+
+def _check_size(n, arcs):
+    if max(n, arcs) > MAX_ARCS:
+        raise ValueError(f"{n} nodes and {arcs} arcs: at most {MAX_ARCS} of each are supported")
 
 
 def _parse_channel(section, topology, variant, seed, problems):

@@ -7,6 +7,8 @@ stay independent of the library code they check.
 
 from __future__ import annotations
 
+import json
+
 import numpy as np
 from hypothesis import strategies as st
 
@@ -194,22 +196,56 @@ def ring_with_chords(rng, n, chords, blocks=1, cross=0):
     return WeightedDigraph(n, arcs)
 
 
+def strict_json(text):
+    """``json.loads`` that fails on ``Infinity``, ``-Infinity`` and ``NaN``,
+    which RFC 8259 JSON does not have."""
+
+    def reject(name):
+        raise ValueError(f"{name} is not RFC 8259 JSON")
+
+    return json.loads(text, parse_constant=reject)
+
+
+def child_seed(base, key):
+    """Reference ``channel.derive_seed``: the first 64-bit word of numpy's
+    own ``SeedSequence(entropy=base, spawn_key=(key,))``."""
+    return int(np.random.SeedSequence(entropy=base, spawn_key=(key,)).generate_state(1, np.uint64)[0])
+
+
+def stream(seed):
+    """The channel generator of ``seed`` at the start of its stream, seeded
+    through numpy's own ``SeedSequence``."""
+    seeds = np.random.SeedSequence(entropy=seed, spawn_key=(_CHANNEL_STREAM,))
+    return np.random.Generator(np.random.PCG64DXSM(seeds))
+
+
 def stream_draw(model, k):
-    """Reference draw of step ``k``: the seed's PCG64DXSM stream advanced by
-    ``k * 2**64`` outputs, ``Generator.uniform`` on the law's bounds, exact
-    zeros redrawn from the same generator."""
-    bits = np.random.PCG64DXSM(np.random.SeedSequence(entropy=model.seed, spawn_key=(_CHANNEL_STREAM,)))
-    bits.advance(0 if model.mode == TIME_INVARIANT else k << 64)
+    """Reference draw of step ``k``: ``Generator.uniform`` on the law's bounds
+    from output ``k * |E|`` of the seed's stream (output 0 for a
+    time-invariant channel); exact zeros redrawn the same way from output
+    ``2**127 + k * 2**63`` (right after the draw for a time-invariant
+    channel)."""
     size = len(model.topology.arc_order)
     if isinstance(model.law, ConstantLaw):
         return np.full(size, model.law.value)
-    return generator_uniform_draw(model.law, np.random.Generator(bits), size)
+    rng = stream(model.seed)
+    if model.mode == TIME_INVARIANT:
+        return generator_uniform_draw(model.law, rng, size)
+    rng.bit_generator.advance(k * size)
+    values = rng.uniform(model.law.lo, model.law.hi, size)
+    rng.bit_generator.advance(2**127 + k * 2**63 - (k + 1) * size)
+    return redraw_zeros(model.law, rng, values)
 
 
 def generator_uniform_draw(law, rng, size):
     """Reference uniform draw: ``Generator.uniform`` on the law's bounds,
     exact zeros redrawn the same way."""
-    values = rng.uniform(law.lo, law.hi, size)
+    return redraw_zeros(law, rng, rng.uniform(law.lo, law.hi, size))
+
+
+def redraw_zeros(law, rng, values):
+    """``values`` with each exact zero redrawn by ``Generator.uniform`` on
+    the law's bounds from ``rng``, in order, until none is left."""
     while True:
         zero = values <= 0.0
         if not zero.any():

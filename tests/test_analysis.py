@@ -24,14 +24,13 @@ from airconsensus.channel import (
     ChannelModel,
     ConstantLaw,
     UniformLaw,
-    derive_seed,
     sample,
 )
 from airconsensus.config import PRESET_NAMES, parse_config, preset
 from airconsensus.graph import complete_graph, graph_from_arcs, ring_graph, step_size_bound
 from airconsensus.linalg import dominant_left_eigenvector
 from airconsensus.protocol import CONVERGED, ProtocolConfig, effective_matrix, run
-from support import random_strongly_connected, strongly_connected_digraphs
+from support import child_seed, random_strongly_connected, strongly_connected_digraphs
 
 
 def u010_channel(topology, seed=42, mode=IID_PER_STEP):
@@ -319,12 +318,13 @@ class TestMonteCarlo:
 
 
 def serial_monte_carlo(topology, channel, protocol, x0, runs, **kwargs):
-    """Reference: one ``run`` per replicate, seeded as monte_carlo documents."""
+    """Reference: one ``run`` per replicate, on the channel seeds monte_carlo
+    documents, derived through numpy's own ``SeedSequence``."""
     values, steps, seeds, converged = [], [], [], []
     for idx in range(runs):
         model, seed = channel, 0
         if channel is not None:
-            seed = derive_seed(channel.seed, idx)
+            seed = child_seed(channel.seed, idx)
             model = replace(channel, seed=seed)
         trace = run(topology, model, protocol, x0, **kwargs)
         values.append(float(np.mean(trace.final)))
@@ -414,3 +414,27 @@ class TestBatchedMonteCarloMatchesSerialRuns:
                 g, u010_channel(g), ProtocolConfig("superposition", mixing=0.5), x0, 9, tol=tol, max_steps=0
             )
             assert set(result.steps) == {0}
+
+
+@pytest.mark.parametrize("mode", [IID_PER_STEP, TIME_INVARIANT])
+def test_monte_carlo_in_blocks_matches_one_block(monkeypatch, mode):
+    # The seeds are replayed once for the batch and the generators built a
+    # block at a time: blocks of 3 replicates (the last one partial) give
+    # the bytes of one block of 40.
+    g = complete_graph(5)
+    x0 = np.random.default_rng(66).uniform(0, 2 * np.pi, 5)
+    args = (g, u010_channel(g, seed=2**64 + 9, mode=mode), ProtocolConfig("superposition", mixing=0.6), x0, 40)
+    blocks = []
+    advance = analysis.advance
+
+    def recording(update, x0, *rest):
+        blocks.append(len(x0))
+        return advance(update, x0, *rest)
+
+    monkeypatch.setattr(analysis, "advance", recording)
+    whole = monte_carlo(*args)
+    monkeypatch.setattr(analysis, "MC_BLOCK_ELEMENTS", 3 * 20)
+    split = monte_carlo(*args)
+    assert blocks == [40] + [3] * 13 + [1]
+    assert np.array(split.consensus_values).tobytes() == np.array(whole.consensus_values).tobytes()
+    assert split == whole

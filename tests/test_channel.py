@@ -1,12 +1,18 @@
 import math
+import os
+import subprocess
+import sys
 from dataclasses import replace
+from pathlib import Path
 
 import numpy as np
 import pytest
 from hypothesis import assume, example, given, settings
 from hypothesis import strategies as st
 
+import airconsensus
 from airconsensus.channel import (
+    _CHANNEL_STREAM,
     IID_PER_STEP,
     MODES,
     TIME_INVARIANT,
@@ -14,13 +20,15 @@ from airconsensus.channel import (
     ChannelStreams,
     ConstantLaw,
     UniformLaw,
-    _stream,
+    _generators,
+    _stream_words,
     derive_seed,
+    derive_seeds,
     sample,
     superpose,
 )
 from airconsensus.graph import complete_graph, graph_from_arcs
-from support import generator_uniform_draw, stream_draw, strongly_connected_digraphs
+from support import child_seed, generator_uniform_draw, stream, stream_draw, strongly_connected_digraphs
 
 
 def u010_model(topology, mode=IID_PER_STEP, seed=42):
@@ -75,9 +83,10 @@ class TestLaws:
     @settings(max_examples=200, deadline=None)
     @given(law=uniform_laws(), seed=st.integers(0, 2**64 - 1), size=st.integers(0, 300))
     def test_uniform_draw_matches_generator_uniform(self, law, seed, size):
+        # A time-invariant draw redraws its zeros right after its fill.
         star = graph_from_arcs(size + 1, [(j, 1, 1.0) for j in range(2, size + 2)])
-        got = sample(ChannelModel(star, law, IID_PER_STEP, seed), 0).values
-        assert got.tobytes() == generator_uniform_draw(law, _stream(seed), size).tobytes()
+        got = sample(ChannelModel(star, law, TIME_INVARIANT, seed), 0).values
+        assert got.tobytes() == generator_uniform_draw(law, stream(seed), size).tobytes()
         assert (got > 0.0).all()
 
     def test_unknown_mode_rejected(self):
@@ -216,6 +225,40 @@ def test_derive_seed_is_deterministic_and_spread_out():
 
 
 EDGE_SEEDS = [0, 1, 2**32 - 1, 2**32, 2**64 - 1, 2**64, 2**96 + 5, 2**128, 2**200 + 11]
+# Seeds of every word count the hash tells apart: up to 4 words (padded to
+# the pool), then 5, 7 and more.
+SEEDS = st.one_of(
+    st.sampled_from(EDGE_SEEDS + [2**128 - 1, 2**200]), st.integers(0, 2**64 - 1), st.integers(0, 2**230)
+)
+
+
+@settings(max_examples=150, deadline=None)
+@example(base=0, keys=EDGE_SEEDS, seeds=EDGE_SEEDS)
+@example(base=2**200, keys=[0, 2**32, 5, 2**64 - 1], seeds=[2**32 - 1, 2**128, 0, 2**64 - 1, 2**200])
+@given(base=SEEDS, keys=st.lists(SEEDS, max_size=8), seeds=st.lists(SEEDS, max_size=8))
+def test_seed_replay_matches_seed_sequence(base, keys, seeds):
+    # One batch of mixed sizes, against numpy's own SeedSequence: the run
+    # seeds, the words each channel generator is seeded with, and the
+    # generators built from those words.
+    assert derive_seeds(base, keys) == [child_seed(base, key) for key in keys]
+    assert [derive_seed(base, key) for key in keys] == derive_seeds(base, keys)
+    words = _stream_words(seeds)
+    assert words.dtype == np.uint64 and words.shape == (len(seeds), 4)
+    for row, rng, seed in zip(words, _generators(words), seeds):
+        expected = np.random.SeedSequence(entropy=seed, spawn_key=(_CHANNEL_STREAM,)).generate_state(4, np.uint64)
+        assert row.tobytes() == expected.tobytes()
+        assert rng.bit_generator.state == stream(seed).bit_generator.state
+
+
+@pytest.mark.skipif(np.lib.NumpyVersion(np.__version__) < "2.0.0", reason="numpy 1 imports numpy.random eagerly")
+def test_importing_the_cli_leaves_numpy_random_unloaded():
+    # numpy 2 loads numpy.random on first use; the seeding shim is built on
+    # first draw, so a run that draws nothing does not pay for the import.
+    src = str(Path(airconsensus.__file__).resolve().parents[1])
+    env = dict(os.environ, PYTHONPATH=os.pathsep.join([src, os.environ.get("PYTHONPATH", "")]))
+    code = "import sys, airconsensus.cli; print('numpy.random' in sys.modules)"
+    out = subprocess.run([sys.executable, "-c", code], env=env, capture_output=True, text=True, check=True)
+    assert out.stdout == "False\n"
 STEPS = st.one_of(st.sampled_from([0, 1, 2, 2**32, 2**64 - 1]), st.integers(0, 40), st.integers(0, 2**64 - 1))
 # Rows drawn at each step: all of them (None) or a subset in any order.
 ROW_SUBSETS = st.one_of(st.none(), st.lists(st.integers(0, 5), unique=True))

@@ -16,11 +16,11 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from airconsensus import cli, linalg, protocol
-from airconsensus.channel import ChannelRealization, derive_seed, sample
+from airconsensus.channel import ChannelRealization, sample
 from airconsensus.cli import main
-from airconsensus.config import ConfigError, PRESET_NAMES, override_seed, parse_config, preset
+from airconsensus.config import MAX_ARCS, ConfigError, PRESET_NAMES, override_seed, parse_config, preset
 from airconsensus.protocol import CONVERGED, ProtocolConfig, Trace, run
-from support import ring_with_chords, stream_draw, write_trace_chunked
+from support import child_seed, ring_with_chords, stream_draw, strict_json, write_trace_chunked
 
 
 def minimal_doc(**overrides):
@@ -176,8 +176,8 @@ class TestParseConfig:
         override_seed(doc, 9)
         assert doc["seed"] == 9 and "seed" not in doc["channel"] and "seed" not in doc["initial_state"]
         derived = parse_config(doc).resolved
-        assert derived["channel"]["seed"] == derive_seed(9, 1)
-        assert derived["initial_state"]["seed"] == derive_seed(9, 2)
+        assert derived["channel"]["seed"] == child_seed(9, 1)
+        assert derived["initial_state"]["seed"] == child_seed(9, 2)
 
     @pytest.mark.parametrize("outputs", [{"trace": "out.csv", "samples": "out.csv"}, {"trace": "..a", "summary": "s"}])
     def test_output_names_accepted(self, outputs):
@@ -597,6 +597,51 @@ def test_front_door_rejects_probe_writing_nothing(tmp_path, capsys, probe):
     assert [p.name for p in tmp_path.iterdir()] == ["probe.json"]
 
 
+# Topologies above the size bound: rejected from the document's numbers
+# before any node or arc is built.
+SIZE_PROBES = {
+    "complete n = 10^9": {"kind": "complete", "n": 10**9},
+    "complete n = 2^70": {"kind": "complete", "n": 2**70},
+    "ring n = 2^70": {"kind": "ring", "n": 2**70},
+    "ring one arc above the bound": {"kind": "ring", "n": MAX_ARCS + 1},
+    "smallest complete graph above the bound": {"kind": "complete", "n": 1025},
+    "custom n = 10^9": {"kind": "custom", "n": 10**9, "arcs": [[1, 2, 1.0], [2, 1, 1.0]]},
+}
+
+
+@pytest.mark.parametrize("runs", [[], ["--runs", "2"]])
+@pytest.mark.parametrize("probe", list(SIZE_PROBES))
+def test_topology_above_size_bound_rejected_writing_nothing(tmp_path, capsys, probe, runs):
+    topology = SIZE_PROBES[probe]
+    path = tmp_path / "probe.json"
+    path.write_text(json.dumps(minimal_doc(topology=topology)))
+    tracemalloc.start()
+    try:
+        code = main(["--config", str(path), "--out-dir", str(tmp_path / "out"), *runs])
+        peak = tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+    assert code == 1
+    err = capsys.readouterr().err
+    assert f"topology: {topology['n']} nodes and " in err and "Traceback" not in err
+    assert f"at most {MAX_ARCS} of each are supported" in err
+    assert [p.name for p in tmp_path.iterdir()] == ["probe.json"]
+    assert peak < 4 << 20
+
+
+def test_size_bound_admits_graphs_at_the_bound(monkeypatch):
+    monkeypatch.setattr("airconsensus.config.MAX_ARCS", 12)
+    assert len(parse_config(minimal_doc(topology={"kind": "complete", "n": 4})).topology.arc_order) == 12
+    assert len(parse_config(minimal_doc(topology={"kind": "ring", "n": 12})).topology.arc_order) == 12
+    for topology, size in (
+        ({"kind": "complete", "n": 5}, "5 nodes and 20 arcs"),
+        ({"kind": "ring", "n": 13}, "13 nodes and 13 arcs"),
+    ):
+        with pytest.raises(ConfigError) as info:
+            parse_config(minimal_doc(topology=topology))
+        assert info.value.problems == (f"topology: {size}: at most 12 of each are supported",)
+
+
 def fuzz_doc():
     """A valid 4-node scenario that stops within 50 steps, with a field of
     every section set."""
@@ -654,10 +699,8 @@ def test_fuzzed_document_never_raises(data):
     path = data.draw(st.sampled_from(FUZZ_PATHS), label="path")
     # Scalars drawn on their own as well: st.recursive draws mostly containers.
     values = JSON_SCALARS | JSON_VALUES
-    if path in (("topology", "n"), ("run", "max_steps")):
-        # A valid but huge n builds n or n^2 dict entries, and a huge
-        # max_steps runs that long, before anything bounds them: sizing is
-        # a policy parse_config does not set yet.
+    if path == ("run", "max_steps"):
+        # A huge max_steps runs that long: it costs time, not memory.
         values = values.filter(lambda v: not _beyond_64(v))
     doc = fuzz_doc()
     *parents, last = path
@@ -686,9 +729,10 @@ def test_montecarlo_statistics_beyond_float_range(tmp_path):
     path = tmp_path / "wide.json"
     path.write_text(json.dumps(doc))
     assert main(["--config", str(path), "--runs", "2", "--out-dir", str(tmp_path), "--quiet"]) == 0
-    summary = json.loads((tmp_path / "s.json").read_text())
+    summary = strict_json((tmp_path / "s.json").read_text())
     assert math.isfinite(summary["montecarlo.mean_consensus"])
-    assert summary["montecarlo.std_consensus"] == math.inf
+    # The standard deviation is beyond float range: null in strict JSON.
+    assert summary["montecarlo.std_consensus"] is None
 
 
 @pytest.mark.parametrize(
@@ -825,7 +869,9 @@ FLAT_VALUES = st.one_of(
 @settings(max_examples=300, deadline=None)
 @given(doc=st.dictionaries(st.text(max_size=12), FLAT_VALUES, max_size=8))
 def test_summary_encoder_matches_json_indent(doc):
-    assert cli._dumps_flat(doc) == json.dumps(doc, sort_keys=True, indent=2)
+    # Non-finite scalars are written as null; lists are left as they are.
+    strict = {key: None if isinstance(v, float) and not math.isfinite(v) else v for key, v in doc.items()}
+    assert cli._dumps_flat(doc) == json.dumps(strict, sort_keys=True, indent=2)
 
 
 def test_summary_encoder_matches_json_indent_when_deeply_nested():
@@ -893,12 +939,13 @@ def test_classical_montecarlo_outputs_match_golden_files(tmp_path):
 
 def test_golden_files_match_per_replicate_stream_reference():
     # Each golden replicate rerun alone on coefficients drawn straight from
-    # the seed's PCG64DXSM stream, without ChannelStreams or monte_carlo.
+    # the seed's PCG64DXSM stream, seeded through numpy's SeedSequence,
+    # without the package's seeding, ChannelStreams or monte_carlo.
     cfg = parse_config(preset("tv-complete-n30-sigma08"))
     rows = list(csv.DictReader((GOLDEN / "samples.csv").open()))
     values, steps = [], []
     for i, row in enumerate(rows):
-        channel = replace(cfg.channel, seed=derive_seed(cfg.channel.seed, i))
+        channel = replace(cfg.channel, seed=child_seed(cfg.channel.seed, i))
         result = protocol.advance(
             protocol.BlockUpdate(cfg.topology, cfg.protocol),
             np.array(cfg.x0)[None],

@@ -1,15 +1,18 @@
 """The numpy ``%.17g`` formatter and the ``trace.csv`` writer built on it,
 checked byte for byte against Python's own formatting."""
 
+import json
+
 import numpy as np
 import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from airconsensus import protocol, textfmt
+from airconsensus.cli import main
 from airconsensus.config import PRESET_NAMES, parse_config, preset
 from airconsensus.protocol import CONVERGED, Trace, run
-from support import write_trace_chunked, write_trace_per_step
+from support import strict_json, write_trace_chunked, write_trace_per_step
 
 
 def formatted(values):
@@ -164,19 +167,29 @@ def test_writer_matches_reference_with_steps_wider_than_a_chunk(tmp_path):
     assert_writes_reference_bytes(tmp_path, Trace(states=states, reason=CONVERGED))
 
 
+# The naive update is not stochastic: the states grow through 1e17, where
+# %.17g turns to exponent notation, and overflow to inf.
+DIVERGING_NAIVE = {
+    "topology": {"kind": "complete", "n": 6},
+    "channel": {"law": {"kind": "uniform", "lo": 0.0, "hi": 10.0}, "mode": "time-invariant"},
+    "protocol": {"variant": "naive"},
+    "initial_state": {"kind": "explicit", "values": [-3.0, -1.0, 0.0, 0.5, 2.0, 4.0]},
+    "seed": 3,
+    "run": {"max_steps": 500},
+}
+
+
 @pytest.mark.filterwarnings("ignore::RuntimeWarning")
 def test_writer_matches_reference_on_a_diverging_naive_run(tmp_path):
-    # The naive update is not stochastic: the states grow through 1e17,
-    # where %.17g turns to exponent notation, and overflow to inf.
-    trace = scenario_trace(
-        {
-            "topology": {"kind": "complete", "n": 6},
-            "channel": {"law": {"kind": "uniform", "lo": 0.0, "hi": 10.0}, "mode": "time-invariant"},
-            "protocol": {"variant": "naive"},
-            "initial_state": {"kind": "explicit", "values": [-3.0, -1.0, 0.0, 0.5, 2.0, 4.0]},
-            "seed": 3,
-            "run": {"max_steps": 500},
-        }
-    )
+    trace = scenario_trace(DIVERGING_NAIVE)
     assert np.isinf(trace.states[-1]).all() and (np.abs(trace.states) >= 1e17).mean() > 0.5
     assert_writes_reference_bytes(tmp_path, trace)
+
+
+@pytest.mark.filterwarnings("ignore::RuntimeWarning")
+def test_diverging_naive_run_writes_strict_json(tmp_path):
+    config = tmp_path / "diverging.json"
+    config.write_text(json.dumps(DIVERGING_NAIVE))
+    assert main(["--config", str(config), "--out-dir", str(tmp_path / "out"), "--quiet"]) == 2
+    summary = strict_json((tmp_path / "out" / "summary.json").read_text())
+    assert summary["result.consensus_value"] is None and summary["result.spread_final"] is None
