@@ -283,7 +283,7 @@ def monte_carlo(
     seeds = derive_seeds(channel.seed, range(runs)) if channel is not None else [0] * runs
     # With nothing drawn every replicate is the same run: advance one.
     distinct = 1 if protocol.variant == CLASSICAL else runs
-    block = max(1, MC_BLOCK_ELEMENTS // max(len(topology.arc_order), topology.n))
+    block = max(1, MC_BLOCK_ELEMENTS // max(topology.arc_weights.size, topology.n))
     update = BlockUpdate(topology, protocol, rows=min(block, distinct))
     time_invariant = channel is not None and channel.mode == TIME_INVARIANT
     streams = ChannelStreams.blocks(channel, seeds, block) if protocol.variant != CLASSICAL else None

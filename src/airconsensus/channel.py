@@ -1,4 +1,4 @@
-"""Stochastic wireless channel coefficients and superposed-signal arithmetic.
+"""Stochastic wireless channel coefficients.
 
 Sampling is counter-based. Channel seed ``s`` has one PCG64DXSM stream,
 seeded from ``SeedSequence(entropy=s, spawn_key=(stream,))``. Step ``k``
@@ -112,7 +112,7 @@ class ChannelRealization:
     """Coefficients drawn for one step.
 
     ``values[e]`` is the (read-only) coefficient of the ``e``-th arc of
-    ``topology.arc_order``.
+    ``topology``'s arc arrays.
     """
 
     topology: WeightedDigraph
@@ -152,19 +152,6 @@ def _offsets(model: ChannelModel, k: int, arcs: int) -> tuple[int, int]:
     if model.mode == TIME_INVARIANT:
         return 0, arcs
     return k * arcs, _REDRAW + (k << _REDRAW_STEP_BITS)
-
-
-def superpose(r: ChannelRealization, x: np.ndarray, i: int) -> tuple[float, float]:
-    """Signals received at node ``i``: the coefficient-weighted state sum and
-    the plain coefficient sum (from the all-ones companion transmission)."""
-    x = np.asarray(x, dtype=float)
-    if x.shape != (r.topology.n,):
-        raise ValueError(f"state vector must have length {r.topology.n}, got {x.shape}")
-    if r.topology.in_degree(i) == 0:
-        raise ValueError(f"node {i} has no in-neighbors; received signal is undefined")
-    into = r.topology.arc_rows == i - 1
-    h = r.values[into]
-    return float(h @ x[r.topology.arc_cols[into]]), float(h.sum())
 
 
 def derive_seed(base: int, key: int) -> int:
@@ -313,7 +300,7 @@ class ChannelStreams:
     def draw(self, k: int, rows: Union[slice, np.ndarray] = slice(None)) -> np.ndarray:
         """``(len(rows), |E|)`` coefficients for step ``k`` of the selected runs."""
         law = self.model.law
-        arcs = len(self.model.topology.arc_order)
+        arcs = self.model.topology.arc_weights.size
         start, redraw = _offsets(self.model, k, arcs)
         selected = np.arange(len(self._rngs))[rows].tolist()
         if isinstance(law, ConstantLaw):

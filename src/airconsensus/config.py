@@ -41,9 +41,9 @@ _LAWS = {"uniform": (UniformLaw, ("lo", "hi")), "constant": (ConstantLaw, ("valu
 DEFAULT_OUTPUTS = {"trace": "trace.csv", "summary": "summary.json", "samples": "samples.csv"}
 
 #: Most arcs a topology may have, and so most nodes: a strongly connected
-#: digraph on n >= 2 nodes has at least n arcs. Building a graph and its
-#: scenario took 290-700 bytes per arc (complete n = 1000: 306 MB; ring
-#: n = 10^6: 629 MB), so a graph at the bound stays below about 0.75 GB.
+#: digraph on n >= 2 nodes has at least n arcs. Parsing a scenario at the
+#: bound took 55-80 bytes per arc over the interpreter's 29 MB (complete
+#: n = 1024: 83 MB; ring n = 2^20: 106 MB), so it stays below about 0.15 GB.
 #: The count is checked before anything is built.
 MAX_ARCS = 1 << 20
 
@@ -158,8 +158,8 @@ def _parse_topology(section, problems):
                 if not _is_number(w):
                     raise ValueError(f"arc ({j}, {i}) weight must be a number, got {w!r}")
             g = graph_from_arcs(n, [(j, i, float(w)) for j, i, w in arcs])
-            # The graph's own weight objects: copies would stay alive until the summary is written.
-            echo = {"kind": "custom", "n": n, "arcs": [[j, i, g.weights[j, i]] for j, i in g.arc_order]}
+            ends = zip((g.arc_cols + 1).tolist(), (g.arc_rows + 1).tolist(), g.arc_weights.tolist())
+            echo = {"kind": "custom", "n": n, "arcs": [[j, i, w] for j, i, w in ends]}
         else:
             raise ValueError(f"topology.kind must be 'complete', 'ring' or 'custom', got {kind!r}")
     except (ValueError, TypeError, KeyError, OverflowError) as exc:

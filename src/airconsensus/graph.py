@@ -2,141 +2,141 @@
 
 from __future__ import annotations
 
-import math
 from dataclasses import dataclass
-from itertools import chain
 from types import MappingProxyType
 from typing import Iterable, Mapping
 
 import numpy as np
 
-Arc = tuple[int, int]
 
-
-@dataclass(frozen=True)
+@dataclass(frozen=True, eq=False)
 class WeightedDigraph:
     """Directed graph on nodes 1..n with strictly positive arc weights.
 
     An arc ``(j, i)`` points from transmitter ``j`` to receiver ``i``;
-    its weight is looked up with ``weight(j, i)``. Self-loops are
-    rejected. Instances are immutable after construction and safe to
-    share between concurrent readers.
-
-    Read-only arrays built once: ``arc_rows`` / ``arc_cols`` /
+    self-loops are rejected. The graph is its read-only arc arrays, sorted
+    by (transmitter, receiver): ``arc_rows`` / ``arc_cols`` /
     ``arc_weights`` hold the 0-based receiver, the 0-based transmitter and
-    the weight of each arc in ``arc_order``, and ``in_degrees`` the number
-    of in-arcs of each node.
+    the weight of each arc, and ``in_degrees`` the number of in-arcs of
+    each node. ``arc_order``, ``arcs`` and ``weights`` are views of the
+    arrays built on each call. Build a graph with ``graph_from_arcs``,
+    ``complete_graph`` or ``ring_graph``, which validate the arcs.
+    Instances are immutable and safe to share between concurrent readers.
     """
 
     n: int
-    weights: Mapping[Arc, float]
-
-    def __post_init__(self):
-        if isinstance(self.n, bool) or not isinstance(self.n, int) or self.n < 1:
-            raise ValueError(f"node count must be a positive integer, got {self.n!r}")
-        frozen: dict[Arc, float] = {}
-        for arc, w in self.weights.items():
-            j, i = arc
-            if j == i:
-                raise ValueError(f"self-loop ({j}, {i}) is not allowed")
-            if not (1 <= j <= self.n and 1 <= i <= self.n):
-                raise ValueError(f"arc ({j}, {i}) outside node range 1..{self.n}")
-            if not w > 0.0:
-                raise ValueError(f"arc ({j}, {i}) must have a positive weight, got {w}")
-            if not math.isfinite(w):
-                raise ValueError(f"arc ({j}, {i}) must have a finite weight, got {w}")
-            frozen[(int(j), int(i))] = float(w)
-        object.__setattr__(self, "weights", MappingProxyType(frozen))
-        order = tuple(sorted(frozen))
-        object.__setattr__(self, "_arc_order", order)
-        ends = np.fromiter(chain.from_iterable(order), np.intp, 2 * len(order)).reshape(-1, 2)
-        cols, rows = np.ascontiguousarray(ends.T) - 1
-        weights = np.fromiter((frozen[arc] for arc in order), float, len(order))
-        degrees = np.bincount(rows, minlength=self.n)
-        arrays = (("arc_rows", rows), ("arc_cols", cols), ("arc_weights", weights), ("in_degrees", degrees))
-        for name, array in arrays:
-            array.setflags(write=False)
-            object.__setattr__(self, name, array)
+    arc_rows: np.ndarray
+    arc_cols: np.ndarray
+    arc_weights: np.ndarray
+    in_degrees: np.ndarray
 
     @property
-    def arcs(self) -> frozenset[Arc]:
-        return frozenset(self.weights)
+    def arc_order(self) -> tuple[tuple[int, int], ...]:
+        return tuple(zip((self.arc_cols + 1).tolist(), (self.arc_rows + 1).tolist()))
 
     @property
-    def arc_order(self) -> tuple[Arc, ...]:
-        """All arcs in a fixed canonical (sorted) order."""
-        return self._arc_order
+    def arcs(self) -> frozenset[tuple[int, int]]:
+        return frozenset(self.arc_order)
 
-    def in_neighbors(self, i: int) -> frozenset[int]:
-        """Nodes with an arc into ``i``; never contains ``i`` itself."""
-        self._check_node(i)
-        return frozenset((self.arc_cols[self.arc_rows == i - 1] + 1).tolist())
-
-    def in_degree(self, i: int) -> int:
-        self._check_node(i)
-        return int(self.in_degrees[i - 1])
-
-    def weight(self, j: int, i: int) -> float:
-        """Weight of the arc from transmitter ``j`` to receiver ``i``."""
-        try:
-            return self.weights[(j, i)]
-        except KeyError:
-            raise ValueError(f"no arc ({j}, {i}) in graph") from None
-
-    def has_arc(self, j: int, i: int) -> bool:
-        return (j, i) in self.weights
-
-    def _check_node(self, i: int) -> None:
-        if not (1 <= i <= self.n):
-            raise ValueError(f"node id {i} outside range 1..{self.n}")
+    @property
+    def weights(self) -> Mapping[tuple[int, int], float]:
+        return MappingProxyType(dict(zip(self.arc_order, self.arc_weights.tolist())))
 
 
 def graph_from_arcs(n: int, arcs: Iterable[tuple[int, int, float]]) -> WeightedDigraph:
-    """Build a graph from ``(j, i, weight)`` triples; duplicate arcs are rejected."""
-    weights: dict[Arc, float] = {}
-    for j, i, w in arcs:
-        if (j, i) in weights:
-            raise ValueError(f"duplicate arc ({j}, {i})")
-        weights[(j, i)] = w
-    return WeightedDigraph(n, weights)
+    """Build a graph from ``(j, i, weight)`` triples in any order.
+
+    All or nothing: a repeated arc is reported first, else the first
+    self-loop, out-of-range id or weight that is not positive and finite.
+    """
+    transmitters, receivers, weights = tuple(zip(*arcs)) or ((), (), ())
+    return _graph(n, (transmitters, receivers), weights)
 
 
 def complete_graph(n: int, weight: float = 1.0) -> WeightedDigraph:
     """Fully connected digraph: an arc between every ordered pair of distinct nodes."""
-    return WeightedDigraph(
-        n, {(j, i): weight for j in range(1, n + 1) for i in range(1, n + 1) if j != i}
-    )
+    ends = np.array(np.nonzero(~np.eye(n, dtype=bool)))
+    ends += 1
+    return _graph(n, ends, np.full(ends.shape[1], float(weight)))
 
 
 def ring_graph(n: int, weight: float = 1.0) -> WeightedDigraph:
     """Directed ring 1 -> 2 -> ... -> n -> 1."""
     if n < 2:
         raise ValueError("ring needs at least 2 nodes")
-    return WeightedDigraph(n, {(v, v % n + 1): weight for v in range(1, n + 1)})
+    nodes = np.arange(1, n + 1)
+    return _graph(n, (nodes, nodes % n + 1), np.full(n, float(weight)))
+
+
+def _graph(n, ends, weights) -> WeightedDigraph:
+    """The one validation of a graph's arcs, given as the 1-based ids of
+    their transmitters and of their receivers (the rows of ``ends``) and
+    their weights: the graph, or a ``ValueError`` for the first fault
+    ``graph_from_arcs`` names."""
+    if isinstance(n, bool) or not isinstance(n, int) or n < 1:
+        raise ValueError(f"node count must be a positive integer, got {n!r}")
+    try:
+        ends = np.asarray(ends, dtype=np.int64)
+    except OverflowError:  # ids beyond int64 are compared as Python ints
+        ends = np.array(ends, dtype=object)
+    weights = np.asarray(weights, dtype=float)
+    outside = ~((ends >= 1) & (ends <= n)).astype(bool, copy=False)
+    # 0-based ids inside 1..n; each distinct id outside gets its own code
+    # from n on, so the packed keys are equal exactly for equal arcs.
+    codes = np.where(outside, 1, ends).astype(np.int64, copy=False)
+    codes -= 1
+    strange, rank = np.unique(ends[outside], return_inverse=True)
+    codes[outside] = n + rank
+    keys = codes[0] * (n + strange.size)
+    keys += codes[1]
+    order = None if (keys[1:] > keys[:-1]).all() else np.argsort(keys, kind="stable")
+    if order is not None and (repeated := keys[order[1:]] == keys[order[:-1]]).any():
+        j, i = ends[:, order[1:][repeated].min()].tolist()
+        raise ValueError(f"duplicate arc ({j}, {i})")
+    fault = (codes[0] == codes[1]) | outside.any(axis=0) | ~(weights > 0.0) | ~np.isfinite(weights)
+    if fault.any():
+        k = int(fault.argmax())
+        (j, i), w = ends[:, k].tolist(), weights[k].item()
+        if j == i:
+            raise ValueError(f"self-loop ({j}, {i}) is not allowed")
+        if not (1 <= j <= n and 1 <= i <= n):
+            raise ValueError(f"arc ({j}, {i}) outside node range 1..{n}")
+        if not w > 0.0:
+            raise ValueError(f"arc ({j}, {i}) must have a positive weight, got {w}")
+        raise ValueError(f"arc ({j}, {i}) must have a finite weight, got {w}")
+    cols, rows = codes if order is None else codes[:, order]
+    arrays = (rows, cols, weights if order is None else weights[order], np.bincount(rows, minlength=n))
+    for array in arrays:
+        array.setflags(write=False)
+    return WeightedDigraph(n, *arrays)
 
 
 def is_strongly_connected(g: WeightedDigraph) -> bool:
-    """True iff a directed path joins every ordered pair of distinct nodes."""
-    if g.n == 1:
-        return True
-    forward: dict[int, list[int]] = {v: [] for v in range(1, g.n + 1)}
-    backward: dict[int, list[int]] = {v: [] for v in range(1, g.n + 1)}
-    for j, i in g.weights:
-        forward[j].append(i)
-        backward[i].append(j)
-    return _reaches_all(forward, g.n) and _reaches_all(backward, g.n)
+    """True iff a directed path joins every ordered pair of distinct nodes:
+    a search from node 1 along the arcs and one against them each reach
+    every node. O(n + |E|)."""
+    by_receiver = np.argsort(g.arc_rows, kind="stable")
+    out_degrees = np.bincount(g.arc_cols, minlength=g.n)
+    return _reaches_all(out_degrees, g.arc_rows) and _reaches_all(g.in_degrees, g.arc_cols[by_receiver])
 
 
-def _reaches_all(adj: dict[int, list[int]], n: int) -> bool:
-    seen = {1}
-    stack = [1]
-    while stack:
+def _reaches_all(degrees: np.ndarray, neighbors: np.ndarray) -> bool:
+    """Whether a depth-first search from node 0 reaches every node, where
+    node ``v``'s neighbors are the ``degrees[v]`` entries of ``neighbors``
+    after those of the nodes before it."""
+    n = len(degrees)
+    starts = memoryview(np.concatenate(([0], np.cumsum(degrees))))
+    neighbors = memoryview(neighbors)
+    seen = bytearray(n)
+    seen[0], stack, count = 1, [0], 1
+    while stack and count < n:
         v = stack.pop()
-        for u in adj[v]:
-            if u not in seen:
-                seen.add(u)
+        for u in neighbors[starts[v] : starts[v + 1]]:
+            if not seen[u]:
+                seen[u] = 1
                 stack.append(u)
-    return len(seen) == n
+                count += 1
+    return count == n
 
 
 def step_size_bound(g: WeightedDigraph) -> float:

@@ -19,7 +19,7 @@ from typing import Callable
 
 import numpy as np
 
-from .graph import WeightedDigraph, step_size_bound
+from .graph import WeightedDigraph, graph_from_arcs, step_size_bound
 
 # Tolerance / iteration defaults, in one place.
 DEFAULT_TOL = 1e-12
@@ -163,9 +163,9 @@ def perron_matrix(g: WeightedDigraph, step_size: float) -> np.ndarray:
 
 
 def perron_operator(g: WeightedDigraph, step_size: float) -> ArcOperator:
-    """The Perron matrix as an ``ArcOperator``: ``step_size * weight(j, i)``
-    on each arc and the diagonal ``1 -`` the sum of its row's arc entries."""
-    if g.arc_order:
+    """The Perron matrix as an ``ArcOperator``: ``step_size`` times the weight
+    of each arc and the diagonal ``1 -`` the sum of its row's arc entries."""
+    if g.arc_weights.size:
         bound = step_size_bound(g)
         if not (0.0 < step_size < bound):
             raise ValueError(f"step size must lie in (0, {bound}), got {step_size}")
@@ -190,14 +190,9 @@ def graph_from_stochastic(P: np.ndarray, step_size: float) -> WeightedDigraph:
         raise ValueError("matrix must have a strictly positive diagonal")
     if not is_row_stochastic(P, tol=1e-9):
         raise ValueError("matrix must be row-stochastic")
-    n = P.shape[0]
-    weights = {
-        (j + 1, i + 1): P[i, j] / step_size
-        for i in range(n)
-        for j in range(n)
-        if i != j and P[i, j] > 0.0
-    }
-    return WeightedDigraph(n, weights)
+    transmitters, receivers = np.nonzero((P.T > 0.0) & ~np.eye(len(P), dtype=bool))
+    weights = P[receivers, transmitters] / step_size
+    return graph_from_arcs(len(P), zip((transmitters + 1).tolist(), (receivers + 1).tolist(), weights.tolist()))
 
 
 def dominant_left_eigenvector(

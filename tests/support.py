@@ -8,13 +8,14 @@ stay independent of the library code they check.
 from __future__ import annotations
 
 import json
+import math
 
 import numpy as np
 from hypothesis import strategies as st
 
 from airconsensus import protocol
 from airconsensus.channel import _CHANNEL_STREAM, TIME_INVARIANT, ConstantLaw
-from airconsensus.graph import WeightedDigraph
+from airconsensus.graph import WeightedDigraph, graph_from_arcs
 from airconsensus.textfmt import TraceRows
 
 
@@ -52,8 +53,19 @@ def same_zero_pattern(A: np.ndarray, B: np.ndarray) -> bool:
     return bool(np.array_equal(A == 0, B == 0))
 
 
+def dict_graph(n, weights):
+    """The graph of a mapping of each arc ``(j, i)`` to its weight."""
+    return graph_from_arcs(n, [(j, i, w) for (j, i), w in weights.items()])
+
+
 def random_strongly_connected(rng, n, extra_prob=0.35, w_lo=0.5, w_hi=10.0):
     """Random spanning cycle (guarantees strong connectivity) plus extra arcs."""
+    return dict_graph(n, random_strongly_connected_weights(rng, n, extra_prob, w_lo, w_hi))
+
+
+def random_strongly_connected_weights(rng, n, extra_prob=0.35, w_lo=0.5, w_hi=10.0):
+    """``random_strongly_connected``'s arcs and weights, in the order drawn:
+    the cycle's arcs, then the extra arcs by transmitter and receiver."""
     order = rng.permutation(n) + 1
     weights = {}
     for t in range(n):
@@ -63,7 +75,7 @@ def random_strongly_connected(rng, n, extra_prob=0.35, w_lo=0.5, w_hi=10.0):
         for i in range(1, n + 1):
             if j != i and (j, i) not in weights and rng.random() < extra_prob:
                 weights[(j, i)] = float(rng.uniform(w_lo, w_hi))
-    return WeightedDigraph(n, weights)
+    return weights
 
 
 @st.composite
@@ -76,7 +88,7 @@ def strongly_connected_digraphs(draw, max_n=10):
     pairs = [(j, i) for j in range(1, n + 1) for i in range(1, n + 1) if j != i]
     arcs |= set(draw(st.lists(st.sampled_from(pairs), max_size=len(pairs))))
     weights = draw(st.lists(st.floats(0.5, 10.0), min_size=len(arcs), max_size=len(arcs)))
-    return WeightedDigraph(n, dict(zip(sorted(arcs), weights)))
+    return dict_graph(n, dict(zip(sorted(arcs), weights)))
 
 
 def random_digraph(rng, n, arc_prob=0.3, w_lo=0.5, w_hi=10.0):
@@ -86,7 +98,7 @@ def random_digraph(rng, n, arc_prob=0.3, w_lo=0.5, w_hi=10.0):
         for i in range(1, n + 1):
             if j != i and rng.random() < arc_prob:
                 weights[(j, i)] = float(rng.uniform(w_lo, w_hi))
-    return WeightedDigraph(n, weights)
+    return dict_graph(n, weights)
 
 
 def random_balanced(rng, n, w_lo=0.5, w_hi=10.0):
@@ -102,7 +114,7 @@ def random_balanced(rng, n, w_lo=0.5, w_hi=10.0):
         for t in range(n):
             arc = (int(order[t]), int(order[(t + 1) % n]))
             weights[arc] = weights.get(arc, 0.0) + w
-    return WeightedDigraph(n, weights)
+    return dict_graph(n, weights)
 
 
 def closure_strongly_connected(g: WeightedDigraph) -> bool:
@@ -110,8 +122,7 @@ def closure_strongly_connected(g: WeightedDigraph) -> bool:
     n = g.n
     reach = np.eye(n, dtype=bool)
     adj = np.zeros((n, n), dtype=bool)
-    for j, i in g.weights:
-        adj[j - 1, i - 1] = True
+    adj[g.arc_cols, g.arc_rows] = True
     for _ in range(n):
         reach = reach | (reach @ adj)
     return bool(reach.all())
@@ -166,9 +177,8 @@ def random_primitive_posdiag(rng, n, density=0.4):
     A strongly connected zero pattern plus a positive diagonal is always
     primitive.
     """
-    g = random_strongly_connected(rng, n, extra_prob=density)
     A = np.zeros((n, n))
-    for j, i in g.weights:
+    for j, i in random_strongly_connected_weights(rng, n, extra_prob=density):
         A[i - 1, j - 1] = rng.uniform(0.1, 2.0)
     A[np.diag_indices(n)] = rng.uniform(0.1, 2.0, n)
     return A
@@ -193,7 +203,7 @@ def ring_with_chords(rng, n, chords, blocks=1, cross=0):
         picked = list(rng.choice(others[outside], cross, replace=False))
         picked += list(rng.choice(others[~outside], chords - cross, replace=False))
         arcs.update({(int(j), i): 1.0 for j in picked})
-    return WeightedDigraph(n, arcs)
+    return dict_graph(n, arcs)
 
 
 def strict_json(text):
@@ -225,7 +235,7 @@ def stream_draw(model, k):
     time-invariant channel); exact zeros redrawn the same way from output
     ``2**127 + k * 2**63`` (right after the draw for a time-invariant
     channel)."""
-    size = len(model.topology.arc_order)
+    size = model.topology.arc_weights.size
     if isinstance(model.law, ConstantLaw):
         return np.full(size, model.law.value)
     rng = stream(model.seed)
@@ -274,3 +284,53 @@ def write_trace_chunked(path, trace):
         fh.write(b"step,agent,x\n")
         for first_step in range(0, len(trace.states), size):
             fh.write(rows(trace.states[first_step : first_step + size], first_step))
+
+
+def reference_graph(n, arcs):
+    """``graph_from_arcs`` the dict way, as the arrays were first built: the
+    arcs checked one by one into a dict, then sorted as tuples. Returns
+    ``(arc_rows, arc_cols, arc_weights, in_degrees)`` or raises the
+    builder's ``ValueError``."""
+    weights = {}
+    for j, i, w in arcs:
+        if (j, i) in weights:
+            raise ValueError(f"duplicate arc ({j}, {i})")
+        weights[(j, i)] = w
+    if isinstance(n, bool) or not isinstance(n, int) or n < 1:
+        raise ValueError(f"node count must be a positive integer, got {n!r}")
+    for (j, i), w in weights.items():
+        if j == i:
+            raise ValueError(f"self-loop ({j}, {i}) is not allowed")
+        if not (1 <= j <= n and 1 <= i <= n):
+            raise ValueError(f"arc ({j}, {i}) outside node range 1..{n}")
+        if not w > 0.0:
+            raise ValueError(f"arc ({j}, {i}) must have a positive weight, got {w}")
+        if not math.isfinite(w):
+            raise ValueError(f"arc ({j}, {i}) must have a finite weight, got {w}")
+    order = sorted(weights)
+    rows = np.array([i - 1 for _, i in order], np.intp)
+    cols = np.array([j - 1 for j, _ in order], np.intp)
+    values = np.array([float(weights[arc]) for arc in order], float)
+    return rows, cols, values, np.bincount(rows, minlength=n)
+
+
+def reference_strongly_connected(n, arcs):
+    """Strong connectivity of the arcs ``(j, i, weight)`` on nodes 1..n by a
+    depth-first search from node 1 over dicts of adjacency lists, forward
+    and backward."""
+    forward = {v: [] for v in range(1, n + 1)}
+    backward = {v: [] for v in range(1, n + 1)}
+    for j, i, _ in arcs:
+        forward[j].append(i)
+        backward[i].append(j)
+    return all(_reference_reach(adj) == n for adj in (forward, backward))
+
+
+def _reference_reach(adj):
+    seen, stack = {1}, [1]
+    while stack:
+        for u in adj[stack.pop()]:
+            if u not in seen:
+                seen.add(u)
+                stack.append(u)
+    return len(seen)

@@ -110,7 +110,7 @@ class TestDisturbanceVector:
         nu = disturbance_vector(r, np.array([1.0, 2.0, 3.0])).reshape(3, 3)
         for i in range(1, 4):
             for j in range(1, 4):
-                if not g.has_arc(j, i):
+                if (j, i) not in g.arcs:
                     assert nu[i - 1, j - 1] == 0.0
 
     def test_zero_mean_over_many_steps(self):

@@ -25,7 +25,6 @@ from airconsensus.channel import (
     derive_seed,
     derive_seeds,
     sample,
-    superpose,
 )
 from airconsensus.graph import complete_graph, graph_from_arcs
 from support import child_seed, generator_uniform_draw, stream, stream_draw, strongly_connected_digraphs
@@ -125,7 +124,7 @@ class TestSampling:
         r = sample(u010_model(g), 5)
         for j in range(1, 5):
             for i in range(1, 5):
-                if g.has_arc(j, i):
+                if (j, i) in g.arcs:
                     assert r.gains[i - 1, j - 1] > 0.0
                 else:
                     assert r.gains[i - 1, j - 1] == 0.0
@@ -177,39 +176,6 @@ class TestSampling:
         assert len(r.values) == len(r.topology.arc_order)
         for (j, i), h in zip(r.topology.arc_order, r.values):
             assert h == r.gains[i - 1, j - 1]
-
-
-class TestSuperpose:
-    def test_ideal_fully_connected(self):
-        model = ChannelModel(complete_graph(3), ConstantLaw(1.0), TIME_INVARIANT, 0)
-        r = sample(model, 0)
-        assert superpose(r, np.array([1.0, 2.0, 3.0]), 1) == (5.0, 2.0)
-
-    def test_single_in_neighbor(self):
-        g = graph_from_arcs(2, [(2, 1, 1.0), (1, 2, 1.0)])
-        model = ChannelModel(g, ConstantLaw(2.0), TIME_INVARIANT, 0)
-        r = sample(model, 0)
-        assert superpose(r, np.array([5.0, 3.0]), 1) == (6.0, 2.0)
-
-    def test_matches_arc_loop_oracle(self):
-        rng = np.random.default_rng(51)
-        g = complete_graph(5)
-        model = u010_model(g, seed=99)
-        for k in range(5):
-            r = sample(model, k)
-            x = rng.uniform(-5, 5, 5)
-            for i in range(1, 6):
-                weighted = sum(r.gains[i - 1, j - 1] * x[j - 1] for j in g.in_neighbors(i))
-                plain = sum(r.gains[i - 1, j - 1] for j in g.in_neighbors(i))
-                got_weighted, got_plain = superpose(r, x, i)
-                assert got_weighted == pytest.approx(weighted, rel=1e-12)
-                assert got_plain == pytest.approx(plain, rel=1e-12)
-
-    def test_no_in_neighbors_rejected(self):
-        g = graph_from_arcs(3, [(1, 2, 1.0), (2, 3, 1.0)])
-        r = sample(u010_model(g), 0)
-        with pytest.raises(ValueError, match="no in-neighbors"):
-            superpose(r, np.zeros(3), 1)
 
 
 def test_bool_seed_rejected():

@@ -17,10 +17,10 @@ from hypothesis import strategies as st
 
 from airconsensus import cli, linalg, protocol
 from airconsensus.channel import ChannelRealization, sample
-from airconsensus.cli import main
+from airconsensus.cli import MAX_RUNS, main
 from airconsensus.config import MAX_ARCS, ConfigError, PRESET_NAMES, override_seed, parse_config, preset
 from airconsensus.protocol import CONVERGED, ProtocolConfig, Trace, run
-from support import child_seed, ring_with_chords, stream_draw, strict_json, write_trace_chunked
+from support import child_seed, reference_graph, ring_with_chords, stream_draw, strict_json, write_trace_chunked
 
 
 def minimal_doc(**overrides):
@@ -537,6 +537,13 @@ class TestCli:
         assert "at least 2" in capsys.readouterr().err
         assert not (tmp_path / "out").exists()
 
+    @pytest.mark.parametrize("runs", [MAX_RUNS + 1, 10**10])
+    def test_montecarlo_rejects_too_many_runs(self, tmp_path, capsys, runs):
+        # Rejected before any seed is derived: one error line, no output directory.
+        assert main(["--preset", "tv-sigma05", "--runs", str(runs), "--out-dir", str(tmp_path / "out")]) == 1
+        assert capsys.readouterr().err == f"error: --runs must be at least 2 and at most {MAX_RUNS}\n"
+        assert not (tmp_path / "out").exists()
+
     def test_quiet_suppresses_output(self, tmp_path, capsys):
         main(["--preset", "ti-sigma02", "--out-dir", str(tmp_path), "--quiet"])
         assert capsys.readouterr().out == ""
@@ -627,6 +634,27 @@ def test_topology_above_size_bound_rejected_writing_nothing(tmp_path, capsys, pr
     assert f"at most {MAX_ARCS} of each are supported" in err
     assert [p.name for p in tmp_path.iterdir()] == ["probe.json"]
     assert peak < 4 << 20
+
+
+@pytest.mark.parametrize(
+    "arcs",
+    [
+        [[1, 2, 1.0], [2**70, 1, 1.0]],
+        [[1, 2, 1.0], [3, -(2**70), 1.0], [2**70, 1, 1.0]],
+        [[1, 1, 1.0], [0, 3, 1.0], [2, 3, -1.0], [0, 3, 1.0]],
+        [[2, 3, 0], [3, 3, 1.0]],
+        [[3, 1, 1.0], [1, 2, 2.5], [4, 1, 1.0], [1, 3, float("inf")]],
+        [[2**70, 2**70, 1.0], [1, 2, 1.0], [2, 1, 1.0]],
+    ],
+)
+def test_custom_topology_reports_the_reference_fault(arcs):
+    # One problem, the one the dict-based builder reports first: a repeated
+    # arc, else the first bad arc in document order. Huge ids are out of range.
+    with pytest.raises(ValueError) as reference:
+        reference_graph(3, [(j, i, float(w)) for j, i, w in arcs])
+    with pytest.raises(ConfigError) as exc:
+        parse_config(minimal_doc(topology={"kind": "custom", "n": 3, "arcs": arcs}))
+    assert exc.value.problems == (f"topology: {reference.value}",)
 
 
 def test_size_bound_admits_graphs_at_the_bound(monkeypatch):

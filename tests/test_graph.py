@@ -1,50 +1,66 @@
+import math
+
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from airconsensus.graph import (
-    WeightedDigraph,
     complete_graph,
     graph_from_arcs,
     is_strongly_connected,
     ring_graph,
     step_size_bound,
 )
-from support import closure_strongly_connected, is_balanced, laplacian, random_digraph, random_strongly_connected
+from support import (
+    closure_strongly_connected,
+    is_balanced,
+    laplacian,
+    random_digraph,
+    random_strongly_connected,
+    reference_graph,
+    reference_strongly_connected,
+)
 
 
 def two_cycle(w_12=1.0, w_21=1.0):
     # arc (2, 1) carries weight w_12 (into node 1), arc (1, 2) carries w_21
-    return WeightedDigraph(2, {(2, 1): w_12, (1, 2): w_21})
+    return graph_from_arcs(2, [(2, 1, w_12), (1, 2, w_21)])
 
 
 def three_cycle(w=1.0):
-    return WeightedDigraph(3, {(1, 2): w, (2, 3): w, (3, 1): w})
+    return graph_from_arcs(3, [(1, 2, w), (2, 3, w), (3, 1, w)])
+
+
+def in_neighbors(g, i):
+    """Transmitters of the arcs into node ``i``, read from the arc arrays."""
+    return set((g.arc_cols[g.arc_rows == i - 1] + 1).tolist())
 
 
 class TestConstruction:
     def test_rejects_self_loop(self):
         with pytest.raises(ValueError, match="self-loop"):
-            WeightedDigraph(2, {(1, 1): 1.0})
+            graph_from_arcs(2, [(1, 1, 1.0)])
 
     def test_rejects_nonpositive_weight(self):
         with pytest.raises(ValueError, match="positive weight"):
-            WeightedDigraph(2, {(1, 2): 0.0})
+            graph_from_arcs(2, [(1, 2, 0.0)])
         with pytest.raises(ValueError, match="positive weight"):
-            WeightedDigraph(2, {(1, 2): -3.0})
+            graph_from_arcs(2, [(1, 2, -3.0)])
 
     def test_rejects_non_finite_weight(self):
         with pytest.raises(ValueError, match="finite weight"):
-            WeightedDigraph(2, {(1, 2): float("inf")})
+            graph_from_arcs(2, [(1, 2, float("inf"))])
         with pytest.raises(ValueError, match="positive weight"):
-            WeightedDigraph(2, {(1, 2): float("nan")})
+            graph_from_arcs(2, [(1, 2, float("nan"))])
 
     def test_rejects_bool_node_count(self):
         with pytest.raises(ValueError, match="node count must be a positive integer"):
-            WeightedDigraph(True, {})
+            graph_from_arcs(True, [])
 
     def test_rejects_out_of_range_endpoint(self):
         with pytest.raises(ValueError, match="outside node range"):
-            WeightedDigraph(2, {(1, 3): 1.0})
+            graph_from_arcs(2, [(1, 3, 1.0)])
 
     def test_duplicate_arc_rejected(self):
         with pytest.raises(ValueError, match="duplicate"):
@@ -54,29 +70,96 @@ class TestConstruction:
         g = two_cycle()
         with pytest.raises(TypeError):
             g.weights[(1, 2)] = 5.0
+        for array in (g.arc_rows, g.arc_cols, g.arc_weights, g.in_degrees):
+            with pytest.raises(ValueError):
+                array[0] = 0
+
+
+# Node ids and weights as the builder may meet them in a document: mostly
+# valid, sometimes 0, n + 1, a Python int beyond int64, a weight that is not
+# positive or not finite.
+@st.composite
+def arc_lists(draw, valid=False, max_n=7):
+    n = draw(st.integers(1, max_n))
+    ids = st.integers(1, n)
+    weights = st.floats(0.5, 10.0)
+    if not valid:
+        ids = st.one_of(ids, ids, ids, st.sampled_from([0, n + 1, 2**70, -(2**70)]))
+        weights = st.one_of(weights, weights, st.sampled_from([0.0, -1.0, math.nan, math.inf, -math.inf]))
+    arcs = draw(st.lists(st.tuples(ids, ids, weights), max_size=3 * max_n))
+    if valid:
+        arcs = [arc for arc in arcs if arc[0] != arc[1]]
+        arcs = list({arc[:2]: arc for arc in arcs}.values())
+    elif arcs and draw(st.booleans()):
+        arcs.insert(draw(st.integers(0, len(arcs))), draw(st.sampled_from(arcs)))
+    return n, arcs
+
+
+def outcome(build, *args):
+    try:
+        return build(*args)
+    except ValueError as exc:
+        return str(exc)
+
+
+class TestAgainstReference:
+    @given(arc_lists())
+    @settings(max_examples=400, deadline=None)
+    def test_arrays_or_message_match(self, drawn):
+        n, arcs = drawn
+        expected = outcome(reference_graph, n, arcs)
+        got = outcome(graph_from_arcs, n, arcs)
+        if isinstance(expected, str):
+            assert got == expected
+            return
+        assert not isinstance(got, str), got
+        arrays = (got.arc_rows, got.arc_cols, got.arc_weights, got.in_degrees)
+        for array, reference in zip(arrays, expected):
+            assert array.dtype == reference.dtype
+            assert array.tobytes() == reference.tobytes()
+
+    @given(arc_lists(valid=True))
+    @settings(max_examples=400, deadline=None)
+    def test_strong_connectivity_matches(self, drawn):
+        n, arcs = drawn
+        assert is_strongly_connected(graph_from_arcs(n, arcs)) == reference_strongly_connected(n, arcs)
+
+    @pytest.mark.parametrize("n", range(1, 7))
+    @pytest.mark.parametrize("weight", [1.0, 2.5, 0.0, -1.0, math.nan, math.inf])
+    def test_complete_and_ring(self, n, weight):
+        complete = [(j, i, weight) for j in range(1, n + 1) for i in range(1, n + 1) if j != i]
+        built = [(complete_graph, complete)]
+        if n >= 2:
+            built.append((ring_graph, [(v, v % n + 1, weight) for v in range(1, n + 1)]))
+        for builder, arcs in built:
+            expected = outcome(reference_graph, n, arcs)
+            got = outcome(builder, n, weight)
+            if isinstance(expected, str):
+                assert got == expected
+            else:
+                arrays = (got.arc_rows, got.arc_cols, got.arc_weights, got.in_degrees)
+                assert [a.tobytes() for a in arrays] == [a.tobytes() for a in expected]
+                assert is_strongly_connected(got) == reference_strongly_connected(n, arcs)
 
 
 class TestInNeighbors:
     def test_two_cycle(self):
-        assert two_cycle().in_neighbors(1) == {2}
+        assert in_neighbors(two_cycle(), 1) == {2}
 
     def test_directed_three_cycle(self):
-        assert three_cycle().in_neighbors(2) == {1}
+        assert in_neighbors(three_cycle(), 2) == {1}
 
     def test_chain_head_has_none(self):
         g = graph_from_arcs(3, [(1, 2, 1.0), (2, 3, 1.0)])
-        assert g.in_neighbors(1) == frozenset()
+        assert in_neighbors(g, 1) == set()
+        assert g.in_degrees.tolist() == [0, 1, 1]
 
     def test_never_contains_self(self):
         rng = np.random.default_rng(11)
         for _ in range(20):
             g = random_digraph(rng, int(rng.integers(2, 8)))
             for i in range(1, g.n + 1):
-                assert i not in g.in_neighbors(i)
-
-    def test_out_of_range_node(self):
-        with pytest.raises(ValueError, match="outside range"):
-            two_cycle().in_neighbors(3)
+                assert i not in in_neighbors(g, i)
 
 
 class TestStrongConnectivity:
@@ -91,7 +174,13 @@ class TestStrongConnectivity:
         assert is_strongly_connected(complete_graph(4))
 
     def test_single_node(self):
-        assert is_strongly_connected(WeightedDigraph(1, {}))
+        assert is_strongly_connected(graph_from_arcs(1, []))
+
+    def test_ring_missing_one_arc_is_not(self):
+        n = 1000
+        arcs = [(v, v % n + 1, 1.0) for v in range(1, n + 1)]
+        assert is_strongly_connected(graph_from_arcs(n, arcs))
+        assert not is_strongly_connected(graph_from_arcs(n, arcs[:500] + arcs[501:]))
 
     def test_agrees_with_closure_oracle(self):
         rng = np.random.default_rng(7)
@@ -163,7 +252,7 @@ class TestStepSizeBound:
 
     def test_arcless_graph_rejected(self):
         with pytest.raises(ValueError, match="no arcs"):
-            step_size_bound(WeightedDigraph(3, {}))
+            step_size_bound(graph_from_arcs(3, []))
 
 
 def test_ring_graph_is_balanced_and_connected():

@@ -1,7 +1,7 @@
 import numpy as np
 import pytest
 
-from airconsensus.graph import WeightedDigraph
+from airconsensus.graph import graph_from_arcs
 from airconsensus.linalg import (
     PowerIterationError,
     dominant_left_eigenvector,
@@ -82,11 +82,11 @@ class TestSameZeroPattern:
 
 class TestPerronMatrix:
     def test_two_cycle_half_step(self):
-        g = WeightedDigraph(2, {(1, 2): 1.0, (2, 1): 1.0})
+        g = graph_from_arcs(2, [(1, 2, 1.0), (2, 1, 1.0)])
         np.testing.assert_allclose(perron_matrix(g, 0.5), [[0.5, 0.5], [0.5, 0.5]])
 
     def test_three_cycle(self):
-        g = WeightedDigraph(3, {(1, 2): 2.0, (2, 3): 2.0, (3, 1): 2.0})
+        g = graph_from_arcs(3, [(1, 2, 2.0), (2, 3, 2.0), (3, 1, 2.0)])
         D = perron_matrix(g, 0.25)
         np.testing.assert_allclose(np.diag(D), [0.5, 0.5, 0.5])
         assert D[1, 0] == D[2, 1] == D[0, 2] == 0.5
@@ -104,7 +104,7 @@ class TestPerronMatrix:
             assert (np.diag(D) > 0).all()
 
     def test_step_size_out_of_range(self):
-        g = WeightedDigraph(2, {(1, 2): 1.0, (2, 1): 1.0})
+        g = graph_from_arcs(2, [(1, 2, 1.0), (2, 1, 1.0)])
         with pytest.raises(ValueError, match="step size"):
             perron_matrix(g, 1.0)
         with pytest.raises(ValueError, match="step size"):
@@ -175,7 +175,7 @@ class TestGraphFromStochastic:
     def test_two_by_two_example(self):
         g = graph_from_stochastic(np.array([[0.5, 0.5], [0.5, 0.5]]), 0.5)
         assert g.arcs == {(1, 2), (2, 1)}
-        assert g.weight(2, 1) == 1.0 and g.weight(1, 2) == 1.0
+        assert g.weights[2, 1] == 1.0 and g.weights[1, 2] == 1.0
 
     def test_symmetric_matrix_gives_symmetric_weights(self):
         from support import symmetric_doubly_stochastic
@@ -184,9 +184,10 @@ class TestGraphFromStochastic:
         for _ in range(10):
             P = symmetric_doubly_stochastic(rng, int(rng.integers(3, 7)))
             g = graph_from_stochastic(P, 0.3)
+            weights = g.weights
             for j, i in g.arcs:
                 assert (i, j) in g.arcs
-                assert g.weight(j, i) == g.weight(i, j)
+                assert weights[j, i] == weights[i, j]
 
     def test_positive_matrix_gives_complete_graph(self):
         P = np.full((4, 4), 0.25)
@@ -230,8 +231,7 @@ class TestProductsOfPrimitives:
         rng = np.random.default_rng(41)
         g = random_strongly_connected(rng, 5)
         pattern = np.zeros((5, 5))
-        for j, i in g.weights:
-            pattern[i - 1, j - 1] = 1.0
+        pattern[g.arc_rows, g.arc_cols] = 1.0
         np.fill_diagonal(pattern, 1.0)
         product = np.eye(5)
         matrices = []

@@ -19,7 +19,7 @@ from airconsensus import cli, linalg
 from airconsensus.analysis import predicted_consensus
 from airconsensus.channel import TIME_INVARIANT, ChannelModel, ConstantLaw, UniformLaw, sample
 from airconsensus.config import PRESET_NAMES, parse_config, preset
-from airconsensus.graph import WeightedDigraph, complete_graph, step_size_bound
+from airconsensus.graph import complete_graph, graph_from_arcs, step_size_bound
 from airconsensus.linalg import (
     KRYLOV_BASIS,
     ArcOperator,
@@ -73,7 +73,7 @@ def graphs_below_basis(draw):
     n = draw(st.integers(2, KRYLOV_BASIS - 1))
     order = draw(st.permutations(range(1, n + 1)))
     weights = draw(st.lists(st.floats(0.5, 10.0), min_size=n, max_size=n))
-    return WeightedDigraph(n, {(order[t], order[(t + 1) % n]): weights[t] for t in range(n)})
+    return graph_from_arcs(n, [(order[t], order[(t + 1) % n], weights[t]) for t in range(n)])
 
 
 @st.composite
@@ -98,7 +98,7 @@ def few_eigenvalue_graphs(draw):
     else:
         n = draw(st.integers(3, 24))
         links = [(i, i % n + 1) for i in range(1, n + 1)]
-    return WeightedDigraph(n, {arc: weight for j, i in links for arc in ((j, i), (i, j))})
+    return graph_from_arcs(n, [(*arc, weight) for j, i in links for arc in ((j, i), (i, j))])
 
 
 def classical_update(draw, g):

@@ -15,7 +15,7 @@ from airconsensus.channel import (
     UniformLaw,
     sample,
 )
-from airconsensus.graph import WeightedDigraph, complete_graph, graph_from_arcs, step_size_bound
+from airconsensus.graph import complete_graph, graph_from_arcs, step_size_bound
 from airconsensus.linalg import (
     ArcOperator,
     is_primitive,
@@ -37,7 +37,7 @@ from airconsensus.protocol import (
     spread,
     step_superposition,
 )
-from support import laplacian, random_strongly_connected, same_zero_pattern, strongly_connected_digraphs
+from support import dict_graph, laplacian, random_strongly_connected, same_zero_pattern, strongly_connected_digraphs
 
 
 NAIVE_CONFIG = ProtocolConfig("naive")
@@ -122,12 +122,37 @@ class TestEffectiveMatrix:
                 sums = r.gains.sum(axis=1)
                 eps = 0.8 / sums.max()
                 mixing = perron_matched_mixing(r, eps)
-                coeff_graph = WeightedDigraph(
-                    g.n, {(j, i): r.gains[i - 1, j - 1] for (j, i) in g.arcs}
-                )
+                coeff_graph = graph_from_arcs(g.n, [(j, i, r.gains[i - 1, j - 1]) for j, i in g.arc_order])
                 np.testing.assert_allclose(
                     effective_matrix(r, mixing), perron_matrix(coeff_graph, eps), atol=1e-13
                 )
+
+    def test_matches_two_signal_arc_loop(self):
+        # Each receiver hears two superposed signals over its in-arcs: the
+        # coefficient-weighted state sum and the plain coefficient sum. It
+        # mixes its own state with their ratio.
+        rng = np.random.default_rng(51)
+        for g in (complete_graph(5), random_strongly_connected(rng, 7)):
+            model = u010_channel(g, seed=99)
+            for k in range(5):
+                r = sample(model, k)
+                x = rng.uniform(-5, 5, g.n)
+                mixing = rng.uniform(0.05, 0.95, g.n)
+                expected = np.empty(g.n)
+                for i in range(1, g.n + 1):
+                    senders = [j for j, receiver in g.arc_order if receiver == i]
+                    weighted = sum(r.gains[i - 1, j - 1] * x[j - 1] for j in senders)
+                    plain = sum(r.gains[i - 1, j - 1] for j in senders)
+                    expected[i - 1] = (1 - mixing[i - 1]) * x[i - 1] + mixing[i - 1] * weighted / plain
+                np.testing.assert_allclose(effective_matrix(r, mixing) @ x, expected, rtol=1e-12, atol=1e-12)
+                np.testing.assert_allclose(step_superposition(x, r, mixing), expected, rtol=1e-12, atol=1e-12)
+
+    def test_ideal_channel_ratio_is_the_in_neighbor_mean(self):
+        # Unit coefficients on the complete 3-node graph: node 1 hears the
+        # sum 2 + 3 = 5 and the count 2, so it moves toward 2.5.
+        r = sample(ideal_channel(complete_graph(3)), 0)
+        x = np.array([1.0, 2.0, 3.0])
+        assert (effective_matrix(r, 0.5) @ x)[0] == 0.5 * 1.0 + 0.5 * 2.5
 
     def test_matched_mixing_validates_step_size(self):
         r = sample(u010_channel(complete_graph(3), seed=1), 0)
@@ -285,7 +310,7 @@ class TestRun:
             for j in rng.choice(np.arange(1, n + 1), 3, replace=False).tolist():
                 if j != i:
                     weights[(j, i)] = 1.0
-        g = WeightedDigraph(n, weights)
+        g = dict_graph(n, weights)
         drawn = []
 
         class RecordingStreams(ChannelStreams):
