@@ -102,6 +102,8 @@ def parse_config(doc: Mapping[str, Any]) -> ScenarioConfig:
     x0, state_echo = _parse_initial_state(doc.get("initial_state"), topology, seed, problems)
     tol, max_steps = _parse_run(doc.get("run"), problems)
     trace_file, summary_file, samples_file = _parse_outputs(doc.get("outputs"), problems)
+    if variant in (SUPERPOSITION, NAIVE) and channel is not None and x0 is not None:
+        _check_received_range(channel, x0, problems)
 
     if problems:
         raise ConfigError(problems)
@@ -205,6 +207,27 @@ def _parse_channel(section, topology, variant, seed, problems):
         return None, None
     model = ChannelModel(topology=topology, law=law, mode=mode, seed=channel_seed)
     return model, {"law": law_echo, "mode": mode, "seed": channel_seed}
+
+
+def _check_received_range(channel, x0, problems):
+    """A node sums ``h_ij`` and ``h_ij x_j`` over its in-arcs before it
+    divides or averages: both sums must stay within float range on the
+    first step for every coefficient the law can draw. Superposition
+    states never leave the initial hull, so the first step bounds every
+    later one; a naive run may still diverge later."""
+    field, c_max = ("hi", channel.law.hi) if isinstance(channel.law, UniformLaw) else ("value", channel.law.value)
+    d_max = int(channel.topology.in_degrees.max())
+    x_max = float(np.max(np.abs(x0)))
+    if not math.isfinite(c_max * d_max):
+        problems.append(
+            f"channel.law: received signals overflow: {field} {c_max:g} times the largest in-degree {d_max} "
+            "is beyond float range"
+        )
+    elif not math.isfinite(x_max * c_max * d_max):
+        problems.append(
+            f"initial_state: received signals overflow: max |x0| {x_max:g} times channel.law.{field} {c_max:g} "
+            f"times the largest in-degree {d_max} is beyond float range"
+        )
 
 
 def _parse_protocol(section, topology, problems):

@@ -12,11 +12,15 @@ Three update laws over one block update and one run loop:
 * ``naive`` -- plain averaging of the raw superposed signal. Its update
   matrix is not row-stochastic for general coefficients, so it fails;
   kept as the baseline that motivates the two-signal scheme.
-Each step costs O(|E|): all three are the same take/multiply/bincount
-over the arc list. ``effective_operator`` holds the superposition update
-as a ``linalg.ArcOperator``, the O(|E|) form the run predictions use;
-``effective_matrix``, ``naive_matrix`` and ``linalg.perron_matrix`` are
-the dense forms of such operators, for the analysis and eigen paths.
+Each step costs O(|E|): all three are the same gather/multiply/bincount
+over the arc list. A graph's arcs are sorted by transmitter, so the
+gather is ``np.repeat`` of each state over its transmitter's out-degree:
+a copy of the same values ``np.take`` by ``arc_cols`` picks, bit for bit,
+without an index read per arc. ``effective_operator`` holds the
+superposition update as a ``linalg.ArcOperator``, the O(|E|) form the run
+predictions use; ``effective_matrix``, ``naive_matrix`` and
+``linalg.perron_matrix`` are the dense forms of such operators, for the
+analysis and eigen paths.
 ``advance`` steps a block of R independent states held as one (R, n)
 array; Monte Carlo uses blocks of many. ``record_run`` is a block of one
 that buffers its states a chunk of whole steps at a time, hands each
@@ -176,11 +180,18 @@ class BlockUpdate:
     every row. Receiver sums come from one ``np.bincount`` over the flat index
     ``b * n + arc_rows``, which visits each row's arcs in arc order, so
     every row gets the same result, bit for bit, as a block of one.
+
+    The transmitted states are gathered by runs: a graph's arcs are sorted
+    by transmitter, so ``x[:, arc_cols]`` is each transmitter's state
+    repeated over its out-arcs, and ``np.repeat`` by the out-degrees,
+    counted once here, copies exactly those values. The gather only copies,
+    so the products and sums that follow are the same, bit for bit.
     """
 
     def __init__(self, topology: WeightedDigraph, protocol: ProtocolConfig, rows: int = 1):
         self.topology = topology
         self.variant = protocol.variant
+        self._out_degrees = np.bincount(topology.arc_cols, minlength=topology.n)
         self._index = (np.arange(rows)[:, None] * topology.n + topology.arc_rows).ravel()
         if self.variant == SUPERPOSITION:
             self._mixing = resolve_mixing(protocol.mixing, topology.n)
@@ -204,7 +215,7 @@ class BlockUpdate:
         return (values,)
 
     def __call__(self, x: np.ndarray, *coefficients: np.ndarray) -> np.ndarray:
-        weighted = np.take(x, self.topology.arc_cols, axis=1)
+        weighted = np.repeat(x, self._out_degrees, axis=1)
         weighted *= coefficients[0] if coefficients else self._weights
         received = self.arc_sums(weighted)
         if self.variant == SUPERPOSITION:

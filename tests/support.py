@@ -9,13 +9,19 @@ from __future__ import annotations
 
 import json
 import math
+import os
+import subprocess
+import sys
+from pathlib import Path
 
 import numpy as np
 from hypothesis import strategies as st
 
+import airconsensus
 from airconsensus import protocol
 from airconsensus.channel import _CHANNEL_STREAM, TIME_INVARIANT, ConstantLaw
 from airconsensus.graph import WeightedDigraph, graph_from_arcs
+from airconsensus.linalg import perron_operator
 from airconsensus.textfmt import TraceRows
 
 
@@ -261,6 +267,37 @@ def redraw_zeros(law, rng, values):
         if not zero.any():
             return values
         values[zero] = rng.uniform(law.lo, law.hi, int(zero.sum()))
+
+
+def run_child(code, *argv):
+    """Run ``code`` in a fresh interpreter that imports this package, with
+    ``argv`` as its arguments."""
+    src = str(Path(airconsensus.__file__).resolve().parents[1])
+    env = dict(os.environ, PYTHONPATH=os.pathsep.join([src, os.environ.get("PYTHONPATH", "")]))
+    return subprocess.run([sys.executable, "-c", code, *argv], env=env, capture_output=True, text=True, check=True)
+
+
+def take_block_step(topology, config, x, values=None):
+    """One update of ``config`` on each row of the ``(R, n)`` states ``x``,
+    with ``values`` the ``(R, |E|)`` channel coefficients (none for the
+    classical protocol): each arc's transmitted state picked by its own
+    index with ``np.take``, the sums per receiver by one ``np.bincount`` in
+    arc order, then the update's formula."""
+    rows, n = x.shape
+    index = (np.arange(rows)[:, None] * n + topology.arc_rows).ravel()
+
+    def per_receiver(weights):
+        return np.bincount(index, weights=weights.ravel(), minlength=rows * n).reshape(rows, n)
+
+    weighted = np.take(x, topology.arc_cols, axis=1)
+    if config.variant == protocol.CLASSICAL:
+        perron = perron_operator(topology, config.step_size)
+        return perron.diagonal * x + per_receiver(weighted * perron.weights)
+    received = per_receiver(weighted * values)
+    if config.variant == protocol.SUPERPOSITION:
+        m = protocol.resolve_mixing(config.mixing, n)
+        return (1.0 - m) * x + m * (received / per_receiver(values))
+    return (x + received) / (topology.in_degrees + 1.0)
 
 
 def write_trace_per_step(path, trace):

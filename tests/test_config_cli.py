@@ -9,6 +9,7 @@ import tracemalloc
 import warnings
 from dataclasses import replace
 from pathlib import Path
+from unittest import mock
 
 import numpy as np
 import pytest
@@ -20,7 +21,15 @@ from airconsensus.channel import ChannelRealization, sample
 from airconsensus.cli import MAX_RUNS, main
 from airconsensus.config import MAX_ARCS, ConfigError, PRESET_NAMES, override_seed, parse_config, preset
 from airconsensus.protocol import CONVERGED, ProtocolConfig, Trace, run
-from support import child_seed, reference_graph, ring_with_chords, stream_draw, strict_json, write_trace_chunked
+from support import (
+    child_seed,
+    reference_graph,
+    ring_with_chords,
+    run_child,
+    stream_draw,
+    strict_json,
+    write_trace_chunked,
+)
 
 
 def minimal_doc(**overrides):
@@ -895,18 +904,150 @@ FLAT_VALUES = st.one_of(
 
 
 @settings(max_examples=300, deadline=None)
-@given(doc=st.dictionaries(st.text(max_size=12), FLAT_VALUES, max_size=8))
-def test_summary_encoder_matches_json_indent(doc):
-    # Non-finite scalars are written as null; lists are left as they are.
+@given(
+    doc=st.dictionaries(st.text(max_size=12), FLAT_VALUES, max_size=8),
+    chunk=st.sampled_from([1, 2, 5, cli.LIST_CHUNK]),
+)
+def test_summary_encoder_matches_json_indent(doc, chunk):
+    # Non-finite scalars are written as null; lists are left as they are,
+    # and laid out the same a chunk of items at a time.
     strict = {key: None if isinstance(v, float) and not math.isfinite(v) else v for key, v in doc.items()}
-    assert cli._dumps_flat(doc) == json.dumps(strict, sort_keys=True, indent=2)
+    with mock.patch.object(cli, "LIST_CHUNK", chunk):
+        assert "".join(cli._flat_json(doc)) == json.dumps(strict, sort_keys=True, indent=2)
 
 
 def test_summary_encoder_matches_json_indent_when_deeply_nested():
     deep = 1.5
     for _ in range(60):
         deep = [deep, [], 2]
-    assert cli._dumps_flat({"deep": deep}) == json.dumps({"deep": deep}, sort_keys=True, indent=2)
+    assert "".join(cli._flat_json({"deep": deep})) == json.dumps({"deep": deep}, sort_keys=True, indent=2)
+
+
+def test_long_config_echo_is_written_a_chunk_at_a_time(tmp_path):
+    # A 4500-arc echo and a 1500-agent mixing list, several chunks each:
+    # json's own layout, byte for byte, written without a whole copy of
+    # the document (encoded whole, it peaked at five times its size).
+    doc = ring_with_chords_doc(1500, 2, 3)
+    doc["protocol"]["mixing"] = [0.25 + agent / 4000 for agent in range(1500)]
+    flat = cli._flatten({"config": parse_config(doc).resolved})
+    path = tmp_path / "summary.json"
+    tracemalloc.start()
+    try:
+        cli._write_flat(path, flat)
+        peak = tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+    text = path.read_text()
+    assert text == json.dumps(flat, sort_keys=True, indent=2) + "\n"
+    assert peak < len(text) / 2, (peak, len(text))
+
+
+# A superposition or naive node sums x_j * h_ij and h_ij over its in-arcs:
+# documents whose sums can leave float range, and their neighbors just
+# inside it.
+def overflow_doc(topology, law, values, variant="superposition", mode="iid-per-step", tol=1e-9):
+    protocol = {"variant": variant, "mixing": 0.5} if variant == "superposition" else {"variant": variant}
+    return {
+        "topology": topology,
+        "channel": {"law": law, "mode": mode},
+        "protocol": protocol,
+        "initial_state": {"kind": "explicit", "values": values},
+        "run": {"tol": tol, "max_steps": 200},
+        "seed": 1,
+    }
+
+
+RING4 = {"kind": "ring", "n": 4}
+U010 = {"kind": "uniform", "lo": 0.0, "hi": 10.0}
+COMPLETE30 = {"kind": "complete", "n": 30}
+X30 = [agent / 29 for agent in range(30)]  # max |x0| = 1
+OVERFLOWING = {
+    "ring x0": (
+        overflow_doc(RING4, U010, [-1e308, 1e308, -1e308, 1e308], mode="time-invariant", tol=1e290),
+        "initial_state: received signals overflow: max |x0| 1e+308 times channel.law.hi 10 times the largest in-degree 1",
+    ),
+    "complete law": (
+        overflow_doc(COMPLETE30, {"kind": "uniform", "lo": 0.0, "hi": 1e308}, X30),
+        "channel.law: received signals overflow: hi 1e+308 times the largest in-degree 29",
+    ),
+    "complete law above the bound": (
+        overflow_doc(COMPLETE30, {"kind": "uniform", "lo": 0.0, "hi": 6.3e306}, X30),
+        "channel.law: received signals overflow: hi 6.3e+306",
+    ),
+    "naive constant law": (
+        overflow_doc(COMPLETE30, {"kind": "constant", "value": 6.3e306}, X30, variant="naive"),
+        "channel.law: received signals overflow: value 6.3e+306",
+    ),
+    "naive x0": (
+        overflow_doc(COMPLETE30, {"kind": "constant", "value": 2.0}, [1e307] * 30, variant="naive"),
+        "initial_state: received signals overflow: max |x0| 1e+307 times channel.law.value 2",
+    ),
+}
+UNDER_THE_BOUND = {
+    "ring x0": overflow_doc(RING4, U010, [-1e307, 1e307, -1e307, 1e307], mode="time-invariant", tol=1e290),
+    "complete law": overflow_doc(COMPLETE30, {"kind": "uniform", "lo": 0.0, "hi": 6e306}, X30),
+}
+
+
+@pytest.mark.parametrize("runs", [[], ["--runs", "2"]])
+@pytest.mark.parametrize("name", sorted(OVERFLOWING))
+def test_received_signal_overflow_exits_one(tmp_path, capsys, name, runs):
+    doc, message = OVERFLOWING[name]
+    doc = dict(doc, bogus=1)  # reported together with another problem
+    path = tmp_path / "overflow.json"
+    path.write_text(json.dumps(doc))
+    out = tmp_path / "out"
+    assert main(["--config", str(path), "--out-dir", str(out), *runs]) == 1
+    err = capsys.readouterr().err
+    assert err.startswith("invalid scenario config:") and "Traceback" not in err
+    assert message in err and "unknown section 'bogus'" in err and err.count("\n  - ") == 2
+    assert not out.exists()
+
+
+@pytest.mark.parametrize("name", sorted(UNDER_THE_BOUND))
+def test_received_signals_just_under_the_bound_run_finite(tmp_path, name):
+    path = tmp_path / "scenario.json"
+    path.write_text(json.dumps(UNDER_THE_BOUND[name]))
+    with warnings.catch_warnings():
+        warnings.simplefilter("error")  # no overflow in any step
+        assert main(["--config", str(path), "--out-dir", str(tmp_path), "--quiet"]) == 0
+    summary = json.loads((tmp_path / "summary.json").read_text())
+    assert math.isfinite(summary["result.consensus_value"]) and summary["result.converged"]
+    with open(tmp_path / "trace.csv") as fh:
+        assert all(math.isfinite(float(row["x"])) for row in csv.DictReader(fh))
+
+
+# Registered before the CLI's exit hook, so it runs after it: atexit
+# hooks run last in, first out. gc.freeze is replaced by a counting
+# wrapper before main registers it.
+FREEZE_CHILD = """
+import atexit, gc, sys
+freezes = []
+atexit.register(lambda: print("at exit:", gc.get_freeze_count() > 0, len(freezes)))
+freeze = gc.freeze
+gc.freeze = lambda: freezes.append(freeze())
+from airconsensus.cli import main
+out = sys.argv[1]
+main(["--preset", "ti-sigma02", "--out-dir", out + "/single", "--quiet"])
+main(["--preset", "tv-sigma05", "--runs", "20", "--out-dir", out + "/montecarlo", "--quiet"])
+print("after main:", gc.get_freeze_count(), len(freezes))
+"""
+
+
+def test_cli_freezes_the_heap_once_at_exit(tmp_path):
+    # Finalization's collections skip a frozen heap. The heap is frozen
+    # once, as the process exits, however many times main ran; nothing is
+    # frozen while the process lives, and the outputs are unchanged.
+    child = run_child(FREEZE_CHILD, str(tmp_path / "child"))
+    assert child.stdout.splitlines() == ["after main: 0 0", "at exit: True 1"]
+    main(["--preset", "ti-sigma02", "--out-dir", str(tmp_path / "here" / "single"), "--quiet"])
+    main(["--preset", "tv-sigma05", "--runs", "20", "--out-dir", str(tmp_path / "here" / "montecarlo"), "--quiet"])
+    written = sorted(p.relative_to(tmp_path / "here") for p in (tmp_path / "here").rglob("*.*"))
+    assert [str(p) for p in written] == [
+        "montecarlo/samples.csv", "montecarlo/summary.json", "single/summary.json", "single/trace.csv"
+    ]
+    for name in written:
+        assert (tmp_path / "child" / name).read_bytes() == (tmp_path / "here" / name).read_bytes()
 
 
 @pytest.mark.parametrize("name", PRESET_NAMES)

@@ -12,6 +12,7 @@ from airconsensus.graph import (
     ring_graph,
     step_size_bound,
 )
+from airconsensus.linalg import graph_from_stochastic, perron_matrix
 from support import (
     closure_strongly_connected,
     is_balanced,
@@ -140,6 +141,26 @@ class TestAgainstReference:
                 arrays = (got.arc_rows, got.arc_cols, got.arc_weights, got.in_degrees)
                 assert [a.tobytes() for a in arrays] == [a.tobytes() for a in expected]
                 assert is_strongly_connected(got) == reference_strongly_connected(n, arcs)
+
+
+class TestArcOrder:
+    # ``protocol.BlockUpdate`` gathers the transmitted states by runs of
+    # equal transmitters, which needs every builder's arc_cols non-decreasing.
+    @given(
+        arc_lists(valid=True, max_n=12), st.randoms(use_true_random=False), st.integers(1, 40), st.floats(0.5, 10.0)
+    )
+    @settings(max_examples=200, deadline=None)
+    def test_every_builder_sorts_by_transmitter(self, drawn, shuffle, size, weight):
+        n, arcs = drawn
+        shuffle.shuffle(arcs)
+        g = graph_from_arcs(n, arcs)
+        graphs = [g, complete_graph(size, weight)] + ([ring_graph(size, weight)] if size >= 2 else [])
+        if g.arc_cols.size:
+            graphs.append(graph_from_stochastic(perron_matrix(g, 0.5 * step_size_bound(g)), 0.5))
+        for built in graphs:
+            assert (np.diff(built.arc_cols) >= 0).all()
+            keys = built.arc_cols.astype(np.int64) * built.n + built.arc_rows
+            assert (np.diff(keys) > 0).all()  # then by receiver, no arc twice
 
 
 class TestInNeighbors:

@@ -37,7 +37,14 @@ from airconsensus.protocol import (
     spread,
     step_superposition,
 )
-from support import dict_graph, laplacian, random_strongly_connected, same_zero_pattern, strongly_connected_digraphs
+from support import (
+    dict_graph,
+    laplacian,
+    random_strongly_connected,
+    same_zero_pattern,
+    strongly_connected_digraphs,
+    take_block_step,
+)
 
 
 NAIVE_CONFIG = ProtocolConfig("naive")
@@ -253,6 +260,48 @@ def test_arc_list_steps_match_dense_matrices(g, seed, k, data):
     assert np.max(np.abs(one_step(r.topology, NAIVE_CONFIG, x, r) - naive_matrix(r) @ x)) <= 1e-13
     classical = one_step(g, ProtocolConfig("classical", step_size=step_size), x)
     assert np.max(np.abs(classical - perron_matrix(g, step_size) @ x)) <= 1e-13
+
+
+@st.composite
+def fed_digraphs(draw, max_n=9):
+    """A digraph in which every node hears another one, and some may be
+    heard by none, from arcs in any order."""
+    n = draw(st.integers(2, max_n))
+    arcs = [(draw(st.sampled_from([j for j in range(1, n + 1) if j != i])), i) for i in range(1, n + 1)]
+    pairs = [(j, i) for j in range(1, n + 1) for i in range(1, n + 1) if j != i]
+    arcs = list(dict.fromkeys(arcs + draw(st.lists(st.sampled_from(pairs), max_size=2 * n))))
+    arcs = draw(st.permutations(arcs))
+    return graph_from_arcs(n, [(j, i, draw(st.floats(0.5, 10.0))) for j, i in arcs])
+
+
+@settings(max_examples=200, deadline=None)
+@given(
+    g=fed_digraphs(),
+    rows=st.integers(1, 6),
+    spare=st.integers(0, 3),
+    variant=st.sampled_from(protocol.VARIANTS),
+    seed=st.integers(0, 2**32 - 1),
+    data=st.data(),
+)
+def test_block_update_matches_the_take_reference(g, rows, spare, variant, seed, data):
+    # The states are gathered by transmitter runs with np.repeat: the same
+    # values, bit for bit, as picking each arc's transmitter with np.take.
+    rng = np.random.default_rng(seed)
+    x = rng.normal(0.0, 10.0, (rows, g.n))
+    values = rng.uniform(0.01, 10.0, (rows, g.arc_cols.size))
+    if variant == protocol.SUPERPOSITION:
+        scalar = st.floats(0.05, 0.95)
+        config = ProtocolConfig(variant, mixing=data.draw(scalar | st.lists(scalar, min_size=g.n, max_size=g.n)))
+    elif variant == protocol.CLASSICAL:
+        config = ProtocolConfig(variant, step_size=data.draw(st.floats(0.01, 0.99)) * step_size_bound(g))
+    else:
+        config = NAIVE_CONFIG
+    update = BlockUpdate(g, config, rows=rows + spare)
+    if variant == protocol.CLASSICAL:
+        got, expected = update(x), take_block_step(g, config, x)
+    else:
+        got, expected = update(x, *update.coefficients(values)), take_block_step(g, config, x, values)
+    assert got.tobytes() == expected.tobytes()
 
 
 def assert_same_operator(dense_read, op):

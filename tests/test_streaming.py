@@ -5,9 +5,6 @@ per-step reference writer), and its peak memory must not grow with the
 step count."""
 
 import json
-import os
-import subprocess
-import sys
 import tempfile
 from pathlib import Path
 from unittest import mock
@@ -17,14 +14,13 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-import airconsensus
 from airconsensus import cli, protocol
 from airconsensus.analysis import summarize_run
 from airconsensus.channel import TIME_INVARIANT, ChannelStreams
 from airconsensus.config import PRESET_NAMES, parse_config, preset
 from airconsensus.graph import step_size_bound
 from airconsensus.protocol import record_run, run
-from support import strongly_connected_digraphs, write_trace_per_step
+from support import run_child, strongly_connected_digraphs, write_trace_per_step
 
 UNIFORM = {"kind": "uniform", "lo": 0.0, "hi": 10.0}
 
@@ -56,7 +52,7 @@ def whole_trace_outputs(doc, out):
     summary = summarize_run(trace, predicted_value=predicted, rate_predicted=rate_predicted)
     write_trace_per_step(out / "reference.csv", trace)
     flat = cli._flatten({"config": cfg.resolved, "result": cli._summary_dict(summary)})
-    return (out / "reference.csv").read_bytes(), (cli._dumps_flat(flat) + "\n").encode()
+    return (out / "reference.csv").read_bytes(), ("".join(cli._flat_json(flat)) + "\n").encode()
 
 
 def assert_streams_whole_trace_bytes(doc, out, chunk):
@@ -130,14 +126,6 @@ main(sys.argv[1:])
 with open("/proc/self/status") as fh:
     print(next(int(line.split()[1]) for line in fh if line.startswith("VmHWM:")))
 """
-
-
-def run_child(code, *argv):
-    """Run ``code`` in a fresh interpreter that imports this package, with
-    ``argv`` as its arguments."""
-    src = str(Path(airconsensus.__file__).resolve().parents[1])
-    env = dict(os.environ, PYTHONPATH=os.pathsep.join([src, os.environ.get("PYTHONPATH", "")]))
-    return subprocess.run([sys.executable, "-c", code, *argv], env=env, capture_output=True, text=True, check=True)
 
 
 def peak_rss_kb(tmp_path, max_steps):
