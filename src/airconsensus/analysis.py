@@ -10,7 +10,6 @@ Monte Carlo statistics over channel realizations.
 from __future__ import annotations
 
 import math
-from dataclasses import dataclass
 from typing import Optional, Sequence, Union
 
 import numpy as np
@@ -31,6 +30,7 @@ from .protocol import (
     spread,
     validated_state,
 )
+from .records import record
 
 #: Tolerance of the built-in fixed-point verification in predicted_consensus.
 FIXED_POINT_TOL = 1e-10
@@ -42,7 +42,7 @@ RATE_FIT_TRIM = 0.10
 MC_BLOCK_ELEMENTS = 1 << 15
 
 
-@dataclass(frozen=True)
+@record
 class DisturbanceDecomposition:
     """Matrices A (n x n) and B (n x n^2) with x+ = A x + B nu.
 
@@ -56,7 +56,7 @@ class DisturbanceDecomposition:
     input_matrix: np.ndarray
 
 
-@dataclass(frozen=True)
+@record
 class RunSummary:
     """Machine-readable outcome of a single run."""
 
@@ -70,7 +70,7 @@ class RunSummary:
     hull_violated: bool
 
 
-@dataclass(frozen=True)
+@record
 class MonteCarloResult:
     """Statistics of the consensus value over independently seeded runs."""
 

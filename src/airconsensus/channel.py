@@ -25,13 +25,13 @@ and the words each generator is seeded with, bit for bit, without a
 from __future__ import annotations
 
 import math
-from dataclasses import dataclass
 from functools import cache, cached_property
 from typing import Iterator, Sequence, Union
 
 import numpy as np
 
 from .graph import WeightedDigraph
+from .records import record
 
 TIME_INVARIANT = "time-invariant"
 IID_PER_STEP = "iid-per-step"
@@ -53,7 +53,7 @@ _MIX_MULT_L, _MIX_MULT_R = 0xCA01F9DD, 0x4973F715
 _MASK32 = 0xFFFFFFFF
 
 
-@dataclass(frozen=True)
+@record
 class UniformLaw:
     """Uniform coefficients ``lo + (hi - lo) * u`` with ``u`` uniform on
     [0, 1), so on [lo, hi) up to rounding; exact zeros (only at ``lo = 0``)
@@ -77,7 +77,7 @@ class UniformLaw:
         return uniforms
 
 
-@dataclass(frozen=True)
+@record
 class ConstantLaw:
     """Degenerate law: every coefficient equals ``value`` (ideal channel at 1.0)."""
 
@@ -91,7 +91,7 @@ class ConstantLaw:
 Law = Union[UniformLaw, ConstantLaw]
 
 
-@dataclass(frozen=True)
+@record
 class ChannelModel:
     """Distribution of the per-arc channel coefficients over a fixed topology."""
 
@@ -107,7 +107,7 @@ class ChannelModel:
             raise ValueError(f"seed must be a nonnegative integer, got {self.seed!r}")
 
 
-@dataclass(frozen=True)
+@record
 class ChannelRealization:
     """Coefficients drawn for one step.
 

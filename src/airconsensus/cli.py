@@ -2,7 +2,7 @@
 
 Runs one scenario (trace + summary) or a Monte Carlo batch (per-run
 samples + aggregate statistics). Exit codes: 0 converged, 2 max-steps,
-1 usage or config error.
+1 usage, config or any other error (one `error:` line, no traceback).
 """
 
 from __future__ import annotations
@@ -63,6 +63,15 @@ def _freeze_heap_at_exit() -> None:
 
 def main(argv: Optional[list[str]] = None) -> int:
     _freeze_heap_at_exit()
+    try:
+        return _main(argv)
+    except Exception as exc:  # the last boundary: one error line, never a traceback
+        message = f"{type(exc).__name__}: {exc}".replace("\n", " ")
+        print(f"error: {message}", file=sys.stderr)
+        return EXIT_USAGE
+
+
+def _main(argv: Optional[list[str]]) -> int:
     parser = argparse.ArgumentParser(
         prog="airconsensus",
         description="Simulate consensus over a wireless multiple-access channel.",

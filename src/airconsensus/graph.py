@@ -2,14 +2,15 @@
 
 from __future__ import annotations
 
-from dataclasses import dataclass
 from types import MappingProxyType
 from typing import Iterable, Mapping
 
 import numpy as np
 
+from .records import record
 
-@dataclass(frozen=True, eq=False)
+
+@record(eq=False)
 class WeightedDigraph:
     """Directed graph on nodes 1..n with strictly positive arc weights.
 
@@ -20,7 +21,8 @@ class WeightedDigraph:
     the weight of each arc, and ``in_degrees`` the number of in-arcs of
     each node. ``arc_order``, ``arcs`` and ``weights`` are views of the
     arrays built on each call. Build a graph with ``graph_from_arcs``,
-    ``complete_graph`` or ``ring_graph``, which validate the arcs.
+    ``graph_from_ends``, ``complete_graph`` or ``ring_graph``, which
+    validate the arcs.
     Instances are immutable and safe to share between concurrent readers.
     """
 
@@ -50,14 +52,14 @@ def graph_from_arcs(n: int, arcs: Iterable[tuple[int, int, float]]) -> WeightedD
     self-loop, out-of-range id or weight that is not positive and finite.
     """
     transmitters, receivers, weights = tuple(zip(*arcs)) or ((), (), ())
-    return _graph(n, (transmitters, receivers), weights)
+    return graph_from_ends(n, (transmitters, receivers), weights)
 
 
 def complete_graph(n: int, weight: float = 1.0) -> WeightedDigraph:
     """Fully connected digraph: an arc between every ordered pair of distinct nodes."""
     ends = np.array(np.nonzero(~np.eye(n, dtype=bool)))
     ends += 1
-    return _graph(n, ends, np.full(ends.shape[1], float(weight)))
+    return graph_from_ends(n, ends, np.full(ends.shape[1], float(weight)))
 
 
 def ring_graph(n: int, weight: float = 1.0) -> WeightedDigraph:
@@ -65,14 +67,14 @@ def ring_graph(n: int, weight: float = 1.0) -> WeightedDigraph:
     if n < 2:
         raise ValueError("ring needs at least 2 nodes")
     nodes = np.arange(1, n + 1)
-    return _graph(n, (nodes, nodes % n + 1), np.full(n, float(weight)))
+    return graph_from_ends(n, (nodes, nodes % n + 1), np.full(n, float(weight)))
 
 
-def _graph(n, ends, weights) -> WeightedDigraph:
+def graph_from_ends(n, ends, weights) -> WeightedDigraph:
     """The one validation of a graph's arcs, given as the 1-based ids of
     their transmitters and of their receivers (the rows of ``ends``) and
-    their weights: the graph, or a ``ValueError`` for the first fault
-    ``graph_from_arcs`` names."""
+    their weights, in any order: the graph, or a ``ValueError`` for the
+    first fault ``graph_from_arcs`` names."""
     if isinstance(n, bool) or not isinstance(n, int) or n < 1:
         raise ValueError(f"node count must be a positive integer, got {n!r}")
     try:

@@ -14,12 +14,12 @@ explicit ``tol`` where a tolerance is meaningful.
 
 from __future__ import annotations
 
-from dataclasses import dataclass
 from typing import Callable
 
 import numpy as np
 
 from .graph import WeightedDigraph, graph_from_arcs, step_size_bound
+from .records import record
 
 # Tolerance / iteration defaults, in one place.
 DEFAULT_TOL = 1e-12
@@ -53,7 +53,7 @@ class ArnoldiError(RuntimeError):
         self.residual = residual
 
 
-@dataclass(frozen=True)
+@record
 class EigenPair:
     """Dominant eigenvalue and its left eigenvector, normalized to sum 1."""
 
@@ -61,7 +61,7 @@ class EigenPair:
     left_vector: np.ndarray
 
 
-@dataclass(frozen=True)
+@record
 class ArcOperator:
     """An n x n matrix held as its diagonal plus one weight per off-diagonal
     entry: ``weights[e]`` sits at ``(rows[e], cols[e])``. Each product with

@@ -33,7 +33,6 @@ aggregates plus the whole history as one (steps + 1, n) array.
 from __future__ import annotations
 
 import math
-from dataclasses import dataclass
 from typing import Callable, Optional, Sequence, Union
 
 import numpy as np
@@ -41,6 +40,7 @@ import numpy as np
 from .channel import TIME_INVARIANT, ChannelModel, ChannelRealization, ChannelStreams
 from .graph import WeightedDigraph
 from .linalg import ArcOperator, perron_operator
+from .records import record
 
 SUPERPOSITION = "superposition"
 CLASSICAL = "classical"
@@ -81,7 +81,7 @@ def resolve_mixing(mixing: Mixing, n: int) -> np.ndarray:
     return m
 
 
-@dataclass(frozen=True)
+@record
 class ProtocolConfig:
     """Which update law to run and its parameters.
 
@@ -225,7 +225,7 @@ class BlockUpdate:
         return (x + received) / self._shares
 
 
-@dataclass(frozen=True)
+@record
 class BlockResult:
     """Outcome of every row of a block: final states, steps taken, convergence."""
 

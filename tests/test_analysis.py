@@ -1,5 +1,4 @@
 import math
-from dataclasses import replace
 
 import numpy as np
 import pytest
@@ -30,6 +29,7 @@ from airconsensus.config import PRESET_NAMES, parse_config, preset
 from airconsensus.graph import complete_graph, graph_from_arcs, ring_graph, step_size_bound
 from airconsensus.linalg import dominant_left_eigenvector
 from airconsensus.protocol import CONVERGED, ProtocolConfig, effective_matrix, run
+from airconsensus.records import replace
 from support import child_seed, random_strongly_connected, strongly_connected_digraphs
 
 

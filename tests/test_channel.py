@@ -2,7 +2,6 @@ import math
 import os
 import subprocess
 import sys
-from dataclasses import replace
 from pathlib import Path
 
 import numpy as np
@@ -27,6 +26,7 @@ from airconsensus.channel import (
     sample,
 )
 from airconsensus.graph import complete_graph, graph_from_arcs
+from airconsensus.records import replace
 from support import child_seed, generator_uniform_draw, stream, stream_draw, strongly_connected_digraphs
 
 

@@ -7,7 +7,6 @@ import sys
 import tempfile
 import tracemalloc
 import warnings
-from dataclasses import replace
 from pathlib import Path
 from unittest import mock
 
@@ -16,11 +15,12 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from airconsensus import cli, linalg, protocol
+from airconsensus import cli, config, linalg, protocol
 from airconsensus.channel import ChannelRealization, sample
 from airconsensus.cli import MAX_RUNS, main
 from airconsensus.config import MAX_ARCS, ConfigError, PRESET_NAMES, override_seed, parse_config, preset
 from airconsensus.protocol import CONVERGED, ProtocolConfig, Trace, run
+from airconsensus.records import replace
 from support import (
     child_seed,
     reference_graph,
@@ -666,6 +666,58 @@ def test_custom_topology_reports_the_reference_fault(arcs):
     assert exc.value.problems == (f"topology: {reference.value}",)
 
 
+class IntSubclass(int):
+    pass
+
+
+class ListSubclass(list):
+    pass
+
+
+ARC_IDS = st.integers(0, 4) | st.integers(1, 4).map(IntSubclass) | st.sampled_from(
+    [2**70, -(2**64), True, 1.0, "1", None]
+)
+ARC_WEIGHTS = st.floats(0.5, 2.0) | st.integers(1, 3) | st.sampled_from(
+    [0, -1.0, math.inf, math.nan, 10**400, 2**70 + 1, False, "1", None, [1.0]]
+)
+GOOD_ARC = st.tuples(st.integers(1, 4), st.integers(1, 4), st.floats(0.5, 2.0) | st.integers(1, 3)).map(list)
+GOOD_ARCS = st.lists(GOOD_ARC.filter(lambda arc: arc[0] != arc[1]), max_size=8, unique_by=lambda arc: tuple(arc[:2]))
+ODD_ARC = st.tuples(ARC_IDS, ARC_IDS, ARC_WEIGHTS).map(list)
+ARC_LISTS = st.one_of(
+    GOOD_ARCS,
+    GOOD_ARCS.map(lambda arcs: [ListSubclass(arc) for arc in arcs]),
+    st.lists(GOOD_ARC | ODD_ARC, max_size=6),
+    st.lists(ODD_ARC | st.lists(ARC_IDS, max_size=4) | ARC_IDS, max_size=4),
+    ARC_IDS,
+)
+
+
+def reference_custom_topology(n, arcs):
+    """A custom topology parsed arc by arc, as the column checks must: its
+    echoed arcs, or the one problem it reports."""
+    try:
+        if not isinstance(arcs, list) or not all(isinstance(a, list) and len(a) == 3 for a in arcs):
+            raise ValueError("topology.arcs must be a list of [j, i, weight] triples")
+        for j, i, w in arcs:
+            if not all(isinstance(v, int) and not isinstance(v, bool) for v in (j, i)):
+                raise ValueError(f"topology.arcs node ids must be integers, got {[j, i, w]!r}")
+            if not isinstance(w, (int, float)) or isinstance(w, bool):
+                raise ValueError(f"arc ({j}, {i}) weight must be a number, got {w!r}")
+        rows, cols, weights, _ = reference_graph(n, [(j, i, float(w)) for j, i, w in arcs])
+    except (ValueError, OverflowError) as exc:
+        return f"topology: {exc}"
+    return [[j + 1, i + 1, w] for j, i, w in zip(cols.tolist(), rows.tolist(), weights.tolist())]
+
+
+@settings(max_examples=300, deadline=None)
+@given(arcs=ARC_LISTS)
+def test_custom_topology_parse_matches_the_per_arc_reference(arcs):
+    problems = []
+    _, echo = config._parse_topology({"kind": "custom", "n": 4, "arcs": arcs}, problems)
+    assert (problems[0] if problems else echo["arcs"]) == reference_custom_topology(4, arcs)
+    assert len(problems) <= 1
+
+
 def test_size_bound_admits_graphs_at_the_bound(monkeypatch):
     monkeypatch.setattr("airconsensus.config.MAX_ARCS", 12)
     assert len(parse_config(minimal_doc(topology={"kind": "complete", "n": 4})).topology.arc_order) == 12
@@ -1017,6 +1069,30 @@ def test_received_signals_just_under_the_bound_run_finite(tmp_path, name):
         assert all(math.isfinite(float(row["x"])) for row in csv.DictReader(fh))
 
 
+@pytest.mark.parametrize("runs", [[], ["--runs", "2"]])
+@pytest.mark.parametrize("variant", ["superposition", "naive", "classical"])
+def test_initial_state_whose_spread_overflows_exits_one(tmp_path, capsys, variant, runs):
+    # Each received sum, 1e308 times 1.0 over one in-arc, is finite; the
+    # spread max(x0) - min(x0) is not.
+    doc = overflow_doc(
+        RING4, {"kind": "constant", "value": 1.0}, [-1e308, 1e308, -1e308, 1e308], variant=variant, mode="time-invariant"
+    )
+    if variant == "classical":
+        del doc["channel"]
+        doc["protocol"]["step_size"] = 0.5
+    path = tmp_path / "spread.json"
+    path.write_text(json.dumps(doc))
+    out = tmp_path / "out"
+    with warnings.catch_warnings():
+        warnings.simplefilter("error")
+        assert main(["--config", str(path), "--out-dir", str(out), *runs]) == 1
+    assert capsys.readouterr().err == (
+        "invalid scenario config:\n"
+        "  - initial_state: the spread max(x0) - min(x0) = 1e+308 - (-1e+308) is beyond float range\n"
+    )
+    assert not out.exists()
+
+
 # Registered before the CLI's exit hook, so it runs after it: atexit
 # hooks run last in, first out. gc.freeze is replaced by a counting
 # wrapper before main registers it.
@@ -1082,6 +1158,18 @@ def test_write_failure_reported_with_path(tmp_path, capsys):
     code = main(["--preset", "ti-sigma02", "--out-dir", str(target), "--quiet"])
     assert code == 1
     assert "cannot write" in capsys.readouterr().err
+
+
+@pytest.mark.parametrize("runs", [[], ["--runs", "2"]])
+def test_unexpected_error_is_one_line_without_traceback(tmp_path, capsys, monkeypatch, runs):
+    def fail(*args, **kwargs):
+        raise RuntimeError("engine failed\nat step 3")
+
+    monkeypatch.setattr(cli, "monte_carlo", fail)
+    monkeypatch.setattr(cli, "record_run", fail)
+    assert main(["--preset", "tv-sigma05", "--out-dir", str(tmp_path), "--quiet", *runs]) == 1
+    captured = capsys.readouterr()
+    assert captured.err == "error: RuntimeError: engine failed at step 3\n" and captured.out == ""
 
 
 GOLDEN = Path(__file__).parent / "data" / "golden_tv_complete_n30_sigma08_runs100"

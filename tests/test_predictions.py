@@ -8,7 +8,6 @@ the left Perron vector and ``numpy.linalg.eigvals`` (through
 """
 
 import json
-from dataclasses import replace
 
 import numpy as np
 import pytest
@@ -33,6 +32,7 @@ from airconsensus.linalg import (
     top_eigenpair,
 )
 from airconsensus.protocol import CLASSICAL, effective_matrix, effective_operator
+from airconsensus.records import replace
 from support import ring_with_chords, strongly_connected_digraphs
 
 VALUE_TOL = 1e-12
