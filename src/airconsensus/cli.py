@@ -2,7 +2,8 @@
 
 Runs one scenario (trace + summary) or a Monte Carlo batch (per-run
 samples + aggregate statistics). Exit codes: 0 converged, 2 max-steps,
-1 usage, config or any other error (one `error:` line, no traceback).
+1 usage, config or any other error (one `error:` line, no traceback; an
+error the program did not foresee reads `error: internal: <Type>: ...`).
 """
 
 from __future__ import annotations
@@ -37,6 +38,11 @@ EXIT_OK = 0
 EXIT_USAGE = 1
 EXIT_MAX_STEPS = 2
 
+#: How the line of an exception the program did not foresee begins: every
+#: foreseen failure has an ``error:`` line of its own, so tests and CI can
+#: tell a rejected input from a crash.
+INTERNAL_ERROR = "error: internal:"
+
 #: Most Monte Carlo runs one invocation takes. Each run keeps its seed,
 #: result and sample line until the end, about 350 bytes (10^4 to 10^6 runs
 #: of the tv-sigma05 preset peaked at 44 to 379 MB), so a batch at the bound
@@ -67,7 +73,7 @@ def main(argv: Optional[list[str]] = None) -> int:
         return _main(argv)
     except Exception as exc:  # the last boundary: one error line, never a traceback
         message = f"{type(exc).__name__}: {exc}".replace("\n", " ")
-        print(f"error: {message}", file=sys.stderr)
+        print(f"{INTERNAL_ERROR} {message}", file=sys.stderr)
         return EXIT_USAGE
 
 

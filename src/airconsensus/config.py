@@ -11,6 +11,7 @@ invalid config.
 
 from __future__ import annotations
 
+import copy
 import math
 from typing import Any, Mapping, Optional
 
@@ -102,7 +103,12 @@ def parse_config(doc: Mapping[str, Any]) -> ScenarioConfig:
     tol, max_steps = _parse_run(doc.get("run"), problems)
     trace_file, summary_file, samples_file = _parse_outputs(doc.get("outputs"), problems)
     if x0 is not None and x0.size:
-        _check_state_range(channel if variant in (SUPERPOSITION, NAIVE) else None, x0, problems)
+        reported = len(problems)
+        if variant in (SUPERPOSITION, NAIVE) and channel is not None:
+            _check_received_range(channel, x0, problems)
+        # One problem at most for x0: an overflowing received sum says it already.
+        if not any(p.startswith("initial_state:") for p in problems[reported:]):
+            _check_spread(x0, problems)
 
     if problems:
         raise ConfigError(problems)
@@ -148,16 +154,17 @@ def _parse_topology(section, problems):
         elif kind == "custom":
             n = _require_int(section, "n", "topology.n", minimum=1)
             arcs = section.get("arcs")
-            if not _is_triple_list(arcs):
+            if not isinstance(arcs, list) or not all(
+                isinstance(a, list) and len(a) == 3 for a in arcs
+            ):
                 raise ValueError("topology.arcs must be a list of [j, i, weight] triples")
             _check_size(n, len(arcs))
+            for j, i, w in arcs:
+                if not (_is_integer(j) and _is_integer(i)):
+                    raise ValueError(f"topology.arcs node ids must be integers, got {[j, i, w]!r}")
+                if not _is_number(w):
+                    raise ValueError(f"arc ({j}, {i}) weight must be a number, got {w!r}")
             transmitters, receivers, weights = tuple(zip(*arcs)) or ((), (), ())
-            # The types of a whole column at once; the walk names the first bad arc.
-            if not (
-                set(map(type, transmitters)) | set(map(type, receivers)) <= {int}
-                and set(map(type, weights)) <= {int, float}
-            ):
-                _check_arc_types(arcs)
             g = graph_from_ends(n, (transmitters, receivers), weights)
             ends = zip((g.arc_cols + 1).tolist(), (g.arc_rows + 1).tolist(), g.arc_weights.tolist())
             echo = {"kind": "custom", "n": n, "arcs": list(map(list, ends))}
@@ -167,27 +174,6 @@ def _parse_topology(section, problems):
         problems.append(f"topology: {exc}")
         return None, None
     return g, echo
-
-
-def _is_triple_list(arcs) -> bool:
-    """Whether ``arcs`` is a list of 3-item lists: checked by the set of
-    their types and of their lengths, item by item only if those differ
-    (a subclass of list passes)."""
-    if not isinstance(arcs, list):
-        return False
-    if set(map(type, arcs)) <= {list} and set(map(len, arcs)) <= {3}:
-        return True
-    return all(isinstance(a, list) and len(a) == 3 for a in arcs)
-
-
-def _check_arc_types(arcs):
-    """A ``ValueError`` for the first ``[j, i, weight]`` arc whose ids are
-    not integers or whose weight is not a number, if there is one."""
-    for j, i, w in arcs:
-        if not (_is_integer(j) and _is_integer(i)):
-            raise ValueError(f"topology.arcs node ids must be integers, got {[j, i, w]!r}")
-        if not _is_number(w):
-            raise ValueError(f"arc ({j}, {i}) weight must be a number, got {w!r}")
 
 
 def _check_size(n, arcs):
@@ -229,30 +215,30 @@ def _parse_channel(section, topology, variant, seed, problems):
     return model, {"law": law_echo, "mode": mode, "seed": channel_seed}
 
 
-def _check_state_range(channel, x0, problems):
-    """Under ``channel`` (superposition or naive; ``None`` otherwise) a
-    node sums ``h_ij`` and ``h_ij x_j`` over its in-arcs before it
+def _check_received_range(channel, x0, problems):
+    """A node sums ``h_ij`` and ``h_ij x_j`` over its in-arcs before it
     divides or averages: both sums must stay within float range on the
     first step for every coefficient the law can draw. Superposition
     states never leave the initial hull, so the first step bounds every
-    later one; a naive run may still diverge later. Every variant takes
-    the spread ``max(x) - min(x)`` of each step's states, which must be
-    finite too. One problem at most is reported for ``x0``."""
-    if channel is not None:
-        field, c_max = ("hi", channel.law.hi) if isinstance(channel.law, UniformLaw) else ("value", channel.law.value)
-        d_max = int(channel.topology.in_degrees.max())
-        x_max = float(np.max(np.abs(x0)))
-        if not math.isfinite(c_max * d_max):
-            problems.append(
-                f"channel.law: received signals overflow: {field} {c_max:g} times the largest in-degree {d_max} "
-                "is beyond float range"
-            )
-        elif not math.isfinite(x_max * c_max * d_max):
-            problems.append(
-                f"initial_state: received signals overflow: max |x0| {x_max:g} times channel.law.{field} {c_max:g} "
-                f"times the largest in-degree {d_max} is beyond float range"
-            )
-            return
+    later one; a naive run may still diverge later."""
+    field, c_max = ("hi", channel.law.hi) if isinstance(channel.law, UniformLaw) else ("value", channel.law.value)
+    d_max = int(channel.topology.in_degrees.max())
+    x_max = float(np.max(np.abs(x0)))
+    if not math.isfinite(c_max * d_max):
+        problems.append(
+            f"channel.law: received signals overflow: {field} {c_max:g} times the largest in-degree {d_max} "
+            "is beyond float range"
+        )
+    elif not math.isfinite(x_max * c_max * d_max):
+        problems.append(
+            f"initial_state: received signals overflow: max |x0| {x_max:g} times channel.law.{field} {c_max:g} "
+            f"times the largest in-degree {d_max} is beyond float range"
+        )
+
+
+def _check_spread(x0, problems):
+    """Every variant takes the spread ``max(x) - min(x)`` of each step's
+    states, which must stay within float range."""
     lo, hi = float(np.min(x0)), float(np.max(x0))
     if not math.isfinite(hi - lo):
         problems.append(f"initial_state: the spread max(x0) - min(x0) = {hi:g} - ({lo:g}) is beyond float range")
@@ -523,8 +509,6 @@ PRESET_NAMES = tuple(sorted(PRESETS))
 
 def preset(name: str) -> dict:
     """Deep copy of a named preset scenario document."""
-    import copy  # on first use: a scenario read from a file needs no copy
-
     try:
         return copy.deepcopy(PRESETS[name])
     except KeyError:

@@ -17,7 +17,7 @@ from hypothesis import strategies as st
 
 from airconsensus import cli, config, linalg, protocol
 from airconsensus.channel import ChannelRealization, sample
-from airconsensus.cli import MAX_RUNS, main
+from airconsensus.cli import INTERNAL_ERROR, MAX_RUNS, main
 from airconsensus.config import MAX_ARCS, ConfigError, PRESET_NAMES, override_seed, parse_config, preset
 from airconsensus.protocol import CONVERGED, ProtocolConfig, Trace, run
 from airconsensus.records import replace
@@ -609,7 +609,7 @@ def test_front_door_rejects_probe_writing_nothing(tmp_path, capsys, probe):
     out = tmp_path / "out"
     assert main(["--config", str(path), "--out-dir", str(out), *args]) == 1
     err = capsys.readouterr().err
-    assert message in err and "Traceback" not in err
+    assert message in err and "Traceback" not in err and INTERNAL_ERROR not in err
     assert [p.name for p in tmp_path.iterdir()] == ["probe.json"]
 
 
@@ -639,7 +639,7 @@ def test_topology_above_size_bound_rejected_writing_nothing(tmp_path, capsys, pr
         tracemalloc.stop()
     assert code == 1
     err = capsys.readouterr().err
-    assert f"topology: {topology['n']} nodes and " in err and "Traceback" not in err
+    assert f"topology: {topology['n']} nodes and " in err and "Traceback" not in err and INTERNAL_ERROR not in err
     assert f"at most {MAX_ARCS} of each are supported" in err
     assert [p.name for p in tmp_path.iterdir()] == ["probe.json"]
     assert peak < 4 << 20
@@ -693,8 +693,9 @@ ARC_LISTS = st.one_of(
 
 
 def reference_custom_topology(n, arcs):
-    """A custom topology parsed arc by arc, as the column checks must: its
-    echoed arcs, or the one problem it reports."""
+    """A custom topology parsed arc by arc and built from float tuples, as
+    the build from the document's columns must: its echoed arcs, or the
+    one problem it reports."""
     try:
         if not isinstance(arcs, list) or not all(isinstance(a, list) and len(a) == 3 for a in arcs):
             raise ValueError("topology.arcs must be a list of [j, i, weight] triples")
@@ -805,7 +806,9 @@ def test_fuzzed_document_never_raises(data):
         with contextlib.redirect_stdout(io.StringIO()), contextlib.redirect_stderr(err), warnings.catch_warnings():
             warnings.simplefilter("ignore")
             code = main(["--config", str(config), "--out-dir", str(Path(work) / "out"), *runs])
-    assert code in (0, 1, 2), err.getvalue()
+    # A crash would be caught by main's last boundary and exit 1 too: the
+    # catch-all's line is what tells it from a rejected document.
+    assert code in (0, 1, 2) and INTERNAL_ERROR not in err.getvalue(), err.getvalue()
 
 
 def test_montecarlo_statistics_beyond_float_range(tmp_path):
@@ -1169,7 +1172,7 @@ def test_unexpected_error_is_one_line_without_traceback(tmp_path, capsys, monkey
     monkeypatch.setattr(cli, "record_run", fail)
     assert main(["--preset", "tv-sigma05", "--out-dir", str(tmp_path), "--quiet", *runs]) == 1
     captured = capsys.readouterr()
-    assert captured.err == "error: RuntimeError: engine failed at step 3\n" and captured.out == ""
+    assert captured.err == "error: internal: RuntimeError: engine failed at step 3\n" and captured.out == ""
 
 
 GOLDEN = Path(__file__).parent / "data" / "golden_tv_complete_n30_sigma08_runs100"
