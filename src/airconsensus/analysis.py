@@ -1,7 +1,7 @@
 """Predictions and decompositions for consensus runs.
 
 Covers the consensus-value prediction from the dominant left eigenvector,
-found by restarted Arnoldi on the arc list rather than power iteration,
+found by restarted Arnoldi on the arc list rather than a dense solve,
 the split of the superposition update into an equal-gain part plus a
 zero-mean channel disturbance, convergence-rate measurement, and seeded
 Monte Carlo statistics over channel realizations.
@@ -25,6 +25,7 @@ from .protocol import (
     BlockUpdate,
     ProtocolConfig,
     RunAggregates,
+    _positive_row_sums,
     advance,
     effective_matrix,
     spread,
@@ -92,21 +93,18 @@ def predicted_consensus(D: Union[np.ndarray, ArcOperator], x0: Sequence[float]) 
     given as an ``ArcOperator`` or as a dense matrix, which is read as
     one (its diagonal and off-diagonal nonzeros). It is found by
     restarted Arnoldi at O(|E|) per product (``linalg.left_perron_vector``).
-    Before returning, ``w`` is re-verified against the per-row identity
-    ``(w' (D - diag(D)))_i == s_i w_i``, with ``s`` the off-diagonal row
-    sums (``1 - D_ii``, summed without cancellation), checked as
-    ``max |(w' (D - diag(D)))_i / s_i - w_i|``. With a common mixing weight
-    the weight cancels from this ratio, leaving the coefficient-only
-    equation ``w_i = sum_j w_j h_ji / sum_l h_jl``: the prediction depends
-    on the channel coefficients but not on the mixing weight, however
-    small. Raises ``np.linalg.LinAlgError`` if a row of ``D`` has no
-    off-diagonal weight, ``linalg.ArnoldiError`` if the Arnoldi run does
-    not converge and ``RuntimeError`` if ``w`` fails the check.
+    Before returning, ``w`` is re-verified against the fixed-point
+    equation of ``_fixed_point_gap``, from which a common mixing weight
+    cancels: the prediction depends on the channel coefficients but not
+    on the mixing weight, however small. Raises ``np.linalg.LinAlgError``
+    if a row of ``D`` has no off-diagonal weight, ``linalg.ArnoldiError``
+    if the Arnoldi run does not converge and ``RuntimeError`` if ``w``
+    fails the check.
     """
     if not isinstance(D, ArcOperator):
         D = ArcOperator.from_dense(D)
     w = left_perron_vector(D)
-    residual = float(np.max(np.abs(D.offdiagonal_rmatvec(w) / D.offdiagonal_row_sums() - w)))
+    residual = _fixed_point_gap(D, w)
     if residual > FIXED_POINT_TOL:
         raise RuntimeError(
             f"left eigenvector failed the fixed-point check (residual {residual:.3e})"
@@ -114,20 +112,25 @@ def predicted_consensus(D: Union[np.ndarray, ArcOperator], x0: Sequence[float]) 
     return float(w @ np.asarray(x0, dtype=float))
 
 
-def fixed_point_residual(r: ChannelRealization, w: Sequence[float]) -> float:
-    """Deviation of ``w`` from the coefficient-only fixed-point equation.
+def _fixed_point_gap(D: ArcOperator, w: np.ndarray) -> float:
+    """``max_i |(w' (D - diag(D)))_i / s_i - w_i|``, with ``s`` the
+    off-diagonal row sums (``1 - D_ii``, summed without cancellation): zero
+    exactly when ``w' D = w'``. For the superposition update with a common
+    mixing weight the weight cancels from the ratio, leaving the
+    coefficient-only equation ``w_i = sum_j w_j h_ji / sum_l h_jl``."""
+    return float(np.max(np.abs(D.offdiagonal_rmatvec(w) / D.offdiagonal_row_sums() - w)))
 
-    For a common mixing weight, the consensus-defining eigenvector solves
-    ``w_i = sum over receivers j of w_j * h_ji / (sum_l h_jl)``, which
-    involves only channel coefficients. Returns the max-norm residual.
-    """
-    w = np.asarray(w, dtype=float)
-    sums = r.gains.sum(axis=1)
-    if (sums <= 0.0).any():
-        raise ValueError("every node needs at least one in-neighbor")
-    # ratios[j-1, i-1] = h_ji / sum_l h_jl, the share node i contributes at j
-    ratios = r.gains / sums[:, None]
-    return float(np.max(np.abs(w @ ratios - w)))
+
+def fixed_point_residual(r: ChannelRealization, w: Sequence[float]) -> float:
+    """Max-norm deviation of ``w`` from ``w_i = sum over receivers j of
+    w_j h_ji / sum_l h_jl``, the coefficient-only equation that the
+    consensus-defining eigenvector solves for a common mixing weight.
+    Raises ``ValueError`` if a node has no in-neighbor."""
+    g, w = r.topology, np.asarray(w, dtype=float)
+    if w.shape != (g.n,):
+        raise ValueError(f"w must have length {g.n}, got shape {w.shape}")
+    shares = ArcOperator(np.zeros(g.n), g.arc_rows, g.arc_cols, r.values / _positive_row_sums(r)[g.arc_rows])
+    return _fixed_point_gap(shares, w)
 
 
 def disturbance_vector(r: ChannelRealization, x: Sequence[float]) -> np.ndarray:
@@ -135,14 +138,15 @@ def disturbance_vector(r: ChannelRealization, x: Sequence[float]) -> np.ndarray:
 
     For an arc ``(j, i)``: ``nu_ij = x_j * (|N_i| h_ij - sum_l h_il) / sum_l h_il``;
     exactly zero off the arc set. Zero-mean for iid coefficients, since the
-    coefficient shares of a row are exchangeable.
+    coefficient shares of a row are exchangeable. The sums are those of
+    ``protocol.effective_operator``.
     """
     x = np.asarray(x, dtype=float)
     n = r.topology.n
     if x.shape != (n,):
         raise ValueError(f"state vector must have length {n}, got shape {x.shape}")
     rows, cols = r.topology.arc_rows, r.topology.arc_cols
-    sums = r.gains.sum(axis=1)[rows]
+    sums = _positive_row_sums(r)[rows]
     nu = np.zeros((n, n))
     nu[rows, cols] = x[cols] * (r.topology.in_degrees[rows] * r.values - sums) / sums
     return nu.reshape(n * n)

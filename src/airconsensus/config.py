@@ -18,7 +18,7 @@ from typing import Any, Mapping, Optional
 import numpy as np
 
 from .channel import IID_PER_STEP, MODES, ChannelModel, ConstantLaw, UniformLaw, derive_seed
-from .graph import WeightedDigraph, complete_graph, graph_from_ends, is_strongly_connected, ring_graph, step_size_bound
+from .graph import WeightedDigraph, complete_graph, graph_from_arcs, is_strongly_connected, ring_graph, step_size_bound
 from .protocol import (
     CLASSICAL,
     DEFAULT_MAX_STEPS,
@@ -27,6 +27,7 @@ from .protocol import (
     SUPERPOSITION,
     VARIANTS,
     ProtocolConfig,
+    check_spread,
 )
 from .records import record
 
@@ -108,7 +109,10 @@ def parse_config(doc: Mapping[str, Any]) -> ScenarioConfig:
             _check_received_range(channel, x0, problems)
         # One problem at most for x0: an overflowing received sum says it already.
         if not any(p.startswith("initial_state:") for p in problems[reported:]):
-            _check_spread(x0, problems)
+            try:
+                check_spread(x0)
+            except ValueError as exc:
+                problems.append(f"initial_state: {exc}")
 
     if problems:
         raise ConfigError(problems)
@@ -164,8 +168,7 @@ def _parse_topology(section, problems):
                     raise ValueError(f"topology.arcs node ids must be integers, got {[j, i, w]!r}")
                 if not _is_number(w):
                     raise ValueError(f"arc ({j}, {i}) weight must be a number, got {w!r}")
-            transmitters, receivers, weights = tuple(zip(*arcs)) or ((), (), ())
-            g = graph_from_ends(n, (transmitters, receivers), weights)
+            g = graph_from_arcs(n, arcs)
             ends = zip((g.arc_cols + 1).tolist(), (g.arc_rows + 1).tolist(), g.arc_weights.tolist())
             echo = {"kind": "custom", "n": n, "arcs": list(map(list, ends))}
         else:
@@ -234,14 +237,6 @@ def _check_received_range(channel, x0, problems):
             f"initial_state: received signals overflow: max |x0| {x_max:g} times channel.law.{field} {c_max:g} "
             f"times the largest in-degree {d_max} is beyond float range"
         )
-
-
-def _check_spread(x0, problems):
-    """Every variant takes the spread ``max(x) - min(x)`` of each step's
-    states, which must stay within float range."""
-    lo, hi = float(np.min(x0)), float(np.max(x0))
-    if not math.isfinite(hi - lo):
-        problems.append(f"initial_state: the spread max(x0) - min(x0) = {hi:g} - ({lo:g}) is beyond float range")
 
 
 def _parse_protocol(section, topology, problems):

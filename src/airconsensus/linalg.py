@@ -1,15 +1,15 @@
 """Matrix kernel of the analysis paths: stochasticity and primitivity
 predicates, Perron matrices, and dominant eigen-structure.
 
-The predicates and the power iteration take dense n x n matrices and
-serve as references. ``ArcOperator`` holds an update matrix as its
-diagonal plus one weight per arc, so its products cost O(n + |E|); its
-``dense()`` is the one place a dense update matrix is assembled.
-``top_eigenpair`` is a restarted Arnoldi method on such products: the
-predictions of a run (``left_perron_vector``, ``subdominant_modulus``)
-reach sparse n in the thousands without forming an n x n array.
-Tolerances default to the table below and every predicate takes an
-explicit ``tol`` where a tolerance is meaningful.
+The predicates and ``dominant_left_eigenvector`` (one bordered dense
+solve) take dense n x n matrices and serve as references. ``ArcOperator``
+holds an update matrix as its diagonal plus one weight per arc, so its
+products cost O(n + |E|); its ``dense()`` is the one place a dense update
+matrix is assembled. ``top_eigenpair`` is a restarted Arnoldi method on
+such products: the predictions of a run (``left_perron_vector``,
+``subdominant_modulus``) reach sparse n in the thousands without forming
+an n x n array. Tolerances default to the table below and every predicate
+takes an explicit ``tol`` where a tolerance is meaningful.
 """
 
 from __future__ import annotations
@@ -18,12 +18,11 @@ from typing import Callable
 
 import numpy as np
 
-from .graph import WeightedDigraph, graph_from_arcs, step_size_bound
+from .graph import WeightedDigraph, graph_from_ends, step_size_bound
 from .records import record
 
-# Tolerance / iteration defaults, in one place.
+# Tolerance defaults, in one place.
 DEFAULT_TOL = 1e-12
-POWER_MAX_ITER = 100_000
 #: Restarted Arnoldi: basis size, Ritz vectors kept at a restart, most
 #: restarts, and the Ritz residual (relative to the norm of the projected
 #: matrix) at which the top pair counts as converged.
@@ -31,14 +30,6 @@ KRYLOV_BASIS = 40
 KRYLOV_KEEP = 16
 KRYLOV_MAX_RESTARTS = 500
 KRYLOV_TOL = 1e-14
-
-
-class PowerIterationError(RuntimeError):
-    """Power iteration failed to reach the requested residual."""
-
-    def __init__(self, message: str, residual: float):
-        super().__init__(f"{message} (final residual {residual:.3e})")
-        self.residual = residual
 
 
 class ArnoldiError(RuntimeError):
@@ -144,8 +135,7 @@ def is_primitive(A: np.ndarray) -> bool:
     while power < bound:
         if B.all():
             return True
-        B = (B @ B) > 0
-        B = B.astype(float)
+        B = ((B @ B) > 0).astype(float)
         power *= 2
     return bool(B.all())
 
@@ -185,49 +175,37 @@ def graph_from_stochastic(P: np.ndarray, step_size: float) -> WeightedDigraph:
     P = _as_square(P)
     if not step_size > 0.0:
         raise ValueError(f"step size must be positive, got {step_size}")
-    diag = np.diag(P)
-    if (diag <= 0.0).any():
+    if (np.diag(P) <= 0.0).any():
         raise ValueError("matrix must have a strictly positive diagonal")
     if not is_row_stochastic(P, tol=1e-9):
         raise ValueError("matrix must be row-stochastic")
     transmitters, receivers = np.nonzero((P.T > 0.0) & ~np.eye(len(P), dtype=bool))
-    weights = P[receivers, transmitters] / step_size
-    return graph_from_arcs(len(P), zip((transmitters + 1).tolist(), (receivers + 1).tolist(), weights.tolist()))
+    return graph_from_ends(len(P), (transmitters + 1, receivers + 1), P[receivers, transmitters] / step_size)
 
 
-def dominant_left_eigenvector(
-    A: np.ndarray, tol: float = DEFAULT_TOL, max_iter: int = POWER_MAX_ITER
-) -> EigenPair:
-    """Left eigenvector of the dominant eigenvalue of a primitive row-stochastic matrix.
+def dominant_left_eigenvector(A: np.ndarray) -> EigenPair:
+    """Left eigenvector ``w`` of the eigenvalue 1 of a row-stochastic
+    matrix, with ``sum(w) == 1``: the last column of the inverse of
+    ``(A - I)'`` with its last row, which the others imply, set to ones.
 
-    Power iteration on the transpose with 1-norm renormalization each
-    step; for primitive input the dominant eigenvalue is simple, so the
-    iteration converges geometrically at the second eigenvalue modulus.
-
-    Returns a vector ``w > 0`` with ``sum(w) == 1`` and residual
-    ``max |w'A - value * w'| <= tol``. Raises ``PowerIterationError`` if
-    the residual is not met within ``max_iter`` steps.
+    Raises ``ValueError`` if ``A`` is empty, has a negative entry or a row
+    sum off 1 by more than 1e-9, and ``np.linalg.LinAlgError`` for a
+    multiple eigenvalue 1 (a singular bordered matrix, or a 1-norm
+    condition number above 1e12, where rounding leaves a singular one
+    near 1e16) or a residual ``max |w'A - w'|`` above 1e-10.
     """
     A = _as_square(A)
-    if (A < 0).any():
-        raise ValueError("expected a nonnegative matrix")
-    n = A.shape[0]
-    At = A.T.copy()
-    w = np.full(n, 1.0 / n)
-    residual = np.inf
-    for _ in range(max_iter):
-        w_next = At @ w
-        total = w_next.sum()
-        if total <= 0.0:
-            raise PowerIterationError("iterate collapsed to zero", np.inf)
-        w_next /= total
-        residual = float(np.max(np.abs(w_next @ A - total * w_next)))
-        w = w_next
-        if residual <= tol:
-            return EigenPair(value=float(total), left_vector=w)
-    raise PowerIterationError(
-        f"no convergence after {max_iter} iterations", residual
-    )
+    if not A.size or (A < 0).any() or not is_row_stochastic(A, tol=1e-9):
+        raise ValueError("expected a nonempty row-stochastic matrix")
+    bordered = A.T - np.eye(len(A))
+    bordered[-1] = 1.0
+    inverse = np.linalg.inv(bordered)
+    w = inverse[:, -1]
+    condition = float(np.linalg.norm(bordered, 1) * np.linalg.norm(inverse, 1))
+    residual = float(np.max(np.abs(w @ A - w)))
+    if not (condition <= 1e12 and residual <= 1e-10):
+        raise np.linalg.LinAlgError(f"eigenvalue 1 not simple: condition {condition:.3e}, residual {residual:.3e}")
+    return EigenPair(value=1.0, left_vector=w)
 
 
 def second_eigenvalue_modulus(A: np.ndarray) -> float:

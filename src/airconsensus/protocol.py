@@ -64,6 +64,15 @@ def spread(x: np.ndarray) -> float:
     return float(np.max(x) - np.min(x))
 
 
+def check_spread(x0: np.ndarray) -> None:
+    """Every variant takes the spread ``max(x) - min(x)`` of each step's
+    states, which must stay within float range: raises ``ValueError`` if
+    that of ``x0`` does not."""
+    lo, hi = float(np.min(x0)), float(np.max(x0))
+    if not math.isfinite(hi - lo):
+        raise ValueError(f"the spread max(x0) - min(x0) = {hi:g} - ({lo:g}) is beyond float range")
+
+
 def row_spreads(x: np.ndarray) -> np.ndarray:
     """``spread`` of every row of a 2-D array of states."""
     return x.max(axis=1) - x.min(axis=1)
@@ -343,18 +352,31 @@ def validated_state(
     tol: float,
     max_steps: int,
 ) -> np.ndarray:
-    """``x0`` as a float array, after checking the arguments of a run."""
+    """``x0`` as a float array, after checking the arguments of a run (a
+    channel must be over ``topology`` or a graph of its nodes and arcs)."""
     x = np.array(x0, dtype=float)
     if x.shape != (topology.n,):
         raise ValueError(f"x0 must have length {topology.n}, got shape {x.shape}")
     if not np.isfinite(x).all():
         raise ValueError(f"x0 must be finite, got {np.count_nonzero(~np.isfinite(x))} non-finite values")
+    check_spread(x)
     if not 0.0 < tol < math.inf:
         raise ValueError(f"tol must be positive and finite, got {tol}")
     if max_steps < 0:
         raise ValueError(f"max_steps must be nonnegative, got {max_steps}")
     if protocol.variant in (SUPERPOSITION, NAIVE) and channel is None:
         raise ValueError(f"{protocol.variant} variant requires a channel model")
+    if channel is not None and channel.topology is not topology:
+        other = channel.topology
+        if not (
+            other.n == topology.n
+            and np.array_equal(other.arc_rows, topology.arc_rows)
+            and np.array_equal(other.arc_cols, topology.arc_cols)
+        ):
+            raise ValueError(
+                f"the channel's graph ({other.n} nodes, {other.arc_rows.size} arcs) and the run's "
+                f"({topology.n} nodes, {topology.arc_rows.size} arcs) differ in their nodes or arcs"
+            )
     return x
 
 

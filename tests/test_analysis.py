@@ -71,6 +71,16 @@ class TestPredictedConsensus:
         w = dominant_left_eigenvector(effective_matrix(r, 0.35)).left_vector
         assert fixed_point_residual(r, w) <= 1e-10
 
+    def test_fixed_point_residual_matches_the_dense_shares(self):
+        # The arc form against the dense shares h_ji / sum_l h_jl, for any w.
+        g = random_strongly_connected(np.random.default_rng(8), 7)
+        r = sample(u010_channel(g, seed=31), 2)
+        w = np.random.default_rng(9).uniform(0.0, 1.0, 7)
+        ratios = r.gains / r.gains.sum(axis=1, keepdims=True)
+        assert abs(fixed_point_residual(r, w) - np.max(np.abs(w @ ratios - w))) <= 1e-14
+        with pytest.raises(ValueError, match="length 7"):
+            fixed_point_residual(r, w[:6])
+
     @settings(max_examples=100, deadline=None)
     @given(
         g=strongly_connected_digraphs(),

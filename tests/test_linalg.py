@@ -3,7 +3,6 @@ import pytest
 
 from airconsensus.graph import graph_from_arcs
 from airconsensus.linalg import (
-    PowerIterationError,
     dominant_left_eigenvector,
     graph_from_stochastic,
     is_primitive,
@@ -127,19 +126,53 @@ class TestDominantLeftEigenvector:
         for _ in range(10):
             A = rng.uniform(0.01, 1.0, (6, 6))
             A /= A.sum(axis=1, keepdims=True)
-            pair = dominant_left_eigenvector(A, tol=1e-12)
+            pair = dominant_left_eigenvector(A)
             w = pair.left_vector
             assert np.max(np.abs(w @ A - w)) <= 1e-10
             assert (w > 0).all()
             assert abs(w.sum() - 1.0) <= 1e-14
 
-    def test_nonconvergence_reports_residual(self):
-        # period-2 zero pattern and non-uniform stationary mass: the
-        # iterates oscillate instead of settling
+    def test_periodic_matrix_gives_its_stationary_vector(self):
+        # period-2 zero pattern: not primitive, but the eigenvalue 1 is
+        # simple, which is all the bordered solve needs
         periodic = np.array([[0.0, 1.0, 0.0], [0.5, 0.0, 0.5], [0.0, 1.0, 0.0]])
-        with pytest.raises(PowerIterationError) as info:
-            dominant_left_eigenvector(periodic, tol=1e-15, max_iter=50)
-        assert info.value.residual > 0
+        pair = dominant_left_eigenvector(periodic)
+        np.testing.assert_allclose(pair.left_vector, [0.25, 0.5, 0.25], atol=1e-15)
+        assert pair.value == 1.0
+
+    @pytest.mark.parametrize(
+        "A",
+        [
+            np.array([[0.5, 0.6], [0.5, 0.5]]),  # a row sums to 1.1
+            np.array([[1.5, -0.5], [0.5, 0.5]]),  # rows sum to 1, one entry negative
+            np.ones((2, 3)) / 3.0,  # not square
+            np.zeros((0, 0)),
+        ],
+        ids=["row-sum", "negative", "not-square", "empty"],
+    )
+    def test_rejects_a_matrix_that_is_not_row_stochastic(self, A):
+        with pytest.raises(ValueError):
+            dominant_left_eigenvector(A)
+
+    def test_two_closed_classes_have_no_unique_vector(self):
+        # block-diagonal: two stationary vectors, the eigenvalue 1 is double
+        A = np.kron(np.eye(2), np.full((2, 2), 0.5))
+        with pytest.raises(np.linalg.LinAlgError):
+            dominant_left_eigenvector(A)
+
+    def test_two_closed_classes_with_rounded_pivots_are_rejected(self):
+        # Random blocks: the LU pivot that should be 0 mostly comes out at
+        # rounding level, and the solution is a genuine left eigenvector,
+        # one of many. The condition number tells.
+        rng = np.random.default_rng(5)
+        for _ in range(50):
+            blocks = [rng.uniform(0.1, 1.0, (k, k)) for k in rng.integers(2, 5, 2)]
+            A = np.zeros((sum(len(b) for b in blocks),) * 2)
+            A[: len(blocks[0]), : len(blocks[0])] = blocks[0]
+            A[len(blocks[0]) :, len(blocks[0]) :] = blocks[1]
+            A /= A.sum(axis=1, keepdims=True)
+            with pytest.raises(np.linalg.LinAlgError):
+                dominant_left_eigenvector(A)
 
 
 class TestSecondEigenvalueModulus:

@@ -2,9 +2,10 @@
 
 ``predicted_consensus`` and ``subdominant_modulus`` work on the arc-list
 form of the update matrix through restarted Arnoldi. The references here
-are dense: a bordered LU solve of ``w' (D - I) = 0``, ``sum(w) = 1`` for
-the left Perron vector and ``numpy.linalg.eigvals`` (through
-``second_eigenvalue_modulus``) for the second eigenvalue modulus.
+are dense: ``dominant_left_eigenvector``, a bordered LU solve of
+``w' (D - I) = 0``, ``sum(w) = 1``, for the left Perron vector and
+``numpy.linalg.eigvals`` (through ``second_eigenvalue_modulus``) for the
+second eigenvalue modulus.
 """
 
 import json
@@ -24,7 +25,6 @@ from airconsensus.linalg import (
     ArcOperator,
     ArnoldiError,
     dominant_left_eigenvector,
-    left_perron_vector,
     perron_matrix,
     perron_operator,
     second_eigenvalue_modulus,
@@ -42,18 +42,8 @@ RATE_REL_TOL = 1e-10
 RATE_ABS_FLOOR = 1e-14
 
 
-def lu_prediction(D, x0):
-    """w' x0 with w from one dense LU solve of the bordered system."""
-    bordered = D.T.copy()
-    bordered[np.diag_indices_from(bordered)] -= 1.0
-    bordered[-1] = 1.0
-    rhs = np.zeros(len(D))
-    rhs[-1] = 1.0
-    return float(np.linalg.solve(bordered, rhs) @ x0)
-
-
 def assert_matches_dense(D, op, x0):
-    reference = lu_prediction(D, x0)
+    reference = float(dominant_left_eigenvector(D).left_vector @ x0)
     assert abs(predicted_consensus(op, x0) - reference) <= VALUE_TOL
     assert abs(predicted_consensus(D, x0) - reference) <= VALUE_TOL
     rate = second_eigenvalue_modulus(D)
@@ -83,7 +73,7 @@ def few_eigenvalue_graphs(draw):
     (under a constant channel or the classical protocol), on which
     Arnoldi's basis turns invariant after a few vectors. Rings stop at 24
     nodes, where the spectral gap stays above 1e-3 for the mixings and step
-    sizes drawn, so that a power-iteration reference converges."""
+    sizes drawn."""
     family = draw(st.sampled_from(["complete", "star", "bipartite", "ring"]))
     weight = draw(st.floats(0.5, 10.0))
     if family == "complete":
@@ -144,17 +134,6 @@ def test_predictions_match_dense_references(pair, seed):
     D, op = pair
     x0 = np.random.default_rng(seed).uniform(0, 2 * np.pi, len(D))
     assert_matches_dense(D, op, x0)
-
-
-@settings(max_examples=100, deadline=None)
-@given(pair=few_eigenvalue_updates())
-def test_few_eigenvalue_spectra_match_power_iteration(pair):
-    D, op = pair
-    rate = second_eigenvalue_modulus(D)
-    # Power iteration's error is about its residual over the spectral gap.
-    reference = dominant_left_eigenvector(D, tol=VALUE_TOL * (1.0 - rate)).left_vector
-    assert np.max(np.abs(left_perron_vector(op) - reference)) <= VALUE_TOL
-    assert abs(subdominant_modulus(op) - rate) <= RATE_REL_TOL * rate + RATE_ABS_FLOOR
 
 
 @settings(max_examples=40, deadline=None)

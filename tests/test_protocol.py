@@ -4,6 +4,7 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from airconsensus import protocol
+from airconsensus.analysis import monte_carlo
 from airconsensus.channel import (
     IID_PER_STEP,
     MODES,
@@ -15,7 +16,7 @@ from airconsensus.channel import (
     UniformLaw,
     sample,
 )
-from airconsensus.graph import complete_graph, graph_from_arcs, step_size_bound
+from airconsensus.graph import complete_graph, graph_from_arcs, ring_graph, step_size_bound
 from airconsensus.linalg import (
     ArcOperator,
     is_primitive,
@@ -32,6 +33,7 @@ from airconsensus.protocol import (
     effective_operator,
     naive_matrix,
     perron_matched_mixing,
+    record_run,
     resolve_mixing,
     run,
     spread,
@@ -64,6 +66,15 @@ def ideal_channel(topology, value=1.0):
 
 def u010_channel(topology, seed=42, mode=IID_PER_STEP):
     return ChannelModel(topology, UniformLaw(0.0, 10.0), mode, seed)
+
+
+#: The three entry points that run a protocol, each called with
+#: (topology, channel, protocol, x0).
+ENTRIES = {
+    "run": run,
+    "record_run": lambda *args: record_run(lambda states, first_step: None, *args),
+    "monte_carlo": lambda *args: monte_carlo(*args, runs=2),
+}
 
 
 class TestStepSuperposition:
@@ -260,6 +271,28 @@ def test_arc_list_steps_match_dense_matrices(g, seed, k, data):
     assert np.max(np.abs(one_step(r.topology, NAIVE_CONFIG, x, r) - naive_matrix(r) @ x)) <= 1e-13
     classical = one_step(g, ProtocolConfig("classical", step_size=step_size), x)
     assert np.max(np.abs(classical - perron_matrix(g, step_size) @ x)) <= 1e-13
+
+
+@settings(max_examples=100, deadline=None)
+@given(
+    g=strongly_connected_digraphs(),
+    mode=st.sampled_from(MODES),
+    constant=st.booleans(),
+    per_agent=st.booleans(),
+    seed=st.integers(0, 2**32 - 1),
+    data=st.data(),
+)
+def test_superposition_hull_shrinks_on_any_graph(g, mode, constant, per_agent, seed, data):
+    # Each update is a convex combination of the states: the greatest
+    # value never rises and the least never falls, beyond rounding.
+    law = ConstantLaw(data.draw(st.floats(0.1, 10.0))) if constant else UniformLaw(0.0, 10.0)
+    weights = st.floats(0.01, 0.99)
+    mixing = data.draw(st.lists(weights, min_size=g.n, max_size=g.n) if per_agent else weights)
+    x0 = np.random.default_rng(seed).uniform(-10.0, 10.0, g.n)
+    trace = run(g, ChannelModel(g, law, mode, seed), ProtocolConfig("superposition", mixing=mixing), x0, max_steps=200)
+    states = trace.state_array()
+    assert (np.diff(states.max(axis=1)) <= 1e-12).all()
+    assert (np.diff(states.min(axis=1)) >= -1e-12).all()
 
 
 @st.composite
@@ -499,6 +532,38 @@ class TestRun:
             run(g, channel, cfg, [0.0, bad, 1.0])
         with pytest.raises(ValueError, match="tol must be positive and finite"):
             run(g, channel, cfg, np.zeros(3), tol=bad)
+
+    @pytest.mark.filterwarnings("error")
+    @pytest.mark.parametrize("entry", ENTRIES)
+    def test_every_entry_rejects_a_spread_beyond_float_range(self, entry):
+        # Every value is finite, but max(x0) - min(x0) overflows to inf:
+        # rejected before the first spread is taken, with no warning.
+        g = ring_graph(4)
+        cfg = ProtocolConfig("superposition", mixing=0.5)
+        with pytest.raises(ValueError) as info:
+            ENTRIES[entry](g, ideal_channel(g), cfg, [-1e308, 1e308, -1e308, 1e308])
+        assert str(info.value) == "the spread max(x0) - min(x0) = 1e+308 - (-1e+308) is beyond float range"
+
+    @pytest.mark.parametrize("entry", ENTRIES)
+    @pytest.mark.parametrize(
+        "topology, other",
+        [
+            (ring_graph(4), ring_graph(5)),
+            # the same arc count, every arc reversed
+            (ring_graph(3), graph_from_arcs(3, [(2, 1, 1.0), (3, 2, 1.0), (1, 3, 1.0)])),
+        ],
+        ids=["more-nodes", "reversed-arcs"],
+    )
+    def test_every_entry_rejects_a_channel_over_another_graph(self, entry, topology, other):
+        cfg = ProtocolConfig("superposition", mixing=0.5)
+        with pytest.raises(ValueError, match="the channel's graph .* and the run's .* differ in their nodes or arcs"):
+            ENTRIES[entry](topology, u010_channel(other), cfg, np.arange(topology.n))
+
+    def test_a_channel_over_an_equal_graph_runs_the_same(self):
+        g = ring_graph(4)
+        cfg = ProtocolConfig("superposition", mixing=0.5)
+        twin = run(g, u010_channel(ring_graph(4)), cfg, np.arange(4.0))
+        np.testing.assert_array_equal(twin.states, run(g, u010_channel(g), cfg, np.arange(4.0)).states)
 
     def test_classical_converges_on_balanced_graph_to_mean(self):
         from airconsensus.graph import step_size_bound
