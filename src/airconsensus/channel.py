@@ -14,8 +14,9 @@ the dense n x n gain matrix is built only when an analysis reads it.
 ``ChannelStreams`` is the one draw path: it draws for a whole block of
 run seeds from one generator per seed, each row one standard-uniform
 fill (after an ``advance`` only if the row is out of place); the block
-is then scaled to the law's bounds in one pass and checked for exact
-zeros in one pass. ``sample`` is a block of one.
+is then mapped onto the law by its ``scale`` in one pass and checked for
+exact zeros in one pass. ``sample`` is a block of one. Outside the law
+classes (``LAWS``), a law is known only by its fields, ``bound`` and ``scale``.
 Seeding replays numpy's ``SeedSequence`` hash on uint32 arrays, one
 pass for a whole batch of seeds: it gives ``derive_seed``'s child seeds
 and the words each generator is seeded with, bit for bit, without a
@@ -59,6 +60,7 @@ class UniformLaw:
     [0, 1), so on [lo, hi) up to rounding; exact zeros (only at ``lo = 0``)
     are redrawn so every coefficient stays strictly positive."""
 
+    bound = "hi"  # the field no coefficient exceeds
     lo: float
     hi: float
 
@@ -81,14 +83,23 @@ class UniformLaw:
 class ConstantLaw:
     """Degenerate law: every coefficient equals ``value`` (ideal channel at 1.0)."""
 
+    bound = "value"  # the field no coefficient exceeds
     value: float
 
     def __post_init__(self):
         if not 0.0 < self.value < math.inf:
             raise ValueError(f"constant coefficient must be positive and finite, got {self.value}")
 
+    def scale(self, uniforms: np.ndarray) -> np.ndarray:
+        """Standard uniforms replaced by ``value`` in place."""
+        uniforms.fill(self.value)
+        return uniforms
+
 
 Law = Union[UniformLaw, ConstantLaw]
+
+#: Each law class by its document ``kind``; a law's record fields are that kind's keys.
+LAWS = {"uniform": UniformLaw, "constant": ConstantLaw}
 
 
 @record
@@ -272,9 +283,9 @@ class ChannelStreams:
     seed=seeds[rows][i]), k).values`` bit for bit, whatever was drawn
     before: each seed keeps its own channel generator, which fills its row
     with standard uniforms from step ``k``'s position, advanced there only
-    if its last draw did not end there; the block is then scaled to the
-    law's bounds, and each exact zero redrawn with ``Generator.uniform``
-    from its row's redraw position until none is left.
+    if its last draw did not end there; the law's ``scale`` then maps the
+    block, and each exact zero is redrawn the same way from its row's
+    redraw position until none is left.
     """
 
     def __init__(self, model: ChannelModel, seeds: Sequence[int]):
@@ -303,8 +314,6 @@ class ChannelStreams:
         arcs = self.model.topology.arc_weights.size
         start, redraw = _offsets(self.model, k, arcs)
         selected = np.arange(len(self._rngs))[rows].tolist()
-        if isinstance(law, ConstantLaw):
-            return np.full((len(selected), arcs), law.value)
         out = np.empty((len(selected), arcs))
         rngs, at = self._rngs, self._at
         for values, i in zip(out, selected):
@@ -322,6 +331,6 @@ class ChannelStreams:
             at[i] = redraw
             while (zero := values <= 0.0).any():
                 count = int(zero.sum())
-                values[zero] = rngs[i].uniform(law.lo, law.hi, count)
+                values[zero] = law.scale(rngs[i].random(count))
                 at[i] += count
         return out

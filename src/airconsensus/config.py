@@ -17,7 +17,7 @@ from typing import Any, Mapping, Optional
 
 import numpy as np
 
-from .channel import IID_PER_STEP, MODES, ChannelModel, ConstantLaw, UniformLaw, derive_seed
+from .channel import IID_PER_STEP, LAWS, MODES, ChannelModel, derive_seed
 from .graph import WeightedDigraph, complete_graph, graph_from_arcs, is_strongly_connected, ring_graph, step_size_bound
 from .protocol import (
     CLASSICAL,
@@ -34,10 +34,6 @@ from .records import record
 # The sections whose seed is derived from the top-level seed when they
 # give none, each with its stream tag.
 _SEED_TAGS = {"channel": 1, "initial_state": 2}
-
-# Each channel law kind: its law type and the number fields its constructor
-# takes, in order. The resolved config echoes the same fields.
-_LAWS = {"uniform": (UniformLaw, ("lo", "hi")), "constant": (ConstantLaw, ("value",))}
 
 DEFAULT_OUTPUTS = {"trace": "trace.csv", "summary": "summary.json", "samples": "samples.csv"}
 
@@ -199,11 +195,11 @@ def _parse_channel(section, topology, variant, seed, problems):
     else:
         kind = law_spec.get("kind")
         try:
-            if not (isinstance(kind, str) and kind in _LAWS):
-                raise ValueError(f"kind must be {' or '.join(map(repr, _LAWS))}, got {kind!r}")
-            law_type, fields = _LAWS[kind]
+            if not (isinstance(kind, str) and kind in LAWS):
+                raise ValueError(f"kind must be {' or '.join(map(repr, LAWS))}, got {kind!r}")
+            fields = LAWS[kind]._fields
             values = [_as_number(law_spec[field], field) for field in fields]
-            law = law_type(*values)
+            law = LAWS[kind](*values)
             law_echo = {"kind": kind, **dict(zip(fields, values))}
         except (ValueError, TypeError, KeyError, OverflowError) as exc:
             problems.append(f"channel.law: {exc}")
@@ -224,7 +220,7 @@ def _check_received_range(channel, x0, problems):
     first step for every coefficient the law can draw. Superposition
     states never leave the initial hull, so the first step bounds every
     later one; a naive run may still diverge later."""
-    field, c_max = ("hi", channel.law.hi) if isinstance(channel.law, UniformLaw) else ("value", channel.law.value)
+    field, c_max = channel.law.bound, getattr(channel.law, channel.law.bound)
     d_max = int(channel.topology.in_degrees.max())
     x_max = float(np.max(np.abs(x0)))
     if not math.isfinite(c_max * d_max):
