@@ -207,10 +207,12 @@ def measure_rate(trace: RunAggregates) -> float:
 
     The first and last 10% of the positive-spread steps are dropped to
     exclude the transient and the floating-point floor. Raises on traces
-    with fewer than 10 usable steps or no decay to fit (already at
-    consensus).
+    with fewer than 10 usable steps, no decay to fit (already at
+    consensus) or a non-finite spread (a diverged run).
     """
     spreads = trace.spreads()
+    if not np.isfinite(spreads).all():
+        raise ValueError("spread is not finite; a diverged run has no rate to fit")
     positive = np.nonzero(spreads > 0.0)[0]
     if len(positive) < 10:
         raise ValueError(

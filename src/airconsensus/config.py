@@ -146,12 +146,14 @@ def _parse_topology(section, problems):
     kind = section.get("kind")
     try:
         if kind in ("complete", "ring"):
+            _check_keys(section, "topology", ("kind", "n", "weight"), problems)
             n = _require_int(section, "n", "topology.n", minimum=2)
             weight = _as_number(section.get("weight", 1.0), "topology.weight")
             _check_size(n, n * (n - 1) if kind == "complete" else n)
             g = (complete_graph if kind == "complete" else ring_graph)(n, weight)
             echo = {"kind": kind, "n": n, "weight": weight}
         elif kind == "custom":
+            _check_keys(section, "topology", ("kind", "n", "arcs"), problems)
             n = _require_int(section, "n", "topology.n", minimum=1)
             arcs = section.get("arcs")
             if not isinstance(arcs, list) or not all(
@@ -188,6 +190,7 @@ def _parse_channel(section, topology, variant, seed, problems):
     if not isinstance(section, dict):
         problems.append("channel: section is required and must be an object")
         return None, None
+    _check_keys(section, "channel", ("law", "mode", "seed"), problems)
     law_spec = section.get("law")
     law = None
     if not isinstance(law_spec, dict):
@@ -198,10 +201,14 @@ def _parse_channel(section, topology, variant, seed, problems):
             if not (isinstance(kind, str) and kind in LAWS):
                 raise ValueError(f"kind must be {' or '.join(map(repr, LAWS))}, got {kind!r}")
             fields = LAWS[kind]._fields
+            _check_keys(law_spec, "channel.law", ("kind", *fields), problems)
+            for field in fields:
+                if field not in law_spec:
+                    raise ValueError(f"{kind} law needs {field!r}")
             values = [_as_number(law_spec[field], field) for field in fields]
             law = LAWS[kind](*values)
             law_echo = {"kind": kind, **dict(zip(fields, values))}
-        except (ValueError, TypeError, KeyError, OverflowError) as exc:
+        except (ValueError, TypeError, OverflowError) as exc:
             problems.append(f"channel.law: {exc}")
     mode = section.get("mode")
     if mode not in MODES:
@@ -239,6 +246,7 @@ def _parse_protocol(section, topology, problems):
     if not isinstance(section, dict):
         problems.append("protocol: section is required and must be an object")
         return None
+    _check_keys(section, "protocol", ("variant", "mixing", "step_size"), problems)
     variant = section.get("variant")
     if variant not in VARIANTS:
         problems.append(f"protocol.variant: must be one of {VARIANTS}, got {variant!r}")
@@ -325,6 +333,7 @@ def _parse_initial_state(section, topology, seed, problems):
         return None, None
     kind = section.get("kind")
     if kind == "explicit":
+        _check_keys(section, "initial_state", ("kind", "values"), problems)
         values = section.get("values")
         if not isinstance(values, list) or not all(_is_number(v) for v in values):
             problems.append("initial_state.values: must be a list of numbers")
@@ -340,6 +349,7 @@ def _parse_initial_state(section, topology, seed, problems):
         x0 = np.array(values, dtype=float)
         return x0, {"kind": "explicit", "values": [float(v) for v in values]}
     if kind == "uniform":
+        _check_keys(section, "initial_state", ("kind", "lo", "hi", "seed"), problems)
         try:
             lo = _as_number(section.get("lo", 0.0), "lo")
             hi = _as_number(section.get("hi", math.tau), "hi")
@@ -366,6 +376,7 @@ def _parse_run(section, problems):
     if section is not None and not isinstance(section, dict):
         problems.append("run: must be an object")
     section = section if isinstance(section, dict) else {}
+    _check_keys(section, "run", ("tol", "max_steps"), problems)
     tol = section.get("tol", DEFAULT_SPREAD_TOL)
     max_steps = section.get("max_steps", DEFAULT_MAX_STEPS)
     if not _is_number(tol) or not _is_finite(tol) or not tol > 0:
@@ -381,6 +392,7 @@ def _parse_outputs(section, problems):
     if section is not None and not isinstance(section, dict):
         problems.append("outputs: must be an object")
     section = section if isinstance(section, dict) else {}
+    _check_keys(section, "outputs", DEFAULT_OUTPUTS, problems)
     # A plain name inside the output directory: no path, no NUL.
     names = {}
     for key, default in DEFAULT_OUTPUTS.items():
@@ -394,6 +406,11 @@ def _parse_outputs(section, problems):
     if summary is not None and summary in (names.get("trace"), names.get("samples")):
         problems.append(f"outputs.summary: must differ from the trace and samples names, got {summary!r}")
     return tuple(names.get(key, default) for key, default in DEFAULT_OUTPUTS.items())
+
+
+def _check_keys(section, label, allowed, problems):
+    """One problem for each key of ``section`` that ``allowed`` does not name."""
+    problems.extend(f"{label}: unknown key {key!r}" for key in section if key not in allowed)
 
 
 def _seed(value, section, base, problems):

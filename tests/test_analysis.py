@@ -28,7 +28,7 @@ from airconsensus.channel import (
 from airconsensus.config import PRESET_NAMES, parse_config, preset
 from airconsensus.graph import complete_graph, graph_from_arcs, ring_graph, step_size_bound
 from airconsensus.linalg import dominant_left_eigenvector
-from airconsensus.protocol import CONVERGED, ProtocolConfig, effective_matrix, run
+from airconsensus.protocol import CONVERGED, ProtocolConfig, Trace, effective_matrix, run
 from airconsensus.records import replace
 from support import child_seed, random_strongly_connected, strongly_connected_digraphs
 
@@ -258,6 +258,16 @@ class TestMeasureRate:
         )
         with pytest.raises(ValueError, match="too short"):
             measure_rate(trace)
+
+    def test_diverged_trace_rejected(self):
+        # A spread doubling each step and then infinite: no rate is fitted.
+        states = np.zeros((40, 2))
+        states[:, 1] = 2.0 ** np.arange(40)
+        states[30:, 1] = np.inf
+        trace = Trace(states, "max-steps")
+        with pytest.raises(ValueError, match="not finite"):
+            measure_rate(trace)
+        assert summarize_run(trace).rate_measured is None
 
 
 class TestSummarizeRun:

@@ -13,6 +13,7 @@ import airconsensus
 from airconsensus.channel import (
     _CHANNEL_STREAM,
     IID_PER_STEP,
+    LAWS as LAW_CLASSES,
     MODES,
     TIME_INVARIANT,
     ChannelModel,
@@ -87,6 +88,26 @@ class TestLaws:
         got = sample(ChannelModel(star, law, TIME_INVARIANT, seed), 0).values
         assert got.tobytes() == generator_uniform_draw(law, stream(seed), size).tobytes()
         assert (got > 0.0).all()
+
+    @pytest.mark.parametrize("kind", sorted(LAW_CLASSES))
+    def test_scale_maps_its_argument_in_place(self, kind):
+        law_type = LAW_CLASSES[kind]
+        law = law_type(*(float(i + 1) for i in range(len(law_type._fields))))
+        uniforms = np.random.default_rng(3).random(1000)
+        before = uniforms.copy()
+        assert law.scale(uniforms) is uniforms
+        assert (uniforms != before).all()
+
+    @pytest.mark.parametrize(
+        "law",
+        [UniformLaw(0.0, 10.0), UniformLaw(0.1, 0.7), UniformLaw(1e300, 1.7e300), UniformLaw(0.0, 5e-324), ConstantLaw(0.25)],
+    )
+    def test_bound_caps_every_draw(self, law):
+        assert law.bound in law._fields
+        model = ChannelModel(complete_graph(11), law, IID_PER_STEP, 5)
+        block = ChannelStreams(model, range(910)).draw(2)  # 110 arcs per seed
+        assert block.size >= 10**5
+        assert (block <= getattr(law, law.bound)).all()
 
     def test_unknown_mode_rejected(self):
         with pytest.raises(ValueError, match="mode"):

@@ -16,7 +16,7 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from airconsensus import cli, config, linalg, protocol
-from airconsensus.channel import ChannelRealization, sample
+from airconsensus.channel import LAWS, ChannelRealization, sample
 from airconsensus.cli import INTERNAL_ERROR, MAX_RUNS, main
 from airconsensus.config import MAX_ARCS, ConfigError, PRESET_NAMES, override_seed, parse_config, preset
 from airconsensus.protocol import CONVERGED, ProtocolConfig, Trace, run
@@ -140,6 +140,23 @@ MISTYPED_PROBES = {
     "bool mixing entry": (
         {"protocol": {"variant": "superposition", "mixing": [0.5, True, 0.5, 0.5, 0.5]}},
         "protocol.mixing: required number (or per-agent list)",
+    ),
+}
+
+
+_U010_IID = {"law": {"kind": "uniform", "lo": 0.0, "hi": 10.0}, "mode": "iid-per-step"}
+
+# A key of another kind of the same section: the keys a section takes may
+# depend on its kind.
+OTHER_KIND_KEY_PROBES = {
+    "complete topology": ({"topology": {"kind": "complete", "n": 5, "arcs": []}}, "topology: unknown key 'arcs'"),
+    "uniform initial state": (
+        {"initial_state": {"kind": "uniform", "values": [0.0, 1.0, 2.0, 3.0, 4.0]}},
+        "initial_state: unknown key 'values'",
+    ),
+    "explicit initial state": (
+        {"initial_state": {"kind": "explicit", "values": [0.0, 1.0, 2.0, 3.0, 4.0], "seed": 1}},
+        "initial_state: unknown key 'seed'",
     ),
 }
 
@@ -288,6 +305,52 @@ class TestParseConfig:
             parse_config(doc)
         text = str(info.value)
         assert "mixing" in text and "run.tol" in text and "bogus" in text
+
+    @pytest.mark.parametrize("probe", sorted(OTHER_KIND_KEY_PROBES))
+    def test_a_key_of_another_kind_reported(self, probe):
+        overrides, message = OTHER_KIND_KEY_PROBES[probe]
+        with pytest.raises(ConfigError) as err:
+            parse_config(minimal_doc(**overrides))
+        assert err.value.problems == (message,)
+
+    def test_every_unknown_key_reported_together(self):
+        # Each used to be ignored: run.max_step ran the default 10,000 steps.
+        doc = minimal_doc(
+            topology={**_CUSTOM3, "weight": 2.0},
+            channel={**_U010_IID, "sed": 3, "law": {"kind": "uniform", "lo": 0.0, "hi": 10.0, "value": 1.0}},
+            protocol={"variant": "superposition", "mixing": 0.5, "mixng": 0.2},
+            initial_state={"kind": "explicit", "values": [0.0, 1.0, 2.0], "low": 0.0},
+            run={"max_step": 3},
+            outputs={"traces": "t.csv"},
+        )
+        with pytest.raises(ConfigError) as err:
+            parse_config(doc)
+        assert err.value.problems == (
+            "topology: unknown key 'weight'",
+            "protocol: unknown key 'mixng'",
+            "channel: unknown key 'sed'",
+            "channel.law: unknown key 'value'",
+            "initial_state: unknown key 'low'",
+            "run: unknown key 'max_step'",
+            "outputs: unknown key 'traces'",
+        )
+
+    @pytest.mark.parametrize("kind", sorted(LAWS))
+    def test_a_law_document_takes_exactly_its_fields(self, kind):
+        fields = LAWS[kind]._fields
+        values = [float(i + 1) for i in range(len(fields))]
+        law = {"kind": kind, **dict(zip(fields, values))}
+        cfg = parse_config(minimal_doc(channel={**_U010_IID, "law": law}))
+        assert cfg.channel.law == LAWS[kind](*values)
+        assert cfg.resolved["channel"]["law"] == law
+        for field in fields:
+            short = {key: value for key, value in law.items() if key != field}
+            with pytest.raises(ConfigError) as err:
+                parse_config(minimal_doc(channel={**_U010_IID, "law": short}))
+            assert err.value.problems == (f"channel.law: {kind} law needs {field!r}",)
+        with pytest.raises(ConfigError) as err:
+            parse_config(minimal_doc(channel={**_U010_IID, "law": {**law, "extra": 1.0}}))
+        assert err.value.problems == ("channel.law: unknown key 'extra'",)
 
     def test_missing_seed_reported(self):
         doc = minimal_doc()

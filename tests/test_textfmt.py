@@ -193,3 +193,5 @@ def test_diverging_naive_run_writes_strict_json(tmp_path):
     assert main(["--config", str(config), "--out-dir", str(tmp_path / "out"), "--quiet"]) == 2
     summary = strict_json((tmp_path / "out" / "summary.json").read_text())
     assert summary["result.consensus_value"] is None and summary["result.spread_final"] is None
+    # No rate is fitted to spreads that reach inf.
+    assert summary["result.rate_measured"] is None
