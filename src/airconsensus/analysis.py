@@ -10,15 +10,15 @@ Monte Carlo statistics over channel realizations.
 from __future__ import annotations
 
 import math
+from itertools import repeat
 from typing import Optional, Sequence, Union
 
 import numpy as np
 
-from .channel import TIME_INVARIANT, ChannelModel, ChannelRealization, ChannelStreams, derive_seeds
+from .channel import ChannelModel, ChannelRealization, ChannelStreams, derive_seeds
 from .graph import WeightedDigraph
 from .linalg import ArcOperator, left_perron_vector
 from .protocol import (
-    CLASSICAL,
     CONVERGED,
     DEFAULT_MAX_STEPS,
     DEFAULT_SPREAD_TOL,
@@ -288,19 +288,15 @@ def monte_carlo(
     x = validated_state(topology, channel, protocol, x0, tol, max_steps)
     seeds = derive_seeds(channel.seed, range(runs)) if channel is not None else [0] * runs
     # With nothing drawn every replicate is the same run: advance one.
-    distinct = 1 if protocol.variant == CLASSICAL else runs
+    distinct = runs if channel is not None else 1
     block = max(1, MC_BLOCK_ELEMENTS // max(topology.arc_weights.size, topology.n))
     update = BlockUpdate(topology, protocol, rows=min(block, distinct))
-    time_invariant = channel is not None and channel.mode == TIME_INVARIANT
-    streams = ChannelStreams.blocks(channel, seeds, block) if protocol.variant != CLASSICAL else None
+    streams = ChannelStreams.blocks(channel, seeds, block) if channel is not None else repeat(None)
     values: list[float] = []
     steps: list[int] = []
     converged: list[bool] = []
     for start in range(0, distinct, block):
-        draw = next(streams).draw if streams is not None else None
-        result = advance(
-            update, np.tile(x, (min(block, distinct - start), 1)), draw, time_invariant, tol, max_steps
-        )
+        result = advance(update, np.tile(x, (min(block, distinct - start), 1)), next(streams), tol, max_steps)
         values += result.final.mean(axis=1).tolist()
         steps += result.steps.tolist()
         converged += result.converged.tolist()

@@ -1,9 +1,10 @@
 """Scenario-driven command line front end.
 
 Runs one scenario (trace + summary) or a Monte Carlo batch (per-run
-samples + aggregate statistics). Exit codes: 0 converged, 2 max-steps,
-1 usage, config or any other error (one `error:` line, no traceback; an
-error the program did not foresee reads `error: internal: <Type>: ...`).
+samples + aggregate statistics). Exit codes: 0 converged, 2 max-steps
+(a batch exits 0 and counts its non-converged runs), 1 usage, config or
+any other error (one `error:` line, no traceback; an error the program
+did not foresee reads `error: internal: <Type>: ...`).
 """
 
 from __future__ import annotations
@@ -21,18 +22,9 @@ from typing import Any, Iterator, Mapping, Optional, Sequence
 import numpy as np
 
 from .analysis import monte_carlo, predicted_consensus, summarize_run
-from .channel import TIME_INVARIANT, sample
 from .config import PRESET_NAMES, ConfigError, ScenarioConfig, override_seed, parse_config, preset
-from .linalg import perron_operator, subdominant_modulus
-from .protocol import (
-    CLASSICAL,
-    CONVERGED,
-    MAX_STEPS,
-    SUPERPOSITION,
-    RunAggregates,
-    effective_operator,
-    record_run,
-)
+from .linalg import subdominant_modulus
+from .protocol import RunAggregates, invariant_operator, record_run
 
 EXIT_OK = 0
 EXIT_USAGE = 1
@@ -138,13 +130,10 @@ def _main(argv: Optional[list[str]]) -> int:
 
 def _predictions(cfg: ScenarioConfig):
     """Predicted consensus value and contraction rate, where they exist
-    (time-invariant superposition, or the classical protocol), from the
-    O(|E|) form of the update: no n x n array is built."""
-    if cfg.protocol.variant == SUPERPOSITION and cfg.channel.mode == TIME_INVARIANT:
-        D = effective_operator(sample(cfg.channel, 0), cfg.protocol.mixing)
-    elif cfg.protocol.variant == CLASSICAL:
-        D = perron_operator(cfg.topology, cfg.protocol.step_size)
-    else:
+    (``protocol.invariant_operator``), from the O(|E|) form of the update:
+    no n x n array is built."""
+    D = invariant_operator(cfg.topology, cfg.channel, cfg.protocol)
+    if D is None:
         return None, None
     try:
         return predicted_consensus(D, cfg.x0), subdominant_modulus(D)
@@ -163,7 +152,7 @@ def _run_scenario(cfg: ScenarioConfig, out_dir: Path, quiet: bool) -> int:
         return EXIT_USAGE
     predicted, rate_predicted = _predictions(cfg)
     summary = summarize_run(aggregates, predicted_value=predicted, rate_predicted=rate_predicted)
-    doc = _flatten({"config": cfg.resolved, "result": _summary_dict(summary)})
+    doc = _flatten({"config": cfg.resolved, "result": _summary_dict(summary, aggregates.reason)})
     try:
         _write_flat(summary_path, doc)
     except OSError as exc:
@@ -243,7 +232,7 @@ def _write_trace(path: Path, cfg: ScenarioConfig) -> RunAggregates:
         )
 
 
-def _summary_dict(summary) -> dict:
+def _summary_dict(summary, reason: str) -> dict:
     return {
         "consensus_value": summary.consensus_value,
         "predicted_value": summary.predicted_value,
@@ -252,7 +241,7 @@ def _summary_dict(summary) -> dict:
         "rate_measured": summary.rate_measured,
         "rate_predicted": summary.rate_predicted,
         "converged": summary.converged,
-        "reason": CONVERGED if summary.converged else MAX_STEPS,
+        "reason": reason,
         "hull_violated": summary.hull_violated,
     }
 

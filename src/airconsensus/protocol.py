@@ -21,6 +21,10 @@ superposition update as a ``linalg.ArcOperator``, the O(|E|) form the run
 predictions use; ``effective_matrix``, ``naive_matrix`` and
 ``linalg.perron_matrix`` are the dense forms of such operators, for the
 analysis and eigen paths.
+This module alone decides what each step reads: ``validated_state``
+requires a channel exactly when the variant is not classical, ``advance``
+draws a block's ``ChannelStreams`` once or at every step by their mode,
+and ``invariant_operator`` is the fixed update that predicts a run.
 ``advance`` steps a block of R independent states held as one (R, n)
 array; Monte Carlo uses blocks of many. ``record_run`` is a block of one
 that buffers its states a chunk of whole steps at a time, hands each
@@ -37,7 +41,7 @@ from typing import Callable, Optional, Sequence, Union
 
 import numpy as np
 
-from .channel import TIME_INVARIANT, ChannelModel, ChannelRealization, ChannelStreams
+from .channel import TIME_INVARIANT, ChannelModel, ChannelRealization, ChannelStreams, sample
 from .graph import WeightedDigraph
 from .linalg import ArcOperator, perron_operator
 from .records import record
@@ -246,8 +250,7 @@ class BlockResult:
 def advance(
     update: BlockUpdate,
     x0: np.ndarray,
-    draw: Optional[Callable[[int, np.ndarray], np.ndarray]],
-    time_invariant: bool,
+    streams: Optional[ChannelStreams],
     tol: float,
     max_steps: int,
     record: Optional[Callable[[np.ndarray], None]] = None,
@@ -255,10 +258,10 @@ def advance(
     """Iterate ``update`` on each row of the ``(R, n)`` block ``x0`` until
     its spread falls below ``tol``, or ``max_steps`` steps.
 
-    ``draw(k, rows)`` gives the ``(len(rows), |E|)`` channel coefficients
-    of step ``k`` for the still active rows (``None`` for the classical
-    protocol); a time-invariant channel is drawn and summed once. A row
-    leaves the block at the step its spread falls below ``tol``.
+    ``streams`` draws each row's channel coefficients (``None`` for the
+    classical protocol): a time-invariant channel's once, summed once, an
+    i.i.d.-per-step channel's at every step for the still active rows. A
+    row leaves the block at the step its spread falls below ``tol``.
     ``record`` sees the states after every step and may keep them:
     ``advance`` never writes to a block once it has handed it out.
     """
@@ -267,22 +270,21 @@ def advance(
     final = np.empty_like(x)
     steps = np.full(len(x), max_steps)
     converged = np.zeros(len(x), dtype=bool)
-    frozen = update.coefficients(draw(0, rows)) if draw is not None and time_invariant else None
+    # The arguments every step shares: none without a channel, or a time-invariant draw.
+    fixed = () if streams is None else None
+    if streams is not None and streams.model.mode == TIME_INVARIANT:
+        fixed = update.coefficients(streams.draw(0, rows))
     for k in range(max_steps):
         done = row_spreads(x) < tol
         if done.any():
             finished, keep = rows[done], ~done
             final[finished], steps[finished], converged[finished] = x[done], k, True
             rows, x = rows[keep], x[keep]
-            if frozen is not None:
-                frozen = tuple(a[keep] for a in frozen)
+            if fixed is not None:
+                fixed = tuple(a[keep] for a in fixed)
             if not len(rows):
                 break
-        if frozen is not None:
-            args = frozen
-        else:
-            args = update.coefficients(draw(k, rows)) if draw is not None else ()
-        x = update(x, *args)
+        x = update(x, *(fixed if fixed is not None else update.coefficients(streams.draw(k, rows))))
         if record is not None:
             record(x)
     else:
@@ -321,18 +323,18 @@ def effective_operator(r: ChannelRealization, mixing: Mixing) -> ArcOperator:
     return ArcOperator(1.0 - m, rows, r.topology.arc_cols, shares)
 
 
-def perron_matched_mixing(r: ChannelRealization, step_size: float) -> np.ndarray:
-    """Mixing vector that turns the effective matrix into the Perron matrix
-    of the coefficient graph with parameter ``step_size``.
-
-    Non-causal: it needs the current step's coefficient sums, which agents
-    do not know. Exposed for validating the Perron-matrix equivalence only.
-    """
-    sums = _positive_row_sums(r)
-    bound = 1.0 / float(sums.max())
-    if not (0.0 < step_size < bound):
-        raise ValueError(f"step size must lie in (0, {bound}), got {step_size}")
-    return step_size * sums
+def invariant_operator(
+    topology: WeightedDigraph, channel: Optional[ChannelModel], protocol: ProtocolConfig
+) -> Optional[ArcOperator]:
+    """The fixed update whose left Perron vector and subdominant modulus
+    predict a run, as an ``ArcOperator``: superposition over a
+    time-invariant channel, or the classical Perron operator; else ``None``
+    (the update changes every step, or is naive and not row-stochastic)."""
+    if protocol.variant == CLASSICAL:
+        return perron_operator(topology, protocol.step_size)
+    if protocol.variant == SUPERPOSITION and channel.mode == TIME_INVARIANT:
+        return effective_operator(sample(channel, 0), protocol.mixing)
+    return None
 
 
 def naive_matrix(r: ChannelRealization) -> np.ndarray:
@@ -352,8 +354,9 @@ def validated_state(
     tol: float,
     max_steps: int,
 ) -> np.ndarray:
-    """``x0`` as a float array, after checking the arguments of a run (a
-    channel must be over ``topology`` or a graph of its nodes and arcs)."""
+    """``x0`` as a float array, after checking the arguments of a run: a
+    run has a channel exactly when its variant is not classical, and the
+    channel must be over ``topology`` or a graph of its nodes and arcs."""
     x = np.array(x0, dtype=float)
     if x.shape != (topology.n,):
         raise ValueError(f"x0 must have length {topology.n}, got shape {x.shape}")
@@ -364,8 +367,10 @@ def validated_state(
         raise ValueError(f"tol must be positive and finite, got {tol}")
     if max_steps < 0:
         raise ValueError(f"max_steps must be nonnegative, got {max_steps}")
-    if protocol.variant in (SUPERPOSITION, NAIVE) and channel is None:
+    if channel is None and protocol.variant != CLASSICAL:
         raise ValueError(f"{protocol.variant} variant requires a channel model")
+    if channel is not None and protocol.variant == CLASSICAL:
+        raise ValueError("the classical variant takes no channel model")
     if channel is not None and channel.topology is not topology:
         other = channel.topology
         if not (
@@ -422,8 +427,7 @@ def record_run(
     result = advance(
         BlockUpdate(topology, protocol),
         x,
-        None if protocol.variant == CLASSICAL else ChannelStreams(channel, [channel.seed]).draw,
-        channel is not None and channel.mode == TIME_INVARIANT,
+        None if channel is None else ChannelStreams(channel, [channel.seed]),
         tol,
         max_steps,
         keep,

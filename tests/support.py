@@ -19,7 +19,7 @@ from hypothesis import strategies as st
 
 import airconsensus
 from airconsensus import protocol
-from airconsensus.channel import _CHANNEL_STREAM, TIME_INVARIANT, ConstantLaw
+from airconsensus.channel import _CHANNEL_STREAM, TIME_INVARIANT, ConstantLaw, UniformLaw
 from airconsensus.graph import WeightedDigraph, graph_from_arcs
 from airconsensus.linalg import perron_operator
 from airconsensus.textfmt import TraceRows
@@ -95,6 +95,17 @@ def strongly_connected_digraphs(draw, max_n=10):
     arcs |= set(draw(st.lists(st.sampled_from(pairs), max_size=len(pairs))))
     weights = draw(st.lists(st.floats(0.5, 10.0), min_size=len(arcs), max_size=len(arcs)))
     return dict_graph(n, dict(zip(sorted(arcs), weights)))
+
+
+def channel_laws():
+    """Hypothesis strategy: the uniform law U(0, 10), or a constant law in [0.1, 10]."""
+    return st.one_of(st.just(UniformLaw(0.0, 10.0)), st.floats(0.1, 10.0).map(ConstantLaw))
+
+
+def mixing_weights(n):
+    """Hypothesis strategy: one mixing weight in [0.01, 0.99], or one per agent of ``n``."""
+    weights = st.floats(0.01, 0.99)
+    return st.one_of(weights, st.lists(weights, min_size=n, max_size=n))
 
 
 def random_digraph(rng, n, arc_prob=0.3, w_lo=0.5, w_hi=10.0):

@@ -19,6 +19,7 @@ from airconsensus.analysis import (
 )
 from airconsensus.channel import (
     IID_PER_STEP,
+    MODES,
     TIME_INVARIANT,
     ChannelModel,
     ConstantLaw,
@@ -30,7 +31,7 @@ from airconsensus.graph import complete_graph, graph_from_arcs, ring_graph, step
 from airconsensus.linalg import dominant_left_eigenvector
 from airconsensus.protocol import CONVERGED, ProtocolConfig, Trace, effective_matrix, run
 from airconsensus.records import replace
-from support import child_seed, random_strongly_connected, strongly_connected_digraphs
+from support import channel_laws, child_seed, random_strongly_connected, strongly_connected_digraphs
 
 
 def u010_channel(topology, seed=42, mode=IID_PER_STEP):
@@ -188,6 +189,21 @@ class TestDecomposition:
     def test_mixing_range_validated(self):
         with pytest.raises(ValueError, match="mixing"):
             decomposition_matrices(complete_graph(3), 1.2)
+
+
+@settings(max_examples=100, deadline=None)
+@given(
+    g=strongly_connected_digraphs(),
+    mode=st.sampled_from(MODES),
+    law=channel_laws(),
+    seed=st.integers(0, 2**32 - 1),
+    k=st.integers(0, 1000),
+    mixing=st.floats(0.01, 0.99),
+)
+def test_decomposition_identity_on_any_graph(g, mode, law, seed, k, mixing):
+    # States of order 1: the gap is roundoff.
+    x = np.random.default_rng(seed).uniform(-1.0, 1.0, g.n)
+    assert decomposition_deviation(sample(ChannelModel(g, law, mode, seed), k), x, mixing) <= 1e-12
 
 
 class TestStackedArcIndicator:

@@ -8,6 +8,7 @@ import tempfile
 import tracemalloc
 import warnings
 from pathlib import Path
+from types import SimpleNamespace
 from unittest import mock
 
 import numpy as np
@@ -492,6 +493,22 @@ class TestCli:
         assert code == 2  # not converged in 3 steps
         summary = json.loads((tmp_path / "summary.json").read_text())
         assert summary["result.reason"] == "max-steps"
+
+    def test_summary_writes_the_runs_own_reason(self, tmp_path, monkeypatch):
+        # A reason other than converged or max-steps reaches the summary as
+        # the run set it, not as one worked out again from convergence.
+        record_run = cli.record_run
+
+        def third_reason(*args, **kwargs):
+            aggregates = record_run(*args, **kwargs)
+            aggregates.reason = "diverged"
+            return aggregates
+
+        monkeypatch.setattr(cli, "record_run", third_reason)
+        assert main(["--preset", "ti-sigma02", "--out-dir", str(tmp_path), "--quiet"]) == 2
+        summary = json.loads((tmp_path / "summary.json").read_text())
+        assert summary["result.reason"] == "diverged"
+        assert summary["result.converged"] is False
 
     def test_invalid_config_exits_one(self, tmp_path, capsys):
         doc = minimal_doc()
@@ -1269,11 +1286,12 @@ def test_golden_files_match_per_replicate_stream_reference():
     values, steps = [], []
     for i, row in enumerate(rows):
         channel = replace(cfg.channel, seed=child_seed(cfg.channel.seed, i))
+        # In place of the replicate's ChannelStreams: the model and its draw.
+        streams = SimpleNamespace(model=channel, draw=lambda k, active: stream_draw(channel, k)[None])
         result = protocol.advance(
             protocol.BlockUpdate(cfg.topology, cfg.protocol),
             np.array(cfg.x0)[None],
-            lambda k, active: stream_draw(channel, k)[None],
-            False,
+            streams,
             cfg.tol,
             cfg.max_steps,
         )

@@ -32,7 +32,6 @@ from airconsensus.protocol import (
     effective_matrix,
     effective_operator,
     naive_matrix,
-    perron_matched_mixing,
     record_run,
     resolve_mixing,
     run,
@@ -40,8 +39,10 @@ from airconsensus.protocol import (
     step_superposition,
 )
 from support import (
+    channel_laws,
     dict_graph,
     laplacian,
+    mixing_weights,
     random_strongly_connected,
     same_zero_pattern,
     strongly_connected_digraphs,
@@ -128,9 +129,9 @@ class TestEffectiveMatrix:
         np.testing.assert_allclose(D, [[0.7, 0.3], [0.7, 0.3]])
 
     def test_matched_mixing_reproduces_perron_matrix(self):
-        # with the mixing vector tied to the coefficient sums, the update
-        # equals the Perron matrix of the graph weighted by the coefficients;
-        # recomputed per step when the coefficients change
+        # with the mixing vector tied to the coefficient sums, eps * sums,
+        # the update equals the Perron matrix of the graph weighted by the
+        # coefficients; recomputed per step when the coefficients change
         rng = np.random.default_rng(71)
         for _ in range(10):
             g = random_strongly_connected(rng, int(rng.integers(3, 8)))
@@ -139,7 +140,7 @@ class TestEffectiveMatrix:
                 r = sample(model, k)
                 sums = r.gains.sum(axis=1)
                 eps = 0.8 / sums.max()
-                mixing = perron_matched_mixing(r, eps)
+                mixing = eps * sums
                 coeff_graph = graph_from_arcs(g.n, [(j, i, r.gains[i - 1, j - 1]) for j, i in g.arc_order])
                 np.testing.assert_allclose(
                     effective_matrix(r, mixing), perron_matrix(coeff_graph, eps), atol=1e-13
@@ -171,12 +172,6 @@ class TestEffectiveMatrix:
         r = sample(ideal_channel(complete_graph(3)), 0)
         x = np.array([1.0, 2.0, 3.0])
         assert (effective_matrix(r, 0.5) @ x)[0] == 0.5 * 1.0 + 0.5 * 2.5
-
-    def test_matched_mixing_validates_step_size(self):
-        r = sample(u010_channel(complete_graph(3), seed=1), 0)
-        bound = 1.0 / r.gains.sum(axis=1).max()
-        with pytest.raises(ValueError, match="step size"):
-            perron_matched_mixing(r, bound * 1.01)
 
     def test_random_realizations_stochastic_primitive_same_pattern(self):
         rng = np.random.default_rng(73)
@@ -277,22 +272,33 @@ def test_arc_list_steps_match_dense_matrices(g, seed, k, data):
 @given(
     g=strongly_connected_digraphs(),
     mode=st.sampled_from(MODES),
-    constant=st.booleans(),
-    per_agent=st.booleans(),
+    law=channel_laws(),
     seed=st.integers(0, 2**32 - 1),
     data=st.data(),
 )
-def test_superposition_hull_shrinks_on_any_graph(g, mode, constant, per_agent, seed, data):
+def test_superposition_hull_shrinks_on_any_graph(g, mode, law, seed, data):
     # Each update is a convex combination of the states: the greatest
     # value never rises and the least never falls, beyond rounding.
-    law = ConstantLaw(data.draw(st.floats(0.1, 10.0))) if constant else UniformLaw(0.0, 10.0)
-    weights = st.floats(0.01, 0.99)
-    mixing = data.draw(st.lists(weights, min_size=g.n, max_size=g.n) if per_agent else weights)
+    mixing = data.draw(mixing_weights(g.n))
     x0 = np.random.default_rng(seed).uniform(-10.0, 10.0, g.n)
     trace = run(g, ChannelModel(g, law, mode, seed), ProtocolConfig("superposition", mixing=mixing), x0, max_steps=200)
     states = trace.state_array()
     assert (np.diff(states.max(axis=1)) <= 1e-12).all()
     assert (np.diff(states.min(axis=1)) >= -1e-12).all()
+
+
+@settings(max_examples=100, deadline=None)
+@given(
+    g=strongly_connected_digraphs(),
+    mode=st.sampled_from(MODES),
+    law=channel_laws(),
+    seed=st.integers(0, 2**32 - 1),
+    k=st.integers(0, 1000),
+    data=st.data(),
+)
+def test_effective_matrix_is_row_stochastic_on_any_graph(g, mode, law, seed, k, data):
+    D = effective_matrix(sample(ChannelModel(g, law, mode, seed), k), data.draw(mixing_weights(g.n)))
+    assert is_row_stochastic(D, 1e-12)
 
 
 @st.composite
@@ -558,6 +564,13 @@ class TestRun:
         cfg = ProtocolConfig("superposition", mixing=0.5)
         with pytest.raises(ValueError, match="the channel's graph .* and the run's .* differ in their nodes or arcs"):
             ENTRIES[entry](topology, u010_channel(other), cfg, np.arange(topology.n))
+
+    @pytest.mark.parametrize("entry", ENTRIES)
+    def test_every_entry_rejects_a_channel_under_the_classical_protocol(self, entry):
+        g = ring_graph(4)
+        cfg = ProtocolConfig("classical", step_size=0.4)
+        with pytest.raises(ValueError, match="the classical variant takes no channel model"):
+            ENTRIES[entry](g, u010_channel(g), cfg, np.arange(4.0))
 
     def test_a_channel_over_an_equal_graph_runs_the_same(self):
         g = ring_graph(4)

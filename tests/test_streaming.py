@@ -16,7 +16,7 @@ from hypothesis import strategies as st
 
 from airconsensus import cli, protocol
 from airconsensus.analysis import summarize_run
-from airconsensus.channel import TIME_INVARIANT, ChannelStreams
+from airconsensus.channel import ChannelStreams
 from airconsensus.config import PRESET_NAMES, parse_config, preset
 from airconsensus.graph import step_size_bound
 from airconsensus.protocol import record_run, run
@@ -51,7 +51,7 @@ def whole_trace_outputs(doc, out):
     predicted, rate_predicted = cli._predictions(cfg)
     summary = summarize_run(trace, predicted_value=predicted, rate_predicted=rate_predicted)
     write_trace_per_step(out / "reference.csv", trace)
-    flat = cli._flatten({"config": cfg.resolved, "result": cli._summary_dict(summary)})
+    flat = cli._flatten({"config": cfg.resolved, "result": cli._summary_dict(summary, trace.reason)})
     return (out / "reference.csv").read_bytes(), ("".join(cli._flat_json(flat)) + "\n").encode()
 
 
@@ -202,8 +202,7 @@ def advanced_states(cfg):
     protocol.advance(
         protocol.BlockUpdate(cfg.topology, cfg.protocol),
         states[0][None],
-        None if channel is None else ChannelStreams(channel, [channel.seed]).draw,
-        channel is not None and channel.mode == TIME_INVARIANT,
+        None if channel is None else ChannelStreams(channel, [channel.seed]),
         cfg.tol,
         cfg.max_steps,
         lambda block: states.append(block[0].copy()),
