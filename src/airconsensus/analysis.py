@@ -4,14 +4,15 @@ Covers the consensus-value prediction from the dominant left eigenvector,
 found by restarted Arnoldi on the arc list rather than a dense solve,
 the split of the superposition update into an equal-gain part plus a
 zero-mean channel disturbance, convergence-rate measurement, and seeded
-Monte Carlo statistics over channel realizations.
+Monte Carlo statistics over channel realizations, whose blocks of
+replicates run in forked copies of the process, one per CPU.
 """
 
 from __future__ import annotations
 
 import math
-from itertools import repeat
-from typing import Optional, Sequence, Union
+import os
+from typing import Callable, NoReturn, Optional, Sequence, Union
 
 import numpy as np
 
@@ -280,6 +281,13 @@ def monte_carlo(
     consensus value, step count and outcome equal, bit for bit, those of
     one ``run`` with its channel seed.
 
+    The blocks are dealt round-robin over one process per CPU this
+    process may run on (``_processes``): forked copies of this process
+    run theirs and send back each replicate's outcome as float64 bytes,
+    and the results are placed by block index, so they are the same for
+    any number of processes. If a forked process fails, its blocks are
+    run here, in block order, so a block that raises raises here.
+
     Sums are accumulated with exact (compensated) summation so the
     statistics do not depend on aggregation order.
     """
@@ -291,15 +299,18 @@ def monte_carlo(
     distinct = runs if channel is not None else 1
     block = max(1, MC_BLOCK_ELEMENTS // max(topology.arc_weights.size, topology.n))
     update = BlockUpdate(topology, protocol, rows=min(block, distinct))
-    streams = ChannelStreams.blocks(channel, seeds, block) if channel is not None else repeat(None)
-    values: list[float] = []
-    steps: list[int] = []
-    converged: list[bool] = []
-    for start in range(0, distinct, block):
-        result = advance(update, np.tile(x, (min(block, distinct - start), 1)), next(streams), tol, max_steps)
-        values += result.final.mean(axis=1).tolist()
-        steps += result.steps.tolist()
-        converged += result.converged.tolist()
+    streams = ChannelStreams.blocks(channel, seeds, block) if channel is not None else None
+    sizes = [min(block, distinct - start) for start in range(0, distinct, block)]
+
+    def run_block(b: int) -> np.ndarray:
+        """``(sizes[b], 3)`` consensus values, steps and outcomes of block ``b``."""
+        result = advance(update, np.tile(x, (sizes[b], 1)), None if streams is None else streams(b), tol, max_steps)
+        return np.column_stack((result.final.mean(axis=1), result.steps, result.converged))
+
+    outcomes = _run_blocks(run_block, sizes)
+    values = outcomes[:, 0].tolist()
+    steps = outcomes[:, 1].astype(int).tolist()
+    converged = (outcomes[:, 2] != 0.0).tolist()
     if distinct < runs:
         values, steps, converged = values * runs, steps * runs, converged * runs
     try:
@@ -319,3 +330,126 @@ def monte_carlo(
         seeds=tuple(seeds),
         converged=tuple(converged),
     )
+
+
+def _cpu_count() -> int:
+    """CPUs this process may run on; 1 where the host cannot fork or tell."""
+    if not hasattr(os, "fork") or not hasattr(os, "sched_getaffinity"):
+        return 1
+    return len(os.sched_getaffinity(0))
+
+
+def _single_threaded() -> bool:
+    """Whether this process runs one OS thread (numpy's BLAS threads count
+    too), so a fork copies no lock another thread holds."""
+    try:
+        return len(os.listdir("/proc/self/task")) == 1
+    except OSError:
+        return False
+
+
+def _processes(blocks: int) -> int:
+    """How many processes a batch of ``blocks`` blocks runs in: one per
+    CPU, at most one per block, and one in a process with more than one
+    OS thread."""
+    cpus = min(_cpu_count(), blocks)
+    return cpus if cpus > 1 and _single_threaded() else 1
+
+
+def _run_blocks(run_block: Callable[[int], np.ndarray], sizes: Sequence[int]) -> np.ndarray:
+    """``run_block(b)``, a ``(sizes[b], 3)`` float64 array, for every block
+    ``b``, stacked in block order.
+
+    Block ``b`` runs in process ``b % P`` of ``P = _processes(len(sizes))``:
+    process 0 is this one, and each other a fork that sends its blocks'
+    rows as one payload through a pipe. The blocks of a fork that cannot
+    be started, exits non-zero or sends a short payload are run here, in
+    block order. If this process raises, every fork is killed and reaped.
+    """
+    count = len(sizes)
+    processes = _processes(count)
+    outcomes: list[Optional[np.ndarray]] = [None] * count
+    forks: list[tuple[int, int, range]] = []  # pid, read end of its pipe, its blocks
+    failed: list[int] = []
+    try:
+        for p in range(1, processes):
+            blocks = range(p, count, processes)
+            try:
+                forks.append((*_fork(run_block, blocks), blocks))
+            except OSError:  # no process or pipe to spare
+                failed += blocks
+        for b in range(0, count, processes):
+            outcomes[b] = run_block(b)
+        while forks:
+            pid, read, blocks = forks[-1]
+            table = np.empty((sum(sizes[b] for b in blocks), 3))
+            whole = _read_exactly(read, table)
+            status = os.waitpid(pid, 0)[1]
+            forks.pop()
+            os.close(read)
+            if os.waitstatus_to_exitcode(status) != 0 or not whole:
+                failed += blocks
+                continue
+            at = 0
+            for b in blocks:
+                outcomes[b], at = table[at : at + sizes[b]], at + sizes[b]
+        for b in sorted(failed):
+            outcomes[b] = run_block(b)
+    finally:
+        if forks:
+            from signal import SIGKILL  # imported only here: it costs 1 ms of every start-up
+        for pid, read, _ in forks:
+            os.kill(pid, SIGKILL)
+            os.waitpid(pid, 0)
+            os.close(read)
+    return np.concatenate(outcomes)
+
+
+def _fork(run_block: Callable[[int], np.ndarray], blocks: range) -> tuple[int, int]:
+    """Start a fork that runs ``blocks`` (``_run_forked``): its pid and the
+    read end of the pipe it writes to."""
+    parent = os.getpid()
+    read, write = os.pipe()
+    try:
+        pid = os.fork()
+        if pid == 0:
+            _run_forked(run_block, blocks, parent, write)
+    except OSError:
+        os.close(read)
+        raise
+    finally:
+        os.close(write)
+    return pid, read
+
+
+def _run_forked(run_block: Callable[[int], np.ndarray], blocks: range, parent: int, write: int) -> NoReturn:
+    """The body of a fork: run ``blocks``, write their rows to ``write`` as
+    one float64 payload and exit 0. It never returns into the caller,
+    writes nothing to standard output, and exits 1 without a payload if a
+    block raises or ``parent`` is gone (checked between blocks)."""
+    code = 1
+    try:
+        rows = []
+        for b in blocks:
+            if os.getppid() != parent:
+                break
+            rows.append(run_block(b))
+        else:
+            payload = memoryview(np.concatenate(rows)).cast("B")
+            while payload:
+                payload = payload[os.write(write, payload) :]
+            code = 0
+    finally:
+        os._exit(code)
+
+
+def _read_exactly(fd: int, out: np.ndarray) -> bool:
+    """Fill ``out`` from the pipe ``fd``: whether its writers sent exactly
+    that many bytes before the last of them closed it."""
+    view = memoryview(out).cast("B")
+    while view:
+        count = os.readv(fd, [view])
+        if not count:
+            return False
+        view = view[count:]
+    return not os.read(fd, 1)

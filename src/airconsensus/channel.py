@@ -27,7 +27,7 @@ from __future__ import annotations
 
 import math
 from functools import cache, cached_property
-from typing import Iterator, Sequence, Union
+from typing import Callable, Sequence, Union
 
 import numpy as np
 
@@ -292,15 +292,21 @@ class ChannelStreams:
         self._start(model, _stream_words(seeds))
 
     @classmethod
-    def blocks(cls, model: ChannelModel, seeds: Sequence[int], size: int) -> Iterator["ChannelStreams"]:
-        """``ChannelStreams(model, seeds[i : i + size])`` for ``i = 0, size,
-        ...``: the seeds are replayed in one pass, and each block's
-        generators are built when it is reached."""
+    def blocks(cls, model: ChannelModel, seeds: Sequence[int], size: int) -> Callable[[int], "ChannelStreams"]:
+        """Random access to the blocks of a batch: the returned function maps
+        ``b`` to ``ChannelStreams(model, seeds[b * size : (b + 1) * size])``.
+        The seeds are replayed once, here, and a block's generators are
+        built when it is asked for. ``numpy.random`` is loaded here too, so
+        processes forked to run blocks inherit it rather than each load it."""
         words = _stream_words(seeds)
-        for first in range(0, len(seeds), size):
+        _fixed_seed_sequence()
+
+        def block(b: int) -> ChannelStreams:
             streams = cls.__new__(cls)
-            streams._start(model, words[first : first + size])
-            yield streams
+            streams._start(model, words[b * size : (b + 1) * size])
+            return streams
+
+        return block
 
     def _start(self, model: ChannelModel, words: np.ndarray) -> None:
         self.model = model

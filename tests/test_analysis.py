@@ -1,4 +1,6 @@
 import math
+import os
+import threading
 
 import numpy as np
 import pytest
@@ -467,10 +469,210 @@ def test_monte_carlo_in_blocks_matches_one_block(monkeypatch, mode):
         blocks.append(len(x0))
         return advance(update, x0, *rest)
 
+    # Pinned to one process: a fork's calls to advance are not recorded here.
+    monkeypatch.setattr(analysis, "_cpu_count", lambda: 1)
     monkeypatch.setattr(analysis, "advance", recording)
     whole = monte_carlo(*args)
     monkeypatch.setattr(analysis, "MC_BLOCK_ELEMENTS", 3 * 20)
     split = monte_carlo(*args)
     assert blocks == [40] + [3] * 13 + [1]
-    assert np.array(split.consensus_values).tobytes() == np.array(whole.consensus_values).tobytes()
-    assert split == whole
+    assert_same_result(split, whole)
+
+
+def one_process(monkeypatch, *args, **kwargs):
+    """``monte_carlo(*args, **kwargs)`` pinned to this process."""
+    with monkeypatch.context() as m:
+        m.setattr(analysis, "_cpu_count", lambda: 1)
+        return monte_carlo(*args, **kwargs)
+
+
+def assert_same_result(got, want):
+    assert np.array(got.consensus_values).tobytes() == np.array(want.consensus_values).tobytes()
+    assert got == want
+
+
+def assert_no_child_left():
+    with pytest.raises(ChildProcessError):
+        os.waitpid(-1, os.WNOHANG)
+
+
+@pytest.fixture
+def forks(monkeypatch):
+    """Pids returned by every ``os.fork`` this test makes."""
+    assert analysis._single_threaded(), "the test process must run one OS thread to fork"
+    pids = []
+    fork = os.fork
+
+    def counting():
+        pid = fork()
+        if pid:
+            pids.append(pid)
+        return pid
+
+    monkeypatch.setattr(os, "fork", counting)
+    return pids
+
+
+MC_CASES = {
+    # (channel mode, protocol, runs, keyword arguments)
+    "iid": (IID_PER_STEP, ProtocolConfig("superposition", mixing=0.6), 23, {}),
+    "time-invariant": (TIME_INVARIANT, ProtocolConfig("superposition", mixing=0.6), 23, {}),
+    "naive": (IID_PER_STEP, ProtocolConfig("naive"), 21, {"max_steps": 30}),
+    "max-steps": (IID_PER_STEP, ProtocolConfig("superposition", mixing=0.3), 25, {"max_steps": 6}),
+}
+
+
+@pytest.mark.parametrize("processes", [2, 3])
+@pytest.mark.parametrize("case", sorted(MC_CASES))
+def test_monte_carlo_processes_match_one_process(monkeypatch, forks, processes, case):
+    # Blocks of 5 replicates dealt over 2 or 3 processes; 23, 21 and 25
+    # runs end in a partial block or a whole one.
+    mode, config, runs, kwargs = MC_CASES[case]
+    g = complete_graph(4)
+    x0 = np.random.default_rng(67).uniform(0, 2 * np.pi, 4)
+    args = (g, u010_channel(g, seed=11, mode=mode), config, x0, runs)
+    monkeypatch.setattr(analysis, "MC_BLOCK_ELEMENTS", 5 * 12)
+    want = one_process(monkeypatch, *args, **kwargs)
+    assert forks == []
+    monkeypatch.setattr(analysis, "_cpu_count", lambda: processes)
+    got = monte_carlo(*args, **kwargs)
+    assert len(forks) == processes - 1
+    assert_same_result(got, want)
+    if case == "max-steps":
+        assert got.non_converged == runs
+    assert_no_child_left()
+
+
+def test_monte_carlo_classical_row_never_forks(monkeypatch, forks):
+    g = ring_graph(6)
+    x0 = np.random.default_rng(68).uniform(0, 2 * np.pi, 6)
+    args = (g, None, ProtocolConfig("classical", step_size=0.4), x0, 40)
+    want = one_process(monkeypatch, *args)
+    monkeypatch.setattr(analysis, "_cpu_count", lambda: 3)
+    monkeypatch.setattr(analysis, "MC_BLOCK_ELEMENTS", 1)
+    assert_same_result(monte_carlo(*args), want)
+    assert forks == []
+
+
+def split_batch(monkeypatch, runs=23):
+    """Arguments of a 5-block batch, with two processes forced."""
+    g = complete_graph(4)
+    x0 = np.random.default_rng(69).uniform(0, 2 * np.pi, 4)
+    monkeypatch.setattr(analysis, "MC_BLOCK_ELEMENTS", 5 * 12)
+    monkeypatch.setattr(analysis, "_cpu_count", lambda: 2)
+    return g, u010_channel(g, seed=12), ProtocolConfig("superposition", mixing=0.5), x0, runs
+
+
+def test_failed_fork_blocks_run_here(monkeypatch, forks):
+    # A fork that exits 3 before writing: its blocks run in this process.
+    args = split_batch(monkeypatch)
+    want = one_process(monkeypatch, *args)
+    monkeypatch.setattr(analysis, "_run_forked", lambda *rest: os._exit(3))
+    assert_same_result(monte_carlo(*args), want)
+    assert len(forks) == 1
+    assert_no_child_left()
+
+
+def test_fork_that_cannot_start_runs_here(monkeypatch):
+    args = split_batch(monkeypatch)
+    want = one_process(monkeypatch, *args)
+
+    def no_fork():
+        raise BlockingIOError("no process to spare")
+
+    monkeypatch.setattr(os, "fork", no_fork)
+    assert_same_result(monte_carlo(*args), want)
+
+
+def test_exception_in_own_block_kills_the_forks(monkeypatch, forks):
+    args = split_batch(monkeypatch)
+    me, advance = os.getpid(), analysis.advance
+
+    def failing_here(*rest):
+        if os.getpid() == me:
+            raise RuntimeError("block failed")
+        return advance(*rest)
+
+    monkeypatch.setattr(analysis, "advance", failing_here)
+    with pytest.raises(RuntimeError, match="block failed"):
+        monte_carlo(*args)
+    assert len(forks) == 1
+    assert_no_child_left()
+
+
+def test_exception_in_a_fork_is_raised_here(monkeypatch, forks):
+    # Every block fails: the fork exits 1, and its blocks, run here, raise
+    # what one process raises.
+    args = split_batch(monkeypatch)
+
+    def failing(*rest):
+        raise RuntimeError("block failed")
+
+    monkeypatch.setattr(analysis, "advance", failing)
+    with pytest.raises(RuntimeError, match="block failed"):
+        monte_carlo(*args)
+    assert len(forks) == 1
+    assert_no_child_left()
+
+
+def test_payload_beyond_the_pipe_buffer(monkeypatch, forks):
+    # 20000 runs on 6 arcs: blocks of 5461, the fork's two hold 9078
+    # replicates, 218 kB against a pipe buffer of 64 KiB.
+    g = complete_graph(3)
+    args = (g, u010_channel(g, seed=13), ProtocolConfig("superposition", mixing=0.5), np.array([0.0, 1.0, 3.0]), 20000)
+    want = one_process(monkeypatch, *args)
+    monkeypatch.setattr(analysis, "_cpu_count", lambda: 2)
+    assert_same_result(monte_carlo(*args), want)
+    assert len(forks) == 1
+    assert_no_child_left()
+
+
+def test_second_thread_means_no_fork(monkeypatch, forks):
+    args = split_batch(monkeypatch)
+    want = one_process(monkeypatch, *args)
+    stop = threading.Event()
+    thread = threading.Thread(target=stop.wait)
+    thread.start()
+    try:
+        assert not analysis._single_threaded()
+        got = monte_carlo(*args)
+    finally:
+        stop.set()
+        thread.join()
+    assert forks == []
+    assert_same_result(got, want)
+
+
+def test_fork_exits_when_its_parent_is_gone():
+    # A fork whose recorded parent is not its parent runs no block, writes
+    # nothing and exits 1.
+    read, write = os.pipe()
+    pid = os.fork()
+    if pid == 0:
+        analysis._run_forked(lambda b: os._exit(7), range(3), 0, write)
+    os.close(write)
+    try:
+        assert not analysis._read_exactly(read, np.empty((1, 3)))
+        assert os.read(read, 1) == b""
+    finally:
+        os.close(read)
+        status = os.waitpid(pid, 0)[1]
+    assert os.waitstatus_to_exitcode(status) == 1
+
+
+def test_one_process_without_fork_or_affinity(monkeypatch):
+    assert analysis._processes(1) == 1
+    monkeypatch.delattr(os, "sched_getaffinity")
+    assert analysis._cpu_count() == 1
+    assert analysis._processes(8) == 1
+
+
+@pytest.mark.parametrize("sent, whole", [(23, False), (24, True), (25, False)])
+def test_payload_must_fill_its_table_exactly(sent, whole):
+    read, write = os.pipe()
+    os.write(write, bytes(sent))
+    os.close(write)
+    try:
+        assert analysis._read_exactly(read, np.empty((1, 3))) == whole
+    finally:
+        os.close(read)
