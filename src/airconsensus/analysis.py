@@ -375,7 +375,7 @@ def _run_blocks(run_block: Callable[[int], np.ndarray], sizes: Sequence[int]) ->
         for p in range(1, processes):
             blocks = range(p, count, processes)
             try:
-                forks.append((*_fork(run_block, blocks), blocks))
+                forks.append((*_fork(run_block, blocks, [read for _, read, _ in forks]), blocks))
             except OSError:  # no process or pipe to spare
                 failed += blocks
         for b in range(0, count, processes):
@@ -405,15 +405,16 @@ def _run_blocks(run_block: Callable[[int], np.ndarray], sizes: Sequence[int]) ->
     return np.concatenate(outcomes)
 
 
-def _fork(run_block: Callable[[int], np.ndarray], blocks: range) -> tuple[int, int]:
+def _fork(run_block: Callable[[int], np.ndarray], blocks: range, inherited: Sequence[int]) -> tuple[int, int]:
     """Start a fork that runs ``blocks`` (``_run_forked``): its pid and the
-    read end of the pipe it writes to."""
+    read end of the pipe it writes to. ``inherited`` are the read ends of
+    the forks started before it, which the fork closes with its own."""
     parent = os.getpid()
     read, write = os.pipe()
     try:
         pid = os.fork()
         if pid == 0:
-            _run_forked(run_block, blocks, parent, write)
+            _run_forked(run_block, blocks, parent, write, (read, *inherited))
     except OSError:
         os.close(read)
         raise
@@ -422,13 +423,21 @@ def _fork(run_block: Callable[[int], np.ndarray], blocks: range) -> tuple[int, i
     return pid, read
 
 
-def _run_forked(run_block: Callable[[int], np.ndarray], blocks: range, parent: int, write: int) -> NoReturn:
+def _run_forked(
+    run_block: Callable[[int], np.ndarray], blocks: range, parent: int, write: int, readers: Sequence[int]
+) -> NoReturn:
     """The body of a fork: run ``blocks``, write their rows to ``write`` as
     one float64 payload and exit 0. It never returns into the caller,
     writes nothing to standard output, and exits 1 without a payload if a
-    block raises or ``parent`` is gone (checked between blocks)."""
+    block raises or ``parent`` is gone (checked between blocks).
+
+    It first closes ``readers``, the read ends of the pipes it inherited,
+    so that ``parent`` is the only reader of each: once that is gone, a
+    write fails rather than blocks for ever."""
     code = 1
     try:
+        for fd in readers:
+            os.close(fd)
         rows = []
         for b in blocks:
             if os.getppid() != parent:

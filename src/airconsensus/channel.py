@@ -296,10 +296,8 @@ class ChannelStreams:
         """Random access to the blocks of a batch: the returned function maps
         ``b`` to ``ChannelStreams(model, seeds[b * size : (b + 1) * size])``.
         The seeds are replayed once, here, and a block's generators are
-        built when it is asked for. ``numpy.random`` is loaded here too, so
-        processes forked to run blocks inherit it rather than each load it."""
+        built when it is asked for."""
         words = _stream_words(seeds)
-        _fixed_seed_sequence()
 
         def block(b: int) -> ChannelStreams:
             streams = cls.__new__(cls)

@@ -15,9 +15,17 @@ import functools
 import gc
 import json
 import math
+import os
 import sys
 from pathlib import Path
 from typing import Any, Iterator, Mapping, Optional, Sequence
+
+# One BLAS thread unless the caller chose a count, set before numpy loads:
+# OpenBLAS starts a worker thread per CPU then, and a Monte Carlo batch
+# forks one process per CPU only from a process of one OS thread
+# (``analysis._processes``). A single run on a 500-node graph takes as
+# long on one BLAS thread as on two.
+os.environ.setdefault("OPENBLAS_NUM_THREADS", "1")
 
 import numpy as np
 

@@ -2,8 +2,8 @@
 
 numpy's OpenBLAS starts one worker thread per CPU when it is imported,
 and ``monte_carlo`` forks only a process that runs one OS thread. With
-one BLAS thread, as the benchmark runs the CLI, every Monte Carlo batch
-of two or more blocks in the suite runs in one process per CPU.
+one BLAS thread, the default the CLI sets, every Monte Carlo batch of two
+or more blocks in the suite runs in one process per CPU.
 """
 
 import os

@@ -1,6 +1,8 @@
 import math
 import os
+import signal
 import threading
+import time
 
 import numpy as np
 import pytest
@@ -649,7 +651,7 @@ def test_fork_exits_when_its_parent_is_gone():
     read, write = os.pipe()
     pid = os.fork()
     if pid == 0:
-        analysis._run_forked(lambda b: os._exit(7), range(3), 0, write)
+        analysis._run_forked(lambda b: os._exit(7), range(3), 0, write, (read,))
     os.close(write)
     try:
         assert not analysis._read_exactly(read, np.empty((1, 3)))
@@ -658,6 +660,43 @@ def test_fork_exits_when_its_parent_is_gone():
         os.close(read)
         status = os.waitpid(pid, 0)[1]
     assert os.waitstatus_to_exitcode(status) == 1
+
+
+def exit_code_within(pid, seconds):
+    """The exit code of ``pid`` if it exits within ``seconds``; else None,
+    and ``pid`` is killed and reaped."""
+    deadline = time.monotonic() + seconds
+    while time.monotonic() < deadline:
+        done, status = os.waitpid(pid, os.WNOHANG)
+        if done:
+            return os.waitstatus_to_exitcode(status)
+        time.sleep(0.01)
+    os.kill(pid, signal.SIGKILL)
+    os.waitpid(pid, 0)
+    return None
+
+
+def test_fork_exits_when_its_reader_is_gone():
+    # Each block is 4000 rows, 96 kB against a pipe buffer of 64 KiB, and
+    # block 1 first sleeps. Block 1's fork inherited the read end of block
+    # 0's pipe and closed it. Once this process closes its read ends,
+    # block 0's fork cannot write the rest of its payload: it exits 1,
+    # although block 1's fork still runs.
+    def run_block(b):
+        if b == 1:
+            time.sleep(60)
+        return np.zeros((4000, 3))
+
+    first, read0 = analysis._fork(run_block, range(0, 1), [])
+    second, read1 = analysis._fork(run_block, range(1, 2), [read0])
+    os.close(read0)
+    os.close(read1)
+    try:
+        assert exit_code_within(first, 10) == 1
+    finally:
+        os.kill(second, signal.SIGKILL)
+        os.waitpid(second, 0)
+    assert_no_child_left()
 
 
 def test_one_process_without_fork_or_affinity(monkeypatch):

@@ -16,7 +16,7 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from airconsensus import cli, config, linalg, protocol
+from airconsensus import analysis, cli, config, linalg, protocol
 from airconsensus.channel import LAWS, ChannelRealization, sample
 from airconsensus.cli import INTERNAL_ERROR, MAX_RUNS, main
 from airconsensus.config import MAX_ARCS, ConfigError, PRESET_NAMES, override_seed, parse_config, preset
@@ -1306,3 +1306,38 @@ def test_golden_files_match_per_replicate_stream_reference():
     assert summary["montecarlo.mean_consensus"] == mean
     assert summary["montecarlo.std_consensus"] == math.sqrt(math.fsum((v - mean) ** 2 for v in values) / 99)
     assert summary["montecarlo.mean_steps"] == math.fsum(steps) / 100
+
+
+# A fresh interpreter with OPENBLAS_NUM_THREADS unset or set to argv[1]
+# runs the golden batch of 3 blocks through the CLI; it prints the
+# variable as numpy loaded and how many processes it forked.
+BLAS_CHILD = """
+import os, sys
+os.environ.pop("OPENBLAS_NUM_THREADS", None)
+if sys.argv[1]:
+    os.environ["OPENBLAS_NUM_THREADS"] = sys.argv[1]
+fork, forks = os.fork, []
+def counting():
+    pid = fork()
+    if pid:
+        forks.append(pid)
+    return pid
+os.fork = counting
+from airconsensus.cli import main
+main(["--preset", "tv-complete-n30-sigma08", "--runs", "100", "--out-dir", sys.argv[2], "--quiet"])
+print(os.environ["OPENBLAS_NUM_THREADS"], len(forks))
+"""
+
+
+@pytest.mark.parametrize("threads", ["", "2"])
+def test_cli_loads_numpy_with_one_blas_thread_by_default(tmp_path, threads):
+    # OpenBLAS starts its threads as numpy loads. With the CLI's default of
+    # one, its process runs one OS thread and the batch forks one process
+    # per CPU, at most one per block. A count the caller set is kept.
+    child = run_child(BLAS_CHILD, threads, str(tmp_path))
+    value, forks = child.stdout.split()
+    assert value == (threads or "1")
+    if not threads:
+        assert int(forks) == min(analysis._cpu_count(), 3) - 1
+    for name in ("samples.csv", "summary.json"):
+        assert (tmp_path / name).read_bytes() == (GOLDEN / name).read_bytes(), name
