@@ -102,6 +102,12 @@ Law = Union[UniformLaw, ConstantLaw]
 LAWS = {"uniform": UniformLaw, "constant": ConstantLaw}
 
 
+def check_mode(mode: object) -> None:
+    """Raise ``ValueError``, naming the field first, unless ``mode`` is one of ``MODES``."""
+    if mode not in MODES:
+        raise ValueError(f"mode: must be one of {MODES}, got {mode!r}")
+
+
 @record
 class ChannelModel:
     """Distribution of the per-arc channel coefficients over a fixed topology."""
@@ -112,8 +118,7 @@ class ChannelModel:
     seed: int
 
     def __post_init__(self):
-        if self.mode not in MODES:
-            raise ValueError(f"mode must be one of {MODES}, got {self.mode!r}")
+        check_mode(self.mode)
         if isinstance(self.seed, bool) or not isinstance(self.seed, int) or self.seed < 0:
             raise ValueError(f"seed must be a nonnegative integer, got {self.seed!r}")
 

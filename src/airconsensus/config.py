@@ -1,12 +1,14 @@
 """Scenario configuration: validation, defaults, seeds, presets.
 
 A scenario document is a JSON object, given as the mapping ``json.load``
-makes of it, with sections ``topology``,
-``channel``, ``protocol``, and optionally ``initial_state``, ``run``,
-``outputs``, plus a top-level ``seed`` from which any missing channel or
-initial-state seed is derived. Validation is all-at-once: every problem
-in the document is reported in a single error, and nothing is run on an
-invalid config.
+makes of it, with sections ``topology``, ``channel``, ``protocol``, and
+optionally ``initial_state``, ``run``, ``outputs``, plus a top-level
+``seed`` from which any missing channel or initial-state seed is derived.
+Validation is all-at-once: every problem in the document is reported in a
+single error, and nothing is run on an invalid config. Each variant's
+rules are ``protocol``'s: the protocol section is mapped onto
+``ProtocolConfig`` and ``topology_problems``, and ``protocol.`` is put
+before their messages.
 """
 
 from __future__ import annotations
@@ -17,17 +19,15 @@ from typing import Any, Mapping, Optional
 
 import numpy as np
 
-from .channel import IID_PER_STEP, LAWS, MODES, ChannelModel, derive_seed
-from .graph import WeightedDigraph, complete_graph, graph_from_arcs, is_strongly_connected, ring_graph, step_size_bound
+from .channel import LAWS, ChannelModel, check_mode, derive_seed
+from .graph import WeightedDigraph, complete_graph, graph_from_arcs, ring_graph
 from .protocol import (
-    CLASSICAL,
     DEFAULT_MAX_STEPS,
     DEFAULT_SPREAD_TOL,
-    NAIVE,
-    SUPERPOSITION,
-    VARIANTS,
     ProtocolConfig,
     check_spread,
+    takes_channel,
+    topology_problems,
 )
 from .records import record
 
@@ -84,24 +84,19 @@ def parse_config(doc: Mapping[str, Any]) -> ScenarioConfig:
 
     problems: list[str] = []
     known = {"topology", "channel", "protocol", "initial_state", "run", "outputs", "seed"}
-    for key in doc:
-        if key not in known:
-            problems.append(f"unknown section {key!r}")
+    problems.extend(f"unknown section {key!r}" for key in doc if key not in known)
 
     seed = _seed(doc.get("seed"), None, None, problems)
 
     topology, topo_echo = _parse_topology(doc.get("topology"), problems)
-    protocol = _parse_protocol(doc.get("protocol"), topology, problems)
-    # The declared variant decides whether a channel section belongs, even if its parameters are invalid.
-    declared = doc["protocol"].get("variant") if isinstance(doc.get("protocol"), dict) else None
-    variant = declared if declared in VARIANTS else None
+    protocol, variant = _parse_protocol(doc.get("protocol"), topology, problems)
     channel, channel_echo = _parse_channel(doc.get("channel"), topology, variant, seed, problems)
     x0, state_echo = _parse_initial_state(doc.get("initial_state"), topology, seed, problems)
     tol, max_steps = _parse_run(doc.get("run"), problems)
     trace_file, summary_file, samples_file = _parse_outputs(doc.get("outputs"), problems)
     if x0 is not None and x0.size:
         reported = len(problems)
-        if variant in (SUPERPOSITION, NAIVE) and channel is not None:
+        if channel is not None:
             _check_received_range(channel, x0, problems)
         # One problem at most for x0: an overflowing received sum says it already.
         if not any(p.startswith("initial_state:") for p in problems[reported:]):
@@ -117,9 +112,8 @@ def parse_config(doc: Mapping[str, Any]) -> ScenarioConfig:
         "topology": topo_echo,
         "channel": channel_echo,
         "protocol": {
-            "variant": protocol.variant,
-            "mixing": list(protocol.mixing) if isinstance(protocol.mixing, tuple) else protocol.mixing,
-            "step_size": protocol.step_size,
+            field: list(value) if isinstance(value := getattr(protocol, field), tuple) else value
+            for field in ProtocolConfig._fields
         },
         "initial_state": state_echo,
         "run": {"tol": tol, "max_steps": max_steps},
@@ -183,9 +177,9 @@ def _check_size(n, arcs):
 
 
 def _parse_channel(section, topology, variant, seed, problems):
-    if variant == CLASSICAL:
+    if not takes_channel(variant):
         if section is not None:
-            problems.append("channel: the classical variant does not use a channel section")
+            problems.append(f"channel: the {variant} variant does not use a channel section")
         return None, None
     if not isinstance(section, dict):
         problems.append("channel: section is required and must be an object")
@@ -211,11 +205,13 @@ def _parse_channel(section, topology, variant, seed, problems):
         except (ValueError, TypeError, OverflowError) as exc:
             problems.append(f"channel.law: {exc}")
     mode = section.get("mode")
-    if mode not in MODES:
-        problems.append(f"channel.mode: must be one of {MODES}, got {mode!r}")
-        mode = IID_PER_STEP
+    try:
+        check_mode(mode)
+    except ValueError as exc:
+        problems.append(f"channel.{exc}")
+        mode = None
     channel_seed = _seed(section.get("seed"), "channel", seed, problems)
-    if topology is None or law is None or channel_seed is None:
+    if topology is None or law is None or mode is None or channel_seed is None:
         return None, None
     model = ChannelModel(topology=topology, law=law, mode=mode, seed=channel_seed)
     return model, {"law": law_echo, "mode": mode, "seed": channel_seed}
@@ -243,86 +239,23 @@ def _check_received_range(channel, x0, problems):
 
 
 def _parse_protocol(section, topology, problems):
+    """The ``ProtocolConfig`` (``None`` if invalid) and the declared variant, which decides if a channel belongs."""
     if not isinstance(section, dict):
         problems.append("protocol: section is required and must be an object")
-        return None
-    _check_keys(section, "protocol", ("variant", "mixing", "step_size"), problems)
-    variant = section.get("variant")
-    if variant not in VARIANTS:
-        problems.append(f"protocol.variant: must be one of {VARIANTS}, got {variant!r}")
-        return None
-    mixing = section.get("mixing")
-    step_size = section.get("step_size")
+        return None, None
+    _check_keys(section, "protocol", ProtocolConfig._fields, problems)
+    values = [section.get(field) for field in ProtocolConfig._fields]
+    protocol = None
+    try:
+        protocol = ProtocolConfig(*values)
+    except ValueError as exc:
+        problems.extend(f"protocol.{line}" for line in str(exc).splitlines())
     # The topology checks run whatever the protocol's own values are, so
     # that every violated constraint is named.
-    if variant == SUPERPOSITION:
-        if step_size is not None:
-            problems.append("protocol.step_size: only the classical variant takes a step size")
-        mixing = _validate_mixing(mixing, topology, problems)
-        _require_strong_connectivity(topology, variant, problems)
-        # The received ratio divides by a node's in-neighbor sum; a strongly
-        # connected graph lacks in-neighbors only at n = 1.
-        if topology is not None and not topology.in_degrees.all():
-            problems.append(f"topology: every node needs an in-neighbor for the {variant} variant")
-        return None if mixing is None else ProtocolConfig(variant=SUPERPOSITION, mixing=mixing)
-    if variant == CLASSICAL:
-        if mixing is not None:
-            problems.append("protocol.mixing: only the superposition variant takes a mixing weight")
-        step_size = _validate_step_size(step_size, topology, problems)
-        _require_strong_connectivity(topology, variant, problems)
-        return None if step_size is None else ProtocolConfig(variant=CLASSICAL, step_size=step_size)
-    # naive
-    if mixing is not None or step_size is not None:
-        problems.append("protocol: the naive variant takes no mixing or step_size")
-    return ProtocolConfig(variant=NAIVE)
-
-
-def _validate_step_size(step_size, topology, problems):
-    if not _is_number(step_size) or not _is_finite(step_size):
-        problems.append("protocol.step_size: required finite number for the classical variant")
-        return None
-    step_size = float(step_size)
     if topology is not None:
-        try:
-            bound = step_size_bound(topology)
-        except ValueError as exc:
-            problems.append(f"protocol.step_size: {exc}")
-            return None
-        if not (0.0 < step_size < bound):
-            problems.append(f"protocol.step_size: must lie in (0, {bound:.6g}) for this topology, got {step_size}")
-            return None
-    return step_size
-
-
-def _validate_mixing(mixing, topology, problems):
-    if _is_number(mixing):
-        if not (0.0 < mixing < 1.0):
-            problems.append(
-                f"protocol.mixing: must lie in the open interval (0, 1), got {mixing}"
-            )
-            return None
-        return float(mixing)
-    if isinstance(mixing, list) and all(_is_number(v) for v in mixing):
-        if topology is not None and len(mixing) != topology.n:
-            problems.append(
-                f"protocol.mixing: per-agent list must have length {topology.n}, got {len(mixing)}"
-            )
-            return None
-        if not all(0.0 < v < 1.0 for v in mixing):
-            problems.append(
-                "protocol.mixing: every per-agent weight must lie in the open interval (0, 1)"
-            )
-            return None
-        return [float(v) for v in mixing]
-    problems.append("protocol.mixing: required number (or per-agent list) for the superposition variant")
-    return None
-
-
-def _require_strong_connectivity(topology, variant, problems):
-    if topology is not None and not is_strongly_connected(topology):
-        problems.append(
-            f"topology: must be strongly connected for the {variant} variant"
-        )
+        for field, message in topology_problems(topology, *values):
+            problems.append(f"protocol.{field}: {message}" if field else f"topology: {message}")
+    return protocol, section.get("variant")
 
 
 def _parse_initial_state(section, topology, seed, problems):
@@ -481,35 +414,22 @@ STANDIN_ARCS = sorted(
     [[v, v % 5 + 1, 1.0] for v in range(1, 6)] + [[v, (v + 1) % 5 + 1, 1.0] for v in range(1, 6)]
 )
 
-_STANDIN_TOPOLOGY = {"kind": "custom", "n": 5, "arcs": STANDIN_ARCS}
-_U010 = {"kind": "uniform", "lo": 0.0, "hi": 10.0}
-_INIT = {"kind": "uniform", "lo": 0.0, "hi": math.tau, "seed": 4242}
+
+def _superposition_preset(mode, mixing, topology=None):
+    """A superposition scenario over a U(0, 10) channel, by default on the stand-in topology."""
+    return {
+        "topology": topology or {"kind": "custom", "n": 5, "arcs": STANDIN_ARCS},
+        "channel": {"law": {"kind": "uniform", "lo": 0.0, "hi": 10.0}, "mode": mode, "seed": 7},
+        "protocol": {"variant": "superposition", "mixing": mixing},
+        "initial_state": {"kind": "uniform", "lo": 0.0, "hi": math.tau, "seed": 4242},
+    }
+
 
 PRESETS: dict[str, dict] = {
-    "ti-sigma02": {
-        "topology": _STANDIN_TOPOLOGY,
-        "channel": {"law": _U010, "mode": "time-invariant", "seed": 7},
-        "protocol": {"variant": "superposition", "mixing": 0.2},
-        "initial_state": _INIT,
-    },
-    "ti-sigma05": {
-        "topology": _STANDIN_TOPOLOGY,
-        "channel": {"law": _U010, "mode": "time-invariant", "seed": 7},
-        "protocol": {"variant": "superposition", "mixing": 0.5},
-        "initial_state": _INIT,
-    },
-    "tv-sigma05": {
-        "topology": _STANDIN_TOPOLOGY,
-        "channel": {"law": _U010, "mode": "iid-per-step", "seed": 7},
-        "protocol": {"variant": "superposition", "mixing": 0.5},
-        "initial_state": _INIT,
-    },
-    "tv-complete-n30-sigma08": {
-        "topology": {"kind": "complete", "n": 30},
-        "channel": {"law": _U010, "mode": "iid-per-step", "seed": 7},
-        "protocol": {"variant": "superposition", "mixing": 0.8},
-        "initial_state": _INIT,
-    },
+    "ti-sigma02": _superposition_preset("time-invariant", 0.2),
+    "ti-sigma05": _superposition_preset("time-invariant", 0.5),
+    "tv-sigma05": _superposition_preset("iid-per-step", 0.5),
+    "tv-complete-n30-sigma08": _superposition_preset("iid-per-step", 0.8, {"kind": "complete", "n": 30}),
 }
 
 PRESET_NAMES = tuple(sorted(PRESETS))

@@ -21,10 +21,10 @@ superposition update as a ``linalg.ArcOperator``, the O(|E|) form the run
 predictions use; ``effective_matrix``, ``naive_matrix`` and
 ``linalg.perron_matrix`` are the dense forms of such operators, for the
 analysis and eigen paths.
-This module alone decides what each step reads: ``validated_state``
-requires a channel exactly when the variant is not classical, ``advance``
-draws a block's ``ChannelStreams`` once or at every step by their mode,
-and ``invariant_operator`` is the fixed update that predicts a run.
+This module alone owns each variant's rules: its parameter (checked as a
+``ProtocolConfig`` is built), its needs of the graph (``topology_problems``),
+whether it reads a channel (``takes_channel``), drawn by ``advance`` once or
+at every step by its mode, and its prediction (``invariant_operator``).
 ``advance`` steps a block of R independent states held as one (R, n)
 array; Monte Carlo uses blocks of many. ``record_run`` is a block of one
 that buffers its states a chunk of whole steps at a time, hands each
@@ -37,19 +37,22 @@ aggregates plus the whole history as one (steps + 1, n) array.
 from __future__ import annotations
 
 import math
+import sys
 from typing import Callable, Optional, Sequence, Union
 
 import numpy as np
 
 from .channel import TIME_INVARIANT, ChannelModel, ChannelRealization, ChannelStreams, sample
-from .graph import WeightedDigraph
+from .graph import WeightedDigraph, is_strongly_connected, step_size_bound
 from .linalg import ArcOperator, perron_operator
 from .records import record
 
 SUPERPOSITION = "superposition"
 CLASSICAL = "classical"
 NAIVE = "naive"
-VARIANTS = (SUPERPOSITION, CLASSICAL, NAIVE)
+#: The ``ProtocolConfig`` field of the one parameter each variant takes.
+PARAMETERS = {SUPERPOSITION: "mixing", CLASSICAL: "step_size", NAIVE: None}
+VARIANTS = tuple(PARAMETERS)
 
 CONVERGED = "converged"
 MAX_STEPS = "max-steps"
@@ -94,29 +97,100 @@ def resolve_mixing(mixing: Mixing, n: int) -> np.ndarray:
     return m
 
 
+def _is_real(kind: type) -> bool:
+    """Whether values of type ``kind`` are Python or numpy ints or floats, not bools."""
+    return issubclass(kind, (int, float, np.integer, np.floating)) and not issubclass(kind, bool)
+
+
+def _checked_mixing(mixing) -> Mixing:
+    """A number in (0, 1) as a float, or a sequence of them as a tuple of floats."""
+    if _is_real(type(mixing)):
+        if not 0.0 < mixing < 1.0:
+            raise ValueError(f"mixing: must lie in the open interval (0, 1), got {mixing}")
+        return float(mixing)
+    sequence = isinstance(mixing, (list, tuple, np.ndarray)) and getattr(mixing, "ndim", 1) == 1
+    if sequence and all(map(_is_real, set(map(type, mixing)))):
+        if not all(0.0 < v < 1.0 for v in mixing):
+            raise ValueError("mixing: every per-agent weight must lie in the open interval (0, 1)")
+        return tuple(map(float, mixing))
+    raise ValueError("mixing: required number (or per-agent list) for the superposition variant")
+
+
+def _checked_step_size(step_size) -> float:
+    """A positive finite number as a float (NaN and ints beyond float range fail ``abs(x) <= max``)."""
+    if not (_is_real(type(step_size)) and abs(step_size) <= sys.float_info.max):
+        raise ValueError("step_size: required finite number for the classical variant")
+    if not step_size > 0:
+        raise ValueError(f"step_size: must be positive, got {step_size}")
+    return float(step_size)
+
+
+def _valid(check: Callable, value) -> Optional[object]:
+    """``check(value)``, or ``None`` if it fails."""
+    try:
+        return check(value)
+    except ValueError:
+        return None
+
+
 @record
 class ProtocolConfig:
-    """Which update law to run and its parameters.
-
-    ``mixing`` (superposition only) is the weight each agent puts on the
-    received neighbor average, the complement staying on its own state;
-    a scalar is broadcast to all agents. ``step_size`` (classical only)
-    must lie below the topology's step size bound.
-    """
+    """Which update law to run and its one parameter, checked when built:
+    ``mixing`` (superposition), each agent's weight in (0, 1) on the received
+    neighbor average, or one for all; ``step_size`` (classical), positive and
+    below the graph's bound (``topology_problems``); none (naive). Another
+    variant's parameter may be ``None``. Bad fields raise one ``ValueError``,
+    a line per field naming it first."""
 
     variant: str
     mixing: Optional[Mixing] = None
     step_size: Optional[float] = None
 
     def __post_init__(self):
-        if self.variant not in VARIANTS:
-            raise ValueError(f"variant must be one of {VARIANTS}, got {self.variant!r}")
-        if self.variant == SUPERPOSITION and self.mixing is None:
-            raise ValueError("superposition variant requires a mixing weight")
-        if self.variant == CLASSICAL and self.step_size is None:
-            raise ValueError("classical variant requires a step size")
-        if isinstance(self.mixing, (list, np.ndarray)):
-            object.__setattr__(self, "mixing", tuple(float(v) for v in self.mixing))
+        if not (isinstance(self.variant, str) and self.variant in PARAMETERS):
+            raise ValueError(f"variant: must be one of {VARIANTS}, got {self.variant!r}")
+        problems = []
+        for field, check in (("mixing", _checked_mixing), ("step_size", _checked_step_size)):
+            if field == PARAMETERS[self.variant]:
+                try:
+                    object.__setattr__(self, field, check(getattr(self, field)))
+                except ValueError as exc:
+                    problems.append(str(exc))
+            elif getattr(self, field) is not None:
+                problems.append(f"{field}: the {self.variant} variant takes no {field}")
+        if problems:
+            raise ValueError("\n".join(problems))
+
+
+def topology_problems(topology: WeightedDigraph, variant, mixing=None, step_size=None) -> list[tuple]:
+    """What a protocol of ``ProtocolConfig``'s arguments, valid or not, needs of
+    ``topology`` and lacks, as ``(field, message)`` pairs (``field`` ``None``:
+    the graph itself): strong connectivity (superposition, classical), an
+    in-neighbor at every node for the received ratio (superposition), and one
+    mixing weight per node or a step size below ``step_size_bound`` where the
+    parameter is valid alone. A value that is no variant needs nothing."""
+    problems = []
+    if variant == SUPERPOSITION:
+        mixing = _valid(_checked_mixing, mixing)
+        if isinstance(mixing, tuple) and len(mixing) != topology.n:
+            problems.append(("mixing", f"per-agent list must have length {topology.n}, got {len(mixing)}"))
+    elif variant == CLASSICAL and (step_size := _valid(_checked_step_size, step_size)) is not None:
+        try:
+            bound = step_size_bound(topology)
+            if not step_size < bound:
+                raise ValueError(f"must lie in (0, {bound:.6g}) for this topology, got {step_size}")
+        except ValueError as exc:
+            problems.append(("step_size", str(exc)))
+    if variant in (SUPERPOSITION, CLASSICAL) and not is_strongly_connected(topology):
+        problems.append((None, f"must be strongly connected for the {variant} variant"))
+    if variant == SUPERPOSITION and not topology.in_degrees.all():
+        problems.append((None, f"every node needs an in-neighbor for the {variant} variant"))
+    return problems
+
+
+def takes_channel(variant: object) -> bool:
+    """Whether a protocol of ``variant`` (any value) reads a channel: all but the classical one."""
+    return variant != CLASSICAL
 
 
 class RunAggregates:
@@ -355,7 +429,7 @@ def validated_state(
     max_steps: int,
 ) -> np.ndarray:
     """``x0`` as a float array, after checking the arguments of a run: a
-    run has a channel exactly when its variant is not classical, and the
+    run has a channel exactly when its variant takes one, and the
     channel must be over ``topology`` or a graph of its nodes and arcs."""
     x = np.array(x0, dtype=float)
     if x.shape != (topology.n,):
@@ -367,10 +441,9 @@ def validated_state(
         raise ValueError(f"tol must be positive and finite, got {tol}")
     if max_steps < 0:
         raise ValueError(f"max_steps must be nonnegative, got {max_steps}")
-    if channel is None and protocol.variant != CLASSICAL:
-        raise ValueError(f"{protocol.variant} variant requires a channel model")
-    if channel is not None and protocol.variant == CLASSICAL:
-        raise ValueError("the classical variant takes no channel model")
+    if (channel is None) == takes_channel(protocol.variant):
+        needs = "requires a" if channel is None else "takes no"
+        raise ValueError(f"the {protocol.variant} variant {needs} channel model")
     if channel is not None and channel.topology is not topology:
         other = channel.topology
         if not (

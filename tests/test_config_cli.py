@@ -179,12 +179,33 @@ class TestParseConfig:
         assert isinstance(cfg.resolved["initial_state"]["seed"], int)
         assert cfg.x0.shape == (5,)
 
-    def test_resolved_echo_reparses_to_same_scenario(self):
-        cfg = parse_config(minimal_doc())
+    @pytest.mark.parametrize("source", [*PRESET_NAMES, "minimal", "classical", "naive", "per-agent-mixing"])
+    def test_resolved_echo_reparses_to_same_scenario(self, source):
+        # The echo writes null for the parameter a variant does not take.
+        docs = {
+            "minimal": minimal_doc(),
+            "classical": minimal_doc(channel=None, protocol={"variant": "classical", "step_size": 0.1}),
+            "naive": minimal_doc(protocol={"variant": "naive"}),
+            "per-agent-mixing": minimal_doc(protocol={"variant": "superposition", "mixing": [0.1, 0.3, 0.5, 0.7, 0.9]}),
+        }
+        cfg = parse_config(docs[source] if source in docs else preset(source))
         again = parse_config(cfg.resolved)
         np.testing.assert_array_equal(cfg.x0, again.x0)
-        assert again.channel.seed == cfg.channel.seed
+        assert (again.channel and again.channel.seed) == (cfg.channel and cfg.channel.seed)
+        assert again.protocol == cfg.protocol
         assert again.resolved == cfg.resolved
+
+    @pytest.mark.parametrize("variant", [["superposition"], {"variant": "naive"}, 3, True, None])
+    def test_a_variant_that_is_no_string_is_one_problem(self, tmp_path, capsys, variant):
+        doc = minimal_doc(protocol={"variant": variant, "mixing": 0.5})
+        with pytest.raises(ConfigError) as info:
+            parse_config(doc)
+        assert len(info.value.problems) == 1 and info.value.problems[0].startswith("protocol.variant: ")
+        path = tmp_path / "variant.json"
+        path.write_text(json.dumps(doc))
+        assert main(["--config", str(path), "--out-dir", str(tmp_path / "out")]) == 1
+        err = capsys.readouterr().err
+        assert "protocol.variant: " in err and INTERNAL_ERROR not in err
 
     @pytest.mark.parametrize(
         "doc",
@@ -274,6 +295,20 @@ class TestParseConfig:
         # complete n=5 with unit weights: in-weight sum 4, bound 0.25
         with pytest.raises(ConfigError, match=r"\(0, 0.25\)"):
             parse_config(doc)
+
+    @pytest.mark.parametrize(
+        "step_size, problem",
+        [
+            (0.9, "protocol.step_size: must lie in (0, 0.25) for this topology, got 0.9"),
+            (None, "protocol.step_size: required finite number for the classical variant"),
+        ],
+        ids=["beyond-bound", "missing"],
+    )
+    def test_every_protocol_problem_reported_together(self, step_size, problem):
+        doc = minimal_doc(channel=None, protocol={"variant": "classical", "mixing": 0.5, "step_size": step_size})
+        with pytest.raises(ConfigError) as info:
+            parse_config(doc)
+        assert info.value.problems == ("protocol.mixing: the classical variant takes no mixing", problem)
 
     def test_classical_rejects_channel_section(self):
         doc = minimal_doc()

@@ -602,5 +602,102 @@ class TestProtocolConfig:
             ProtocolConfig("superposition")
 
     def test_classical_needs_step_size(self):
-        with pytest.raises(ValueError, match="step size"):
+        with pytest.raises(ValueError, match="^step_size: required finite number for the classical variant$"):
             ProtocolConfig("classical")
+
+    @pytest.mark.parametrize("variant", [["superposition"], {"classical": 1}, 1, True, None])
+    def test_a_variant_that_is_no_string_rejected(self, variant):
+        with pytest.raises(ValueError, match=r"^variant: must be one of \("):
+            ProtocolConfig(variant)
+
+    @pytest.mark.parametrize(
+        "variant, field",
+        [("naive", "mixing"), ("naive", "step_size"), ("classical", "mixing"), ("superposition", "step_size")],
+    )
+    def test_a_parameter_the_variant_does_not_take_rejected(self, variant, field):
+        own = {"superposition": {"mixing": 0.5}, "classical": {"step_size": 0.1}, "naive": {}}[variant]
+        with pytest.raises(ValueError, match=f"^{field}: the {variant} variant takes no {field}$"):
+            ProtocolConfig(variant, **{**own, field: 0.3})
+
+    @pytest.mark.parametrize(
+        "mixing",
+        [1.5, [0.5, 2.0], "0.5", 0.0, 1.0, float("nan"), True, [0.5, True], np.full((2, 2), 0.5), None],
+        ids=["above-one", "list-entry", "string", "zero", "one", "nan", "bool", "bool-entry", "matrix", "missing"],
+    )
+    def test_bad_mixing_rejected(self, mixing):
+        with pytest.raises(ValueError, match="^mixing: "):
+            ProtocolConfig("superposition", mixing=mixing)
+
+    @pytest.mark.parametrize(
+        "step_size",
+        [-1, 0.0, float("inf"), float("nan"), True, "0.1", 10**400, None],
+        ids=["negative", "zero", "inf", "nan", "bool", "string", "beyond-float", "missing"],
+    )
+    def test_bad_step_size_rejected(self, step_size):
+        with pytest.raises(ValueError, match="^step_size: "):
+            ProtocolConfig("classical", step_size=step_size)
+
+    def test_none_for_a_parameter_the_variant_does_not_take(self):
+        # The resolved echo writes null for the parameter a variant does not take.
+        assert ProtocolConfig("superposition", mixing=0.5, step_size=None) == ProtocolConfig("superposition", mixing=0.5)
+        assert ProtocolConfig("classical", mixing=None, step_size=0.1).step_size == 0.1
+        assert ProtocolConfig("naive", mixing=None, step_size=None) == NAIVE_CONFIG
+
+    def test_numpy_mixing_accepted(self):
+        assert ProtocolConfig("superposition", mixing=np.float64(0.25)).mixing == 0.25
+        assert ProtocolConfig("superposition", mixing=np.float32(0.5)).mixing == 0.5
+        assert ProtocolConfig("superposition", mixing=np.array([0.2, 0.7])).mixing == (0.2, 0.7)
+        assert ProtocolConfig("classical", step_size=np.float64(0.1)).step_size == 0.1
+
+
+class TestVariantRules:
+    def test_topology_problems_name_every_need(self):
+        chain = graph_from_arcs(3, [(1, 2, 1.0), (2, 3, 1.0)])
+        assert protocol.topology_problems(chain, "superposition") == [
+            (None, "must be strongly connected for the superposition variant"),
+            (None, "every node needs an in-neighbor for the superposition variant"),
+        ]
+        assert protocol.topology_problems(chain, "classical") == [
+            (None, "must be strongly connected for the classical variant")
+        ]
+        assert protocol.topology_problems(chain, "naive") == []
+
+    def test_topology_problems_check_the_parameters_against_the_graph(self):
+        g = complete_graph(5)  # in-weight sum 4: step sizes below 0.25
+        problems = protocol.topology_problems
+        assert problems(g, "classical", step_size=0.2) == []
+        assert problems(g, "classical", step_size=0.25) == [
+            ("step_size", "must lie in (0, 0.25) for this topology, got 0.25")
+        ]
+        assert problems(graph_from_arcs(1, []), "classical", step_size=0.1) == [
+            ("step_size", "graph has no arcs; step size bound is undefined")
+        ]
+        assert problems(g, "superposition", [0.2, 0.5, 0.7]) == [("mixing", "per-agent list must have length 5, got 3")]
+        assert problems(g, "superposition", [0.5] * 5) == problems(g, "superposition", 0.5) == []
+
+    def test_topology_problems_pass_over_what_the_config_reports(self):
+        # A parameter invalid on its own, or one the variant does not take,
+        # is ProtocolConfig's to report; the rest is still checked.
+        g = complete_graph(5)
+        problems = protocol.topology_problems
+        assert problems(g, "classical", step_size=-1.0) == problems(g, "superposition", [0.5, 2.0]) == []
+        assert problems(g, "classical", 0.5, 0.9) == [("step_size", "must lie in (0, 0.25) for this topology, got 0.9")]
+        assert problems(g, "superposition", [0.5] * 3, 0.1) == [("mixing", "per-agent list must have length 5, got 3")]
+
+    def test_every_bad_field_in_one_error(self):
+        with pytest.raises(ValueError) as info:
+            ProtocolConfig("classical", mixing=0.5)
+        assert str(info.value).splitlines() == [
+            "mixing: the classical variant takes no mixing",
+            "step_size: required finite number for the classical variant",
+        ]
+
+    @pytest.mark.parametrize("variant", ["telepathy", ["superposition"], {"classical": 1}, 1, None])
+    def test_a_value_that_is_no_variant_needs_nothing_and_takes_a_channel(self, variant):
+        chain = graph_from_arcs(3, [(1, 2, 1.0), (2, 3, 1.0)])
+        assert protocol.topology_problems(chain, variant) == []
+        assert protocol.takes_channel(variant)
+
+    def test_only_the_classical_variant_takes_no_channel(self):
+        assert [protocol.takes_channel(v) for v in protocol.VARIANTS] == [True, False, True]
+        assert protocol.VARIANTS == tuple(protocol.PARAMETERS)
