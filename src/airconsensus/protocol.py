@@ -1,30 +1,19 @@
 """Consensus state machines.
 
-Three update laws over one block update and one run loop:
-
-* ``superposition`` -- each agent mixes its own state with the ratio of
-  the two superposed signals it receives, which is a weighted average of
-  its neighbors' states. Row-stochastic by construction, so it reaches
-  consensus on strongly connected topologies for any per-agent mixing
-  weight in (0, 1), whatever the (positive) channel coefficients do.
-* ``classical`` -- the textbook Laplacian protocol ``x+ = (I - e*L) x``,
-  which needs the arc weights to be known.
-* ``naive`` -- plain averaging of the raw superposed signal. Its update
-  matrix is not row-stochastic for general coefficients, so it fails;
-  kept as the baseline that motivates the two-signal scheme.
+Three update laws, one rule class each in ``RULES`` (``Superposition``,
+``Classical``, ``Naive``), over one block update and one run loop. A rule
+class holds all of its variant's rules: its parameter (checked as a
+``ProtocolConfig`` is built), its needs of the graph
+(``topology_problems``), whether it reads a channel (``takes_channel``),
+drawn by ``advance`` once or at every step by its mode, its step and its
+prediction (``invariant_operator``). Nothing else branches on a variant,
+so a new variant is one more rule class in ``RULES``.
 Each step costs O(|E|): all three are the same gather/multiply/bincount
-over the arc list. A graph's arcs are sorted by transmitter, so the
-gather is ``np.repeat`` of each state over its transmitter's out-degree:
-a copy of the same values ``np.take`` by ``arc_cols`` picks, bit for bit,
-without an index read per arc. ``effective_operator`` holds the
+over the arc list (``BlockUpdate``). ``effective_operator`` holds the
 superposition update as a ``linalg.ArcOperator``, the O(|E|) form the run
 predictions use; ``effective_matrix``, ``naive_matrix`` and
 ``linalg.perron_matrix`` are the dense forms of such operators, for the
 analysis and eigen paths.
-This module alone owns each variant's rules: its parameter (checked as a
-``ProtocolConfig`` is built), its needs of the graph (``topology_problems``),
-whether it reads a channel (``takes_channel``), drawn by ``advance`` once or
-at every step by its mode, and its prediction (``invariant_operator``).
 ``advance`` steps a block of R independent states held as one (R, n)
 array; Monte Carlo uses blocks of many. ``record_run`` is a block of one
 that buffers its states a chunk of whole steps at a time, hands each
@@ -50,9 +39,6 @@ from .records import record
 SUPERPOSITION = "superposition"
 CLASSICAL = "classical"
 NAIVE = "naive"
-#: The ``ProtocolConfig`` field of the one parameter each variant takes.
-PARAMETERS = {SUPERPOSITION: "mixing", CLASSICAL: "step_size", NAIVE: None}
-VARIANTS = tuple(PARAMETERS)
 
 CONVERGED = "converged"
 MAX_STEPS = "max-steps"
@@ -87,13 +73,19 @@ def row_spreads(x: np.ndarray) -> np.ndarray:
 
 def resolve_mixing(mixing: Mixing, n: int) -> np.ndarray:
     """Broadcast a scalar mixing weight to all agents and validate (0, 1)."""
+    m = _agent_weights(mixing, n)
+    if not ((m > 0.0) & (m < 1.0)).all():
+        raise ValueError("every mixing weight must lie in the open interval (0, 1)")
+    return m
+
+
+def _agent_weights(mixing: Mixing, n: int) -> np.ndarray:
+    """``mixing`` as one float per agent, a scalar broadcast to all; only its length is checked."""
     m = np.asarray(mixing, dtype=float)
     if m.ndim == 0:
         m = np.full(n, float(m))
     if m.shape != (n,):
         raise ValueError(f"mixing must be a scalar or a length-{n} vector, got shape {m.shape}")
-    if not ((m > 0.0) & (m < 1.0)).all():
-        raise ValueError("every mixing weight must lie in the open interval (0, 1)")
     return m
 
 
@@ -125,35 +117,147 @@ def _checked_step_size(step_size) -> float:
     return float(step_size)
 
 
-def _valid(check: Callable, value) -> Optional[object]:
-    """``check(value)``, or ``None`` if it fails."""
-    try:
-        return check(value)
-    except ValueError:
-        return None
+class Rule:
+    """One variant's rules. The class says what the variant takes and needs;
+    an instance holds the constants a ``BlockUpdate`` steps with, and its
+    ``step(x, received, *coefficients)`` is the update, ``received`` the
+    receiver sums of the states times the first coefficients (or the rule's
+    fixed arc ``weights``). By default a variant takes no parameter, needs
+    nothing of its graph, reads a channel and predicts nothing."""
+
+    parameter: Optional[str] = None  # the ``ProtocolConfig`` field of its one parameter
+    takes_channel = True
+
+    @staticmethod
+    def check(value) -> object:
+        """The parameter as a ``ProtocolConfig`` holds it, or ``ValueError`` naming its field."""
+
+    @staticmethod
+    def graph_problems(topology: WeightedDigraph, parameter) -> list[tuple]:
+        """``topology_problems``, the parameter checked already (``None`` if it failed)."""
+        return []
+
+    def coefficients(self, values: np.ndarray, arc_sums: Callable) -> tuple[np.ndarray, ...]:
+        """A step's arguments after the states, from ``(R, |E|)`` coefficients."""
+        return (values,)
+
+    @staticmethod
+    def operator(topology: WeightedDigraph, channel: Optional[ChannelModel], parameter) -> Optional[ArcOperator]:
+        """The fixed update that predicts a run (``invariant_operator``), or ``None``."""
+
+
+class Superposition(Rule):
+    """Each agent mixes its own state with the ratio of the two superposed
+    signals it receives, a weighted average of its neighbors' states, by
+    its ``mixing`` weight in (0, 1) (or one for all). Row-stochastic, so it
+    reaches consensus on a strongly connected graph whatever the positive
+    coefficients do, and fixed over a time-invariant channel."""
+
+    parameter = "mixing"
+    check = staticmethod(_checked_mixing)
+
+    def __init__(self, topology: WeightedDigraph, mixing: Mixing) -> None:
+        self.mixing = _agent_weights(mixing, topology.n)
+
+    @staticmethod
+    def graph_problems(topology: WeightedDigraph, mixing) -> list[tuple]:
+        problems = []
+        if isinstance(mixing, tuple) and len(mixing) != topology.n:
+            problems.append(("mixing", f"per-agent list must have length {topology.n}, got {len(mixing)}"))
+        if not is_strongly_connected(topology):
+            problems.append((None, f"must be strongly connected for the {SUPERPOSITION} variant"))
+        if not topology.in_degrees.all():
+            problems.append((None, f"every node needs an in-neighbor for the {SUPERPOSITION} variant"))
+        return problems
+
+    def coefficients(self, values: np.ndarray, arc_sums: Callable) -> tuple[np.ndarray, ...]:
+        return values, _positive(arc_sums(values))
+
+    def step(self, x: np.ndarray, received: np.ndarray, values: np.ndarray, sums: np.ndarray) -> np.ndarray:
+        return (1.0 - self.mixing) * x + self.mixing * (received / sums)
+
+    @staticmethod
+    def operator(topology: WeightedDigraph, channel: ChannelModel, mixing: Mixing) -> Optional[ArcOperator]:
+        return effective_operator(sample(channel, 0), mixing) if channel.mode == TIME_INVARIANT else None
+
+
+class Classical(Rule):
+    """The textbook Laplacian protocol ``x+ = (I - e*L) x`` on the known arc
+    weights, by a ``step_size`` e below the graph's ``step_size_bound``: it
+    reads no channel, and its Perron operator is the same every step."""
+
+    parameter, takes_channel = "step_size", False
+    check = staticmethod(_checked_step_size)
+
+    def __init__(self, topology: WeightedDigraph, step_size: float) -> None:
+        perron = perron_operator(topology, step_size)
+        self.diagonal, self.weights = perron.diagonal, perron.weights
+
+    @staticmethod
+    def graph_problems(topology: WeightedDigraph, step_size) -> list[tuple]:
+        problems = []
+        if step_size is not None:
+            try:
+                bound = step_size_bound(topology)
+                if not step_size < bound:
+                    raise ValueError(f"must lie in (0, {bound:.6g}) for this topology, got {step_size}")
+            except ValueError as exc:
+                problems.append(("step_size", str(exc)))
+        if not is_strongly_connected(topology):
+            problems.append((None, f"must be strongly connected for the {CLASSICAL} variant"))
+        return problems
+
+    def step(self, x: np.ndarray, received: np.ndarray) -> np.ndarray:
+        return self.diagonal * x + received
+
+    @staticmethod
+    def operator(topology: WeightedDigraph, channel: None, step_size: float) -> ArcOperator:
+        return perron_operator(topology, step_size)
+
+
+class Naive(Rule):
+    """Plain averaging of the raw superposed signal, ``(x + received) / (d + 1)``
+    for in-degree ``d``: not row-stochastic for general coefficients, so it
+    fails; the baseline that motivates the two-signal scheme."""
+
+    def __init__(self, topology: WeightedDigraph, parameter: None) -> None:
+        self.shares = topology.in_degrees + 1.0
+
+    def step(self, x: np.ndarray, received: np.ndarray, values: np.ndarray) -> np.ndarray:
+        return (x + received) / self.shares
+
+
+#: Each variant's rule class: a new variant is one more.
+RULES: dict[str, type[Rule]] = {SUPERPOSITION: Superposition, CLASSICAL: Classical, NAIVE: Naive}
+#: The ``ProtocolConfig`` field of the one parameter each variant takes.
+PARAMETERS = {variant: rule.parameter for variant, rule in RULES.items()}
+VARIANTS = tuple(RULES)
+
+
+def _rule(variant: object) -> type[Rule]:
+    """The rule of ``variant``; a value of any type that is no variant gets ``Rule``'s defaults."""
+    return RULES.get(variant, Rule) if isinstance(variant, str) else Rule
 
 
 @record
 class ProtocolConfig:
-    """Which update law to run and its one parameter, checked when built:
-    ``mixing`` (superposition), each agent's weight in (0, 1) on the received
-    neighbor average, or one for all; ``step_size`` (classical), positive and
-    below the graph's bound (``topology_problems``); none (naive). Another
-    variant's parameter may be ``None``. Bad fields raise one ``ValueError``,
-    a line per field naming it first."""
+    """Which update law to run and its one parameter (``PARAMETERS``),
+    checked by its rule when built; another variant's parameter may be
+    ``None``. Bad fields raise one ``ValueError``, a line per field naming
+    it first."""
 
     variant: str
     mixing: Optional[Mixing] = None
     step_size: Optional[float] = None
 
     def __post_init__(self):
-        if not (isinstance(self.variant, str) and self.variant in PARAMETERS):
+        if _rule(self.variant) is Rule:
             raise ValueError(f"variant: must be one of {VARIANTS}, got {self.variant!r}")
         problems = []
-        for field, check in (("mixing", _checked_mixing), ("step_size", _checked_step_size)):
-            if field == PARAMETERS[self.variant]:
+        for field in self._fields[1:]:
+            if field == self.rule.parameter:
                 try:
-                    object.__setattr__(self, field, check(getattr(self, field)))
+                    object.__setattr__(self, field, self.rule.check(getattr(self, field)))
                 except ValueError as exc:
                     problems.append(str(exc))
             elif getattr(self, field) is not None:
@@ -161,36 +265,36 @@ class ProtocolConfig:
         if problems:
             raise ValueError("\n".join(problems))
 
+    @property
+    def rule(self) -> type[Rule]:
+        return RULES[self.variant]
+
+    @property
+    def parameter(self) -> object:
+        """The variant's checked parameter, ``None`` if it takes none."""
+        return self.rule.parameter and getattr(self, self.rule.parameter)
+
+    def graph_problems(self, topology: WeightedDigraph) -> list[tuple]:
+        """``topology_problems`` of this protocol, without checking its parameter again."""
+        return self.rule.graph_problems(topology, self.parameter)
+
 
 def topology_problems(topology: WeightedDigraph, variant, mixing=None, step_size=None) -> list[tuple]:
     """What a protocol of ``ProtocolConfig``'s arguments, valid or not, needs of
-    ``topology`` and lacks, as ``(field, message)`` pairs (``field`` ``None``:
-    the graph itself): strong connectivity (superposition, classical), an
-    in-neighbor at every node for the received ratio (superposition), and one
-    mixing weight per node or a step size below ``step_size_bound`` where the
-    parameter is valid alone. A value that is no variant needs nothing."""
-    problems = []
-    if variant == SUPERPOSITION:
-        mixing = _valid(_checked_mixing, mixing)
-        if isinstance(mixing, tuple) and len(mixing) != topology.n:
-            problems.append(("mixing", f"per-agent list must have length {topology.n}, got {len(mixing)}"))
-    elif variant == CLASSICAL and (step_size := _valid(_checked_step_size, step_size)) is not None:
-        try:
-            bound = step_size_bound(topology)
-            if not step_size < bound:
-                raise ValueError(f"must lie in (0, {bound:.6g}) for this topology, got {step_size}")
-        except ValueError as exc:
-            problems.append(("step_size", str(exc)))
-    if variant in (SUPERPOSITION, CLASSICAL) and not is_strongly_connected(topology):
-        problems.append((None, f"must be strongly connected for the {variant} variant"))
-    if variant == SUPERPOSITION and not topology.in_degrees.all():
-        problems.append((None, f"every node needs an in-neighbor for the {variant} variant"))
-    return problems
+    ``topology`` and lacks (its rule's ``graph_problems``), as ``(field,
+    message)`` pairs (``field`` ``None``: the graph itself). A parameter
+    invalid alone is passed over; a value that is no variant needs nothing."""
+    rule = _rule(variant)
+    try:
+        parameter = rule.check({"mixing": mixing, "step_size": step_size}.get(rule.parameter))
+    except ValueError:
+        parameter = None
+    return rule.graph_problems(topology, parameter)
 
 
 def takes_channel(variant: object) -> bool:
     """Whether a protocol of ``variant`` (any value) reads a channel: all but the classical one."""
-    return variant != CLASSICAL
+    return _rule(variant).takes_channel
 
 
 class RunAggregates:
@@ -260,33 +364,24 @@ def _positive_row_sums(r: ChannelRealization) -> np.ndarray:
 
 class BlockUpdate:
     """One update of a protocol applied to each row of an ``(R, n)`` block
-    of states, for blocks of up to ``rows`` rows.
+    of states, for blocks of up to ``rows`` rows: the gather, product and
+    receiver sums every variant shares, then its rule's ``step``.
 
     Row ``b`` of a block has coefficients in row ``b`` of an ``(R, |E|)``
-    array; the classical protocol's arc weights are fixed and shared by
-    every row. Receiver sums come from one ``np.bincount`` over the flat index
-    ``b * n + arc_rows``, which visits each row's arcs in arc order, so
-    every row gets the same result, bit for bit, as a block of one.
-
-    The transmitted states are gathered by runs: a graph's arcs are sorted
-    by transmitter, so ``x[:, arc_cols]`` is each transmitter's state
-    repeated over its out-arcs, and ``np.repeat`` by the out-degrees,
-    counted once here, copies exactly those values. The gather only copies,
-    so the products and sums that follow are the same, bit for bit.
+    array, or the rule's fixed arc ``weights``. Receiver sums come from one
+    ``np.bincount`` over the flat index ``b * n + arc_rows``, which visits
+    each row's arcs in arc order, so every row gets the same result, bit
+    for bit, as a block of one. A graph's arcs are sorted by transmitter,
+    so ``x[:, arc_cols]`` is each transmitter's state repeated over its
+    out-arcs, and ``np.repeat`` by the out-degrees, counted once here,
+    copies exactly those values.
     """
 
     def __init__(self, topology: WeightedDigraph, protocol: ProtocolConfig, rows: int = 1):
         self.topology = topology
-        self.variant = protocol.variant
+        self.rule = protocol.rule(topology, protocol.parameter)
         self._out_degrees = np.bincount(topology.arc_cols, minlength=topology.n)
         self._index = (np.arange(rows)[:, None] * topology.n + topology.arc_rows).ravel()
-        if self.variant == SUPERPOSITION:
-            self._mixing = resolve_mixing(protocol.mixing, topology.n)
-        elif self.variant == CLASSICAL:
-            perron = perron_operator(topology, protocol.step_size)
-            self._diagonal, self._weights = perron.diagonal, perron.weights
-        else:
-            self._shares = topology.in_degrees + 1.0
 
     def arc_sums(self, weights: np.ndarray) -> np.ndarray:
         """``(R, n)`` per-receiver sums of an ``(R, |E|)`` array of arc weights."""
@@ -296,20 +391,13 @@ class BlockUpdate:
 
     def coefficients(self, values: np.ndarray) -> tuple[np.ndarray, ...]:
         """Per-step arguments of the update for an ``(R, |E|)`` coefficient
-        array: the coefficients, plus their checked row sums for superposition."""
-        if self.variant == SUPERPOSITION:
-            return values, _positive(self.arc_sums(values))
-        return (values,)
+        array: the coefficients, and what the rule derives from them."""
+        return self.rule.coefficients(values, self.arc_sums)
 
     def __call__(self, x: np.ndarray, *coefficients: np.ndarray) -> np.ndarray:
         weighted = np.repeat(x, self._out_degrees, axis=1)
-        weighted *= coefficients[0] if coefficients else self._weights
-        received = self.arc_sums(weighted)
-        if self.variant == SUPERPOSITION:
-            return (1.0 - self._mixing) * x + self._mixing * (received / coefficients[1])
-        if self.variant == CLASSICAL:
-            return self._diagonal * x + received
-        return (x + received) / self._shares
+        weighted *= coefficients[0] if coefficients else self.rule.weights
+        return self.rule.step(x, self.arc_sums(weighted), *coefficients)
 
 
 @record
@@ -404,11 +492,7 @@ def invariant_operator(
     predict a run, as an ``ArcOperator``: superposition over a
     time-invariant channel, or the classical Perron operator; else ``None``
     (the update changes every step, or is naive and not row-stochastic)."""
-    if protocol.variant == CLASSICAL:
-        return perron_operator(topology, protocol.step_size)
-    if protocol.variant == SUPERPOSITION and channel.mode == TIME_INVARIANT:
-        return effective_operator(sample(channel, 0), protocol.mixing)
-    return None
+    return protocol.rule.operator(topology, channel, protocol.parameter)
 
 
 def naive_matrix(r: ChannelRealization) -> np.ndarray:

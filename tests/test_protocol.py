@@ -31,6 +31,7 @@ from airconsensus.protocol import (
     ProtocolConfig,
     effective_matrix,
     effective_operator,
+    invariant_operator,
     naive_matrix,
     record_run,
     resolve_mixing,
@@ -266,6 +267,34 @@ def test_arc_list_steps_match_dense_matrices(g, seed, k, data):
     assert np.max(np.abs(one_step(r.topology, NAIVE_CONFIG, x, r) - naive_matrix(r) @ x)) <= 1e-13
     classical = one_step(g, ProtocolConfig("classical", step_size=step_size), x)
     assert np.max(np.abs(classical - perron_matrix(g, step_size) @ x)) <= 1e-13
+
+
+@settings(max_examples=100, deadline=None)
+@given(g=strongly_connected_digraphs(), law=channel_laws(), seed=st.integers(0, 2**32 - 1), data=st.data())
+def test_invariant_operator_is_one_step_on_any_graph(g, law, seed, data):
+    # The operator that predicts a run is the run's own update: one matvec
+    # is one step, for time-invariant superposition and for classical.
+    x = np.random.default_rng(seed).uniform(-1.0, 1.0, g.n)
+    channel = ChannelModel(g, law, TIME_INVARIANT, seed)
+    config = ProtocolConfig("superposition", mixing=data.draw(mixing_weights(g.n)))
+    step = one_step(g, config, x, sample(channel, 0))
+    np.testing.assert_allclose(invariant_operator(g, channel, config).matvec(x), step, rtol=0.0, atol=1e-12)
+    config = ProtocolConfig("classical", step_size=data.draw(st.floats(0.01, 0.99)) * step_size_bound(g))
+    np.testing.assert_allclose(invariant_operator(g, None, config).matvec(x), one_step(g, config, x), rtol=0.0, atol=1e-12)
+
+
+@pytest.mark.parametrize(
+    "mode, config",
+    [
+        (IID_PER_STEP, ProtocolConfig("superposition", mixing=0.5)),
+        (IID_PER_STEP, ProtocolConfig("superposition", mixing=(0.2, 0.4, 0.6, 0.8))),
+        (IID_PER_STEP, NAIVE_CONFIG),
+        (TIME_INVARIANT, NAIVE_CONFIG),
+    ],
+)
+def test_no_invariant_operator_for_a_changing_or_naive_update(mode, config):
+    g = complete_graph(4)
+    assert invariant_operator(g, u010_channel(g, mode=mode), config) is None
 
 
 @settings(max_examples=100, deadline=None)
@@ -701,3 +730,7 @@ class TestVariantRules:
     def test_only_the_classical_variant_takes_no_channel(self):
         assert [protocol.takes_channel(v) for v in protocol.VARIANTS] == [True, False, True]
         assert protocol.VARIANTS == tuple(protocol.PARAMETERS)
+
+    def test_parameters_name_each_variants_field(self):
+        assert protocol.PARAMETERS == {"superposition": "mixing", "classical": "step_size", "naive": None}
+        assert protocol.VARIANTS == tuple(protocol.RULES)
