@@ -274,10 +274,10 @@ def monte_carlo(
     ``non_converged`` and still reported, never dropped.
 
     Replicates advance together, in blocks whose states and coefficients
-    hold at most ``MC_BLOCK_ELEMENTS`` floats each (``block_sizes``). The
-    run seeds and the words their channel generators are seeded with are
-    each computed for all replicates in one pass; a block's generators are
-    built when the block starts, so set-up and memory stay flat. Every replicate's
+    hold at most ``MC_BLOCK_ELEMENTS`` floats each. The run seeds and the
+    words their channel generators are seeded with are each computed for
+    all replicates in one pass; a block's generators are built when the
+    block starts, so set-up and memory stay flat. Every replicate's
     consensus value, step count and outcome equal, bit for bit, those of
     one ``run`` with its channel seed.
 
@@ -297,9 +297,10 @@ def monte_carlo(
     seeds = derive_seeds(channel.seed, range(runs)) if channel is not None else [0] * runs
     # With nothing drawn every replicate is the same run: advance one.
     distinct = runs if channel is not None else 1
-    sizes = block_sizes(distinct, max(topology.arc_weights.size, topology.n))
-    update = BlockUpdate(topology, protocol, rows=sizes[0])
-    streams = ChannelStreams.blocks(channel, seeds, sizes) if channel is not None else None
+    block = max(1, MC_BLOCK_ELEMENTS // max(topology.arc_weights.size, topology.n))
+    update = BlockUpdate(topology, protocol, rows=min(block, distinct))
+    streams = ChannelStreams.blocks(channel, seeds, block) if channel is not None else None
+    sizes = [min(block, distinct - start) for start in range(0, distinct, block)]
 
     def run_block(b: int) -> np.ndarray:
         """``(sizes[b], 3)`` consensus values, steps and outcomes of block ``b``."""
@@ -329,15 +330,6 @@ def monte_carlo(
         seeds=tuple(seeds),
         converged=tuple(converged),
     )
-
-
-def block_sizes(runs: int, width: int) -> list[int]:
-    """Sizes of the consecutive blocks ``runs`` replicates of ``width`` floats
-    each advance in: the fewest that hold ``MC_BLOCK_ELEMENTS`` floats (or
-    one replicate) each, the larger first, differing by at most one."""
-    count = -(-runs // max(1, MC_BLOCK_ELEMENTS // width))
-    size, larger = divmod(runs, count)
-    return [size + 1] * larger + [size] * (count - larger)
 
 
 def _cpu_count() -> int:

@@ -297,17 +297,16 @@ class ChannelStreams:
         self._start(model, _stream_words(seeds))
 
     @classmethod
-    def blocks(cls, model: ChannelModel, seeds: Sequence[int], sizes: Sequence[int]) -> Callable[[int], "ChannelStreams"]:
-        """Random access to the blocks of a batch, ``sizes[b]`` consecutive
-        seeds each: the returned function maps ``b`` to the ``ChannelStreams``
-        of block ``b``'s seeds. The seeds are replayed once, here, and a
-        block's generators are built when it is asked for."""
+    def blocks(cls, model: ChannelModel, seeds: Sequence[int], size: int) -> Callable[[int], "ChannelStreams"]:
+        """Random access to the blocks of a batch: the returned function maps
+        ``b`` to ``ChannelStreams(model, seeds[b * size : (b + 1) * size])``.
+        The seeds are replayed once, here, and a block's generators are
+        built when it is asked for."""
         words = _stream_words(seeds)
-        starts = np.cumsum([0, *sizes])
 
         def block(b: int) -> ChannelStreams:
             streams = cls.__new__(cls)
-            streams._start(model, words[starts[b] : starts[b + 1]])
+            streams._start(model, words[b * size : (b + 1) * size])
             return streams
 
         return block

@@ -251,11 +251,9 @@ def _parse_protocol(section, topology, problems):
     except ValueError as exc:
         problems.extend(f"protocol.{line}" for line in str(exc).splitlines())
     # The topology checks run whatever the protocol's own values are, so
-    # that every violated constraint is named; a built protocol's
-    # parameter is not checked again.
+    # that every violated constraint is named.
     if topology is not None:
-        needs = topology_problems(topology, *values) if protocol is None else protocol.graph_problems(topology)
-        for field, message in needs:
+        for field, message in topology_problems(topology, *values):
             problems.append(f"protocol.{field}: {message}" if field else f"topology: {message}")
     return protocol, section.get("variant")
 

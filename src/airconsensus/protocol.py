@@ -2,25 +2,20 @@
 
 Three update laws, one rule class each in ``RULES`` (``Superposition``,
 ``Classical``, ``Naive``), over one block update and one run loop. A rule
-class holds all of its variant's rules: its parameter (checked as a
+holds all of its variant's rules: its parameter (checked as a
 ``ProtocolConfig`` is built), its needs of the graph
 (``topology_problems``), whether it reads a channel (``takes_channel``),
-drawn by ``advance`` once or at every step by its mode, its step and its
-prediction (``invariant_operator``). Nothing else branches on a variant,
-so a new variant is one more rule class in ``RULES``.
+its step and its prediction (``invariant_operator``). Nothing else
+branches on a variant, so a new variant is one more rule class in ``RULES``.
 Each step costs O(|E|): all three are the same gather/multiply/bincount
-over the arc list (``BlockUpdate``). ``effective_operator`` holds the
-superposition update as a ``linalg.ArcOperator``, the O(|E|) form the run
-predictions use; ``effective_matrix``, ``naive_matrix`` and
-``linalg.perron_matrix`` are the dense forms of such operators, for the
-analysis and eigen paths.
+over the arc list (``BlockUpdate``). ``effective_operator`` is the
+superposition update as a ``linalg.ArcOperator``, the form the run
+predictions use; ``effective_matrix`` and ``naive_matrix`` are dense forms.
 ``advance`` steps a block of R independent states held as one (R, n)
 array; Monte Carlo uses blocks of many. ``record_run`` is a block of one
-that buffers its states a chunk of whole steps at a time, hands each
-chunk to a callback and folds it into the ``RunAggregates`` that
-``analysis.summarize_run`` reads, so a run whose states are streamed
-elsewhere holds O(n + steps) floats. ``run``'s ``Trace`` is those
-aggregates plus the whole history as one (steps + 1, n) array.
+that hands its states out a chunk of whole steps at a time and folds them
+into the ``RunAggregates`` that ``analysis.summarize_run`` reads; ``run``'s
+``Trace`` is those aggregates plus the whole (steps + 1, n) history.
 """
 
 from __future__ import annotations
@@ -73,19 +68,13 @@ def row_spreads(x: np.ndarray) -> np.ndarray:
 
 def resolve_mixing(mixing: Mixing, n: int) -> np.ndarray:
     """Broadcast a scalar mixing weight to all agents and validate (0, 1)."""
-    m = _agent_weights(mixing, n)
-    if not ((m > 0.0) & (m < 1.0)).all():
-        raise ValueError("every mixing weight must lie in the open interval (0, 1)")
-    return m
-
-
-def _agent_weights(mixing: Mixing, n: int) -> np.ndarray:
-    """``mixing`` as one float per agent, a scalar broadcast to all; only its length is checked."""
     m = np.asarray(mixing, dtype=float)
     if m.ndim == 0:
         m = np.full(n, float(m))
     if m.shape != (n,):
         raise ValueError(f"mixing must be a scalar or a length-{n} vector, got shape {m.shape}")
+    if not ((m > 0.0) & (m < 1.0)).all():
+        raise ValueError("every mixing weight must lie in the open interval (0, 1)")
     return m
 
 
@@ -118,32 +107,27 @@ def _checked_step_size(step_size) -> float:
 
 
 class Rule:
-    """One variant's rules. The class says what the variant takes and needs;
-    an instance holds the constants a ``BlockUpdate`` steps with, and its
-    ``step(x, received, *coefficients)`` is the update, ``received`` the
-    receiver sums of the states times the first coefficients (or the rule's
-    fixed arc ``weights``). By default a variant takes no parameter, needs
-    nothing of its graph, reads a channel and predicts nothing."""
+    """One variant's rules: the ``ProtocolConfig`` field of its one
+    ``parameter`` and that field's ``check``, its ``graph_problems`` (given
+    the parameter checked, or ``None``), whether it reads a channel, and its
+    predicting ``operator``. An instance holds the constants a
+    ``BlockUpdate`` steps with; ``step(x, received, *coefficients(values))``
+    is the update. By default a variant takes no parameter, needs nothing,
+    reads a channel and predicts nothing."""
 
-    parameter: Optional[str] = None  # the ``ProtocolConfig`` field of its one parameter
+    parameter: Optional[str] = None
     takes_channel = True
 
     @staticmethod
-    def check(value) -> object:
-        """The parameter as a ``ProtocolConfig`` holds it, or ``ValueError`` naming its field."""
-
-    @staticmethod
     def graph_problems(topology: WeightedDigraph, parameter) -> list[tuple]:
-        """``topology_problems``, the parameter checked already (``None`` if it failed)."""
         return []
 
     def coefficients(self, values: np.ndarray, arc_sums: Callable) -> tuple[np.ndarray, ...]:
-        """A step's arguments after the states, from ``(R, |E|)`` coefficients."""
         return (values,)
 
     @staticmethod
-    def operator(topology: WeightedDigraph, channel: Optional[ChannelModel], parameter) -> Optional[ArcOperator]:
-        """The fixed update that predicts a run (``invariant_operator``), or ``None``."""
+    def operator(topology: WeightedDigraph, channel: Optional[ChannelModel], protocol: ProtocolConfig) -> None:
+        return None
 
 
 class Superposition(Rule):
@@ -156,8 +140,8 @@ class Superposition(Rule):
     parameter = "mixing"
     check = staticmethod(_checked_mixing)
 
-    def __init__(self, topology: WeightedDigraph, mixing: Mixing) -> None:
-        self.mixing = _agent_weights(mixing, topology.n)
+    def __init__(self, topology: WeightedDigraph, protocol: ProtocolConfig) -> None:
+        self.mixing = resolve_mixing(protocol.mixing, topology.n)
 
     @staticmethod
     def graph_problems(topology: WeightedDigraph, mixing) -> list[tuple]:
@@ -177,8 +161,8 @@ class Superposition(Rule):
         return (1.0 - self.mixing) * x + self.mixing * (received / sums)
 
     @staticmethod
-    def operator(topology: WeightedDigraph, channel: ChannelModel, mixing: Mixing) -> Optional[ArcOperator]:
-        return effective_operator(sample(channel, 0), mixing) if channel.mode == TIME_INVARIANT else None
+    def operator(topology: WeightedDigraph, channel: ChannelModel, protocol: ProtocolConfig):
+        return effective_operator(sample(channel, 0), protocol.mixing) if channel.mode == TIME_INVARIANT else None
 
 
 class Classical(Rule):
@@ -189,8 +173,8 @@ class Classical(Rule):
     parameter, takes_channel = "step_size", False
     check = staticmethod(_checked_step_size)
 
-    def __init__(self, topology: WeightedDigraph, step_size: float) -> None:
-        perron = perron_operator(topology, step_size)
+    def __init__(self, topology: WeightedDigraph, protocol: ProtocolConfig) -> None:
+        perron = perron_operator(topology, protocol.step_size)
         self.diagonal, self.weights = perron.diagonal, perron.weights
 
     @staticmethod
@@ -211,8 +195,8 @@ class Classical(Rule):
         return self.diagonal * x + received
 
     @staticmethod
-    def operator(topology: WeightedDigraph, channel: None, step_size: float) -> ArcOperator:
-        return perron_operator(topology, step_size)
+    def operator(topology: WeightedDigraph, channel: None, protocol: ProtocolConfig) -> ArcOperator:
+        return perron_operator(topology, protocol.step_size)
 
 
 class Naive(Rule):
@@ -220,7 +204,7 @@ class Naive(Rule):
     for in-degree ``d``: not row-stochastic for general coefficients, so it
     fails; the baseline that motivates the two-signal scheme."""
 
-    def __init__(self, topology: WeightedDigraph, parameter: None) -> None:
+    def __init__(self, topology: WeightedDigraph, protocol: ProtocolConfig) -> None:
         self.shares = topology.in_degrees + 1.0
 
     def step(self, x: np.ndarray, received: np.ndarray, values: np.ndarray) -> np.ndarray:
@@ -269,15 +253,6 @@ class ProtocolConfig:
     def rule(self) -> type[Rule]:
         return RULES[self.variant]
 
-    @property
-    def parameter(self) -> object:
-        """The variant's checked parameter, ``None`` if it takes none."""
-        return self.rule.parameter and getattr(self, self.rule.parameter)
-
-    def graph_problems(self, topology: WeightedDigraph) -> list[tuple]:
-        """``topology_problems`` of this protocol, without checking its parameter again."""
-        return self.rule.graph_problems(topology, self.parameter)
-
 
 def topology_problems(topology: WeightedDigraph, variant, mixing=None, step_size=None) -> list[tuple]:
     """What a protocol of ``ProtocolConfig``'s arguments, valid or not, needs of
@@ -286,7 +261,7 @@ def topology_problems(topology: WeightedDigraph, variant, mixing=None, step_size
     invalid alone is passed over; a value that is no variant needs nothing."""
     rule = _rule(variant)
     try:
-        parameter = rule.check({"mixing": mixing, "step_size": step_size}.get(rule.parameter))
+        parameter = rule.parameter and rule.check({"mixing": mixing, "step_size": step_size}[rule.parameter])
     except ValueError:
         parameter = None
     return rule.graph_problems(topology, parameter)
@@ -379,7 +354,7 @@ class BlockUpdate:
 
     def __init__(self, topology: WeightedDigraph, protocol: ProtocolConfig, rows: int = 1):
         self.topology = topology
-        self.rule = protocol.rule(topology, protocol.parameter)
+        self.rule = protocol.rule(topology, protocol)
         self._out_degrees = np.bincount(topology.arc_cols, minlength=topology.n)
         self._index = (np.arange(rows)[:, None] * topology.n + topology.arc_rows).ravel()
 
@@ -492,7 +467,7 @@ def invariant_operator(
     predict a run, as an ``ArcOperator``: superposition over a
     time-invariant channel, or the classical Perron operator; else ``None``
     (the update changes every step, or is naive and not row-stochastic)."""
-    return protocol.rule.operator(topology, channel, protocol.parameter)
+    return protocol.rule.operator(topology, channel, protocol)
 
 
 def naive_matrix(r: ChannelRealization) -> np.ndarray:

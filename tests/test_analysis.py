@@ -387,9 +387,9 @@ def assert_matches_serial(topology, channel, protocol, x0, runs, **kwargs):
 class TestBatchedMonteCarloMatchesSerialRuns:
     @pytest.fixture(autouse=True)
     def small_blocks(self, monkeypatch):
-        # Blocks of at most 7 replicates on the complete 4-node graph (12
-        # arcs), 8 on the 10-arc presets and 1 on the complete 30-node one:
-        # runs span several blocks, of two sizes where the runs allow.
+        # Blocks of 7 replicates on the complete 4-node graph (12 arcs), and
+        # of a few replicates on the presets: runs span several blocks and
+        # the last block is partial.
         monkeypatch.setattr(analysis, "MC_BLOCK_ELEMENTS", 7 * 12)
 
     @pytest.mark.parametrize("name", PRESET_NAMES)
@@ -459,8 +459,8 @@ class TestBatchedMonteCarloMatchesSerialRuns:
 @pytest.mark.parametrize("mode", [IID_PER_STEP, TIME_INVARIANT])
 def test_monte_carlo_in_blocks_matches_one_block(monkeypatch, mode):
     # The seeds are replayed once for the batch and the generators built a
-    # block at a time: blocks of at most 3 replicates (the last two of 2)
-    # give the bytes of one block of 40.
+    # block at a time: blocks of 3 replicates (the last one partial) give
+    # the bytes of one block of 40.
     g = complete_graph(5)
     x0 = np.random.default_rng(66).uniform(0, 2 * np.pi, 5)
     args = (g, u010_channel(g, seed=2**64 + 9, mode=mode), ProtocolConfig("superposition", mixing=0.6), x0, 40)
@@ -477,22 +477,8 @@ def test_monte_carlo_in_blocks_matches_one_block(monkeypatch, mode):
     whole = monte_carlo(*args)
     monkeypatch.setattr(analysis, "MC_BLOCK_ELEMENTS", 3 * 20)
     split = monte_carlo(*args)
-    assert blocks == [40] + [3] * 12 + [2] * 2
+    assert blocks == [40] + [3] * 13 + [1]
     assert_same_result(split, whole)
-
-
-@pytest.mark.parametrize(
-    "runs, width, sizes",
-    [
-        (30, 2000, [15, 15]),  # mc-sparse: a 500-node ring plus 3 chords per node
-        (1000, 870, [36] * 20 + [35] * 8),  # mc-dense: the complete 30-node graph
-        (5, 870, [5]),  # fewer runs than a block holds
-        (10, analysis.MC_BLOCK_ELEMENTS // 4, [4, 3, 3]),  # a last block that cannot be whole
-        (3, 2 * analysis.MC_BLOCK_ELEMENTS, [1, 1, 1]),  # one replicate beyond the bound
-    ],
-)
-def test_block_sizes_split_a_batch_evenly(runs, width, sizes):
-    assert analysis.block_sizes(runs, width) == sizes
 
 
 def one_process(monkeypatch, *args, **kwargs):
@@ -541,8 +527,8 @@ MC_CASES = {
 @pytest.mark.parametrize("processes", [2, 3])
 @pytest.mark.parametrize("case", sorted(MC_CASES))
 def test_monte_carlo_processes_match_one_process(monkeypatch, forks, processes, case):
-    # Blocks of at most 5 replicates dealt over 2 or 3 processes: 23 and
-    # 21 runs in blocks of 5 and of 4, 25 in whole blocks of 5.
+    # Blocks of 5 replicates dealt over 2 or 3 processes; 23, 21 and 25
+    # runs end in a partial block or a whole one.
     mode, config, runs, kwargs = MC_CASES[case]
     g = complete_graph(4)
     x0 = np.random.default_rng(67).uniform(0, 2 * np.pi, 4)
@@ -632,8 +618,8 @@ def test_exception_in_a_fork_is_raised_here(monkeypatch, forks):
 
 
 def test_payload_beyond_the_pipe_buffer(monkeypatch, forks):
-    # 20000 runs on 6 arcs: blocks of 5000, the fork's two hold 10000
-    # replicates, 240 kB against a pipe buffer of 64 KiB.
+    # 20000 runs on 6 arcs: blocks of 5461, the fork's two hold 9078
+    # replicates, 218 kB against a pipe buffer of 64 KiB.
     g = complete_graph(3)
     args = (g, u010_channel(g, seed=13), ProtocolConfig("superposition", mixing=0.5), np.array([0.0, 1.0, 3.0]), 20000)
     want = one_process(monkeypatch, *args)
