@@ -23,7 +23,6 @@ from .protocol import (
     CONVERGED,
     DEFAULT_MAX_STEPS,
     DEFAULT_SPREAD_TOL,
-    BlockUpdate,
     ProtocolConfig,
     RunAggregates,
     _positive_row_sums,
@@ -298,7 +297,7 @@ def monte_carlo(
     # With nothing drawn every replicate is the same run: advance one.
     distinct = runs if channel is not None else 1
     block = max(1, MC_BLOCK_ELEMENTS // max(topology.arc_weights.size, topology.n))
-    update = BlockUpdate(topology, protocol, rows=min(block, distinct))
+    update = protocol.update(topology, rows=min(block, distinct))
     streams = ChannelStreams.blocks(channel, seeds, block) if channel is not None else None
     sizes = [min(block, distinct - start) for start in range(0, distinct, block)]
 

@@ -1,16 +1,15 @@
 """Consensus state machines.
 
 Three update laws, one rule class each in ``RULES`` (``Superposition``,
-``Classical``, ``Naive``), over one block update and one run loop. A rule
-holds all of its variant's rules: its parameter (checked as a
-``ProtocolConfig`` is built), its needs of the graph
-(``topology_problems``), whether it reads a channel (``takes_channel``),
-its step and its prediction (``invariant_operator``). Nothing else
-branches on a variant, so a new variant is one more rule class in ``RULES``.
-Each step costs O(|E|): all three are the same gather/multiply/bincount
-over the arc list (``BlockUpdate``). ``effective_operator`` is the
-superposition update as a ``linalg.ArcOperator``, the form the run
-predictions use; ``effective_matrix`` and ``naive_matrix`` are dense forms.
+``Classical``, ``Naive``), over one run loop. A rule holds all of its
+variant's rules: its parameter (checked as a ``ProtocolConfig`` is built),
+its needs of the graph (``topology_problems``), whether it reads a channel
+(``takes_channel``), and, as an instance (``ProtocolConfig.update``), its
+update: the step of a block, O(|E|) by one gather/multiply/bincount over
+the arc list, and that step as a ``linalg.ArcOperator``, which predicts a
+run (``invariant_operator``) and gives ``effective_operator``,
+``effective_matrix`` and ``naive_matrix``. Nothing else branches on a
+variant, so a new variant is one more rule class in ``RULES``.
 ``advance`` steps a block of R independent states held as one (R, n)
 array; Monte Carlo uses blocks of many. ``record_run`` is a block of one
 that hands its states out a chunk of whole steps at a time and folds them
@@ -66,68 +65,59 @@ def row_spreads(x: np.ndarray) -> np.ndarray:
     return x.max(axis=1) - x.min(axis=1)
 
 
-def resolve_mixing(mixing: Mixing, n: int) -> np.ndarray:
-    """Broadcast a scalar mixing weight to all agents and validate (0, 1)."""
-    m = np.asarray(mixing, dtype=float)
-    if m.ndim == 0:
-        m = np.full(n, float(m))
-    if m.shape != (n,):
-        raise ValueError(f"mixing must be a scalar or a length-{n} vector, got shape {m.shape}")
-    if not ((m > 0.0) & (m < 1.0)).all():
-        raise ValueError("every mixing weight must lie in the open interval (0, 1)")
-    return m
-
-
 def _is_real(kind: type) -> bool:
     """Whether values of type ``kind`` are Python or numpy ints or floats, not bools."""
     return issubclass(kind, (int, float, np.integer, np.floating)) and not issubclass(kind, bool)
 
 
-def _checked_mixing(mixing) -> Mixing:
-    """A number in (0, 1) as a float, or a sequence of them as a tuple of floats."""
-    if _is_real(type(mixing)):
-        if not 0.0 < mixing < 1.0:
-            raise ValueError(f"mixing: must lie in the open interval (0, 1), got {mixing}")
-        return float(mixing)
-    sequence = isinstance(mixing, (list, tuple, np.ndarray)) and getattr(mixing, "ndim", 1) == 1
-    if sequence and all(map(_is_real, set(map(type, mixing)))):
-        if not all(0.0 < v < 1.0 for v in mixing):
-            raise ValueError("mixing: every per-agent weight must lie in the open interval (0, 1)")
-        return tuple(map(float, mixing))
-    raise ValueError("mixing: required number (or per-agent list) for the superposition variant")
-
-
-def _checked_step_size(step_size) -> float:
-    """A positive finite number as a float (NaN and ints beyond float range fail ``abs(x) <= max``)."""
-    if not (_is_real(type(step_size)) and abs(step_size) <= sys.float_info.max):
-        raise ValueError("step_size: required finite number for the classical variant")
-    if not step_size > 0:
-        raise ValueError(f"step_size: must be positive, got {step_size}")
-    return float(step_size)
-
-
 class Rule:
-    """One variant's rules: the ``ProtocolConfig`` field of its one
-    ``parameter`` and that field's ``check``, its ``graph_problems`` (given
-    the parameter checked, or ``None``), whether it reads a channel, and its
-    predicting ``operator``. An instance holds the constants a
-    ``BlockUpdate`` steps with; ``step(x, received, *coefficients(values))``
-    is the update. By default a variant takes no parameter, needs nothing,
-    reads a channel and predicts nothing."""
+    """One variant's rules: its one ``parameter``, a ``ProtocolConfig``
+    field, and that field's ``check``; its ``graph_problems`` (given the
+    parameter checked, or ``None``); ``takes_channel``; ``row_stochastic``.
+    By default: no parameter, no problems, a channel and row-stochastic.
+    An instance (``ProtocolConfig.update``) is the update of each row of an
+    ``(R, n)`` block of states, for blocks of up to ``rows`` rows: the
+    gather, product and receiver sums every variant shares, then its
+    ``step(x, received, *coefficients(values))``. ``operator(values)`` is
+    one step as an ``ArcOperator`` (``values`` ``None`` without a channel).
+
+    Row ``b`` of a block has coefficients in row ``b`` of an ``(R, |E|)``
+    array, or the rule's fixed arc ``weights``. Receiver sums come from one
+    ``np.bincount`` over the flat index ``b * n + arc_rows``, which visits
+    each row's arcs in arc order, so every row gets the same result, bit
+    for bit, as a block of one. A graph's arcs are sorted by transmitter,
+    so ``x[:, arc_cols]`` is each transmitter's state repeated over its
+    out-arcs, and ``np.repeat`` by the out-degrees, counted once here,
+    copies exactly those values.
+    """
 
     parameter: Optional[str] = None
-    takes_channel = True
+    takes_channel = row_stochastic = True
+
+    def __init__(self, topology: WeightedDigraph, protocol: ProtocolConfig, rows: int = 1):
+        self.topology = topology
+        self._out_degrees = np.bincount(topology.arc_cols, minlength=topology.n)
+        self._index = (np.arange(rows)[:, None] * topology.n + topology.arc_rows).ravel()
 
     @staticmethod
     def graph_problems(topology: WeightedDigraph, parameter) -> list[tuple]:
         return []
 
-    def coefficients(self, values: np.ndarray, arc_sums: Callable) -> tuple[np.ndarray, ...]:
+    def arc_sums(self, weights: np.ndarray) -> np.ndarray:
+        """``(R, n)`` per-receiver sums of an ``(R, |E|)`` array of arc weights."""
+        rows, n = len(weights), self.topology.n
+        sums = np.bincount(self._index[: weights.size], weights=weights.ravel(), minlength=rows * n)
+        return sums.reshape(rows, n)
+
+    def coefficients(self, values: np.ndarray) -> tuple[np.ndarray, ...]:
+        """Per-step arguments of ``step`` for an ``(R, |E|)`` coefficient
+        array: the coefficients, and what the rule derives from them."""
         return (values,)
 
-    @staticmethod
-    def operator(topology: WeightedDigraph, channel: Optional[ChannelModel], protocol: ProtocolConfig) -> None:
-        return None
+    def __call__(self, x: np.ndarray, *coefficients: np.ndarray) -> np.ndarray:
+        weighted = np.repeat(x, self._out_degrees, axis=1)
+        weighted *= coefficients[0] if coefficients else self.weights
+        return self.step(x, self.arc_sums(weighted), *coefficients)
 
 
 class Superposition(Rule):
@@ -138,31 +128,54 @@ class Superposition(Rule):
     coefficients do, and fixed over a time-invariant channel."""
 
     parameter = "mixing"
-    check = staticmethod(_checked_mixing)
 
-    def __init__(self, topology: WeightedDigraph, protocol: ProtocolConfig) -> None:
-        self.mixing = resolve_mixing(protocol.mixing, topology.n)
+    @staticmethod
+    def check(mixing) -> Mixing:
+        """A number in (0, 1) (a 0-d array too) as a float, or a sequence of them as a tuple of floats."""
+        if isinstance(mixing, np.ndarray) and mixing.ndim == 0:
+            mixing = mixing[()]
+        if _is_real(type(mixing)):
+            if not 0.0 < mixing < 1.0:
+                raise ValueError(f"mixing: must lie in the open interval (0, 1), got {mixing}")
+            return float(mixing)
+        sequence = isinstance(mixing, (list, tuple, np.ndarray)) and getattr(mixing, "ndim", 1) == 1
+        if sequence and all(map(_is_real, set(map(type, mixing)))):
+            if not all(0.0 < v < 1.0 for v in mixing):
+                raise ValueError("mixing: every per-agent weight must lie in the open interval (0, 1)")
+            return tuple(map(float, mixing))
+        raise ValueError("mixing: required number (or per-agent list) for the superposition variant")
+
+    def __init__(self, topology: WeightedDigraph, protocol: ProtocolConfig, rows: int = 1):
+        super().__init__(topology, protocol, rows)
+        for field, message in self.length_problems(topology, protocol.mixing):
+            raise ValueError(f"{field}: {message}")
+        self.mixing = np.full(topology.n, protocol.mixing, dtype=float)
+
+    @staticmethod
+    def length_problems(topology: WeightedDigraph, mixing) -> list[tuple]:
+        if isinstance(mixing, tuple) and len(mixing) != topology.n:
+            return [("mixing", f"per-agent list must have length {topology.n}, got {len(mixing)}")]
+        return []
 
     @staticmethod
     def graph_problems(topology: WeightedDigraph, mixing) -> list[tuple]:
-        problems = []
-        if isinstance(mixing, tuple) and len(mixing) != topology.n:
-            problems.append(("mixing", f"per-agent list must have length {topology.n}, got {len(mixing)}"))
+        problems = Superposition.length_problems(topology, mixing)
         if not is_strongly_connected(topology):
             problems.append((None, f"must be strongly connected for the {SUPERPOSITION} variant"))
         if not topology.in_degrees.all():
             problems.append((None, f"every node needs an in-neighbor for the {SUPERPOSITION} variant"))
         return problems
 
-    def coefficients(self, values: np.ndarray, arc_sums: Callable) -> tuple[np.ndarray, ...]:
-        return values, _positive(arc_sums(values))
+    def coefficients(self, values: np.ndarray) -> tuple[np.ndarray, ...]:
+        return values, _positive(self.arc_sums(values))
 
     def step(self, x: np.ndarray, received: np.ndarray, values: np.ndarray, sums: np.ndarray) -> np.ndarray:
         return (1.0 - self.mixing) * x + self.mixing * (received / sums)
 
-    @staticmethod
-    def operator(topology: WeightedDigraph, channel: ChannelModel, protocol: ProtocolConfig):
-        return effective_operator(sample(channel, 0), protocol.mixing) if channel.mode == TIME_INVARIANT else None
+    def operator(self, values: np.ndarray) -> ArcOperator:
+        rows = self.topology.arc_rows
+        shares = (self.mixing[rows] * values) / self.coefficients(values[None])[1][0][rows]
+        return ArcOperator(1.0 - self.mixing, rows, self.topology.arc_cols, shares)
 
 
 class Classical(Rule):
@@ -171,11 +184,20 @@ class Classical(Rule):
     reads no channel, and its Perron operator is the same every step."""
 
     parameter, takes_channel = "step_size", False
-    check = staticmethod(_checked_step_size)
 
-    def __init__(self, topology: WeightedDigraph, protocol: ProtocolConfig) -> None:
-        perron = perron_operator(topology, protocol.step_size)
-        self.diagonal, self.weights = perron.diagonal, perron.weights
+    @staticmethod
+    def check(step_size) -> float:
+        """A positive finite number as a float (NaN and ints beyond float range fail ``abs(x) <= max``)."""
+        if not (_is_real(type(step_size)) and abs(step_size) <= sys.float_info.max):
+            raise ValueError("step_size: required finite number for the classical variant")
+        if not step_size > 0:
+            raise ValueError(f"step_size: must be positive, got {step_size}")
+        return float(step_size)
+
+    def __init__(self, topology: WeightedDigraph, protocol: ProtocolConfig, rows: int = 1):
+        super().__init__(topology, protocol, rows)
+        self.perron = perron_operator(topology, protocol.step_size)
+        self.weights = self.perron.weights
 
     @staticmethod
     def graph_problems(topology: WeightedDigraph, step_size) -> list[tuple]:
@@ -192,11 +214,10 @@ class Classical(Rule):
         return problems
 
     def step(self, x: np.ndarray, received: np.ndarray) -> np.ndarray:
-        return self.diagonal * x + received
+        return self.perron.diagonal * x + received
 
-    @staticmethod
-    def operator(topology: WeightedDigraph, channel: None, protocol: ProtocolConfig) -> ArcOperator:
-        return perron_operator(topology, protocol.step_size)
+    def operator(self, values: None) -> ArcOperator:
+        return self.perron
 
 
 class Naive(Rule):
@@ -204,11 +225,18 @@ class Naive(Rule):
     for in-degree ``d``: not row-stochastic for general coefficients, so it
     fails; the baseline that motivates the two-signal scheme."""
 
-    def __init__(self, topology: WeightedDigraph, protocol: ProtocolConfig) -> None:
+    row_stochastic = False
+
+    def __init__(self, topology: WeightedDigraph, protocol: ProtocolConfig, rows: int = 1):
+        super().__init__(topology, protocol, rows)
         self.shares = topology.in_degrees + 1.0
 
     def step(self, x: np.ndarray, received: np.ndarray, values: np.ndarray) -> np.ndarray:
         return (x + received) / self.shares
+
+    def operator(self, values: np.ndarray) -> ArcOperator:
+        rows = self.topology.arc_rows
+        return ArcOperator(1.0 / self.shares, rows, self.topology.arc_cols, values / self.shares[rows])
 
 
 #: Each variant's rule class: a new variant is one more.
@@ -228,20 +256,21 @@ class ProtocolConfig:
     """Which update law to run and its one parameter (``PARAMETERS``),
     checked by its rule when built; another variant's parameter may be
     ``None``. Bad fields raise one ``ValueError``, a line per field naming
-    it first."""
+    it first. ``update`` builds the rule's update on a graph."""
 
     variant: str
     mixing: Optional[Mixing] = None
     step_size: Optional[float] = None
 
     def __post_init__(self):
-        if _rule(self.variant) is Rule:
+        rule = _rule(self.variant)
+        if rule is Rule:
             raise ValueError(f"variant: must be one of {VARIANTS}, got {self.variant!r}")
         problems = []
         for field in self._fields[1:]:
-            if field == self.rule.parameter:
+            if field == rule.parameter:
                 try:
-                    object.__setattr__(self, field, self.rule.check(getattr(self, field)))
+                    object.__setattr__(self, field, rule.check(getattr(self, field)))
                 except ValueError as exc:
                     problems.append(str(exc))
             elif getattr(self, field) is not None:
@@ -249,9 +278,9 @@ class ProtocolConfig:
         if problems:
             raise ValueError("\n".join(problems))
 
-    @property
-    def rule(self) -> type[Rule]:
-        return RULES[self.variant]
+    def update(self, topology: WeightedDigraph, rows: int = 1) -> Rule:
+        """This protocol's update on ``topology``, for blocks of up to ``rows`` states."""
+        return RULES[self.variant](topology, self, rows)
 
 
 def topology_problems(topology: WeightedDigraph, variant, mixing=None, step_size=None) -> list[tuple]:
@@ -337,44 +366,6 @@ def _positive_row_sums(r: ChannelRealization) -> np.ndarray:
     return _positive(np.bincount(r.topology.arc_rows, weights=r.values, minlength=r.topology.n))
 
 
-class BlockUpdate:
-    """One update of a protocol applied to each row of an ``(R, n)`` block
-    of states, for blocks of up to ``rows`` rows: the gather, product and
-    receiver sums every variant shares, then its rule's ``step``.
-
-    Row ``b`` of a block has coefficients in row ``b`` of an ``(R, |E|)``
-    array, or the rule's fixed arc ``weights``. Receiver sums come from one
-    ``np.bincount`` over the flat index ``b * n + arc_rows``, which visits
-    each row's arcs in arc order, so every row gets the same result, bit
-    for bit, as a block of one. A graph's arcs are sorted by transmitter,
-    so ``x[:, arc_cols]`` is each transmitter's state repeated over its
-    out-arcs, and ``np.repeat`` by the out-degrees, counted once here,
-    copies exactly those values.
-    """
-
-    def __init__(self, topology: WeightedDigraph, protocol: ProtocolConfig, rows: int = 1):
-        self.topology = topology
-        self.rule = protocol.rule(topology, protocol)
-        self._out_degrees = np.bincount(topology.arc_cols, minlength=topology.n)
-        self._index = (np.arange(rows)[:, None] * topology.n + topology.arc_rows).ravel()
-
-    def arc_sums(self, weights: np.ndarray) -> np.ndarray:
-        """``(R, n)`` per-receiver sums of an ``(R, |E|)`` array of arc weights."""
-        rows, n = len(weights), self.topology.n
-        sums = np.bincount(self._index[: weights.size], weights=weights.ravel(), minlength=rows * n)
-        return sums.reshape(rows, n)
-
-    def coefficients(self, values: np.ndarray) -> tuple[np.ndarray, ...]:
-        """Per-step arguments of the update for an ``(R, |E|)`` coefficient
-        array: the coefficients, and what the rule derives from them."""
-        return self.rule.coefficients(values, self.arc_sums)
-
-    def __call__(self, x: np.ndarray, *coefficients: np.ndarray) -> np.ndarray:
-        weighted = np.repeat(x, self._out_degrees, axis=1)
-        weighted *= coefficients[0] if coefficients else self.rule.weights
-        return self.rule.step(x, self.arc_sums(weighted), *coefficients)
-
-
 @record
 class BlockResult:
     """Outcome of every row of a block: final states, steps taken, convergence."""
@@ -385,7 +376,7 @@ class BlockResult:
 
 
 def advance(
-    update: BlockUpdate,
+    update: Rule,
     x0: np.ndarray,
     streams: Optional[ChannelStreams],
     tol: float,
@@ -436,7 +427,7 @@ def step_superposition(x: np.ndarray, r: ChannelRealization, mixing: Mixing) -> 
     The ratio of the two received signals is a convex combination of the
     neighbors' states, so the update never leaves the hull of x.
     """
-    update = BlockUpdate(r.topology, ProtocolConfig(SUPERPOSITION, mixing=mixing))
+    update = ProtocolConfig(SUPERPOSITION, mixing=mixing).update(r.topology)
     return update(np.asarray(x, dtype=float)[None], *update.coefficients(r.values[None]))[0]
 
 
@@ -454,29 +445,28 @@ def effective_matrix(r: ChannelRealization, mixing: Mixing) -> np.ndarray:
 def effective_operator(r: ChannelRealization, mixing: Mixing) -> ArcOperator:
     """The superposition update of one realization as an ``ArcOperator``:
     diagonal ``1 - m_i`` and ``m_i * h_ij / sum_l h_il`` on each arc, O(|E|)."""
-    m = resolve_mixing(mixing, r.topology.n)
-    rows = r.topology.arc_rows
-    shares = (m[rows] * r.values) / _positive_row_sums(r)[rows]
-    return ArcOperator(1.0 - m, rows, r.topology.arc_cols, shares)
+    return ProtocolConfig(SUPERPOSITION, mixing=mixing).update(r.topology).operator(r.values)
 
 
 def invariant_operator(
     topology: WeightedDigraph, channel: Optional[ChannelModel], protocol: ProtocolConfig
 ) -> Optional[ArcOperator]:
     """The fixed update whose left Perron vector and subdominant modulus
-    predict a run, as an ``ArcOperator``: superposition over a
-    time-invariant channel, or the classical Perron operator; else ``None``
-    (the update changes every step, or is naive and not row-stochastic)."""
-    return protocol.rule.operator(topology, channel, protocol)
+    predict a run, as an ``ArcOperator``: a row-stochastic update whose
+    coefficients are fixed, read from no channel (classical) or a
+    time-invariant one; else ``None`` (the update changes every step, or
+    is naive and not row-stochastic)."""
+    update = protocol.update(topology)
+    if not update.row_stochastic or (channel is not None and channel.mode != TIME_INVARIANT):
+        return None
+    return update.operator(None if channel is None else sample(channel, 0).values)
 
 
 def naive_matrix(r: ChannelRealization) -> np.ndarray:
     """Update matrix of the naive scheme: average self with the raw received
     signal, diagonal ``1 / (d_i + 1)`` and ``h_ij / (d_i + 1)`` on arcs for
     in-degree ``d_i``. Not row-stochastic for general coefficients."""
-    shares = r.topology.in_degrees + 1.0
-    rows = r.topology.arc_rows
-    return ArcOperator(1.0 / shares, rows, r.topology.arc_cols, r.values / shares[rows]).dense()
+    return ProtocolConfig(NAIVE).update(r.topology).operator(r.values).dense()
 
 
 def validated_state(
@@ -557,7 +547,7 @@ def record_run(
 
     keep(x)
     result = advance(
-        BlockUpdate(topology, protocol),
+        protocol.update(topology),
         x,
         None if channel is None else ChannelStreams(channel, [channel.seed]),
         tol,

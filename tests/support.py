@@ -306,7 +306,7 @@ def take_block_step(topology, config, x, values=None):
         return perron.diagonal * x + per_receiver(weighted * perron.weights)
     received = per_receiver(weighted * values)
     if config.variant == protocol.SUPERPOSITION:
-        m = protocol.resolve_mixing(config.mixing, n)
+        m = np.asarray(config.mixing, dtype=float)
         return (1.0 - m) * x + m * (received / per_receiver(values))
     return (x + received) / (topology.in_degrees + 1.0)
 

@@ -1312,6 +1312,20 @@ def test_classical_montecarlo_outputs_match_golden_files(tmp_path):
         assert (tmp_path / name).read_bytes() == (GOLDEN_CLASSICAL / name).read_bytes(), name
 
 
+GOLDEN_NAIVE = Path(__file__).parent / "data" / "golden_naive_ring8_runs50"
+
+
+def test_naive_montecarlo_outputs_match_golden_files(tmp_path):
+    # The naive step on a ring under an i.i.d. U(0.5, 1.5) channel: every
+    # replicate runs to max_steps, with no warning.
+    argv = ["--config", str(GOLDEN_NAIVE / "scenario.json"), "--runs", "50"]
+    with warnings.catch_warnings():
+        warnings.simplefilter("error")
+        assert main(argv + ["--out-dir", str(tmp_path), "--quiet"]) == 0
+    for name in ("samples.csv", "summary.json"):
+        assert (tmp_path / name).read_bytes() == (GOLDEN_NAIVE / name).read_bytes(), name
+
+
 def test_golden_files_match_per_replicate_stream_reference():
     # Each golden replicate rerun alone on coefficients drawn straight from
     # the seed's PCG64DXSM stream, seeded through numpy's SeedSequence,
@@ -1324,7 +1338,7 @@ def test_golden_files_match_per_replicate_stream_reference():
         # In place of the replicate's ChannelStreams: the model and its draw.
         streams = SimpleNamespace(model=channel, draw=lambda k, active: stream_draw(channel, k)[None])
         result = protocol.advance(
-            protocol.BlockUpdate(cfg.topology, cfg.protocol),
+            cfg.protocol.update(cfg.topology),
             np.array(cfg.x0)[None],
             streams,
             cfg.tol,

@@ -144,8 +144,9 @@ class TestAgainstReference:
 
 
 class TestArcOrder:
-    # ``protocol.BlockUpdate`` gathers the transmitted states by runs of
-    # equal transmitters, which needs every builder's arc_cols non-decreasing.
+    # A protocol's update (a ``protocol.Rule`` instance) gathers the
+    # transmitted states by runs of equal transmitters, which needs every
+    # builder's arc_cols non-decreasing.
     @given(
         arc_lists(valid=True, max_n=12), st.randoms(use_true_random=False), st.integers(1, 40), st.floats(0.5, 10.0)
     )

@@ -27,14 +27,12 @@ from airconsensus.linalg import (
 from airconsensus.protocol import (
     CONVERGED,
     MAX_STEPS,
-    BlockUpdate,
     ProtocolConfig,
     effective_matrix,
     effective_operator,
     invariant_operator,
     naive_matrix,
     record_run,
-    resolve_mixing,
     run,
     spread,
     step_superposition,
@@ -57,7 +55,7 @@ NAIVE_CONFIG = ProtocolConfig("naive")
 def one_step(topology, config, x, r=None):
     """One update of ``config`` on the single state ``x``, through a block of one;
     ``r`` holds the channel coefficients of the superposition and naive variants."""
-    update = BlockUpdate(topology, config)
+    update = config.update(topology)
     coefficients = update.coefficients(r.values[None]) if r is not None else ()
     return update(np.asarray(x, dtype=float)[None], *coefficients)[0]
 
@@ -272,15 +270,22 @@ def test_arc_list_steps_match_dense_matrices(g, seed, k, data):
 @settings(max_examples=100, deadline=None)
 @given(g=strongly_connected_digraphs(), law=channel_laws(), seed=st.integers(0, 2**32 - 1), data=st.data())
 def test_invariant_operator_is_one_step_on_any_graph(g, law, seed, data):
-    # The operator that predicts a run is the run's own update: one matvec
-    # is one step, for time-invariant superposition and for classical.
+    # Every update's operator is its own step: for a drawn coefficient row
+    # (none for classical), one matvec is one block step, naive included.
+    # The operator that predicts a run is the run's own update: that of
+    # time-invariant superposition and of classical.
     x = np.random.default_rng(seed).uniform(-1.0, 1.0, g.n)
     channel = ChannelModel(g, law, TIME_INVARIANT, seed)
-    config = ProtocolConfig("superposition", mixing=data.draw(mixing_weights(g.n)))
-    step = one_step(g, config, x, sample(channel, 0))
-    np.testing.assert_allclose(invariant_operator(g, channel, config).matvec(x), step, rtol=0.0, atol=1e-12)
-    config = ProtocolConfig("classical", step_size=data.draw(st.floats(0.01, 0.99)) * step_size_bound(g))
-    np.testing.assert_allclose(invariant_operator(g, None, config).matvec(x), one_step(g, config, x), rtol=0.0, atol=1e-12)
+    r = sample(channel, 0)
+    superposition = ProtocolConfig("superposition", mixing=data.draw(mixing_weights(g.n)))
+    classical = ProtocolConfig("classical", step_size=data.draw(st.floats(0.01, 0.99)) * step_size_bound(g))
+    for config, realization in ((superposition, r), (NAIVE_CONFIG, r), (classical, None)):
+        operator = config.update(g).operator(None if realization is None else realization.values)
+        np.testing.assert_allclose(operator.matvec(x), one_step(g, config, x, realization), rtol=0.0, atol=1e-12)
+    step = one_step(g, superposition, x, r)
+    np.testing.assert_allclose(invariant_operator(g, channel, superposition).matvec(x), step, rtol=0.0, atol=1e-12)
+    step = one_step(g, classical, x)
+    np.testing.assert_allclose(invariant_operator(g, None, classical).matvec(x), step, rtol=0.0, atol=1e-12)
 
 
 @pytest.mark.parametrize(
@@ -364,7 +369,7 @@ def test_block_update_matches_the_take_reference(g, rows, spare, variant, seed, 
         config = ProtocolConfig(variant, step_size=data.draw(st.floats(0.01, 0.99)) * step_size_bound(g))
     else:
         config = NAIVE_CONFIG
-    update = BlockUpdate(g, config, rows=rows + spare)
+    update = config.update(g, rows=rows + spare)
     if variant == protocol.CLASSICAL:
         got, expected = update(x), take_block_step(g, config, x)
     else:
@@ -396,7 +401,7 @@ def test_dense_matrices_are_their_arc_operators(g, seed, per_agent, data):
         mixing = np.array(data.draw(st.lists(st.floats(0.05, 0.95), min_size=g.n, max_size=g.n)))
     else:
         mixing = data.draw(st.floats(0.05, 0.95))
-    m = resolve_mixing(mixing, g.n)
+    m = np.broadcast_to(np.asarray(mixing, dtype=float), g.n)
     sums = np.bincount(g.arc_rows, weights=r.values, minlength=g.n)
     expected = (m[:, None] * r.gains) / sums[:, None]
     np.fill_diagonal(expected, 1.0 - m)
@@ -416,6 +421,61 @@ def test_dense_matrices_are_their_arc_operators(g, seed, per_agent, data):
 
     for op in (effective_operator(r, mixing), perron_operator(g, step_size)):
         assert_same_operator(ArcOperator.from_dense(op.dense()), op)
+
+
+class TestMixingForms:
+    # A mixing weight reaches effective_matrix, step_superposition and run
+    # as a number (a float, a numpy float, a 0-d array) or as one weight per
+    # agent (a list, tuple or array); every form of the same weights gives
+    # the same bytes, those of the references in ``support``.
+    g = complete_graph(5)
+    channel = u010_channel(g, seed=7)
+    r = sample(channel, 3)
+    x = np.random.default_rng(1).uniform(0.0, 6.0, 5)
+    SCALARS = [0.3, np.float64(0.3), np.array(0.3)]
+    PER_AGENT = [[0.1, 0.2, 0.3, 0.4, 0.5], (0.1, 0.2, 0.3, 0.4, 0.5), np.array([0.1, 0.2, 0.3, 0.4, 0.5])]
+
+    def entry_points(self, mixing):
+        """The bytes of ``effective_matrix``, ``step_superposition`` and a 30-step ``run`` with ``mixing``."""
+        trace = run(self.g, self.channel, ProtocolConfig("superposition", mixing=mixing), self.x, max_steps=30)
+        return [
+            effective_matrix(self.r, mixing).tobytes(),
+            step_superposition(self.x, self.r, mixing).tobytes(),
+            trace.state_array().tobytes(),
+        ]
+
+    def references(self, mixing):
+        """The same three from the entrywise matrix and ``take_block_step``, for the float or tuple ``mixing``."""
+        config = ProtocolConfig("superposition", mixing=mixing)
+        m = np.broadcast_to(np.asarray(mixing, dtype=float), 5)
+        sums = np.bincount(self.g.arc_rows, weights=self.r.values, minlength=5)
+        matrix = (m[:, None] * self.r.gains) / sums[:, None]
+        np.fill_diagonal(matrix, 1.0 - m)
+        states = [self.x]
+        for k in range(30):
+            states.append(take_block_step(self.g, config, states[-1][None], sample(self.channel, k).values[None])[0])
+        step = take_block_step(self.g, config, self.x[None], self.r.values[None])[0]
+        return [matrix.tobytes(), step.tobytes(), np.array(states).tobytes()]
+
+    @pytest.mark.parametrize("forms", [SCALARS + [[0.3] * 5, (0.3,) * 5, np.full(5, 0.3)], PER_AGENT])
+    def test_every_form_gives_the_same_bytes(self, forms):
+        expected = self.references(ProtocolConfig("superposition", mixing=forms[0]).mixing)
+        for mixing in forms:
+            assert self.entry_points(mixing) == expected, type(mixing)
+
+    @pytest.mark.parametrize("length", [0, 1, 4])
+    @pytest.mark.parametrize("kind", [list, tuple, np.array])
+    def test_a_per_agent_list_of_another_length_is_rejected(self, kind, length):
+        # A length-1 list is no scalar: it is not broadcast to every agent.
+        mixing = kind([0.3] * length)
+        calls = [
+            lambda: effective_matrix(self.r, mixing),
+            lambda: step_superposition(self.x, self.r, mixing),
+            lambda: run(self.g, self.channel, ProtocolConfig("superposition", mixing=mixing), self.x, max_steps=30),
+        ]
+        for call in calls:
+            with pytest.raises(ValueError, match=f"mixing: per-agent list must have length 5, got {length}"):
+                call()
 
 
 class TestRun:

@@ -200,7 +200,7 @@ def advanced_states(cfg):
     states = [np.array(cfg.x0, dtype=float)]
     channel = cfg.channel
     protocol.advance(
-        protocol.BlockUpdate(cfg.topology, cfg.protocol),
+        cfg.protocol.update(cfg.topology),
         states[0][None],
         None if channel is None else ChannelStreams(channel, [channel.seed]),
         cfg.tol,
