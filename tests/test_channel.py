@@ -1,20 +1,17 @@
+import json
 import math
-import os
-import subprocess
-import sys
-from pathlib import Path
 
 import numpy as np
 import pytest
 from hypothesis import assume, example, given, settings
 from hypothesis import strategies as st
 
-import airconsensus
 from airconsensus.channel import (
     _CHANNEL_STREAM,
     IID_PER_STEP,
     LAWS as LAW_CLASSES,
     MODES,
+    REPLAY_ARCS,
     TIME_INVARIANT,
     ChannelModel,
     ChannelStreams,
@@ -26,9 +23,9 @@ from airconsensus.channel import (
     derive_seeds,
     sample,
 )
-from airconsensus.graph import complete_graph, graph_from_arcs
+from airconsensus.graph import complete_graph, graph_from_arcs, ring_graph
 from airconsensus.records import replace
-from support import child_seed, generator_uniform_draw, stream, stream_draw, strongly_connected_digraphs
+from support import child_seed, generator_uniform_draw, run_child, stream, stream_draw, strongly_connected_digraphs
 
 
 def u010_model(topology, mode=IID_PER_STEP, seed=42):
@@ -81,6 +78,8 @@ class TestLaws:
             ConstantLaw(value)
 
     @settings(max_examples=200, deadline=None)
+    @example(law=UniformLaw(0.0, 10.0), seed=2**64 - 1, size=REPLAY_ARCS)
+    @example(law=UniformLaw(0.0, 10.0), seed=0, size=REPLAY_ARCS + 1)
     @given(law=uniform_laws(), seed=st.integers(0, 2**64 - 1), size=st.integers(0, 300))
     def test_uniform_draw_matches_generator_uniform(self, law, seed, size):
         # A time-invariant draw redraws its zeros right after its fill.
@@ -237,15 +236,60 @@ def test_seed_replay_matches_seed_sequence(base, keys, seeds):
         assert rng.bit_generator.state == stream(seed).bit_generator.state
 
 
+# ``main`` on ``argv[2:]`` in a fresh interpreter, after importing
+# numpy.random if ``argv[1]`` is "preload": prints the exit code and which
+# of numpy.random and OpenSSL's _hashlib (loaded through it) are loaded.
+CLI_IMPORTS = """
+import sys
+if sys.argv[1] == "preload":
+    import numpy.random
+from airconsensus.cli import main
+print(main(sys.argv[2:]), "numpy.random" in sys.modules, "_hashlib" in sys.modules)
+"""
+
+
+def cli_document(topology, mode=TIME_INVARIANT):
+    """A superposition scenario on ``topology`` with an explicit initial state."""
+    return {
+        "topology": topology,
+        "channel": {"law": {"kind": "uniform", "lo": 0.0, "hi": 10.0}, "mode": mode},
+        "protocol": {"variant": "superposition", "mixing": 0.5},
+        "initial_state": {"kind": "explicit", "values": [float(i % 5) for i in range(topology["n"])]},
+        "seed": 4,
+    }
+
+
 @pytest.mark.skipif(np.lib.NumpyVersion(np.__version__) < "2.0.0", reason="numpy 1 imports numpy.random eagerly")
-def test_importing_the_cli_leaves_numpy_random_unloaded():
-    # numpy 2 loads numpy.random on first use; the seeding shim is built on
-    # first draw, so a run that draws nothing does not pay for the import.
-    src = str(Path(airconsensus.__file__).resolve().parents[1])
-    env = dict(os.environ, PYTHONPATH=os.pathsep.join([src, os.environ.get("PYTHONPATH", "")]))
-    code = "import sys, airconsensus.cli; print('numpy.random' in sys.modules)"
-    out = subprocess.run([sys.executable, "-c", code], env=env, capture_output=True, text=True, check=True)
-    assert out.stdout == "False\n"
+def test_importing_the_cli_leaves_numpy_random_unloaded(tmp_path):
+    # numpy 2 loads numpy.random on first use; the seeding shim is built
+    # with the first generator, so a run that draws nothing does not pay
+    # for the import, nor does a single time-invariant run of at most
+    # REPLAY_ARCS arcs, which replays its draw without a generator.
+    assert run_child("import sys, airconsensus.cli; print('numpy.random' in sys.modules)").stdout == "False\n"
+    arcs = [[j, j % 6 + 1, 1.0] for j in range(1, 7)] + [[1, 4, 2.0], [5, 2, 0.5]]
+    small = tmp_path / "small.json"
+    small.write_text(json.dumps(cli_document({"kind": "custom", "n": 6, "arcs": arcs})))
+
+    def cli(preload, config, *options):
+        out = tmp_path / f"{config.stem}-{preload}-{len(options)}"
+        argv = ["--config", str(config), "--quiet", "--out-dir", str(out), *options]
+        code, *loaded = run_child(CLI_IMPORTS, preload, *argv).stdout.split()
+        return code, loaded, [(out / name).read_bytes() for name in sorted(p.name for p in out.iterdir())]
+
+    code, loaded, files = cli("none", small)
+    assert (code, loaded) == ("0", ["False", "False"])
+    assert cli("preload", small) == ("0", ["True", "True"], files)
+    assert cli("none", small, "--runs", "2")[1][0] == "True"
+    iid = tmp_path / "iid.json"
+    iid.write_text(json.dumps(cli_document({"kind": "custom", "n": 6, "arcs": arcs}, IID_PER_STEP)))
+    assert cli("none", iid)[1][0] == "True"
+    # A complete graph of n nodes has n (n - 1) arcs, above the bound here.
+    n = math.isqrt(REPLAY_ARCS) + 2
+    large = tmp_path / "large.json"
+    large.write_text(json.dumps(cli_document({"kind": "complete", "n": n})))
+    assert cli("none", large)[1][0] == "True"
+
+
 STEPS = st.one_of(st.sampled_from([0, 1, 2, 2**32, 2**64 - 1]), st.integers(0, 40), st.integers(0, 2**64 - 1))
 # Rows drawn at each step: all of them (None) or a subset in any order.
 ROW_SUBSETS = st.one_of(st.none(), st.lists(st.integers(0, 5), unique=True))
@@ -261,6 +305,33 @@ SUBNORMAL = UniformLaw(0.0, 1.5e-323)
 @example(
     seeds=[7, 2**64], steps=[0, 5, 0], subsets=[None, [1], None],
     mode=TIME_INVARIANT, law=SUBNORMAL, topology=complete_graph(4),
+)
+# A time-invariant block of one seed replays its draw up to REPLAY_ARCS
+# arcs, and above them draws from numpy's generator; a subnormal width
+# sends replayed rows back to the generator.
+@example(
+    seeds=[0], steps=[0, 2**64 - 1, 3], subsets=[None, [0], []],
+    mode=TIME_INVARIANT, law=UniformLaw(0.0, 10.0), topology=ring_graph(REPLAY_ARCS),
+)
+@example(
+    seeds=[2**32 - 1], steps=[5, 0], subsets=[[0], None],
+    mode=TIME_INVARIANT, law=UniformLaw(0.0, 10.0), topology=ring_graph(REPLAY_ARCS + 1),
+)
+@example(
+    seeds=[2**64 - 1], steps=[1, 1], subsets=[None, None],
+    mode=TIME_INVARIANT, law=UniformLaw(2.5, 3.0), topology=ring_graph(REPLAY_ARCS),
+)
+@example(
+    seeds=[2**200], steps=[2**32, 0], subsets=[None, [0]],
+    mode=TIME_INVARIANT, law=UniformLaw(0.0, 10.0), topology=ring_graph(REPLAY_ARCS + 1),
+)
+@example(
+    seeds=[2**64], steps=[0, 4, 0], subsets=[None, [0], None],
+    mode=TIME_INVARIANT, law=SUBNORMAL, topology=complete_graph(4),
+)
+@example(
+    seeds=[0], steps=[2], subsets=[None],
+    mode=TIME_INVARIANT, law=SUBNORMAL, topology=ring_graph(REPLAY_ARCS),
 )
 @given(
     seeds=st.lists(

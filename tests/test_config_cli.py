@@ -17,7 +17,7 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from airconsensus import analysis, cli, config, linalg, protocol
-from airconsensus.channel import LAWS, ChannelRealization, sample
+from airconsensus.channel import LAWS, ChannelRealization
 from airconsensus.cli import INTERNAL_ERROR, MAX_RUNS, main
 from airconsensus.config import MAX_ARCS, ConfigError, PRESET_NAMES, override_seed, parse_config, preset
 from airconsensus.protocol import CONVERGED, ProtocolConfig, Trace, run
@@ -1027,10 +1027,10 @@ def test_classical_run_keeps_below_dense_memory():
 
 def test_prediction_keeps_below_dense_memory():
     # An n x n float array at n = 1000 is 8 MB; the solves hold about
-    # 1 kB per node (Krylov basis and temporaries). The first sample loads
-    # numpy.random, whose import is not prediction work.
+    # 1 kB per node (Krylov basis and temporaries). The time-invariant draw
+    # of the 4000 arcs is counted too: it replays the channel generator in
+    # Python ints (about 0.5 MB while it runs) and imports nothing.
     cfg = parse_config(ring_with_chords_doc(1000, 3, 5))
-    sample(cfg.channel, 0)
     tracemalloc.start()
     try:
         predicted, rate = cli._predictions(cfg)
