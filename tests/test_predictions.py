@@ -42,12 +42,46 @@ RATE_REL_TOL = 1e-10
 RATE_ABS_FLOOR = 1e-14
 
 
-def assert_matches_dense(D, op, x0):
+def rate_tolerance(D):
+    """The gate on the second eigenvalue modulus of ``D``: the relative gate
+    plus its floor, widened to twice the distance the dense reference itself
+    may move that modulus. To first order an eigenvalue moves by its
+    condition number ``|x| |y| / |y' x|`` times the eigen-solver's backward
+    error, here taken as ``n eps |D|``; every eigenvalue but the Perron one
+    that could so reach the second modulus counts. A defective or nearly
+    defective eigenvalue has a condition number of 1/sqrt(eps) or more, and
+    there the first-order bound fails; Elsner's bound ``(2 |D|)^(1 - 1/n)
+    (n eps |D|)^(1/n)``, which holds for every eigenvalue of every matrix,
+    caps it. Any backward-stable method, the dense reference included, moves
+    a defective double eigenvalue by about sqrt(eps), which no gate of 1e-10
+    resolves (see ``test_defective_second_eigenvalue_is_resolved_to_sqrt_eps``)."""
+    n = len(D)
+    lam, V = np.linalg.eig(D)
+    rest = np.delete(np.arange(n), np.argmin(np.abs(lam - 1.0)))
+    moduli = np.abs(lam[rest])
+    rate = moduli.max()
+    norm = np.linalg.norm(D, 2)
+    backward = n * np.finfo(float).eps * norm
+    elsner = (2.0 * norm) ** (1.0 - 1.0 / n) * backward ** (1.0 / n)
+    try:
+        first_order = np.linalg.norm(V, axis=0) * np.linalg.norm(np.linalg.inv(V), axis=1) * backward
+    except np.linalg.LinAlgError:
+        first_order = np.full(n, np.inf)
+    radius = np.minimum(first_order[rest], elsner)
+    return max(RATE_REL_TOL * rate + RATE_ABS_FLOOR, 2.0 * radius[moduli + radius >= rate].max())
+
+
+def assert_matches_dense(D, op, x0, rate_tol=None):
+    """The consensus value of both forms within ``VALUE_TOL`` and the
+    matrix-free rate within ``rate_tol`` (by default the plain gate) of the
+    dense references."""
     reference = float(dominant_left_eigenvector(D).left_vector @ x0)
     assert abs(predicted_consensus(op, x0) - reference) <= VALUE_TOL
     assert abs(predicted_consensus(D, x0) - reference) <= VALUE_TOL
     rate = second_eigenvalue_modulus(D)
-    assert abs(subdominant_modulus(op) - rate) <= RATE_REL_TOL * rate + RATE_ABS_FLOOR
+    if rate_tol is None:
+        rate_tol = RATE_REL_TOL * rate + RATE_ABS_FLOOR
+    assert abs(subdominant_modulus(op) - rate) <= rate_tol
 
 
 def ti_channel(g, seed):
@@ -128,37 +162,15 @@ def few_eigenvalue_updates(draw):
     return effective_matrix(r, mixing), effective_operator(r, mixing)
 
 
-def rate_resolvable(pair):
-    """True iff the dense reference fixes ``D``'s second eigenvalue modulus
-    to within half the rate gate. To first order an eigenvalue moves by its
-    condition number ``|x| |y| / |y' x|`` times the eigen-solver's backward
-    error, here taken as ``n eps |D|``; every eigenvalue but the Perron one
-    that could so reach the second modulus counts. A defective or nearly
-    defective eigenvalue has a condition number of 1/sqrt(eps) or more and
-    moves by about sqrt(eps) under any backward-stable method, the dense
-    reference included, which no gate of 1e-10 resolves (see
-    ``test_defective_second_eigenvalue_is_resolved_to_sqrt_eps``)."""
-    D = pair[0]
-    lam, V = np.linalg.eig(D)
-    try:
-        W = np.linalg.inv(V)
-    except np.linalg.LinAlgError:
-        return False
-    condition = np.linalg.norm(V, axis=0) * np.linalg.norm(W, axis=1)
-    radius = condition * len(D) * np.finfo(float).eps * np.linalg.norm(D, 2)
-    rest = np.delete(np.arange(len(D)), np.argmin(np.abs(lam - 1.0)))
-    moduli = np.abs(lam[rest])
-    rate = moduli.max()
-    contenders = radius[rest][moduli + radius[rest] >= rate]
-    return bool(2.0 * contenders.max() <= RATE_REL_TOL * rate + RATE_ABS_FLOOR)
-
-
 @settings(max_examples=150, deadline=None)
-@given(pair=update_matrices().filter(rate_resolvable) | few_eigenvalue_updates(), seed=st.integers(0, 2**32 - 1))
-def test_predictions_match_dense_references(pair, seed):
-    D, op = pair
+@given(generic=st.booleans(), data=st.data(), seed=st.integers(0, 2**32 - 1))
+def test_predictions_match_dense_references(generic, data, seed):
+    # A generic draw may have a defective second eigenvalue, which the dense
+    # reference resolves only to ``rate_tolerance``; the few-eigenvalue
+    # draws have semisimple spectra and keep the plain gate.
+    D, op = data.draw(update_matrices() if generic else few_eigenvalue_updates())
     x0 = np.random.default_rng(seed).uniform(0, 2 * np.pi, len(D))
-    assert_matches_dense(D, op, x0)
+    assert_matches_dense(D, op, x0, rate_tolerance(D) if generic else None)
 
 
 def test_defective_second_eigenvalue_is_resolved_to_sqrt_eps():
@@ -166,17 +178,17 @@ def test_defective_second_eigenvalue_is_resolved_to_sqrt_eps():
     # is double with one eigenvector (D - 0.75 I has rank 2). In floating
     # point it splits into 0.75 +- 1.29e-9; the larger modulus below is
     # that of the stored D, found with 50-digit arithmetic. Both the dense
-    # reference and Arnoldi land within sqrt(eps) of it, not within 1e-10.
+    # reference and Arnoldi land within sqrt(eps) of it, not within 1e-10;
+    # the rate gate widens to Elsner's bound, 2.8e-5 here.
     D = np.array([[0.85, 0.0, 0.15], [0.1, 0.9, 0.0], [0.1, 0.15, 0.75]])
     op = ArcOperator.from_dense(D)
     exact = 0.75000000129047841453100396189890007
+    sqrt_eps = np.sqrt(np.finfo(float).eps)
     assert np.linalg.matrix_rank(D - 0.75 * np.eye(3)) == 2
-    assert not rate_resolvable((D, op))
-    assert abs(second_eigenvalue_modulus(D) - exact) <= np.sqrt(np.finfo(float).eps)
-    assert abs(subdominant_modulus(op) - exact) <= np.sqrt(np.finfo(float).eps)
-    x0 = np.array([4.0, 1.7, 0.25])
-    reference = float(dominant_left_eigenvector(D).left_vector @ x0)
-    assert abs(predicted_consensus(op, x0) - reference) <= VALUE_TOL
+    assert RATE_REL_TOL * exact + RATE_ABS_FLOOR < rate_tolerance(D) < 1e-4
+    assert abs(second_eigenvalue_modulus(D) - exact) <= sqrt_eps
+    assert abs(subdominant_modulus(op) - exact) <= sqrt_eps
+    assert_matches_dense(D, op, np.array([4.0, 1.7, 0.25]), rate_tolerance(D))
 
 
 @settings(max_examples=40, deadline=None)
