@@ -282,10 +282,10 @@ def monte_carlo(
 
     The blocks are dealt round-robin over one process per CPU this
     process may run on (``_processes``): forked copies of this process
-    run theirs and send back each replicate's outcome as float64 bytes,
-    and the results are placed by block index, so they are the same for
-    any number of processes. If a forked process fails, its blocks are
-    run here, in block order, so a block that raises raises here.
+    run theirs and write each replicate's outcome into one table shared
+    with this process, at its block's rows, so the results are the same
+    for any number of processes. If a forked process fails, its blocks
+    are run here, in block order, so a block that raises raises here.
 
     Sums are accumulated with exact (compensated) summation so the
     statistics do not depend on aggregation order.
@@ -359,105 +359,70 @@ def _run_blocks(run_block: Callable[[int], np.ndarray], sizes: Sequence[int]) ->
     """``run_block(b)``, a ``(sizes[b], 3)`` float64 array, for every block
     ``b``, stacked in block order.
 
-    Block ``b`` runs in process ``b % P`` of ``P = _processes(len(sizes))``:
-    process 0 is this one, and each other a fork that sends its blocks'
-    rows as one payload through a pipe. The blocks of a fork that cannot
-    be started, exits non-zero or sends a short payload are run here, in
-    block order. If this process raises, every fork is killed and reaped.
+    The rows are written in place into one table in an anonymous shared
+    mapping, at each block's offset, so every process that forks from here
+    writes into the same table. Block ``b`` runs in process ``b % P`` of
+    ``P = _processes(len(sizes))``: process 0 is this one, and each other a
+    fork whose exit code 0 says that all its blocks' rows are written. The
+    blocks of a fork that cannot be started or exits non-zero are run here,
+    in block order, over whatever it wrote. If this process raises, every
+    fork is killed and reaped.
     """
+    import mmap  # imported only here, as SIGKILL is below
+
     count = len(sizes)
     processes = _processes(count)
-    outcomes: list[Optional[np.ndarray]] = [None] * count
-    forks: list[tuple[int, int, range]] = []  # pid, read end of its pipe, its blocks
+    starts = np.cumsum([0, *sizes]).tolist()  # block b's rows are starts[b]:starts[b + 1]
+    table = np.frombuffer(mmap.mmap(-1, 24 * starts[-1]), dtype=np.float64).reshape(-1, 3)
+
+    def fill(b: int) -> None:
+        table[starts[b] : starts[b + 1]] = run_block(b)
+
+    parent = os.getpid()
+    forks: list[tuple[int, range]] = []  # pid, its blocks
     failed: list[int] = []
     try:
         for p in range(1, processes):
             blocks = range(p, count, processes)
             try:
-                forks.append((*_fork(run_block, blocks, [read for _, read, _ in forks]), blocks))
-            except OSError:  # no process or pipe to spare
-                failed += blocks
-        for b in range(0, count, processes):
-            outcomes[b] = run_block(b)
-        while forks:
-            pid, read, blocks = forks[-1]
-            table = np.empty((sum(sizes[b] for b in blocks), 3))
-            whole = _read_exactly(read, table)
-            status = os.waitpid(pid, 0)[1]
-            forks.pop()
-            os.close(read)
-            if os.waitstatus_to_exitcode(status) != 0 or not whole:
+                pid = os.fork()
+            except OSError:  # no process to spare
                 failed += blocks
                 continue
-            at = 0
-            for b in blocks:
-                outcomes[b], at = table[at : at + sizes[b]], at + sizes[b]
+            if pid == 0:
+                _run_forked(fill, blocks, parent)
+            forks.append((pid, blocks))
+        for b in range(0, count, processes):
+            fill(b)
+        while forks:
+            pid, blocks = forks[-1]
+            status = os.waitpid(pid, 0)[1]
+            forks.pop()
+            if os.waitstatus_to_exitcode(status) != 0:
+                failed += blocks
         for b in sorted(failed):
-            outcomes[b] = run_block(b)
+            fill(b)
     finally:
         if forks:
             from signal import SIGKILL  # imported only here: it costs 1 ms of every start-up
-        for pid, read, _ in forks:
+        for pid, _ in forks:
             os.kill(pid, SIGKILL)
             os.waitpid(pid, 0)
-            os.close(read)
-    return np.concatenate(outcomes)
+    return table
 
 
-def _fork(run_block: Callable[[int], np.ndarray], blocks: range, inherited: Sequence[int]) -> tuple[int, int]:
-    """Start a fork that runs ``blocks`` (``_run_forked``): its pid and the
-    read end of the pipe it writes to. ``inherited`` are the read ends of
-    the forks started before it, which the fork closes with its own."""
-    parent = os.getpid()
-    read, write = os.pipe()
-    try:
-        pid = os.fork()
-        if pid == 0:
-            _run_forked(run_block, blocks, parent, write, (read, *inherited))
-    except OSError:
-        os.close(read)
-        raise
-    finally:
-        os.close(write)
-    return pid, read
-
-
-def _run_forked(
-    run_block: Callable[[int], np.ndarray], blocks: range, parent: int, write: int, readers: Sequence[int]
-) -> NoReturn:
-    """The body of a fork: run ``blocks``, write their rows to ``write`` as
-    one float64 payload and exit 0. It never returns into the caller,
-    writes nothing to standard output, and exits 1 without a payload if a
-    block raises or ``parent`` is gone (checked between blocks).
-
-    It first closes ``readers``, the read ends of the pipes it inherited,
-    so that ``parent`` is the only reader of each: once that is gone, a
-    write fails rather than blocks for ever."""
+def _run_forked(fill: Callable[[int], None], blocks: range, parent: int) -> NoReturn:
+    """The body of a fork: ``fill`` each of ``blocks`` (write its rows into
+    the shared table) and exit 0. It never returns into the caller, writes
+    nothing to standard output, and exits 1 if a block raises or ``parent``
+    is gone (checked between blocks)."""
     code = 1
     try:
-        for fd in readers:
-            os.close(fd)
-        rows = []
         for b in blocks:
             if os.getppid() != parent:
                 break
-            rows.append(run_block(b))
+            fill(b)
         else:
-            payload = memoryview(np.concatenate(rows)).cast("B")
-            while payload:
-                payload = payload[os.write(write, payload) :]
             code = 0
     finally:
         os._exit(code)
-
-
-def _read_exactly(fd: int, out: np.ndarray) -> bool:
-    """Fill ``out`` from the pipe ``fd``: whether its writers sent exactly
-    that many bytes before the last of them closed it."""
-    view = memoryview(out).cast("B")
-    while view:
-        count = os.readv(fd, [view])
-        if not count:
-            return False
-        view = view[count:]
-    return not os.read(fd, 1)

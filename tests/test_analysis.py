@@ -1,8 +1,6 @@
 import math
 import os
-import signal
 import threading
-import time
 
 import numpy as np
 import pytest
@@ -575,6 +573,31 @@ def test_failed_fork_blocks_run_here(monkeypatch, forks):
     assert_no_child_left()
 
 
+def test_rows_of_a_failed_fork_are_run_again(monkeypatch, forks):
+    # The fork writes wrong rows for all its blocks, then exits 3: its
+    # blocks run again here, over the rows it wrote.
+    args = split_batch(monkeypatch)
+    want = one_process(monkeypatch, *args)
+    advance = analysis.advance
+
+    def wrong(*rest):
+        result = advance(*rest)
+        return replace(result, final=result.final + 1.0, steps=result.steps + 1, converged=~result.converged)
+
+    def partial(fill, blocks, parent):
+        try:
+            analysis.advance = wrong  # in this fork's copy of the module only
+            for b in blocks:
+                fill(b)
+        finally:
+            os._exit(3)
+
+    monkeypatch.setattr(analysis, "_run_forked", partial)
+    assert_same_result(monte_carlo(*args), want)
+    assert len(forks) == 1
+    assert_no_child_left()
+
+
 def test_fork_that_cannot_start_runs_here(monkeypatch):
     args = split_batch(monkeypatch)
     want = one_process(monkeypatch, *args)
@@ -617,9 +640,9 @@ def test_exception_in_a_fork_is_raised_here(monkeypatch, forks):
     assert_no_child_left()
 
 
-def test_payload_beyond_the_pipe_buffer(monkeypatch, forks):
+def test_large_batch_over_two_processes(monkeypatch, forks):
     # 20000 runs on 6 arcs: blocks of 5461, the fork's two hold 9078
-    # replicates, 218 kB against a pipe buffer of 64 KiB.
+    # replicates, 218 kB of the 480 kB shared table.
     g = complete_graph(3)
     args = (g, u010_channel(g, seed=13), ProtocolConfig("superposition", mixing=0.5), np.array([0.0, 1.0, 3.0]), 20000)
     want = one_process(monkeypatch, *args)
@@ -646,56 +669,26 @@ def test_second_thread_means_no_fork(monkeypatch, forks):
 
 
 def test_fork_exits_when_its_parent_is_gone():
-    # A fork whose recorded parent is not its parent runs no block, writes
-    # nothing and exits 1.
-    read, write = os.pipe()
+    # A fork whose recorded parent is not its parent runs no block and
+    # exits 1.
     pid = os.fork()
     if pid == 0:
-        analysis._run_forked(lambda b: os._exit(7), range(3), 0, write, (read,))
-    os.close(write)
-    try:
-        assert not analysis._read_exactly(read, np.empty((1, 3)))
-        assert os.read(read, 1) == b""
-    finally:
-        os.close(read)
-        status = os.waitpid(pid, 0)[1]
-    assert os.waitstatus_to_exitcode(status) == 1
+        try:
+            analysis._run_forked(lambda b: os._exit(7), range(3), 0)
+        finally:
+            os._exit(9)
+    assert os.waitstatus_to_exitcode(os.waitpid(pid, 0)[1]) == 1
 
 
-def exit_code_within(pid, seconds):
-    """The exit code of ``pid`` if it exits within ``seconds``; else None,
-    and ``pid`` is killed and reaped."""
-    deadline = time.monotonic() + seconds
-    while time.monotonic() < deadline:
-        done, status = os.waitpid(pid, os.WNOHANG)
-        if done:
-            return os.waitstatus_to_exitcode(status)
-        time.sleep(0.01)
-    os.kill(pid, signal.SIGKILL)
-    os.waitpid(pid, 0)
-    return None
-
-
-def test_fork_exits_when_its_reader_is_gone():
-    # Each block is 4000 rows, 96 kB against a pipe buffer of 64 KiB, and
-    # block 1 first sleeps. Block 1's fork inherited the read end of block
-    # 0's pipe and closed it. Once this process closes its read ends,
-    # block 0's fork cannot write the rest of its payload: it exits 1,
-    # although block 1's fork still runs.
-    def run_block(b):
-        if b == 1:
-            time.sleep(60)
-        return np.zeros((4000, 3))
-
-    first, read0 = analysis._fork(run_block, range(0, 1), [])
-    second, read1 = analysis._fork(run_block, range(1, 2), [read0])
-    os.close(read0)
-    os.close(read1)
-    try:
-        assert exit_code_within(first, 10) == 1
-    finally:
-        os.kill(second, signal.SIGKILL)
-        os.waitpid(second, 0)
+def test_batches_leave_no_descriptor_or_child(monkeypatch, forks):
+    # Five batches of five blocks, each over three processes.
+    args = split_batch(monkeypatch)
+    monkeypatch.setattr(analysis, "_cpu_count", lambda: 3)
+    before = sorted(os.listdir("/proc/self/fd"))
+    for _ in range(5):
+        monte_carlo(*args)
+    assert sorted(os.listdir("/proc/self/fd")) == before
+    assert len(forks) == 10
     assert_no_child_left()
 
 
@@ -704,14 +697,3 @@ def test_one_process_without_fork_or_affinity(monkeypatch):
     monkeypatch.delattr(os, "sched_getaffinity")
     assert analysis._cpu_count() == 1
     assert analysis._processes(8) == 1
-
-
-@pytest.mark.parametrize("sent, whole", [(23, False), (24, True), (25, False)])
-def test_payload_must_fill_its_table_exactly(sent, whole):
-    read, write = os.pipe()
-    os.write(write, bytes(sent))
-    os.close(write)
-    try:
-        assert analysis._read_exactly(read, np.empty((1, 3))) == whole
-    finally:
-        os.close(read)
