@@ -1,5 +1,6 @@
 import math
 import os
+import signal
 import threading
 
 import numpy as np
@@ -33,7 +34,7 @@ from airconsensus.graph import complete_graph, graph_from_arcs, ring_graph, step
 from airconsensus.linalg import dominant_left_eigenvector
 from airconsensus.protocol import CONVERGED, ProtocolConfig, Trace, effective_matrix, run
 from airconsensus.records import replace
-from support import channel_laws, child_seed, random_strongly_connected, strongly_connected_digraphs
+from support import channel_laws, child_seed, random_strongly_connected, run_child, strongly_connected_digraphs
 
 
 def u010_channel(topology, seed=42, mode=IID_PER_STEP):
@@ -573,9 +574,11 @@ def test_failed_fork_blocks_run_here(monkeypatch, forks):
     assert_no_child_left()
 
 
-def test_rows_of_a_failed_fork_are_run_again(monkeypatch, forks):
-    # The fork writes wrong rows for all its blocks, then exits 3: its
-    # blocks run again here, over the rows it wrote.
+@pytest.mark.parametrize("killed", [False, True], ids=["exit-3", "killed-mid-batch"])
+def test_rows_of_a_failed_fork_are_run_again(monkeypatch, forks, killed):
+    # The fork writes wrong rows for all its blocks, then exits 3, or is
+    # killed by a signal after its first block: its blocks run again here,
+    # over the rows it wrote.
     args = split_batch(monkeypatch)
     want = one_process(monkeypatch, *args)
     advance = analysis.advance
@@ -589,6 +592,8 @@ def test_rows_of_a_failed_fork_are_run_again(monkeypatch, forks):
             analysis.advance = wrong  # in this fork's copy of the module only
             for b in blocks:
                 fill(b)
+                if killed:
+                    os.kill(os.getpid(), signal.SIGKILL)
         finally:
             os._exit(3)
 
@@ -690,6 +695,24 @@ def test_batches_leave_no_descriptor_or_child(monkeypatch, forks):
     assert sorted(os.listdir("/proc/self/fd")) == before
     assert len(forks) == 10
     assert_no_child_left()
+
+
+# ``main`` on ``argv[1:]`` in a fresh interpreter: prints the exit code and
+# whether mmap and signal are loaded.
+CLI_IMPORTS = """
+import sys
+from airconsensus.cli import main
+print(main(sys.argv[1:]), "mmap" in sys.modules, "signal" in sys.modules)
+"""
+
+
+def test_only_a_batch_loads_mmap_and_only_a_failure_signal(tmp_path):
+    # A single run loads neither module; a batch that ends well maps its
+    # table but kills no fork.
+    argv = ["--preset", "ti-sigma02", "--quiet", "--out-dir"]
+    assert run_child(CLI_IMPORTS, *argv, str(tmp_path / "run")).stdout.split() == ["0", "False", "False"]
+    batch = run_child(CLI_IMPORTS, *argv, str(tmp_path / "batch"), "--runs", "4")
+    assert batch.stdout.split() == ["0", "True", "False"]
 
 
 def test_one_process_without_fork_or_affinity(monkeypatch):
