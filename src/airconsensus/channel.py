@@ -20,8 +20,11 @@ chosen from the block: a time-invariant block of one seed with at most
 PCG64DXSM stream in Python ints, which spares the run the import of
 ``numpy.random``; every other block draws from one numpy generator per
 seed (after an ``advance`` only if the row is out of place), built
-with the block. Both give the same bits. Outside the law classes
-(``LAWS``), a law is known only by its fields, ``bound`` and ``scale``.
+with the block. Both give the same bits. ``_numpy_random`` is the
+package's one import of ``numpy.random``; it keeps the ``secrets``
+module, and with it OpenSSL, out of the process where it safely can.
+Outside the law classes (``LAWS``), a law is known only by its fields,
+``bound`` and ``scale``.
 Seeding replays numpy's ``SeedSequence`` hash on uint32 arrays, one
 pass for a whole batch of seeds: it gives ``derive_seed``'s child seeds
 and the words each generator is seeded with, bit for bit, without a
@@ -31,7 +34,11 @@ and the words each generator is seeded with, bit for bit, without a
 from __future__ import annotations
 
 import math
+import random
+import sys
+import threading
 from functools import cache, cached_property
+from types import ModuleType
 from typing import Callable, Sequence, Union
 
 import numpy as np
@@ -65,13 +72,14 @@ _PCG_MULT = 0x2360ED051FC65DA44385DF649FCCF645
 _PCG_CHEAP_MULT = 0xDA942042E4DD58B5
 _MASK128 = (1 << 128) - 1
 
-#: Most arcs a time-invariant single run replays its draw for: the measured
-#: crossover. The replay costs about 0.3 us a value; numpy's generator about
-#: 2 ns a value after about 8 ms of importing ``numpy.random`` and building
-#: the generator. A first draw in a fresh process took, in medians of 9,
-#: 4.8 ms (replay) against 10.2 ms (numpy) at 2**14 arcs and 9.6 against
-#: 8.3 ms at 2**15. A single CLI run draws twice (the run, the prediction),
-#: and two replays cost one import at about 2**14 arcs.
+#: Most arcs a time-invariant single run replays its draw for. The replay
+#: costs about 0.35 us a value; numpy's generator about 2 ns a value after
+#: about 5.5 ms of importing ``numpy.random`` (``_numpy_random``) and
+#: building the generator. A first draw in a fresh process took, in medians
+#: of 9, 3.1 ms (replay) against 5.8 ms (numpy) at 2**13 arcs, 6.1 against
+#: 5.8 ms at 2**14 and 11.7 against 5.6 ms at 2**15. A single CLI run draws
+#: twice (the run, the prediction), so two replays cost one import at about
+#: 2**13 arcs; the replay also keeps the import's 2.4 MB out of the run.
 REPLAY_ARCS = 2**14
 
 
@@ -277,13 +285,47 @@ def _hash(entropy: np.ndarray, words: int) -> np.ndarray:
     return np.array(state)
 
 
+def _secrets_stand_in() -> ModuleType:
+    """A ``secrets`` module holding only what numpy's ``bit_generator``
+    reads of it: ``randbits``, the same bound method of a ``SystemRandom``
+    that the standard module's is."""
+    module = ModuleType("secrets")
+    module.randbits = random.SystemRandom().getrandbits
+    return module
+
+
+@cache
+def _numpy_random() -> ModuleType:
+    """``numpy.random``, imported on first use; the package loads it only here.
+
+    numpy's ``bit_generator`` binds ``secrets.randbits`` for unseeded
+    generators, and ``secrets`` loads OpenSSL through ``hmac``. While
+    neither ``secrets`` nor ``numpy.random`` is loaded and one Python
+    thread runs, the import sees ``_secrets_stand_in()`` as ``secrets``
+    instead, removed as soon as the import returns: unseeded generators
+    still draw OS entropy, and a later ``import secrets`` gets the
+    standard module. Otherwise, or if the import fails under the stand-in
+    (a numpy that reads more of ``secrets``), it is a plain import."""
+    if "secrets" not in sys.modules and "numpy.random" not in sys.modules and threading.active_count() == 1:
+        stand_in = sys.modules["secrets"] = _secrets_stand_in()
+        try:
+            import numpy.random
+        except ImportError:
+            pass  # imported plainly below
+        finally:
+            if sys.modules.get("secrets") is stand_in:
+                del sys.modules["secrets"]
+    import numpy.random
+
+    return numpy.random
+
+
 @cache
 def _fixed_seed_sequence() -> type:
     """An ``ISeedSequence`` that hands a bit generator fixed seed words.
     Made on first use: importing the package does not load ``numpy.random``."""
-    from numpy.random.bit_generator import ISeedSequence
 
-    class FixedWords(ISeedSequence):
+    class FixedWords(_numpy_random().bit_generator.ISeedSequence):
         __slots__ = ("words",)
 
         def __init__(self, words: np.ndarray):
@@ -298,7 +340,8 @@ def _fixed_seed_sequence() -> type:
 def _generators(words: np.ndarray) -> list[np.random.Generator]:
     """A channel generator at the start of its stream for each row of
     ``_stream_words``."""
-    fixed, bits, generator = _fixed_seed_sequence(), np.random.PCG64DXSM, np.random.Generator
+    numpy_random = _numpy_random()
+    fixed, bits, generator = _fixed_seed_sequence(), numpy_random.PCG64DXSM, numpy_random.Generator
     return [generator(bits(fixed(row))) for row in words]
 
 

@@ -19,7 +19,7 @@ from typing import Any, Mapping, Optional
 
 import numpy as np
 
-from .channel import LAWS, ChannelModel, check_mode, derive_seed
+from .channel import LAWS, ChannelModel, _numpy_random, check_mode, derive_seed
 from .graph import WeightedDigraph, complete_graph, graph_from_arcs, ring_graph
 from .protocol import (
     DEFAULT_MAX_STEPS,
@@ -298,7 +298,7 @@ def _parse_initial_state(section, topology, seed, problems):
         state_seed = _seed(section.get("seed"), "initial_state", seed, problems)
         if topology is None or state_seed is None:
             return None, None
-        rng = np.random.default_rng(state_seed)
+        rng = _numpy_random().default_rng(state_seed)
         x0 = rng.uniform(lo, hi, topology.n)
         return x0, {"kind": "uniform", "lo": lo, "hi": hi, "seed": state_seed}
     problems.append(f"initial_state.kind: must be 'uniform' or 'explicit', got {kind!r}")

@@ -238,7 +238,7 @@ def test_seed_replay_matches_seed_sequence(base, keys, seeds):
 
 # ``main`` on ``argv[2:]`` in a fresh interpreter, after importing
 # numpy.random if ``argv[1]`` is "preload": prints the exit code and which
-# of numpy.random and OpenSSL's _hashlib (loaded through it) are loaded.
+# of numpy.random and OpenSSL's _hashlib (loaded through secrets) are loaded.
 CLI_IMPORTS = """
 import sys
 if sys.argv[1] == "preload":
@@ -259,35 +259,100 @@ def cli_document(topology, mode=TIME_INVARIANT):
     }
 
 
+def out_bytes(out):
+    """Every file the CLI wrote to ``out``, in name order."""
+    return [(out / name).read_bytes() for name in sorted(p.name for p in out.iterdir())]
+
+
 @pytest.mark.skipif(np.lib.NumpyVersion(np.__version__) < "2.0.0", reason="numpy 1 imports numpy.random eagerly")
 def test_importing_the_cli_leaves_numpy_random_unloaded(tmp_path):
     # numpy 2 loads numpy.random on first use; the seeding shim is built
     # with the first generator, so a run that draws nothing does not pay
     # for the import, nor does a single time-invariant run of at most
-    # REPLAY_ARCS arcs, which replays its draw without a generator.
+    # REPLAY_ARCS arcs, which replays its draw without a generator. A run
+    # that loads numpy.random loads it without OpenSSL.
     assert run_child("import sys, airconsensus.cli; print('numpy.random' in sys.modules)").stdout == "False\n"
     arcs = [[j, j % 6 + 1, 1.0] for j in range(1, 7)] + [[1, 4, 2.0], [5, 2, 0.5]]
     small = tmp_path / "small.json"
     small.write_text(json.dumps(cli_document({"kind": "custom", "n": 6, "arcs": arcs})))
 
-    def cli(preload, config, *options):
-        out = tmp_path / f"{config.stem}-{preload}-{len(options)}"
-        argv = ["--config", str(config), "--quiet", "--out-dir", str(out), *options]
-        code, *loaded = run_child(CLI_IMPORTS, preload, *argv).stdout.split()
-        return code, loaded, [(out / name).read_bytes() for name in sorted(p.name for p in out.iterdir())]
+    def cli(preload, *argv):
+        out = tmp_path / f"out-{len(list(tmp_path.iterdir()))}"
+        code, *loaded = run_child(CLI_IMPORTS, preload, *argv, "--quiet", "--out-dir", str(out)).stdout.split()
+        return code, loaded, out_bytes(out)
 
-    code, loaded, files = cli("none", small)
+    code, loaded, files = cli("none", "--config", str(small))
     assert (code, loaded) == ("0", ["False", "False"])
-    assert cli("preload", small) == ("0", ["True", "True"], files)
-    assert cli("none", small, "--runs", "2")[1][0] == "True"
+    assert cli("preload", "--config", str(small)) == ("0", ["True", "True"], files)
+    assert cli("none", "--config", str(small), "--runs", "2")[1] == ["True", "False"]
     iid = tmp_path / "iid.json"
     iid.write_text(json.dumps(cli_document({"kind": "custom", "n": 6, "arcs": arcs}, IID_PER_STEP)))
-    assert cli("none", iid)[1][0] == "True"
+    assert cli("none", "--config", str(iid))[1] == ["True", "False"]
     # A complete graph of n nodes has n (n - 1) arcs, above the bound here.
     n = math.isqrt(REPLAY_ARCS) + 2
     large = tmp_path / "large.json"
     large.write_text(json.dumps(cli_document({"kind": "complete", "n": n})))
-    assert cli("none", large)[1][0] == "True"
+    assert cli("none", "--config", str(large))[1] == ["True", "False"]
+    # Every preset draws a uniform initial state.
+    assert cli("none", "--preset", "ti-sigma02")[1] == ["True", "False"]
+
+
+# A ``--runs 2`` batch of ``argv[1:]`` in a fresh interpreter, then what a
+# later caller sees: the standard ``secrets`` and unseeded numpy generators.
+AFTER_A_BATCH = """
+import sys
+from airconsensus.cli import main
+assert main([*sys.argv[1:], "--runs", "2", "--quiet"]) == 0
+print("_hashlib" in sys.modules, "secrets" in sys.modules)
+import secrets
+import numpy as np
+assert len(secrets.token_hex(4)) == 8 and secrets.randbits(8) < 256
+assert 0.0 <= np.random.default_rng().random() < 1.0
+assert np.random.SeedSequence().entropy.bit_length() > 64
+print("token_hex" in vars(sys.modules["secrets"]))
+"""
+
+
+@pytest.mark.skipif(np.lib.NumpyVersion(np.__version__) < "2.0.0", reason="numpy 1 imports numpy.random eagerly")
+def test_numpy_random_loader_leaves_the_standard_secrets(tmp_path):
+    # The stand-in is gone once numpy.random is loaded: a later ``import
+    # secrets`` gets the standard module, and unseeded generators still
+    # draw OS entropy (128 bits).
+    argv = ["--preset", "tv-sigma05", "--out-dir", str(tmp_path / "a")]
+    assert run_child(AFTER_A_BATCH, *argv).stdout.split() == ["False", "False", "True"]
+    # A loaded secrets is left in place, and while a second Python thread
+    # runs, which could import secrets meanwhile, the import is plain too.
+    for setup in ["import secrets", "threading.Thread(target=ready.wait).start()"]:
+        code = f"""
+import sys, threading
+ready = threading.Event()
+{setup}
+from airconsensus.channel import _numpy_random
+_numpy_random()
+ready.set()
+print("_hashlib" in sys.modules, "token_hex" in vars(sys.modules["secrets"]))
+"""
+        assert run_child(code).stdout.split() == ["True", "True"]
+
+
+@pytest.mark.skipif(np.lib.NumpyVersion(np.__version__) < "2.0.0", reason="numpy 1 imports numpy.random eagerly")
+def test_numpy_random_loader_falls_back_to_a_plain_import(tmp_path):
+    # A numpy that reads a name the stand-in lacks fails under it: the
+    # loader imports numpy.random plainly, with the standard secrets, and
+    # the batch writes the same bytes.
+    argv = ["--preset", "tv-sigma05", "--runs", "4", "--quiet"]
+    child = """
+import sys, types
+from airconsensus import channel
+channel._secrets_stand_in = lambda: types.ModuleType("secrets")
+from airconsensus.cli import main
+print(main(sys.argv[1:]), "_hashlib" in sys.modules, "token_hex" in vars(sys.modules["secrets"]))
+"""
+    plain = run_child(child, *argv, "--out-dir", str(tmp_path / "plain"))
+    assert plain.stdout.split() == ["0", "True", "True"]
+    stand_in = run_child(CLI_IMPORTS, "none", *argv, "--out-dir", str(tmp_path / "stand-in"))
+    assert stand_in.stdout.split() == ["0", "True", "False"]
+    assert out_bytes(tmp_path / "plain") == out_bytes(tmp_path / "stand-in")
 
 
 STEPS = st.one_of(st.sampled_from([0, 1, 2, 2**32, 2**64 - 1]), st.integers(0, 40), st.integers(0, 2**64 - 1))

@@ -157,6 +157,29 @@ def test_single_run_peak_memory_does_not_grow_with_steps(tmp_path):
     assert long - short <= 4 * 1024, (short, long)
 
 
+# ``PEAK_CHILD`` after importing ``secrets`` (and with it OpenSSL's
+# ``_hashlib``) if ``argv[1]`` is "preload".
+PRELOADED_PEAK_CHILD = """
+import sys
+if sys.argv.pop(1) == "preload":
+    import secrets
+""" + PEAK_CHILD
+
+
+@pytest.mark.skipif(not Path("/proc/self/status").exists(), reason="needs /proc/self/status for VmHWM")
+def test_monte_carlo_peak_memory_leaves_out_openssl(tmp_path):
+    # The batch loads numpy.random without secrets -> hmac -> _hashlib;
+    # importing secrets first puts OpenSSL back, about 3.7 MB of peak.
+    if run_child("import sys; print('_hashlib' in sys.modules)").stdout == "True\n":
+        pytest.skip("the interpreter loads _hashlib at start-up")
+    peaks = {}
+    for preload in ("none", "preload"):
+        argv = ["--preset", "tv-sigma05", "--runs", "2", "--quiet", "--out-dir", str(tmp_path / preload)]
+        peaks[preload] = int(run_child(PRELOADED_PEAK_CHILD, preload, *argv).stdout)
+    assert (tmp_path / "none" / "samples.csv").read_bytes() == (tmp_path / "preload" / "samples.csv").read_bytes()
+    assert peaks["preload"] - peaks["none"] >= 2.5 * 1024, peaks
+
+
 MODULES_CHILD = """
 import sys
 from airconsensus.cli import main
