@@ -14,13 +14,9 @@ the dense n x n gain matrix is built only when an analysis reads it.
 ``ChannelStreams`` draws for a whole block of run seeds, each row one
 standard-uniform fill; the block is then mapped onto the law by its
 ``scale`` in one pass and checked for exact zeros in one pass.
-``sample`` is a block of one. A row is filled by one of two paths,
-chosen from the block: a time-invariant block of one seed with at most
-``REPLAY_ARCS`` arcs (a single run, its prediction) replays its
-PCG64DXSM stream in Python ints, which spares the run the import of
-``numpy.random``; every other block draws from one numpy generator per
-seed (after an ``advance`` only if the row is out of place), built
-with the block. Both give the same bits. ``_numpy_random`` is the
+``sample`` is a block of one. Each seed of a block has one numpy
+generator, built with the block, which fills the seed's row (after an
+``advance`` only if the row is out of place). ``_numpy_random`` is the
 package's one import of ``numpy.random``; it keeps the ``secrets``
 module, and with it OpenSSL, out of the process where it safely can.
 Outside the law classes (``LAWS``), a law is known only by its fields,
@@ -64,24 +60,6 @@ _INIT_A, _MULT_A = 0x43B0D7E5, 0x931E8875
 _INIT_B, _MULT_B = 0x8B51F9DD, 0x58F38DED
 _MIX_MULT_L, _MIX_MULT_R = 0xCA01F9DD, 0x4973F715
 _MASK32 = 0xFFFFFFFF
-
-# PCG64DXSM (O'Neill 2014, as numpy implements it): the 128-bit LCG
-# multiplier that seeds the state, and the 64-bit one that steps it and
-# mixes the output.
-_PCG_MULT = 0x2360ED051FC65DA44385DF649FCCF645
-_PCG_CHEAP_MULT = 0xDA942042E4DD58B5
-_MASK128 = (1 << 128) - 1
-
-#: Most arcs a time-invariant single run replays its draw for. The replay
-#: costs about 0.35 us a value; numpy's generator about 2 ns a value after
-#: about 5.5 ms of importing ``numpy.random`` (``_numpy_random``) and
-#: building the generator. A first draw in a fresh process took, in medians
-#: of 9, 3.1 ms (replay) against 5.8 ms (numpy) at 2**13 arcs, 6.1 against
-#: 5.8 ms at 2**14 and 11.7 against 5.6 ms at 2**15. A single CLI run draws
-#: twice (the run, the prediction), so two replays cost one import at about
-#: 2**13 arcs; the replay also keeps the import's 2.4 MB out of the run.
-REPLAY_ARCS = 2**14
-
 
 @record
 class UniformLaw:
@@ -345,42 +323,15 @@ def _generators(words: np.ndarray) -> list[np.random.Generator]:
     return [generator(bits(fixed(row))) for row in words]
 
 
-def _replayed_uniforms(words: np.ndarray, count: int) -> np.ndarray:
-    """The first ``count`` standard uniforms of the generator that one row
-    of ``_stream_words`` seeds: ``_generators(words[None])[0].random(count)``
-    bit for bit, without ``numpy.random``.
-
-    The 128-bit states are stepped in Python ints; each output is the
-    DXSM mix of the state before its step, done on uint64 arrays, whose
-    multiplications wrap as the generator's."""
-    w0, w1, w2, w3 = words.tolist()
-    inc = ((w2 << 64 | w3) << 1 | 1) & _MASK128
-    state = ((inc + (w0 << 64 | w1)) * _PCG_MULT + inc) & _MASK128
-    states = []
-    for _ in range(count):
-        states.append(state)
-        state = (state * _PCG_CHEAP_MULT + inc) & _MASK128
-    halves = np.frombuffer(b"".join(s.to_bytes(16, "little") for s in states), "<u8").reshape(count, 2)
-    hi = halves[:, 1] ^ halves[:, 1] >> 32
-    hi *= _PCG_CHEAP_MULT
-    hi ^= hi >> 48
-    hi *= halves[:, 0] | 1
-    return (hi >> 11) * 2.0**-53
-
-
 class ChannelStreams:
     """Coefficients of one channel model under each of a block of run seeds.
 
     Row ``i`` of ``draw(k, rows)`` equals ``sample(replace(model,
     seed=seeds[rows][i]), k).values`` bit for bit, whatever was drawn
-    before. A time-invariant block of one seed with at most
-    ``REPLAY_ARCS`` arcs replays its row (``_replayed_uniforms``); if the
-    law's ``scale`` rounds a replayed value to exactly zero, the row is
-    drawn again by the generator path. On that path each seed keeps its
-    own channel generator, built with the block (or for that redraw), which
-    fills its row with standard uniforms from step ``k``'s position,
-    advanced there only if its last draw did not end there; the law's
-    ``scale`` then maps the block, and each exact zero is redrawn the
+    before. Each seed keeps its own channel generator, built with the
+    block, which fills its row with standard uniforms from step ``k``'s
+    position, advanced there only if its last draw did not end there; the
+    law's ``scale`` then maps the block, and each exact zero is redrawn the
     same way from its row's redraw position until none is left.
     """
 
@@ -404,17 +355,12 @@ class ChannelStreams:
 
     def _start(self, model: ChannelModel, words: np.ndarray) -> None:
         self.model = model
-        self._words = words
-        self._replays = (
-            model.mode == TIME_INVARIANT and len(words) == 1 and model.topology.arc_weights.size <= REPLAY_ARCS
-        )
-        # A block that replays builds no generator unless a replayed row
-        # scales to an exact zero. Any other block builds them here, before
-        # the run allocates its arrays: built inside the first draw, they
-        # left mc-dense about 9% slower, a difference that fixed glibc
-        # malloc thresholds (MALLOC_MMAP_THRESHOLD_) remove, so it lies in
-        # where glibc then places the block's arrays of about 250 kB.
-        self._rngs = None if self._replays else _generators(words)
+        # Built here, before the run allocates its arrays: built inside the
+        # first draw, they left mc-dense about 9% slower, a difference that
+        # fixed glibc malloc thresholds (MALLOC_MMAP_THRESHOLD_) remove, so
+        # it lies in where glibc then places the block's arrays of about
+        # 250 kB.
+        self._rngs = _generators(words)
         # Stream position of each generator: where its next output sits.
         self._at = [0] * len(words)
 
@@ -423,15 +369,9 @@ class ChannelStreams:
         law = self.model.law
         arcs = self.model.topology.arc_weights.size
         start, redraw = _offsets(self.model, k, arcs)
-        if self._replays:
-            out = law.scale(_replayed_uniforms(self._words[0], arcs))[None][rows]
-            if out.min(initial=np.inf) > 0.0:
-                return out
-        selected = np.arange(len(self._words))[rows].tolist()
-        out = np.empty((len(selected), arcs))
-        if self._rngs is None:
-            self._rngs = _generators(self._words)
         rngs, at = self._rngs, self._at
+        selected = np.arange(len(rngs))[rows].tolist()
+        out = np.empty((len(selected), arcs))
         for values, i in zip(out, selected):
             if at[i] != start:
                 rngs[i].bit_generator.advance(start - at[i])

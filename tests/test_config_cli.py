@@ -1028,8 +1028,8 @@ def test_classical_run_keeps_below_dense_memory():
 def test_prediction_keeps_below_dense_memory():
     # An n x n float array at n = 1000 is 8 MB; the solves hold about
     # 1 kB per node (Krylov basis and temporaries). The time-invariant draw
-    # of the 4000 arcs is counted too: it replays the channel generator in
-    # Python ints (about 0.5 MB while it runs) and imports nothing.
+    # of the 4000 arcs is counted too; the document's uniform initial state
+    # has loaded numpy.random before (counted, its import adds about 0.6 MB).
     cfg = parse_config(ring_with_chords_doc(1000, 3, 5))
     tracemalloc.start()
     try:
@@ -1299,6 +1299,18 @@ def test_montecarlo_outputs_match_golden_files(tmp_path):
     assert code == 0
     for name in ("samples.csv", "summary.json"):
         assert (tmp_path / name).read_bytes() == (GOLDEN / name).read_bytes(), name
+
+
+GOLDEN_SINGLE = Path(__file__).parent / "data" / "golden_ti_custom_n5"
+
+
+def test_single_run_outputs_match_golden_files(tmp_path):
+    # A single time-invariant run: its one channel draw, the trace and the
+    # prediction, which draws the same coefficients again.
+    argv = ["--config", str(GOLDEN_SINGLE / "scenario.json"), "--out-dir", str(tmp_path), "--quiet"]
+    assert main(argv) == 0
+    for name in ("trace.csv", "summary.json"):
+        assert (tmp_path / name).read_bytes() == (GOLDEN_SINGLE / name).read_bytes(), name
 
 
 GOLDEN_CLASSICAL = Path(__file__).parent / "data" / "golden_classical_ring8_runs50"
