@@ -281,11 +281,12 @@ def monte_carlo(
     one ``run`` with its channel seed.
 
     The blocks are dealt round-robin over one process per CPU this
-    process may run on (``_processes``): forked copies of this process
-    run theirs and write each replicate's outcome into one table shared
-    with this process, at its block's rows, so the results are the same
-    for any number of processes. If a forked process fails, its blocks
-    are run here, in block order, so a block that raises raises here.
+    process may run on (``_processes``), each moved onto its own CPU
+    first: forked copies of this process run theirs and write each
+    replicate's outcome into one table shared with this process, at its
+    block's rows, so the results are the same for any number of
+    processes. If a forked process fails, its blocks are run here, in
+    block order, so a block that raises raises here.
 
     Sums are accumulated with exact (compensated) summation so the
     statistics do not depend on aggregation order.
@@ -367,11 +368,16 @@ def _run_blocks(run_block: Callable[[int], np.ndarray], sizes: Sequence[int]) ->
     blocks of a fork that cannot be started or exits non-zero are run here,
     in block order, over whatever it wrote. If this process raises, every
     fork is killed and reaped.
+
+    With ``P > 1``, process ``p`` first moves onto CPU ``cpus[p %
+    len(cpus)]`` of the sorted CPUs it may run on (``_place``), so that the
+    processes do not start out sharing one CPU; none stays pinned there.
     """
     import mmap  # imported only here, as SIGKILL is below
 
     count = len(sizes)
     processes = _processes(count)
+    cpus = sorted(os.sched_getaffinity(0)) if processes > 1 else []
     starts = np.cumsum([0, *sizes]).tolist()  # block b's rows are starts[b]:starts[b + 1]
     table = np.frombuffer(mmap.mmap(-1, 24 * starts[-1]), dtype=np.float64).reshape(-1, 3)
 
@@ -390,8 +396,10 @@ def _run_blocks(run_block: Callable[[int], np.ndarray], sizes: Sequence[int]) ->
                 failed += blocks
                 continue
             if pid == 0:
-                _run_forked(fill, blocks, parent)
+                _run_forked(fill, blocks, parent, cpus[p % len(cpus)])
             forks.append((pid, blocks))
+        if cpus:
+            _place(cpus[0])
         for b in range(0, count, processes):
             fill(b)
         while forks:
@@ -411,13 +419,26 @@ def _run_blocks(run_block: Callable[[int], np.ndarray], sizes: Sequence[int]) ->
     return table
 
 
-def _run_forked(fill: Callable[[int], None], blocks: range, parent: int) -> NoReturn:
-    """The body of a fork: ``fill`` each of ``blocks`` (write its rows into
-    the shared table) and exit 0. It never returns into the caller, writes
-    nothing to standard output, and exits 1 if a block raises or ``parent``
-    is gone (checked between blocks)."""
+def _place(cpu: int) -> None:
+    """Move this process onto ``cpu`` now, then let it run on every CPU it
+    could before, so the scheduler may still move it. Best effort: if the
+    host refuses a mask (``OSError``), the process stays where it is."""
+    try:
+        allowed = os.sched_getaffinity(0)
+        os.sched_setaffinity(0, {cpu})  # migrates this process before it returns
+        os.sched_setaffinity(0, allowed)
+    except OSError:
+        pass
+
+
+def _run_forked(fill: Callable[[int], None], blocks: range, parent: int, cpu: int) -> NoReturn:
+    """The body of a fork: move onto ``cpu`` (``_place``), ``fill`` each of
+    ``blocks`` (write its rows into the shared table) and exit 0. It never
+    returns into the caller, writes nothing to standard output, and exits 1
+    if a block raises or ``parent`` is gone (checked between blocks)."""
     code = 1
     try:
+        _place(cpu)
         for b in blocks:
             if os.getppid() != parent:
                 break

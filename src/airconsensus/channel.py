@@ -35,7 +35,7 @@ import sys
 import threading
 from functools import cache, cached_property
 from types import ModuleType
-from typing import Callable, Sequence, Union
+from typing import Callable, Optional, Sequence, Union
 
 import numpy as np
 
@@ -332,7 +332,9 @@ class ChannelStreams:
     block, which fills its row with standard uniforms from step ``k``'s
     position, advanced there only if its last draw did not end there; the
     law's ``scale`` then maps the block, and each exact zero is redrawn the
-    same way from its row's redraw position until none is left.
+    same way from its row's redraw position until none is left. A caller
+    that steps blocks passes a buffer of its own as ``out``, so a step's
+    draw allocates no ``(len(rows), |E|)`` array.
     """
 
     def __init__(self, model: ChannelModel, seeds: Sequence[int]):
@@ -364,14 +366,21 @@ class ChannelStreams:
         # Stream position of each generator: where its next output sits.
         self._at = [0] * len(words)
 
-    def draw(self, k: int, rows: Union[slice, np.ndarray] = slice(None)) -> np.ndarray:
-        """``(len(rows), |E|)`` coefficients for step ``k`` of the selected runs."""
+    def draw(
+        self, k: int, rows: Union[slice, np.ndarray] = slice(None), out: Optional[np.ndarray] = None
+    ) -> np.ndarray:
+        """``(len(rows), |E|)`` coefficients for step ``k`` of the selected
+        runs, written into ``out`` (a C-contiguous float64 array of that
+        shape) if given, else into a new array."""
         law = self.model.law
         arcs = self.model.topology.arc_weights.size
         start, redraw = _offsets(self.model, k, arcs)
         rngs, at = self._rngs, self._at
         selected = np.arange(len(rngs))[rows].tolist()
-        out = np.empty((len(selected), arcs))
+        if out is None:
+            out = np.empty((len(selected), arcs))
+        elif out.shape != (len(selected), arcs):
+            raise ValueError(f"out must have shape {(len(selected), arcs)}, got {out.shape}")
         for values, i in zip(out, selected):
             if at[i] != start:
                 rngs[i].bit_generator.advance(start - at[i])

@@ -85,10 +85,11 @@ class Rule:
     array, or the rule's fixed arc ``weights``. Receiver sums come from one
     ``np.bincount`` over the flat index ``b * n + arc_rows``, which visits
     each row's arcs in arc order, so every row gets the same result, bit
-    for bit, as a block of one. A graph's arcs are sorted by transmitter,
-    so ``x[:, arc_cols]`` is each transmitter's state repeated over its
-    out-arcs, and ``np.repeat`` by the out-degrees, counted once here,
-    copies exactly those values.
+    for bit, as a block of one. The transmitters' states ``x[:, arc_cols]``
+    are gathered by one ``np.take`` along the state axis into an ``(rows,
+    |E|)`` buffer that the instance owns, and ``advance`` draws each
+    i.i.d. step's coefficients into another, ``drawn``: a step allocates
+    no array of that size, and the blocks of a batch share both.
     """
 
     parameter: Optional[str] = None
@@ -96,8 +97,9 @@ class Rule:
 
     def __init__(self, topology: WeightedDigraph, protocol: ProtocolConfig, rows: int = 1):
         self.topology = topology
-        self._out_degrees = np.bincount(topology.arc_cols, minlength=topology.n)
         self._index = (np.arange(rows)[:, None] * topology.n + topology.arc_rows).ravel()
+        self.drawn = np.empty((rows, topology.arc_cols.size))
+        self._gathered = np.empty((rows, topology.arc_cols.size))
 
     @staticmethod
     def graph_problems(topology: WeightedDigraph, parameter) -> list[tuple]:
@@ -115,7 +117,9 @@ class Rule:
         return (values,)
 
     def __call__(self, x: np.ndarray, *coefficients: np.ndarray) -> np.ndarray:
-        weighted = np.repeat(x, self._out_degrees, axis=1)
+        # mode="clip" (no index is out of range) writes straight into ``out``;
+        # the default "raise" fills a temporary first.
+        weighted = np.take(x, self.topology.arc_cols, axis=1, out=self._gathered[: len(x)], mode="clip")
         weighted *= coefficients[0] if coefficients else self.weights
         return self.step(x, self.arc_sums(weighted), *coefficients)
 
@@ -388,8 +392,9 @@ def advance(
 
     ``streams`` draws each row's channel coefficients (``None`` for the
     classical protocol): a time-invariant channel's once, summed once, an
-    i.i.d.-per-step channel's at every step for the still active rows. A
-    row leaves the block at the step its spread falls below ``tol``.
+    i.i.d.-per-step channel's at every step for the still active rows,
+    into ``update.drawn``. A row leaves the block at the step its spread
+    falls below ``tol``.
     ``record`` sees the states after every step and may keep them:
     ``advance`` never writes to a block once it has handed it out.
     """
@@ -412,7 +417,10 @@ def advance(
                 fixed = tuple(a[keep] for a in fixed)
             if not len(rows):
                 break
-        x = update(x, *(fixed if fixed is not None else update.coefficients(streams.draw(k, rows))))
+        if fixed is None:
+            x = update(x, *update.coefficients(streams.draw(k, rows, update.drawn[: len(rows)])))
+        else:
+            x = update(x, *fixed)
         if record is not None:
             record(x)
     else:

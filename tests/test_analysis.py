@@ -587,7 +587,7 @@ def test_rows_of_a_failed_fork_are_run_again(monkeypatch, forks, killed):
         result = advance(*rest)
         return replace(result, final=result.final + 1.0, steps=result.steps + 1, converged=~result.converged)
 
-    def partial(fill, blocks, parent):
+    def partial(fill, blocks, parent, cpu):
         try:
             analysis.advance = wrong  # in this fork's copy of the module only
             for b in blocks:
@@ -673,13 +673,98 @@ def test_second_thread_means_no_fork(monkeypatch, forks):
     assert_same_result(got, want)
 
 
+def on_cpu():
+    """The CPU this process last ran on: field 39 of ``/proc/self/stat``."""
+    with open("/proc/self/stat") as fh:
+        return int(fh.read().rsplit(")", 1)[1].split()[36])
+
+
+@pytest.mark.skipif(len(os.sched_getaffinity(0)) < 2, reason="needs two CPUs to move between")
+def test_place_moves_this_process_and_restores_its_mask():
+    # On each allowed CPU in turn, with the mask it had; retried, as the
+    # scheduler may move the unpinned process again before it looks.
+    allowed = os.sched_getaffinity(0)
+    try:
+        for cpu in sorted(allowed) * 2:
+            for _ in range(5):
+                analysis._place(cpu)
+                assert os.sched_getaffinity(0) == allowed
+                if on_cpu() == cpu:
+                    break
+            else:
+                pytest.fail(f"not moved onto CPU {cpu}")
+        analysis._place(4095)  # refused (EINVAL): the process stays, with its mask
+        assert os.sched_getaffinity(0) == allowed
+    finally:
+        os.sched_setaffinity(0, allowed)
+
+
+def test_each_process_is_placed_on_its_own_cpu(monkeypatch, forks):
+    # Three processes on the sorted allowed CPUs, process p on
+    # cpus[p % len(cpus)], each placed once; a one-process batch is not.
+    args = split_batch(monkeypatch)
+    read, write = os.pipe()
+    monkeypatch.setattr(analysis, "_place", lambda cpu: os.write(write, b"%d %d\n" % (os.getpid(), cpu)))
+    try:
+        one_process(monkeypatch, *args)
+        monkeypatch.setattr(analysis, "_cpu_count", lambda: 3)
+        monte_carlo(*args)
+    finally:
+        os.close(write)
+    with os.fdopen(read) as fh:
+        placed = sorted(tuple(map(int, line.split())) for line in fh)
+    cpus = sorted(os.sched_getaffinity(0))
+    assert placed == sorted([(os.getpid(), cpus[0]), (forks[0], cpus[1 % len(cpus)]), (forks[1], cpus[2 % len(cpus)])])
+
+
+@pytest.mark.parametrize("mask", ["allowed", "last-cpu"])
+def test_batch_leaves_the_callers_affinity(monkeypatch, forks, mask):
+    # Also when this process's own block raises, and on a mask that does
+    # not hold CPU 0 where the host has more than one CPU.
+    args = split_batch(monkeypatch)
+    allowed = os.sched_getaffinity(0)
+    mine = allowed if mask == "allowed" else {max(allowed)}
+    me, advance = os.getpid(), analysis.advance
+
+    def failing_here(*rest):
+        if os.getpid() == me:
+            raise RuntimeError("block failed")
+        return advance(*rest)
+
+    os.sched_setaffinity(0, mine)
+    try:
+        monte_carlo(*args)
+        assert os.sched_getaffinity(0) == mine
+        monkeypatch.setattr(analysis, "advance", failing_here)
+        with pytest.raises(RuntimeError, match="block failed"):
+            monte_carlo(*args)
+        assert os.sched_getaffinity(0) == mine
+    finally:
+        os.sched_setaffinity(0, allowed)
+    assert len(forks) == 2
+    assert_no_child_left()
+
+
+def test_refused_placement_gives_the_same_results(monkeypatch, forks):
+    args = split_batch(monkeypatch)
+    want = one_process(monkeypatch, *args)
+
+    def refused(pid, mask):
+        raise PermissionError("affinity refused")
+
+    monkeypatch.setattr(os, "sched_setaffinity", refused)
+    assert_same_result(monte_carlo(*args), want)
+    assert len(forks) == 1
+    assert_no_child_left()
+
+
 def test_fork_exits_when_its_parent_is_gone():
     # A fork whose recorded parent is not its parent runs no block and
     # exits 1.
     pid = os.fork()
     if pid == 0:
         try:
-            analysis._run_forked(lambda b: os._exit(7), range(3), 0)
+            analysis._run_forked(lambda b: os._exit(7), range(3), 0, min(os.sched_getaffinity(0)))
         finally:
             os._exit(9)
     assert os.waitstatus_to_exitcode(os.waitpid(pid, 0)[1]) == 1

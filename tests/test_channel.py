@@ -387,16 +387,22 @@ def test_channel_streams_match_sample(seeds, steps, subsets, mode, law, topology
     # Sampling is a pure function of (seed, mode, k): each draw equals
     # ``sample`` whatever the block drew before, through repeated,
     # descending and skipped steps and changing row subsets, also after
-    # a row redrew the zeros a subnormal width rounds to.
+    # a row redrew the zeros a subnormal width rounds to; every other draw
+    # is written into the leading rows of one buffer, as a block steps.
     model = ChannelModel(topology, law, mode, 5)
     streams = ChannelStreams(model, seeds)
-    for k, subset in zip(steps, subsets):
+    buffer = np.full((len(seeds), len(topology.arc_order)), np.nan)
+    for step, (k, subset) in enumerate(zip(steps, subsets)):
         if subset is None:
             rows = slice(None)
         else:
             rows = np.array([row for row in subset if row < len(seeds)], dtype=np.intp)
         selected = np.arange(len(seeds))[rows].tolist()
-        draws = streams.draw(k, rows)
+        if step % 2:
+            draws = streams.draw(k, rows, buffer[: len(selected)])
+            assert np.shares_memory(draws, buffer) or not draws.size
+        else:
+            draws = streams.draw(k, rows)
         assert draws.shape == (len(selected), len(topology.arc_order))
         for out, i in zip(draws, selected):
             expected = sample(replace(model, seed=seeds[i]), k).values
@@ -413,3 +419,12 @@ def test_channel_streams_draw_selected_rows_and_redraw_zeros():
     assert (got > 0.0).all()
     for out, row in zip(got, rows):
         assert out.tobytes() == sample(replace(model, seed=seeds[row]), 3).values.tobytes()
+    buffer = np.zeros((3, 20))
+    assert ChannelStreams(model, seeds).draw(3, rows, buffer) is buffer
+    assert buffer.tobytes() == got.tobytes()
+
+
+def test_channel_streams_reject_an_out_of_another_shape():
+    streams = ChannelStreams(ChannelModel(complete_graph(5), UniformLaw(0.0, 1.0), IID_PER_STEP, 0), [1, 2])
+    with pytest.raises(ValueError, match=r"out must have shape \(1, 20\), got \(2, 20\)"):
+        streams.draw(0, np.array([1]), np.empty((2, 20)))

@@ -1348,7 +1348,7 @@ def test_golden_files_match_per_replicate_stream_reference():
     for i, row in enumerate(rows):
         channel = replace(cfg.channel, seed=child_seed(cfg.channel.seed, i))
         # In place of the replicate's ChannelStreams: the model and its draw.
-        streams = SimpleNamespace(model=channel, draw=lambda k, active: stream_draw(channel, k)[None])
+        streams = SimpleNamespace(model=channel, draw=lambda k, active, out=None: stream_draw(channel, k)[None])
         result = protocol.advance(
             cfg.protocol.update(cfg.topology),
             np.array(cfg.x0)[None],

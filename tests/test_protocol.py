@@ -1,3 +1,5 @@
+import tracemalloc
+
 import numpy as np
 import pytest
 from hypothesis import given, settings
@@ -357,8 +359,9 @@ def fed_digraphs(draw, max_n=9):
     data=st.data(),
 )
 def test_block_update_matches_the_take_reference(g, rows, spare, variant, seed, data):
-    # The states are gathered by transmitter runs with np.repeat: the same
-    # values, bit for bit, as picking each arc's transmitter with np.take.
+    # The update gathers the states into the buffer it owns for up to
+    # rows + spare rows: the same values, bit for bit, as the reference
+    # step on fresh arrays.
     rng = np.random.default_rng(seed)
     x = rng.normal(0.0, 10.0, (rows, g.n))
     values = rng.uniform(0.01, 10.0, (rows, g.arc_cols.size))
@@ -491,8 +494,8 @@ class TestRun:
         drawn = []
 
         class RecordingStreams(ChannelStreams):
-            def draw(self, k, rows=slice(None)):
-                drawn.append(super().draw(k, rows))
+            def draw(self, k, rows=slice(None), out=None):
+                drawn.append(super().draw(k, rows, out))
                 return drawn[-1]
 
         def no_dense_gains(r):
@@ -508,6 +511,30 @@ class TestRun:
                 assert np.isfinite(trace.final).all()
         assert len(drawn) == 2 * (1 + 20)
         assert all(values.shape == (1, len(g.arc_order)) for values in drawn)
+
+    def test_iid_steps_allocate_no_coefficient_array(self):
+        # 32 runs on the complete 30-node graph: after the first step, a
+        # step draws and gathers into the update's own (32, 870) buffers
+        # and allocates less than one such array (223 kB).
+        g, rows = complete_graph(30), 32
+        update = ProtocolConfig("superposition", mixing=0.05).update(g, rows=rows)
+        streams = ChannelStreams(u010_channel(g), range(rows))
+        x0 = np.random.default_rng(114).uniform(0, 2 * np.pi, (rows, g.n))
+        baseline = []
+
+        def first_step(x):
+            if not baseline:
+                baseline.append(tracemalloc.get_traced_memory()[0])
+                tracemalloc.reset_peak()
+
+        tracemalloc.start()
+        try:
+            result = protocol.advance(update, x0, streams, 1e-300, 20, first_step)
+            peak = tracemalloc.get_traced_memory()[1]
+        finally:
+            tracemalloc.stop()
+        assert set(result.steps) == {20}
+        assert peak - baseline[0] < rows * g.arc_cols.size * 8
 
     def test_superposition_converges(self):
         rng = np.random.default_rng(97)
