@@ -233,15 +233,29 @@ def test_seed_replay_matches_seed_sequence(base, keys, seeds):
         assert rng.bit_generator.state == stream(seed).bit_generator.state
 
 
+# The submodules of numpy.random a draw imports, and the modules a run
+# leaves out: the package itself (its __init__ loads every bit generator,
+# the legacy RandomState and the pickling helpers) and OpenSSL's _hashlib,
+# loaded through secrets.
+DRAW_MODULES = ["numpy.random._generator", "numpy.random._pcg64"]
+UNUSED_MODULES = [
+    "numpy.random",
+    "numpy.random.mtrand",
+    "numpy.random._mt19937",
+    "numpy.random._philox",
+    "numpy.random._sfc64",
+    "_hashlib",
+]
+
 # ``main`` on ``argv[2:]`` in a fresh interpreter, after importing
 # numpy.random if ``argv[1]`` is "preload": prints the exit code and which
-# of numpy.random and OpenSSL's _hashlib (loaded through secrets) are loaded.
-CLI_IMPORTS = """
+# of ``DRAW_MODULES + UNUSED_MODULES`` are loaded, in that order.
+CLI_IMPORTS = f"""
 import sys
 if sys.argv[1] == "preload":
     import numpy.random
 from airconsensus.cli import main
-print(main(sys.argv[2:]), "numpy.random" in sys.modules, "_hashlib" in sys.modules)
+print(main(sys.argv[2:]), *[name for name in {DRAW_MODULES + UNUSED_MODULES!r} if name in sys.modules])
 """
 
 
@@ -265,9 +279,11 @@ def out_bytes(out):
 def test_importing_the_cli_leaves_numpy_random_unloaded(tmp_path):
     # numpy 2 loads numpy.random on first use; the seeding shim is built
     # with the first generator, so importing the CLI does not pay for the
-    # import. A run that loads numpy.random loads it without OpenSSL, and
-    # writes the same bytes as with a plain import.
-    assert run_child("import sys, airconsensus.cli; print('numpy.random' in sys.modules)").stdout == "False\n"
+    # import. A run that draws loads numpy.random's generator and PCG64
+    # modules alone, without the package's __init__ or OpenSSL, and writes
+    # the same bytes as with a plain import.
+    probe = "import sys, airconsensus.cli; print('numpy.random._generator' in sys.modules)"
+    assert run_child(probe).stdout == "False\n"
     arcs = [[j, j % 6 + 1, 1.0] for j in range(1, 7)] + [[1, 4, 2.0], [5, 2, 0.5]]
     small = tmp_path / "small.json"
     small.write_text(json.dumps(cli_document({"kind": "custom", "n": 6, "arcs": arcs})))
@@ -278,23 +294,41 @@ def test_importing_the_cli_leaves_numpy_random_unloaded(tmp_path):
         return code, loaded, out_bytes(out)
 
     code, loaded, files = cli("none", "--config", str(small))
-    assert (code, loaded) == ("0", ["True", "False"])
-    assert cli("preload", "--config", str(small)) == ("0", ["True", "True"], files)
-    assert cli("none", "--config", str(small), "--runs", "2")[1] == ["True", "False"]
+    assert (code, loaded) == ("0", DRAW_MODULES)
+    assert cli("preload", "--config", str(small)) == ("0", DRAW_MODULES + UNUSED_MODULES, files)
+    assert cli("none", "--config", str(small), "--runs", "2")[1] == DRAW_MODULES
     iid = tmp_path / "iid.json"
     iid.write_text(json.dumps(cli_document({"kind": "custom", "n": 6, "arcs": arcs}, IID_PER_STEP)))
-    assert cli("none", "--config", str(iid))[1] == ["True", "False"]
+    assert cli("none", "--config", str(iid))[1] == DRAW_MODULES
     # Every preset draws a uniform initial state.
-    assert cli("none", "--preset", "ti-sigma02")[1] == ["True", "False"]
+    for argv in [["--preset", "ti-sigma02"], ["--preset", "tv-sigma05", "--runs", "4"]]:
+        code, loaded, files = cli("none", *argv)
+        assert (code, loaded) == ("0", DRAW_MODULES)
+        assert cli("preload", *argv) == ("0", DRAW_MODULES + UNUSED_MODULES, files)
 
 
 # A ``--runs 2`` batch of ``argv[1:]`` in a fresh interpreter, then what a
-# later caller sees: the standard ``secrets`` and unseeded numpy generators.
+# later caller sees: the standard ``secrets``, unseeded numpy generators
+# and the whole numpy.random package, built on the submodules the batch
+# loaded.
 AFTER_A_BATCH = """
 import sys
+from airconsensus import channel
 from airconsensus.cli import main
 assert main([*sys.argv[1:], "--runs", "2", "--quiet"]) == 0
-print("_hashlib" in sys.modules, "secrets" in sys.modules)
+print("_hashlib" in sys.modules, "secrets" in sys.modules, "numpy.random" in sys.modules)
+draw = channel._numpy_random()
+import numpy.random
+assert numpy.random.Generator is numpy.random._generator.Generator is draw.Generator
+assert numpy.random.PCG64DXSM is numpy.random._pcg64.PCG64DXSM is draw.PCG64DXSM
+assert numpy.random.bit_generator is draw.bit_generator
+assert numpy.random.bit_generator.SeedSequence is numpy.random.SeedSequence
+for seed in [0, 5, 2**64, 2**200 + 11]:
+    assert draw.default_rng(seed).bit_generator.state == numpy.random.default_rng(seed).bit_generator.state
+assert channel._BindSubmodules not in sys.meta_path
+numpy.random.seed(5)
+assert numpy.random.random() == numpy.random.RandomState(5).random_sample()
+assert numpy.random.default_rng().bit_generator.seed_seq.entropy.bit_length() > 64
 import secrets
 import numpy as np
 assert len(secrets.token_hex(4)) == 8 and secrets.randbits(8) < 256
@@ -306,14 +340,15 @@ print("token_hex" in vars(sys.modules["secrets"]))
 
 @pytest.mark.skipif(np.lib.NumpyVersion(np.__version__) < "2.0.0", reason="numpy 1 imports numpy.random eagerly")
 def test_numpy_random_loader_leaves_the_standard_secrets(tmp_path):
-    # The stand-in is gone once numpy.random is loaded: a later ``import
-    # secrets`` gets the standard module, and unseeded generators still
-    # draw OS entropy (128 bits).
+    # The stand-ins are gone once the draw modules are loaded: a later
+    # ``import secrets`` gets the standard module, a later ``import
+    # numpy.random`` the whole package, and unseeded generators still draw
+    # OS entropy (128 bits).
     argv = ["--preset", "tv-sigma05", "--out-dir", str(tmp_path / "a")]
-    assert run_child(AFTER_A_BATCH, *argv).stdout.split() == ["False", "False", "True"]
+    assert run_child(AFTER_A_BATCH, *argv).stdout.split() == ["False", "False", "False", "True"]
     # A loaded secrets is left in place, and while a second Python thread
     # runs, which could import secrets meanwhile, the import is plain too.
-    for setup in ["import secrets", "threading.Thread(target=ready.wait).start()"]:
+    for setup, package in [("import secrets", "False"), ("threading.Thread(target=ready.wait).start()", "True")]:
         code = f"""
 import sys, threading
 ready = threading.Event()
@@ -321,29 +356,55 @@ ready = threading.Event()
 from airconsensus.channel import _numpy_random
 _numpy_random()
 ready.set()
-print("_hashlib" in sys.modules, "token_hex" in vars(sys.modules["secrets"]))
+print("_hashlib" in sys.modules, "token_hex" in vars(sys.modules["secrets"]), "numpy.random" in sys.modules)
 """
-        assert run_child(code).stdout.split() == ["True", "True"]
+        assert run_child(code).stdout.split() == ["True", "True", package]
+
+
+# ``main`` on ``argv[1:]`` in a fresh interpreter after ``PATCH``, a
+# failure of the partial import: prints the exit code, whether _hashlib
+# and secrets are loaded, whether secrets is the standard module, and
+# whether numpy.random is the whole package.
+FALLBACK_CHILD = """
+import sys, types
+from airconsensus import channel
+PATCH
+from airconsensus.cli import main
+code = main(sys.argv[1:])
+package = sys.modules["numpy.random"]
+assert package.Generator is package._generator.Generator and package.bit_generator.ISeedSequence
+assert channel._BindSubmodules not in sys.meta_path
+secrets = sys.modules.get("secrets")
+print(code, "_hashlib" in sys.modules, secrets is not None, hasattr(secrets, "token_hex"), hasattr(package, "RandomState"))
+"""
 
 
 @pytest.mark.skipif(np.lib.NumpyVersion(np.__version__) < "2.0.0", reason="numpy 1 imports numpy.random eagerly")
 def test_numpy_random_loader_falls_back_to_a_plain_import(tmp_path):
-    # A numpy that reads a name the stand-in lacks fails under it: the
-    # loader imports numpy.random plainly, with the standard secrets, and
-    # the batch writes the same bytes.
+    # A numpy that reads a name the secrets stand-in lacks fails under it,
+    # in the partial import and in the whole one: the loader imports
+    # numpy.random plainly, with the standard secrets. A numpy whose draw
+    # modules lack a name fails the partial import alone: the loader
+    # imports the whole package under the secrets stand-in. Either way no
+    # stand-in is left, the package holds the submodules the partial import
+    # loaded, and the batch writes the same bytes.
     argv = ["--preset", "tv-sigma05", "--runs", "4", "--quiet"]
-    child = """
-import sys, types
-from airconsensus import channel
-channel._secrets_stand_in = lambda: types.ModuleType("secrets")
-from airconsensus.cli import main
-print(main(sys.argv[1:]), "_hashlib" in sys.modules, "token_hex" in vars(sys.modules["secrets"]))
-"""
-    plain = run_child(child, *argv, "--out-dir", str(tmp_path / "plain"))
-    assert plain.stdout.split() == ["0", "True", "True"]
+    patches = {
+        "plain": ('channel._secrets_stand_in = lambda: types.ModuleType("secrets")', ["0", "True", "True", "True", "True"]),
+        "whole": (
+            "def fail(partial=channel._import_draw_modules):\n"
+            "    partial()\n"
+            "    raise AttributeError('PCG64DXSM')\n"
+            "channel._import_draw_modules = fail",
+            ["0", "False", "False", "False", "True"],
+        ),
+    }
+    for name, (patch, expected) in patches.items():
+        child = run_child(FALLBACK_CHILD.replace("PATCH", patch), *argv, "--out-dir", str(tmp_path / name))
+        assert child.stdout.split() == expected, name
     stand_in = run_child(CLI_IMPORTS, "none", *argv, "--out-dir", str(tmp_path / "stand-in"))
-    assert stand_in.stdout.split() == ["0", "True", "False"]
-    assert out_bytes(tmp_path / "plain") == out_bytes(tmp_path / "stand-in")
+    assert stand_in.stdout.split() == ["0", *DRAW_MODULES]
+    assert out_bytes(tmp_path / "plain") == out_bytes(tmp_path / "stand-in") == out_bytes(tmp_path / "whole")
 
 
 STEPS = st.one_of(st.sampled_from([0, 1, 2, 2**32, 2**64 - 1]), st.integers(0, 40), st.integers(0, 2**64 - 1))

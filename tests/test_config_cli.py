@@ -7,6 +7,7 @@ import sys
 import tempfile
 import tracemalloc
 import warnings
+import weakref
 from pathlib import Path
 from types import SimpleNamespace
 from unittest import mock
@@ -1028,8 +1029,9 @@ def test_classical_run_keeps_below_dense_memory():
 def test_prediction_keeps_below_dense_memory():
     # An n x n float array at n = 1000 is 8 MB; the solves hold about
     # 1 kB per node (Krylov basis and temporaries). The time-invariant draw
-    # of the 4000 arcs is counted too; the document's uniform initial state
-    # has loaded numpy.random before (counted, its import adds about 0.6 MB).
+    # of the 4000 arcs is counted too. The document's uniform initial state
+    # has loaded numpy.random's draw modules before, outside the count
+    # (their import traces about 0.5 MB, the whole package's 1.0 MB).
     cfg = parse_config(ring_with_chords_doc(1000, 3, 5))
     tracemalloc.start()
     try:
@@ -1110,6 +1112,69 @@ def test_long_config_echo_is_written_a_chunk_at_a_time(tmp_path):
     text = path.read_text()
     assert text == json.dumps(flat, sort_keys=True, indent=2) + "\n"
     assert peak < len(text) / 2, (peak, len(text))
+
+
+def test_samples_are_written_a_chunk_at_a_time(tmp_path):
+    # 2 * 10**5 rows, about 10 MB of text: the rows as the writer formatted
+    # them whole, a list of row strings and then its join, peaked at four
+    # times the text; a chunk of rows at a time holds about 0.2 MB.
+    runs = 2 * 10**5
+    values = [(-1) ** i * (i + 1) / 3 for i in range(runs - 3)] + [math.inf, math.nan, -0.0]
+    result = analysis.MonteCarloResult(
+        runs=runs,
+        non_converged=runs // 3,
+        mean_consensus=math.nan,
+        std_consensus=math.nan,
+        mean_steps=0.0,
+        consensus_values=tuple(values),
+        steps=tuple(i % 1000 for i in range(runs)),
+        seeds=tuple(child_seed(7, i) for i in range(runs)),
+        converged=tuple(bool(i % 3) for i in range(runs)),
+    )
+    path = tmp_path / "samples.csv"
+    tracemalloc.start()
+    try:
+        cli._write_samples(path, result)
+        peak = tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+    lines = ["run,seed,consensus_value,steps,converged"] + [
+        f"{idx},{result.seeds[idx]},{result.consensus_values[idx]:.17g},"
+        f"{result.steps[idx]},{int(result.converged[idx])}"
+        for idx in range(runs)
+    ]
+    text = path.read_bytes()
+    assert text == ("\n".join(lines) + "\n").encode()
+    assert peak < len(text) / 20, (peak, len(text))
+
+
+class WatchedDoc(dict):
+    """A scenario document a weak reference can watch."""
+
+
+@pytest.mark.parametrize("runs", [[], ["--runs", "2"]])
+@pytest.mark.parametrize("source", ["config", "preset"])
+def test_scenario_document_is_released_before_the_run(tmp_path, monkeypatch, source, runs):
+    # cfg.resolved shares no container with the document, so the decoded
+    # JSON (or the preset's copy) is freed before the run starts.
+    docs = []
+
+    def watched(doc):
+        doc = WatchedDoc(doc)
+        docs.append(weakref.ref(doc))
+        return doc
+
+    loads = json.loads
+    monkeypatch.setattr(cli.json, "loads", lambda text: watched(loads(text)))
+    monkeypatch.setattr(cli, "preset", lambda name: watched(preset(name)))
+    alive = []
+    runner = "_run_montecarlo" if runs else "_run_scenario"
+    monkeypatch.setattr(cli, runner, lambda cfg, *args: alive.append([ref() is not None for ref in docs]) or 0)
+    path = tmp_path / "scenario.json"
+    path.write_text(json.dumps(minimal_doc()))
+    argv = ["--config", str(path)] if source == "config" else ["--preset", "tv-sigma05"]
+    assert main([*argv, *runs, "--out-dir", str(tmp_path), "--quiet"]) == 0
+    assert alive == [[False]]
 
 
 # A superposition or naive node sums x_j * h_ij and h_ij over its in-arcs:
