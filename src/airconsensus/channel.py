@@ -31,7 +31,6 @@ and the words each generator is seeded with, bit for bit, without a
 
 from __future__ import annotations
 
-import importlib.util
 import math
 import os
 import random
@@ -287,24 +286,32 @@ class _BindSubmodules:
     """A meta path finder that finds no module of its own. The import
     system binds a submodule to its parent only when it loads it, so the
     submodules ``_import_draw_modules`` loads are bound to its stand-in
-    alone. When ``numpy.random`` itself is imported, this finder leaves
-    ``sys.meta_path`` and has the package's loader bind every
-    ``numpy.random.*`` already loaded to the package before its
-    ``__init__`` runs."""
+    alone. For ``numpy.random`` this finder returns the spec the finders
+    after it find, with a loader that, when it runs, takes this finder off
+    ``sys.meta_path`` and binds every ``numpy.random.*`` already loaded to
+    the package before its ``__init__`` runs. A spec that is only probed
+    (``importlib.util.find_spec``) and never loaded leaves the finder in
+    place."""
 
     @staticmethod
     def find_spec(name, path=None, target=None):
         if name != "numpy.random":
             return None
-        # A new list: an import iterating the old one in another thread skips no finder.
-        sys.meta_path = [finder for finder in sys.meta_path if finder is not _BindSubmodules]
-        spec = importlib.util.find_spec(name)
-        if spec is None or spec.loader is None:
-            return spec
+        for finder in sys.meta_path:
+            find = getattr(finder, "find_spec", None)  # a legacy finder has none
+            spec = find(name, path, target) if find and finder is not _BindSubmodules else None
+            if spec is not None:
+                break
+        else:
+            return None
         loader = spec.loader
+        if loader is None:
+            return spec
 
         def exec_module(package: ModuleType) -> None:
             del loader.exec_module  # the loader's own method from here on
+            # A new list: an import iterating the old one in another thread skips no finder.
+            sys.meta_path = [finder for finder in sys.meta_path if finder is not _BindSubmodules]
             for key, module in list(sys.modules.items()):
                 parent, _, child = key.rpartition(".")
                 if parent == name:
@@ -367,27 +374,17 @@ def _numpy_random() -> Union[ModuleType, SimpleNamespace]:
     ``_secrets_stand_in()`` as ``secrets``: unseeded generators still draw
     OS entropy, and a later ``import secrets`` gets the standard module.
 
-    If the partial import fails (``ImportError`` or ``AttributeError``, a
-    numpy laid out otherwise), the whole package is imported, under the
-    ``secrets`` stand-in while ``secrets`` is not loaded. The import is
-    plain if ``numpy.random`` is loaded already, if another thread runs
-    (which could import ``secrets`` meanwhile), or if it fails under the
-    stand-in (a numpy that reads more of ``secrets``)."""
+    If the partial import raises ``ImportError`` (a numpy laid out
+    otherwise, or one that reads more of ``secrets`` than the stand-in
+    holds), ``numpy.random`` is imported plainly, as it is if it is loaded
+    already or another thread runs (which could import ``secrets``
+    meanwhile)."""
     if "numpy.random" not in sys.modules and threading.active_count() == 1:
         sys.meta_path.insert(0, _BindSubmodules)
         try:
             return _import_draw_modules()
-        except (ImportError, AttributeError):
-            pass  # the whole package, below
-        if "secrets" not in sys.modules:
-            stand_ins = {"secrets": _secrets_stand_in()}
-            sys.modules.update(stand_ins)
-            try:
-                import numpy.random
-            except ImportError:
-                pass  # imported plainly below
-            finally:
-                _drop(stand_ins)
+        except ImportError:
+            pass  # the plain import below
     import numpy.random
 
     return numpy.random

@@ -29,7 +29,7 @@ os.environ.setdefault("OPENBLAS_NUM_THREADS", "1")
 
 import numpy as np
 
-from .analysis import MonteCarloResult, monte_carlo, predicted_consensus, summarize_run
+from .analysis import monte_carlo, predicted_consensus, summarize_run
 from .config import PRESET_NAMES, ConfigError, ScenarioConfig, override_seed, parse_config, preset
 from .linalg import subdominant_modulus
 from .protocol import RunAggregates, invariant_operator, record_run
@@ -43,15 +43,12 @@ EXIT_MAX_STEPS = 2
 #: tell a rejected input from a crash.
 INTERNAL_ERROR = "error: internal:"
 
-#: Most Monte Carlo runs one invocation takes. Each run keeps its seed and
-#: result until the end, about 350 bytes (10^4 to 10^6 runs of the
-#: tv-sigma05 preset peaked at 36 to 375 MB, before ``samples.csv`` is
-#: written), so a batch at the bound stays below about 0.5 GB. The count is
-#: checked before anything is drawn or written.
+#: Most Monte Carlo runs one invocation takes. Each run keeps its seed,
+#: result and sample line until the end, about 350 bytes (10^4 to 10^6 runs
+#: of the tv-sigma05 preset peaked at 38 to 384 MB), so a batch at the bound
+#: stays below about 0.5 GB. The count is checked before anything is drawn
+#: or written.
 MAX_RUNS = 1 << 20
-
-#: Rows of ``samples.csv`` formatted at once.
-SAMPLE_CHUNK = 1024
 
 #: Most items of a list ``summary.json`` encodes at once. The C encoder
 #: holds a few small strings per number of the piece it encodes, so the
@@ -192,6 +189,12 @@ def _run_montecarlo(cfg: ScenarioConfig, runs: int, out_dir: Path, quiet: bool) 
         max_steps=cfg.max_steps,
     )
     samples_path = out_dir / cfg.samples_file
+    lines = ["run,seed,consensus_value,steps,converged"]
+    for idx in range(result.runs):
+        lines.append(
+            f"{idx},{result.seeds[idx]},{result.consensus_values[idx]:.17g},"
+            f"{result.steps[idx]},{int(result.converged[idx])}"
+        )
     doc = _flatten(
         {
             "config": cfg.resolved,
@@ -208,7 +211,7 @@ def _run_montecarlo(cfg: ScenarioConfig, runs: int, out_dir: Path, quiet: bool) 
     )
     summary_path = out_dir / cfg.summary_file
     try:
-        _write_samples(samples_path, result)
+        samples_path.write_text("\n".join(lines) + "\n")
         _write_flat(summary_path, doc)
     except OSError as exc:
         print(f"error: cannot write {exc.filename or samples_path}: {exc}", file=sys.stderr)
@@ -238,23 +241,6 @@ def _write_trace(path: Path, cfg: ScenarioConfig) -> RunAggregates:
             lambda states, first_step: fh.write(rows(states, first_step)),
             cfg.topology, cfg.channel, cfg.protocol, cfg.x0, tol=cfg.tol, max_steps=cfg.max_steps,
         )
-
-
-def _write_samples(path: Path, result: MonteCarloResult) -> None:
-    """Write ``samples.csv``, a header and one row per run, ``SAMPLE_CHUNK``
-    rows at a time: no copy of the whole text is held."""
-    with path.open("w") as fh:
-        fh.write("run,seed,consensus_value,steps,converged\n")
-        for start in range(0, result.runs, SAMPLE_CHUNK):
-            chunk = slice(start, start + SAMPLE_CHUNK)
-            rows = zip(
-                range(result.runs)[chunk],
-                result.seeds[chunk],
-                result.consensus_values[chunk],
-                result.steps[chunk],
-                result.converged[chunk],
-            )
-            fh.write("".join(f"{i},{seed},{value:.17g},{steps},{int(ok)}\n" for i, seed, value, steps, ok in rows))
 
 
 def _summary_dict(summary, reason: str) -> dict:

@@ -1114,40 +1114,6 @@ def test_long_config_echo_is_written_a_chunk_at_a_time(tmp_path):
     assert peak < len(text) / 2, (peak, len(text))
 
 
-def test_samples_are_written_a_chunk_at_a_time(tmp_path):
-    # 2 * 10**5 rows, about 10 MB of text: the rows as the writer formatted
-    # them whole, a list of row strings and then its join, peaked at four
-    # times the text; a chunk of rows at a time holds about 0.2 MB.
-    runs = 2 * 10**5
-    values = [(-1) ** i * (i + 1) / 3 for i in range(runs - 3)] + [math.inf, math.nan, -0.0]
-    result = analysis.MonteCarloResult(
-        runs=runs,
-        non_converged=runs // 3,
-        mean_consensus=math.nan,
-        std_consensus=math.nan,
-        mean_steps=0.0,
-        consensus_values=tuple(values),
-        steps=tuple(i % 1000 for i in range(runs)),
-        seeds=tuple(child_seed(7, i) for i in range(runs)),
-        converged=tuple(bool(i % 3) for i in range(runs)),
-    )
-    path = tmp_path / "samples.csv"
-    tracemalloc.start()
-    try:
-        cli._write_samples(path, result)
-        peak = tracemalloc.get_traced_memory()[1]
-    finally:
-        tracemalloc.stop()
-    lines = ["run,seed,consensus_value,steps,converged"] + [
-        f"{idx},{result.seeds[idx]},{result.consensus_values[idx]:.17g},"
-        f"{result.steps[idx]},{int(result.converged[idx])}"
-        for idx in range(runs)
-    ]
-    text = path.read_bytes()
-    assert text == ("\n".join(lines) + "\n").encode()
-    assert peak < len(text) / 20, (peak, len(text))
-
-
 class WatchedDoc(dict):
     """A scenario document a weak reference can watch."""
 
