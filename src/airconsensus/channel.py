@@ -19,8 +19,10 @@ generator, built with the block, which fills the seed's row (after an
 ``advance`` only if the row is out of place). ``_numpy_random`` is the
 package's one import of ``numpy.random``. Where it safely can, it loads
 only the generator and PCG64 modules a draw uses, without the package's
-``__init__`` (4.1 ms with the first generator, against 7.1 ms), and
+``__init__`` (4.5 ms with the first generator, against 7.3 ms), and
 keeps the ``secrets`` module, and with it OpenSSL, out of the process.
+It leaves no ``numpy.random`` entry in ``sys.modules``: each module it
+loads is a compiled extension, which a later import returns unchanged.
 Outside the law classes (``LAWS``), a law is known only by its fields,
 ``bound`` and ``scale``.
 Seeding replays numpy's ``SeedSequence`` hash on uint32 arrays, one
@@ -275,60 +277,14 @@ def _secrets_stand_in() -> ModuleType:
     return module
 
 
-def _drop(stand_ins: dict[str, ModuleType]) -> None:
-    """Remove each stand-in that ``sys.modules`` still holds under its name."""
-    for name, module in stand_ins.items():
-        if sys.modules.get(name) is module:
-            del sys.modules[name]
-
-
-class _BindSubmodules:
-    """A meta path finder that finds no module of its own. The import
-    system binds a submodule to its parent only when it loads it, so the
-    submodules ``_import_draw_modules`` loads are bound to its stand-in
-    alone. For ``numpy.random`` this finder returns the spec the finders
-    after it find, with a loader that, when it runs, takes this finder off
-    ``sys.meta_path`` and binds every ``numpy.random.*`` already loaded to
-    the package before its ``__init__`` runs. A spec that is only probed
-    (``importlib.util.find_spec``) and never loaded leaves the finder in
-    place."""
-
-    @staticmethod
-    def find_spec(name, path=None, target=None):
-        if name != "numpy.random":
-            return None
-        for finder in sys.meta_path:
-            find = getattr(finder, "find_spec", None)  # a legacy finder has none
-            spec = find(name, path, target) if find and finder is not _BindSubmodules else None
-            if spec is not None:
-                break
-        else:
-            return None
-        loader = spec.loader
-        if loader is None:
-            return spec
-
-        def exec_module(package: ModuleType) -> None:
-            del loader.exec_module  # the loader's own method from here on
-            # A new list: an import iterating the old one in another thread skips no finder.
-            sys.meta_path = [finder for finder in sys.meta_path if finder is not _BindSubmodules]
-            for key, module in list(sys.modules.items()):
-                parent, _, child = key.rpartition(".")
-                if parent == name:
-                    setattr(package, child, module)
-            loader.exec_module(package)
-
-        loader.exec_module = exec_module
-        return spec
-
-
 def _import_draw_modules() -> SimpleNamespace:
     """What the package reads of ``numpy.random``, from its ``_generator``
     and ``_pcg64`` modules imported under a stand-in ``numpy.random``: an
     empty package on numpy's ``random`` directory, so the package's
     ``__init__`` does not run. While ``secrets`` is not loaded,
-    ``_secrets_stand_in()`` stands in for it too. Both stand-ins leave
-    ``sys.modules`` as soon as the imports return or raise."""
+    ``_secrets_stand_in()`` stands in for it too. Both stand-ins and every
+    ``numpy.random.*`` module the imports add leave ``sys.modules`` as
+    soon as the imports return or raise."""
     parent = ModuleType("numpy.random")
     parent.__path__ = [os.path.join(np.__path__[0], "random")]
     stand_ins = {"numpy.random": parent}
@@ -338,7 +294,8 @@ def _import_draw_modules() -> SimpleNamespace:
     try:
         from numpy.random import _generator, _pcg64, bit_generator
     finally:
-        _drop(stand_ins)
+        for name in [*stand_ins, *(name for name in sys.modules if name.startswith("numpy.random."))]:
+            del sys.modules[name]
     generator, pcg64 = _generator.Generator, _pcg64.PCG64
 
     def default_rng(seed: int) -> np.random.Generator:
@@ -362,11 +319,13 @@ def _numpy_random() -> Union[ModuleType, SimpleNamespace]:
     ``_import_draw_modules`` loads only ``_generator`` and ``_pcg64`` and
     the three modules they import: not the package's ``__init__``, which
     loads the legacy ``mtrand``, three more bit generators and the
-    pickling helpers. Loading and building a generator took 4.1 ms
-    against 7.1 ms (medians of 20 fresh processes), and a 1000-run batch
-    on a complete 30-node graph peaked 0.87 MB lower. A later ``import
-    numpy.random`` gets the whole package, holding the submodules already
-    loaded (``_BindSubmodules``).
+    pickling helpers. Loading and building a generator took 4.5 ms
+    against 7.3 ms (medians of 20 alternating pairs of fresh processes),
+    and a 1000-run batch on a complete 30-node graph peaked 0.87 MB lower.
+    A later ``import numpy.random`` gets the whole package, holding the
+    objects a draw uses, while every module the partial import adds is a
+    compiled extension, which a later import returns unchanged
+    (``AFTER_A_BATCH`` in tests/test_channel.py checks this).
 
     numpy's ``bit_generator`` binds ``secrets.randbits`` for unseeded
     generators, and ``secrets`` loads OpenSSL through ``hmac``. So while
@@ -380,7 +339,6 @@ def _numpy_random() -> Union[ModuleType, SimpleNamespace]:
     already or another thread runs (which could import ``secrets``
     meanwhile)."""
     if "numpy.random" not in sys.modules and threading.active_count() == 1:
-        sys.meta_path.insert(0, _BindSubmodules)
         try:
             return _import_draw_modules()
         except ImportError:

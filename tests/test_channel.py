@@ -249,13 +249,21 @@ UNUSED_MODULES = [
 
 # ``main`` on ``argv[2:]`` in a fresh interpreter, after importing
 # numpy.random if ``argv[1]`` is "preload": prints the exit code and which
-# of ``DRAW_MODULES + UNUSED_MODULES`` are loaded, in that order.
+# of ``DRAW_MODULES + UNUSED_MODULES`` were imported, in that order, as the
+# audit hook saw them (a run leaves no ``numpy.random`` key in sys.modules).
+# The run installs no import hook.
 CLI_IMPORTS = f"""
 import sys
+imports = set()
+sys.addaudithook(lambda event, args: event == "import" and imports.add(args[0]))
 if sys.argv[1] == "preload":
     import numpy.random
+meta_path = list(sys.meta_path)
 from airconsensus.cli import main
-print(main(sys.argv[2:]), *[name for name in {DRAW_MODULES + UNUSED_MODULES!r} if name in sys.modules])
+code = main(sys.argv[2:])
+assert sys.meta_path == meta_path
+assert sys.argv[1] == "preload" or not any(name.startswith("numpy.random") for name in sys.modules)
+print(code, *[name for name in {DRAW_MODULES + UNUSED_MODULES!r} if name in imports])
 """
 
 
@@ -315,6 +323,7 @@ AFTER_A_BATCH = """
 import sys
 from airconsensus import channel
 from airconsensus.cli import main
+meta_path = list(sys.meta_path)
 assert main([*sys.argv[1:], "--runs", "2", "--quiet"]) == 0
 print("_hashlib" in sys.modules, "secrets" in sys.modules, "numpy.random" in sys.modules)
 draw = channel._numpy_random()
@@ -327,7 +336,7 @@ assert numpy.random.bit_generator is draw.bit_generator
 assert numpy.random.bit_generator.SeedSequence is numpy.random.SeedSequence
 for seed in [0, 5, 2**64, 2**200 + 11]:
     assert draw.default_rng(seed).bit_generator.state == numpy.random.default_rng(seed).bit_generator.state
-assert channel._BindSubmodules not in sys.meta_path
+assert sys.meta_path == meta_path
 numpy.random.seed(5)
 assert numpy.random.random() == numpy.random.RandomState(5).random_sample()
 assert numpy.random.default_rng().bit_generator.seed_seq.entropy.bit_length() > 64
@@ -366,16 +375,21 @@ print("_hashlib" in sys.modules, "token_hex" in vars(sys.modules["secrets"]), "n
 # ``main`` on ``argv[1:]`` in a fresh interpreter after ``PATCH``, a
 # failure of the partial import: prints the exit code, whether _hashlib
 # and secrets are loaded, whether secrets is the standard module, and
-# whether numpy.random is the whole package.
+# whether numpy.random is the whole package. The audit hook's record shows
+# that the partial import ran before the plain one.
 FALLBACK_CHILD = """
 import sys, types
+imports = []
+sys.addaudithook(lambda event, args: event == "import" and imports.append(args[0]))
 from airconsensus import channel
 PATCH
 from airconsensus.cli import main
+meta_path = list(sys.meta_path)
 code = main(sys.argv[1:])
+assert imports.index("numpy.random._generator") < imports.index("numpy.random")
 package = sys.modules["numpy.random"]
 assert package.Generator is package._generator.Generator and package.bit_generator.ISeedSequence
-assert channel._BindSubmodules not in sys.meta_path
+assert sys.meta_path == meta_path
 secrets = sys.modules.get("secrets")
 print(code, "_hashlib" in sys.modules, secrets is not None, hasattr(secrets, "token_hex"), hasattr(package, "RandomState"))
 """
